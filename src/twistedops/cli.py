@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all",
                     help="comma list of: jordan, brackets, critical, innw, delta, ft, closure, hmodule, lowest (or 'all')")
     pv.add_argument("--lam", help="rational twist for span/witness computations (default 5/7)")
-    pv.add_argument("--parallel", action="store_true", help="run independent blocks concurrently")
+    pv.add_argument("--parallel", action="store_true", help="accepted for compatibility; blocks always run in order")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("critical", help="print the two critical twist values")

@@ -19,12 +19,12 @@ verified either symbolically or at random rational points.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
-from .report import CheckResult
+from .report import CheckResult, timed_check
 from .ring import (
     LocFn,
     RingContext,
@@ -85,14 +85,10 @@ class JElem:
         return hash(self.coords)
 
     def is_zero(self) -> bool:
-        return all(_entry_is_zero(c) for c in self.coords)
+        return all(c.is_zero() for c in self.coords)
 
     def __repr__(self) -> str:
         return f"JElem({', '.join(map(str, self.coords))})"
-
-
-def _entry_is_zero(x) -> bool:
-    return x.is_zero()
 
 
 def _entry_mul(a, b):
@@ -111,10 +107,6 @@ def _entry_scale(c: Fraction, x):
     if isinstance(x, ZPoly):
         return x.scale(s)
     return x * s
-
-
-def _entry_add(a, b):
-    return a + b
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +156,18 @@ class JordanAlgebra:
             raise DimensionMismatchError(f"expected {self.n} coordinates")
         out = [None] * self.n
         for i, ai in enumerate(a.coords):
-            if _entry_is_zero(ai):
+            if ai.is_zero():
                 continue
             row = self.prod[i]
             for j, bj in enumerate(b.coords):
-                if _entry_is_zero(bj):
+                if bj.is_zero():
                     continue
                 ab = _entry_mul(ai, bj)
                 for k, c in enumerate(row[j]):
                     if not c:
                         continue
                     term = _entry_scale(c, ab)
-                    out[k] = term if out[k] is None else _entry_add(out[k], term)
+                    out[k] = term if out[k] is None else out[k] + term
         zero = self._zero_like(a, b)
         return JElem(tuple(zero if x is None else x for x in out))
 
@@ -197,7 +189,7 @@ class JordanAlgebra:
         ac_b = self.product(self.product(a, c), b)
         return JElem(
             tuple(
-                _entry_add(_entry_add(x, y), _entry_scale(Fraction(-1), z))
+                x + y + _entry_scale(Fraction(-1), z)
                 for x, y, z in zip(ab_c.coords, a_bc.coords, ac_b.coords)
             )
         )
@@ -205,10 +197,10 @@ class JordanAlgebra:
     def trace(self, a: JElem):
         out = None
         for ti, ai in zip(self.trace_vec, a.coords):
-            if not ti or _entry_is_zero(ai):
+            if not ti or ai.is_zero():
                 continue
             term = _entry_scale(ti, ai)
-            out = term if out is None else _entry_add(out, term)
+            out = term if out is None else out + term
         if out is None:
             return self._zero_like(a)
         return out
@@ -220,7 +212,7 @@ class JordanAlgebra:
         return JElem(tuple(_entry_scale(c, x) for x in a.coords))
 
     def add_elem(self, a: JElem, b: JElem) -> JElem:
-        return JElem(tuple(_entry_add(x, y) for x, y in zip(a.coords, b.coords)))
+        return JElem(tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     # -- norm, adjugate, inverse ---------------------------------------------
     def norm_at(self, q: JElem) -> Scalar:
@@ -255,11 +247,6 @@ class JordanAlgebra:
             if not c.is_zero():
                 out = out + ZPoly.monomial(self.n, tuple(1 if j == k else 0 for j in range(self.n)), c)
         return out
-
-    def trace_against_generic(self, x: JElem) -> ZPoly:
-        """tr(x o q) where x has ZPoly coordinates is also supported."""
-        q = self.generic_elem()
-        return self.trace(self.product(x, q))
 
     def tr_v_qinv(self, v: JElem) -> LocFn:
         """The function q -> tr(v o q^{-1}) = tr(v o adj q) / F."""
@@ -511,23 +498,8 @@ def from_selector(selector: str) -> JordanAlgebra:
 # Structure validation and the derivative-identity suite
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return repr(x) if isinstance(x, ZPoly) else str(x)
-
-
 def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
     """Exact checks of the defining structure data."""
-    out = []
-
-    def run(name, fn):
-        start = time.perf_counter()
-        ok, witness = fn()
-        out.append(CheckResult(
-            name, "pass" if ok else "fail",
-            witness if not ok else None,
-            int((time.perf_counter() - start) * 1000),
-        ))
-
     def commutative():
         for i in range(J.n):
             for j in range(i + 1, J.n):
@@ -545,11 +517,13 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
 
     def unit_trace():
         t = J.trace(J.unit_elem())
-        return t == Scalar(J.r), f"tr(e) = {t}, expected {J.r}"
+        ok = t == Scalar(J.r)
+        return ok, None if ok else f"tr(e) = {t}, expected {J.r}"
 
     def norm_at_unit():
         v = J.normF.evaluate([Scalar(c) for c in J.unit])
-        return v == ONE, f"F(e) = {v}"
+        ok = v == ONE
+        return ok, None if ok else f"F(e) = {v}"
 
     def adjugate_identity():
         q = J.generic_elem()
@@ -561,14 +535,15 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
         return True, None
 
     def ratio():
-        return Fraction(J.n, J.r) == J.m, f"n/r = {Fraction(J.n, J.r)} != m = {J.m}"
+        ok = Fraction(J.n, J.r) == J.m
+        return ok, None if ok else f"n/r = {Fraction(J.n, J.r)} != m = {J.m}"
 
     def completeness():
         acc = J.zero_elem()
         for i in range(J.n):
             acc = J.add_elem(acc, J.product(J.basis_element(i), J.dual_basis_element(i)))
-        want = J.scale_elem(J.m, J.unit_elem())
-        return acc == want, f"sum b_i o b^i = {acc}, expected m*e"
+        ok = acc == J.scale_elem(J.m, J.unit_elem())
+        return ok, None if ok else f"sum b_i o b^i = {acc}, expected m*e"
 
     def trace_normalization():
         # Tr(L_x) = m * tr(x) for every basis x
@@ -580,15 +555,16 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
                 return False, f"Tr(L_{J.labels[i]}) = {total} != m*tr"
         return True, None
 
-    run("product-commutative", commutative)
-    run("unit-law", unit_law)
-    run("unit-trace", unit_trace)
-    run("norm-normalized", norm_at_unit)
-    run("adjugate-identity", adjugate_identity)
-    run("dimension-ratio", ratio)
-    run("dual-basis-completeness", completeness)
-    run("trace-normalization", trace_normalization)
-    return out
+    return [timed_check(name, fn) for name, fn in (
+        ("product-commutative", commutative),
+        ("unit-law", unit_law),
+        ("unit-trace", unit_trace),
+        ("norm-normalized", norm_at_unit),
+        ("adjugate-identity", adjugate_identity),
+        ("dimension-ratio", ratio),
+        ("dual-basis-completeness", completeness),
+        ("trace-normalization", trace_normalization),
+    )]
 
 
 def random_point(J: JordanAlgebra, rng: random.Random, invertible: bool = True) -> JElem:
@@ -601,17 +577,6 @@ def random_point(J: JordanAlgebra, rng: random.Random, invertible: bool = True) 
 
 def point_identities(J: JordanAlgebra, rng: random.Random, count: int = 20) -> list[CheckResult]:
     """Spot checks of product identities at random rational points."""
-    out = []
-
-    def run(name, fn):
-        start = time.perf_counter()
-        ok, witness = fn()
-        out.append(CheckResult(
-            name, "pass" if ok else "fail",
-            witness if not ok else None,
-            int((time.perf_counter() - start) * 1000),
-        ))
-
     def power_associativity():
         for _ in range(count):
             a = random_point(J, rng, invertible=False)
@@ -674,22 +639,14 @@ def point_identities(J: JordanAlgebra, rng: random.Random, count: int = 20) -> l
                 return False, f"{{a,{{b,a,c}},a}} != {{{{a,b,a}},c,a}} at a={a}"
         return True, None
 
-    run("power-associativity", power_associativity)
-    run("unit-product-points", unit_product)
-    run("idempotent-projection", projection_at_idempotent)
-    run("inverse-triple", inverse_triple)
-    run("triple-shift", shift_identity)
-    run("triple-fundamental", fundamental_identity)
-    return out
-
-
-def _sqrt_cofactor_second(J: JordanAlgebra, i: int, j: int) -> LocFn:
-    """(d_i d_j w)/w via the chain rule: F''/(2F) - F_i F_j/(4 F^2)."""
-    ctx = J.ring
-    fij = ctx.dF(i).derivative(j)
-    first = LocFn(ctx, fij, 1).scale(Scalar(Fraction(1, 2)))
-    second = LocFn(ctx, ctx.dF(i) * ctx.dF(j), 2).scale(Scalar(Fraction(-1, 4)))
-    return first + second
+    return [timed_check(name, fn) for name, fn in (
+        ("power-associativity", power_associativity),
+        ("unit-product-points", unit_product),
+        ("idempotent-projection", projection_at_idempotent),
+        ("inverse-triple", inverse_triple),
+        ("triple-shift", shift_identity),
+        ("triple-fundamental", fundamental_identity),
+    )]
 
 
 def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
@@ -710,79 +667,65 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
 
 def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
     ctx = J.ring
-    out = []
-    start = time.perf_counter()
-
-    def emit(name, ok, witness):
-        nonlocal start
-        out.append(CheckResult(
-            name, "pass" if ok else "fail",
-            witness if not ok else None,
-            int((time.perf_counter() - start) * 1000),
-        ))
-        start = time.perf_counter()
-
     adj = J.adjugate_elem()
     tr_qinv = [J.tr_v_qinv(J.basis_element(i)) for i in range(J.n)]
-
-    # d_i F = tr(b_i o adj q), as polynomials
-    ok, witness = True, None
-    for i in range(J.n):
-        tr_adj = J.trace(J.product(J.basis_element(i), adj))
-        if ctx.dF(i) != tr_adj:
-            ok, witness = False, f"dF/dz{i+1} != tr(b{i+1} o adj q)"
-            break
-    emit("norm-derivative", ok, witness)
-
-    # d_i w = (1/2) tr(b_i o q^-1) w, as SuperFn
     wfn = SuperFn.w(ctx)
-    ok, witness = True, None
-    for i in range(J.n):
-        lhs = wfn.derivative(i)
-        rhs = SuperFn.from_locfn(LocFn.zero(ctx), tr_qinv[i].scale(Scalar(Fraction(1, 2))))
-        if lhs != rhs:
-            ok, witness = False, f"d_{i+1} w != (1/2) tr(b{i+1} q^-1) w"
-            break
-    emit("sqrt-derivative", ok, witness)
 
-    # d_i tr(b_j o q^-1) = -tr(b_j o {q^-1, b_i, q^-1})
-    ok, witness = True, None
-    for i in range(J.n):
-        for j in range(J.n):
-            lhs = tr_qinv[j].derivative(i)
-            trip = J.triple(adj, J.basis_element(i), adj)
-            num = J.trace(J.product(J.basis_element(j), trip))
-            rhs = -LocFn(ctx, num, 2)
-            if lhs != rhs:
-                ok, witness = False, f"d_{i+1} tr(b{j+1} q^-1) mismatch"
-                break
-        if not ok:
-            break
-    emit("inverse-derivative", ok, witness)
+    @cache
+    def sandwich(i: int) -> JElem:
+        return J.triple(adj, J.basis_element(i), adj)
 
-    # d_i d_j w = [ (1/4) tr(b_i q^-1) tr(b_j q^-1) - (1/2) tr(b_j {q^-1,b_i,q^-1}) ] w
-    ok, witness = True, None
-    for i in range(J.n):
-        for j in range(J.n):
-            lhs = wfn.derivative(j).derivative(i)
-            trip = J.triple(adj, J.basis_element(i), adj)
-            num = J.trace(J.product(J.basis_element(j), trip))
-            rhs_cof = (
-                (tr_qinv[i] * tr_qinv[j]).scale(Scalar(Fraction(1, 4)))
-                - LocFn(ctx, num, 2).scale(Scalar(Fraction(1, 2)))
-            )
-            if lhs != SuperFn.from_locfn(LocFn.zero(ctx), rhs_cof):
-                ok, witness = False, f"d_{i+1} d_{j+1} w mismatch"
-                break
-        if not ok:
-            break
-    emit("sqrt-second-derivative", ok, witness)
-    return out
+    @cache
+    def tr_triple(i: int, j: int) -> ZPoly:
+        """tr(b_j o {adj q, b_i, adj q}) = F^2 tr(b_j o {q^-1, b_i, q^-1})."""
+        return J.trace(J.product(J.basis_element(j), sandwich(i)))
+
+    def norm_derivative():
+        # d_i F = tr(b_i o adj q), as polynomials
+        for i in range(J.n):
+            if ctx.dF(i) != J.trace(J.product(J.basis_element(i), adj)):
+                return False, f"dF/dz{i+1} != tr(b{i+1} o adj q)"
+        return True, None
+
+    def sqrt_derivative():
+        # d_i w = (1/2) tr(b_i o q^-1) w, as SuperFn
+        for i in range(J.n):
+            rhs = SuperFn.from_locfn(LocFn.zero(ctx), tr_qinv[i].scale(Scalar(Fraction(1, 2))))
+            if wfn.derivative(i) != rhs:
+                return False, f"d_{i+1} w != (1/2) tr(b{i+1} q^-1) w"
+        return True, None
+
+    def inverse_derivative():
+        # d_i tr(b_j o q^-1) = -tr(b_j o {q^-1, b_i, q^-1})
+        for i in range(J.n):
+            for j in range(J.n):
+                if tr_qinv[j].derivative(i) != -LocFn(ctx, tr_triple(i, j), 2):
+                    return False, f"d_{i+1} tr(b{j+1} q^-1) mismatch"
+        return True, None
+
+    def sqrt_second_derivative():
+        # d_i d_j w = [ (1/4) tr(b_i q^-1) tr(b_j q^-1) - (1/2) tr(b_j {q^-1,b_i,q^-1}) ] w
+        for i in range(J.n):
+            for j in range(J.n):
+                lhs = wfn.derivative(j).derivative(i)
+                rhs_cof = (
+                    (tr_qinv[i] * tr_qinv[j]).scale(Scalar(Fraction(1, 4)))
+                    - LocFn(ctx, tr_triple(i, j), 2).scale(Scalar(Fraction(1, 2)))
+                )
+                if lhs != SuperFn.from_locfn(LocFn.zero(ctx), rhs_cof):
+                    return False, f"d_{i+1} d_{j+1} w mismatch"
+        return True, None
+
+    return [timed_check(name, fn) for name, fn in (
+        ("norm-derivative", norm_derivative),
+        ("sqrt-derivative", sqrt_derivative),
+        ("inverse-derivative", inverse_derivative),
+        ("sqrt-second-derivative", sqrt_second_derivative),
+    )]
 
 
 def _derivative_identities_points(J: JordanAlgebra, rng: random.Random, count: int) -> list[CheckResult]:
     ctx = J.ring
-    out = []
     dF = [ctx.dF(i) for i in range(J.n)]
     ddF = [[dF[i].derivative(j) for j in range(J.n)] for i in range(J.n)]
     tr_adj = [
@@ -790,48 +733,37 @@ def _derivative_identities_points(J: JordanAlgebra, rng: random.Random, count: i
         for i in range(J.n)
     ]
     d_tr_adj = [[p.derivative(i) for i in range(J.n)] for p in tr_adj]
+    half = Scalar(Fraction(1, 2))
+    quarter = Scalar(Fraction(1, 4))
 
-    start = time.perf_counter()
-    ok, witness = True, None
-    for _ in range(count):
-        q = random_point(J, rng)
-        point = list(q.coords)
-        f = J.normF.evaluate(point)
-        finv = f.inv()
-        qinv = J.inverse_at(q)
-        tq = [J.trace_form(J.basis_element(i), qinv) for i in range(J.n)]
-        for i in range(J.n):
-            # norm derivative
-            if dF[i].evaluate(point) != f * tq[i]:
-                ok, witness = False, f"norm-derivative at q={q}, i={i+1}"
-                break
-            for j in range(J.n):
+    def at_points():
+        for _ in range(count):
+            q = random_point(J, rng)
+            point = list(q.coords)
+            f = J.normF.evaluate(point)
+            finv = f.inv()
+            qinv = J.inverse_at(q)
+            tq = [J.trace_form(J.basis_element(i), qinv) for i in range(J.n)]
+            for i in range(J.n):
+                # norm derivative
+                if dF[i].evaluate(point) != f * tq[i]:
+                    return False, f"norm-derivative at q={q}, i={i+1}"
                 trip = J.triple(qinv, J.basis_element(i), qinv)
-                tvt = J.trace_form(J.basis_element(j), trip)
-                # derivative of tr(b_j q^-1)
-                lhs = (d_tr_adj[j][i].evaluate(point) * f
-                       - tr_adj[j].evaluate(point) * dF[i].evaluate(point)) * finv * finv
-                if lhs != -tvt:
-                    ok, witness = False, f"inverse-derivative at q={q}, ({i+1},{j+1})"
-                    break
-                # second derivative cofactor of w
-                half = Scalar(Fraction(1, 2))
-                quarter = Scalar(Fraction(1, 4))
-                lhs2 = half * ddF[i][j].evaluate(point) * finv - quarter * dF[i].evaluate(point) * dF[j].evaluate(point) * finv * finv
-                rhs2 = quarter * tq[i] * tq[j] - half * tvt
-                if lhs2 != rhs2:
-                    ok, witness = False, f"sqrt-second-derivative at q={q}, ({i+1},{j+1})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    out.append(CheckResult(
-        "derivative-identities-at-points", "pass" if ok else "fail",
-        witness if not ok else None,
-        int((time.perf_counter() - start) * 1000),
-    ))
-    return out
+                for j in range(J.n):
+                    tvt = J.trace_form(J.basis_element(j), trip)
+                    # derivative of tr(b_j q^-1)
+                    lhs = (d_tr_adj[j][i].evaluate(point) * f
+                           - tr_adj[j].evaluate(point) * dF[i].evaluate(point)) * finv * finv
+                    if lhs != -tvt:
+                        return False, f"inverse-derivative at q={q}, ({i+1},{j+1})"
+                    # second derivative cofactor of w
+                    lhs2 = half * ddF[i][j].evaluate(point) * finv - quarter * dF[i].evaluate(point) * dF[j].evaluate(point) * finv * finv
+                    rhs2 = quarter * tq[i] * tq[j] - half * tvt
+                    if lhs2 != rhs2:
+                        return False, f"sqrt-second-derivative at q={q}, ({i+1},{j+1})"
+        return True, None
+
+    return [timed_check("derivative-identities-at-points", at_points)]
 
 
 def verify_jordan_calculus(J: JordanAlgebra, mode: str = "symbolic",

@@ -26,8 +26,8 @@ from .ring import NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, scalar_str
 Key = tuple  # (a, b): exponents of w^a d^b or zeta^a xi^b
 
 
-class WOp:
-    """Normal-ordered operator sum c_{ab} w^a d^b on one variable."""
+class _Sparse:
+    """Immutable sparse map (a, b) -> Scalar with its linear structure."""
 
     __slots__ = ("terms",)
 
@@ -40,15 +40,52 @@ class WOp:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("WOp is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def zero() -> "WOp":
-        return WOp()
+    @classmethod
+    def zero(cls):
+        return cls()
 
-    @staticmethod
-    def one() -> "WOp":
-        return WOp({(0, 0): ONE})
+    @classmethod
+    def one(cls):
+        return cls({(0, 0): ONE})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, ZERO) + c
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Scalar):
+        return type(self)({k: v * c for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        return max((a + b for a, b in self.terms), default=-1)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+
+class WOp(_Sparse):
+    """Normal-ordered operator sum c_{ab} w^a d^b on one variable."""
+
+    __slots__ = ()
 
     @staticmethod
     def w(a: int = 1) -> "WOp":
@@ -57,25 +94,6 @@ class WOp:
     @staticmethod
     def d(b: int = 1) -> "WOp":
         return WOp({(0, b): ONE})
-
-    def __add__(self, other: "WOp") -> "WOp":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return WOp(out)
-
-    def __neg__(self) -> "WOp":
-        return WOp({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "WOp") -> "WOp":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "WOp":
-        return WOp({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "WOp") -> "WOp":
         """Composition, normal-ordered via d^b w^c = sum_k k! C(b,k) C(c,k) w^{c-k} d^{b-k}."""
@@ -113,15 +131,6 @@ class WOp:
                 out[e] = s
         return out
 
-    def total_degree(self) -> int:
-        return max((a + b for a, b in self.terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WOp) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "WOp(0)"
@@ -133,29 +142,10 @@ class WOp:
         return "WOp(" + " + ".join(bits) + ")"
 
 
-class PolyZX:
+class PolyZX(_Sparse):
     """Polynomial in zeta, xi; Euler degree of zeta^a xi^b is (a+b)/2."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Key, Scalar] | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    clean[key] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("PolyZX is immutable")
-
-    @staticmethod
-    def zero() -> "PolyZX":
-        return PolyZX()
-
-    @staticmethod
-    def one() -> "PolyZX":
-        return PolyZX({(0, 0): ONE})
+    __slots__ = ()
 
     @staticmethod
     def zeta(a: int = 1) -> "PolyZX":
@@ -169,22 +159,6 @@ class PolyZX:
     def monomial(a: int, b: int, c: Scalar = ONE) -> "PolyZX":
         return PolyZX({(a, b): c})
 
-    def __add__(self, other: "PolyZX") -> "PolyZX":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return PolyZX(out)
-
-    def __neg__(self) -> "PolyZX":
-        return PolyZX({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyZX") -> "PolyZX":
-        return self + (-other)
-
     def __mul__(self, other: "PolyZX") -> "PolyZX":
         out: dict[Key, Scalar] = {}
         for (a1, b1), c1 in self.terms.items():
@@ -197,20 +171,13 @@ class PolyZX:
                     out[key] = s
         return PolyZX(out)
 
-    def scale(self, c: Scalar) -> "PolyZX":
-        return PolyZX({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def d_zeta(self) -> "PolyZX":
         return PolyZX({(a - 1, b): c * Scalar(a) for (a, b), c in self.terms.items() if a})
 
     def d_xi(self) -> "PolyZX":
         return PolyZX({(a, b - 1): c * Scalar(b) for (a, b), c in self.terms.items() if b})
 
-    def poly_degree(self) -> int:
-        return max((a + b for a, b in self.terms), default=-1)
+    poly_degree = _Sparse.total_degree
 
     def euler_degree(self):
         """Euler degree for homogeneous input; -inf for zero."""
@@ -226,12 +193,6 @@ class PolyZX:
 
     def constant_term(self) -> Scalar:
         return self.terms.get((0, 0), ZERO)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyZX) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"PolyZX({polyzx_str(self)})"

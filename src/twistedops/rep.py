@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .jordan import JElem, JordanAlgebra, PrimitiveIdempotentError  # noqa: F401 (guard error re-export)
 from .ring import LAMBDA, LambdaPoly, Scalar, SuperFn, ZPoly, ZERO
-from .weyl import DiffOp, PolyOpPlus
+from .weyl import DiffOp, PolyOpPlus, fourier
 
 # default rational twist used for span/rank computations; any value off
 # the critical set works, this one is documented and overridable
@@ -307,17 +307,9 @@ def act_on_H(A: DiffOp, h: HElem | SuperFn) -> tuple[SuperFn, bool]:
 
 def norm_derivative_op(J: JordanAlgebra) -> DiffOp:
     """The constant-coefficient operator obtained from F by replacing the
-    i-th coordinate with the derivative along the i-th dual basis vector."""
-    n = J.n
-    out = DiffOp.zero(J)
-    duals = [DiffOp.directional(J, J.dual_basis_element(i)) for i in range(n)]
-    for mono, c in J.normF.terms.items():
-        piece = DiffOp.identity(J)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                piece = piece.compose(duals[i])
-        out = out + piece.scale(c)
-    return out
+    i-th coordinate with the derivative along the i-th dual basis vector:
+    the Fourier image of multiplication by F."""
+    return fourier(PolyOpPlus.mult(J, J.normF))
 
 
 def semi_invariant_w_dF(J: JordanAlgebra) -> DiffOp:

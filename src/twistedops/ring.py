@@ -19,6 +19,7 @@ after construction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Union
@@ -81,11 +82,6 @@ class Scalar:
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("Scalar is immutable")
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def rational(p: int, q: int = 1) -> "Scalar":
-        return Scalar(Fraction(p, q))
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -253,9 +249,6 @@ class LambdaPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def constant_value(self) -> Scalar:
         if not self.coeffs:
             return ZERO
@@ -376,6 +369,10 @@ def lambda_str(p: LambdaPoly) -> str:
     return " + ".join(parts)
 
 
+# exponents, indices and F-powers in the text format
+_POSINT = "[1-9][0-9]*"
+
+
 def parse_lambda(text: str) -> LambdaPoly:
     text = text.strip()
     if text == "0":
@@ -389,13 +386,10 @@ def parse_lambda(text: str) -> LambdaPoly:
                 c = parse_scalar(cpart)
             else:
                 lpart, c = chunk, ONE
-            lpart = lpart.strip()
-            if lpart == "L":
-                k = 1
-            elif lpart.startswith("L^"):
-                k = int(lpart[2:])
-            else:
+            power = re.fullmatch(rf"L(?:\^({_POSINT}))?", lpart.strip())
+            if power is None:
                 raise ParseError(f"bad L-term {chunk!r}")
+            k = int(power.group(1) or 1)
         else:
             c, k = parse_scalar(chunk), 0
         coeffs[k] = coeffs.get(k, ZERO) + c
@@ -600,12 +594,6 @@ class ZPoly:
                     work[target] = s
         return ZPoly(self.n, quot)
 
-    def homogeneous_components(self) -> dict[int, "ZPoly"]:
-        buckets: dict[int, dict] = {}
-        for mono, c in self.terms.items():
-            buckets.setdefault(sum(mono), {})[mono] = c
-        return {d: ZPoly(self.n, t) for d, t in buckets.items()}
-
     # -- comparison ----------------------------------------------------------
     def __eq__(self, other) -> bool:
         return isinstance(other, ZPoly) and self.n == other.n and self.terms == other.terms
@@ -621,10 +609,7 @@ class ZPoly:
             return "ZPoly(0)"
         bits = []
         for mono, c in self.sorted_terms():
-            zs = "*".join(
-                f"z{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono) if e
-            )
+            zs = _mono_str("z", mono)
             bits.append(f"({lambda_str(c)})" + (f"*{zs}" if zs else ""))
         return "ZPoly(" + " + ".join(bits) + ")"
 
@@ -656,8 +641,8 @@ class RingContext:
 
     def F_pow(self, k: int) -> ZPoly:
         cache = self._fpow
-        if k not in cache:
-            cache[k] = self.F_pow(k - 1) * self.F
+        for j in range(len(cache), k + 1):
+            cache[j] = cache[j - 1] * self.F
         return cache[k]
 
     def dF(self, i: int) -> ZPoly:
@@ -756,16 +741,10 @@ class LocFn:
             return LocFn(self.ctx, num, k, _canonical=True)
         return LocFn(self.ctx, num, k)
 
-    def mul_zpoly(self, p: ZPoly) -> "LocFn":
-        return LocFn(self.ctx, self.num * p, self.k)
-
     def mul_F(self) -> "LocFn":
         if self.k > 0:
             return LocFn(self.ctx, self.num, self.k - 1, _canonical=True)
         return LocFn(self.ctx, self.num * self.ctx.F, 0, _canonical=True)
-
-    def div_F(self, j: int = 1) -> "LocFn":
-        return LocFn(self.ctx, self.num, self.k + j)
 
     def scale(self, c: Scalar | LambdaPoly) -> "LocFn":
         return LocFn(self.ctx, self.num.scale(c), self.k)
@@ -968,9 +947,10 @@ def _coeff_groups(c: LambdaPoly) -> str:
     return f"({scalar_str(s)})({lambda_str(tail)})"
 
 
-def _zmono_str(mono: tuple) -> str:
+def _mono_str(letter: str, mono: tuple) -> str:
+    """``z1^2*z3`` style text of an exponent vector; empty for the unit."""
     return "*".join(
-        f"z{i+1}" + (f"^{e}" if e > 1 else "")
+        f"{letter}{i+1}" + (f"^{e}" if e > 1 else "")
         for i, e in enumerate(mono) if e
     )
 
@@ -980,7 +960,7 @@ def superfn_terms(f: SuperFn) -> list[str]:
     for part, odd in ((f.ev, False), (f.od, True)):
         for mono, c in part.num.sorted_terms():
             term = _coeff_groups(c)
-            zs = _zmono_str(mono)
+            zs = _mono_str("z", mono)
             if zs:
                 term += f"*{zs}"
             if odd:
@@ -997,7 +977,7 @@ def superfn_str(f: SuperFn) -> str:
 
 
 def _split_terms(text: str) -> list[str]:
-    """Split a sum on ' + ' at paren depth zero."""
+    """Split a sum on ' + ' at paren depth zero; every term must be non-empty."""
     parts, depth, start = [], 0, 0
     i = 0
     while i < len(text):
@@ -1013,93 +993,93 @@ def _split_terms(text: str) -> list[str]:
             continue
         i += 1
     parts.append(text[start:])
-    return [p for p in (s.strip() for s in parts) if p]
+    parts = [p.strip() for p in parts]
+    if not all(parts):
+        raise ParseError(f"empty term in {text!r}")
+    return parts
+
+
+def _group_end(text: str) -> int:
+    """Index just past the parenthesised group that opens ``text``."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    raise ParseError(f"unclosed group in {text!r}")
 
 
 def _lead_groups(token: str) -> tuple[LambdaPoly, str]:
-    """Parse the leading coefficient groups off a term."""
+    """Parse the leading coefficient groups ``(scalar)`` and ``(Lpoly)``."""
     if not token.startswith("("):
         raise ParseError(f"term must open with a coefficient group: {token!r}")
-    depth, i = 0, 0
-    while i < len(token):
-        if token[i] == "(":
-            depth += 1
-        elif token[i] == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        i += 1
-    scalar = parse_scalar(token[1:i])
-    rest = token[i + 1:]
+    end = _group_end(token)
+    scalar = parse_scalar(token[1:end - 1])
+    rest = token[end:]
     coeff = LambdaPoly.const(scalar)
     if rest.startswith("("):
-        depth, j = 0, 0
-        while j < len(rest):
-            if rest[j] == "(":
-                depth += 1
-            elif rest[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        coeff = parse_lambda(rest[1:j]).scale(scalar)
-        rest = rest[j + 1:]
+        end = _group_end(rest)
+        coeff = parse_lambda(rest[1:end - 1]).scale(scalar)
+        rest = rest[end:]
     return coeff, rest.strip()
+
+
+# one factor after the coefficient groups, with the operator before it
+_FACTOR = re.compile(
+    rf"\s*(?P<op>[*/])\s*(?:(?P<var>[zd])(?P<index>{_POSINT})(?:\^(?P<exp>{_POSINT}))?"
+    rf"|(?P<w>w)|(?P<F>F)(?:\^(?P<k>{_POSINT}))?)"
+)
 
 
 def parse_term(term: str, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
     """Parse one textual term.
 
+    The grammar, with optional whitespace around ``*`` and ``/``::
+
+        term   := groups {"*" z-factor} ["*" "w"] ["/" "F" ["^" k]] {"*" d-factor}
+        groups := "(" scalar ")" ["(" Lpoly ")"]
+        factor := ("z" | "d") index ["^" k]
+
+    Indices, exponents and k are positive decimal integers.
+
     Returns (coefficient, z-monomial, odd?, denominator power, d-monomial).
     """
-    if " / " in term:
-        left, right = term.split(" / ", 1)
-    else:
-        left, right = term, ""
-    coeff, rest = _lead_groups(left.strip())
-    rest = rest.lstrip()
-    if rest.startswith("*"):
-        rest = rest[1:].lstrip()
+    coeff, rest = _lead_groups(term.strip())
     zmono = [0] * n
     dmono = [0] * n
     odd = False
     k = 0
-
-    def eat_factor(tok: str, target: list) -> None:
-        name, _, power = tok.partition("^")
-        e = int(power) if power else 1
-        idx = int(name[1:]) - 1
-        if not 0 <= idx < n:
-            raise ParseError(f"index out of range in {tok!r}")
-        target[idx] += e
-
-    for chunk in ([] if not rest else rest.split(" * ")):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        for tok in chunk.split("*"):
-            tok = tok.strip()
-            if tok == "w":
-                odd = True
-            elif tok.startswith("z"):
-                eat_factor(tok, zmono)
-            elif tok.startswith("d"):
-                eat_factor(tok, dmono)
+    stage = 0  # 0: z-factors, 1: after w, 2: after the F-power, 3: d-factors
+    pos = 0
+    while pos < len(rest):
+        m = _FACTOR.match(rest, pos)
+        if m is None:
+            raise ParseError(f"unexpected text {rest[pos:]!r} in term {term!r}")
+        pos = m.end()
+        if m["op"] == "/":
+            if not m["F"] or stage >= 2:
+                raise ParseError(f"misplaced denominator in term {term!r}")
+            k, stage = int(m["k"] or 1), 2
+        elif m["w"]:
+            if stage >= 1:
+                raise ParseError(f"misplaced w in term {term!r}")
+            odd, stage = True, 1
+        elif m["var"]:
+            idx = int(m["index"]) - 1
+            if idx >= n:
+                raise ParseError(f"index out of range in {m['var']}{m['index']}")
+            if m["var"] == "z":
+                if stage > 0:
+                    raise ParseError(f"misplaced z-factor in term {term!r}")
+                zmono[idx] += int(m["exp"] or 1)
             else:
-                raise ParseError(f"unexpected factor {tok!r}")
-    if right:
-        pieces = right.split(" * ", 1)
-        fpart = pieces[0].strip()
-        if not fpart.startswith("F"):
-            raise ParseError(f"expected F-power, got {fpart!r}")
-        k = int(fpart[2:]) if fpart.startswith("F^") else 1
-        if len(pieces) > 1:
-            for tok in pieces[1].split("*"):
-                tok = tok.strip()
-                if tok.startswith("d"):
-                    eat_factor(tok, dmono)
-                else:
-                    raise ParseError(f"unexpected factor {tok!r} after denominator")
+                dmono[idx] += int(m["exp"] or 1)
+                stage = 3
+        else:
+            raise ParseError(f"F may only appear as a denominator in term {term!r}")
     return coeff, tuple(zmono), odd, k, tuple(dmono)
 
 

@@ -2,8 +2,9 @@
 
 Every check here is exact: a check passes iff the residual operator or
 polynomial is identically zero (in particular, identically in the formal
-twist parameter).  Random points are used only inside the Jordan-algebra
-point identities where full symbolic expansion would be wasteful.
+twist parameter).  Random points are used only by the Jordan-algebra
+point identities (products, inverses and triples at rational points);
+the derivative identities are established symbolically on every algebra.
 
 The central computation takes the canonical primitive idempotent y,
 forms the double commutator of the twisted operator of y with the
@@ -18,7 +19,6 @@ the extracted quadratic are then compared against that closed form.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import jordan as _jordan
@@ -381,15 +381,13 @@ def check_lowest_weight(J: JordanAlgebra) -> CheckResult:
     return timed_check("lowest-weight", body)
 
 
-def check_jordan_calculus(J: JordanAlgebra, mode: str | None = None,
+def check_jordan_calculus(J: JordanAlgebra, mode: str = "symbolic",
                           seed: int = 0, count: int = 20) -> list[CheckResult]:
     """Structure + point identities + derivative identities.
 
-    ``mode=None`` selects symbolic derivatives for small algebras and
-    point evaluation for the largest ones.
+    The derivative identities are exact (``mode="symbolic"``) unless
+    ``mode="points"`` asks for evaluation at random rational points.
     """
-    if mode is None:
-        mode = "points" if J.n > 6 else "symbolic"
     rng = random.Random(seed)
     return _jordan.verify_jordan_calculus(J, mode=mode, rng=rng, count=count)
 
@@ -466,15 +464,13 @@ def _run_block(J: JordanAlgebra, block: str, seed: int,
 
 def run_suite(J: JordanAlgebra, selection: str = "all", seed: int = 0,
               lam_value: Fraction = GENERIC_TWIST, parallel: bool = False) -> Report:
-    """Run the selected checks and aggregate them in a fixed order."""
-    blocks = _suite_selection(selection)
-    if parallel and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(blocks))) as pool:
-            futures = [pool.submit(_run_block, J, b, seed, lam_value) for b in blocks]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [_run_block(J, b, seed, lam_value) for b in blocks]
+    """Run the selected checks in a fixed order.
+
+    ``parallel`` is accepted for compatibility and ignored: blocks always
+    run one after another, since threads are slower under the GIL and
+    would share the ring caches.
+    """
     checks: list[CheckResult] = []
-    for chunk in chunks:
-        checks.extend(chunk)
+    for block in _suite_selection(selection):
+        checks.extend(_run_block(J, block, seed, lam_value))
     return Report(algebra=J.selector, suite=selection or "all", checks=tuple(checks))

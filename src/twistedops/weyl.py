@@ -35,8 +35,11 @@ from .ring import (
     SuperFn,
     ZPoly,
     grade_components,
+    grlex_key,
     parse_term,
     superfn_terms,
+    _coeff_groups,
+    _mono_str,
     _split_terms,
 )
 
@@ -46,17 +49,6 @@ MultiIndex = tuple  # tuple[int, ...] of length n
 def _check_alg(a: JordanAlgebra, b: JordanAlgebra) -> None:
     if a is not b and not a.ring.compatible(b.ring):
         raise ContextMismatchError("operators over different algebras")
-
-
-def _dmono_str(mono: MultiIndex) -> str:
-    return "*".join(
-        f"d{i+1}" + (f"^{e}" if e > 1 else "")
-        for i, e in enumerate(mono) if e
-    )
-
-
-def _grlex(mono: MultiIndex) -> tuple:
-    return (sum(mono), mono)
 
 
 def _multi_binom(beta: MultiIndex, delta: MultiIndex) -> int:
@@ -77,12 +69,30 @@ def _sub_indices(beta: MultiIndex):
             yield (d,) + rest
 
 
-class DiffOp:
-    """Normal-ordered differential operator on the square-root cover."""
+def _partial(cache: dict, idx: MultiIndex):
+    """d^idx of the function stored at the zero index of ``cache``.
+
+    Each missing partial is one derivative of the partial with the first
+    nonzero exponent lowered by one; every result is kept in ``cache``.
+    """
+    val = cache.get(idx)
+    if val is None:
+        i = next(k for k, e in enumerate(idx) if e)
+        val = _partial(cache, idx[:i] + (idx[i] - 1,) + idx[i + 1:]).derivative(i)
+        cache[idx] = val
+    return val
+
+
+class _NormalOrdered:
+    """Finite sum  sum_beta c_beta * d^beta  with coefficients to the left.
+
+    The coefficient type (``SuperFn`` or ``ZPoly``) only has to provide
+    ``derivative``, ``*``, ``scale``, ``+``, ``-`` and ``is_zero``.
+    """
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: JordanAlgebra, terms: Mapping[MultiIndex, SuperFn] | None = None):
+    def __init__(self, alg: JordanAlgebra, terms: Mapping | None = None):
         clean = {}
         if terms:
             for idx, c in terms.items():
@@ -92,20 +102,107 @@ class DiffOp:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("DiffOp is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _with(self, terms: dict):
+        """An operator over the same algebra with already-pruned terms."""
+        op = object.__new__(type(self))
+        object.__setattr__(op, "alg", self.alg)
+        object.__setattr__(op, "terms", terms)
+        return op
+
+    @classmethod
+    def zero(cls, alg: JordanAlgebra):
+        return cls(alg)
+
+    @classmethod
+    def mult(cls, alg: JordanAlgebra, c):
+        return cls(alg, {(0,) * alg.n: c})
+
+    # -- linear structure ----------------------------------------------------
+    def __add__(self, other):
+        _check_alg(self.alg, other.alg)
+        out = dict(self.terms)
+        for idx, c in other.terms.items():
+            acc = out.get(idx)
+            s = c if acc is None else acc + c
+            if s.is_zero():
+                out.pop(idx, None)
+            else:
+                out[idx] = s
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({idx: -c for idx, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Scalar | LambdaPoly):
+        return type(self)(self.alg, {idx: f.scale(c) for idx, f in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- composition ----------------------------------------------------------
+    def compose(self, other):
+        """Normal-ordered product self . other (apply ``other`` first).
+
+        Leibniz rule: d^beta . b = sum_{delta <= beta} C(beta, delta)
+        (d^delta b) d^(beta - delta).
+        """
+        _check_alg(self.alg, other.alg)
+        out: dict = {}
+        for gamma, b in other.terms.items():
+            partials = {(0,) * len(gamma): b}
+            for beta, a in self.terms.items():
+                for delta in sorted(_sub_indices(beta), key=sum):
+                    db = _partial(partials, delta)
+                    if db.is_zero():
+                        continue
+                    coeff = _multi_binom(beta, delta)
+                    term = a * db
+                    if coeff != 1:
+                        term = term.scale(Scalar(coeff))
+                    idx = tuple(bb - dd + gg for bb, dd, gg in zip(beta, delta, gamma))
+                    acc = out.get(idx)
+                    s = term if acc is None else acc + term
+                    if s.is_zero():
+                        out.pop(idx, None)
+                    else:
+                        out[idx] = s
+        return self._with(out)
+
+    def commutator(self, other):
+        return self.compose(other) - other.compose(self)
+
+    # -- comparison -------------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.alg.ring.compatible(other.alg.ring)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class DiffOp(_NormalOrdered):
+    """Normal-ordered differential operator on the square-root cover."""
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(alg: JordanAlgebra) -> "DiffOp":
-        return DiffOp(alg)
-
-    @staticmethod
     def identity(alg: JordanAlgebra) -> "DiffOp":
         return DiffOp(alg, {(0,) * alg.n: SuperFn.one(alg.ring)})
-
-    @staticmethod
-    def mult(alg: JordanAlgebra, f: SuperFn) -> "DiffOp":
-        return DiffOp(alg, {(0,) * alg.n: f})
 
     @staticmethod
     def mult_w(alg: JordanAlgebra) -> "DiffOp":
@@ -131,95 +228,12 @@ class DiffOp:
             terms[idx] = SuperFn.const(alg.ring, c)
         return DiffOp(alg, terms)
 
-    # -- linear structure ----------------------------------------------------
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        _check_alg(self.alg, other.alg)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc = out.get(idx)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        op = DiffOp.__new__(DiffOp)
-        object.__setattr__(op, "alg", self.alg)
-        object.__setattr__(op, "terms", out)
-        return op
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.alg, {idx: -c for idx, c in self.terms.items()})
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def scale(self, c: Scalar | LambdaPoly) -> "DiffOp":
-        return DiffOp(self.alg, {idx: f.scale(c) for idx, f in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- composition ----------------------------------------------------------
-    def _coeff_derivatives(self, c: SuperFn, beta: MultiIndex) -> dict:
-        """All partials d^delta c for delta <= beta, built incrementally."""
-        cache = {(0,) * len(beta): c}
-        for delta in sorted(_sub_indices(beta), key=sum):
-            if delta in cache:
-                continue
-            i = next(k for k, e in enumerate(delta) if e)
-            lower = delta[:i] + (delta[i] - 1,) + delta[i + 1:]
-            cache[delta] = cache[lower].derivative(i)
-        return cache
-
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal-ordered product self . other (apply ``other`` first)."""
-        _check_alg(self.alg, other.alg)
-        out: dict[MultiIndex, SuperFn] = {}
-        for gamma, b in other.terms.items():
-            deriv_cache: dict[MultiIndex, dict] = {}
-            for beta, a in self.terms.items():
-                cache = deriv_cache.get(beta)
-                if cache is None:
-                    cache = self._coeff_derivatives(b, beta)
-                    deriv_cache[beta] = cache
-                for delta, db in cache.items():
-                    if db.is_zero():
-                        continue
-                    coeff = _multi_binom(beta, delta)
-                    term = a * db
-                    if coeff != 1:
-                        term = term.scale(Scalar(coeff))
-                    idx = tuple(bb - dd + gg for bb, dd, gg in zip(beta, delta, gamma))
-                    acc = out.get(idx)
-                    s = term if acc is None else acc + term
-                    if s.is_zero():
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = s
-        op = DiffOp.__new__(DiffOp)
-        object.__setattr__(op, "alg", self.alg)
-        object.__setattr__(op, "terms", out)
-        return op
-
-    def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other) - other.compose(self)
-
     def apply(self, f: SuperFn) -> SuperFn:
         """Apply the operator to a function of the cover ring."""
         out = SuperFn.zero(self.alg.ring)
-        cache: dict[MultiIndex, SuperFn] = {(0,) * self.alg.n: f}
-
-        def partial_of(idx: MultiIndex) -> SuperFn:
-            if idx in cache:
-                return cache[idx]
-            i = next(k for k, e in enumerate(idx) if e)
-            lower = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-            val = partial_of(lower).derivative(i)
-            cache[idx] = val
-            return val
-
-        for beta, c in sorted(self.terms.items(), key=lambda kv: _grlex(kv[0])):
-            out = out + c * partial_of(beta)
+        partials = {(0,) * self.alg.n: f}
+        for beta, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])):
+            out = out + c * _partial(partials, beta)
         return out
 
     # -- structural maps --------------------------------------------------------
@@ -265,23 +279,6 @@ class DiffOp:
                     best = g
         return best
 
-    # -- comparison -------------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOp)
-            and self.alg.ring.compatible(other.alg.ring)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
-
-    def __repr__(self) -> str:
-        return f"DiffOp({diffop_str(self)})"
-
     def __str__(self) -> str:
         return diffop_str(self)
 
@@ -306,111 +303,15 @@ def _flip_superfn(c: SuperFn, iw: Scalar) -> SuperFn:
 # Polynomial operators on the opposite patch and the Fourier transform
 # ---------------------------------------------------------------------------
 
-class PolyOpPlus:
+class PolyOpPlus(_NormalOrdered):
     """Operator with polynomial coefficients in coordinates u1..un."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: JordanAlgebra, terms: Mapping[MultiIndex, ZPoly] | None = None):
-        clean = {}
-        if terms:
-            for idx, c in terms.items():
-                if not c.is_zero():
-                    clean[idx] = c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("PolyOpPlus is immutable")
-
-    @staticmethod
-    def zero(alg: JordanAlgebra) -> "PolyOpPlus":
-        return PolyOpPlus(alg)
-
-    @staticmethod
-    def mult(alg: JordanAlgebra, p: ZPoly) -> "PolyOpPlus":
-        return PolyOpPlus(alg, {(0,) * alg.n: p})
+    __slots__ = ()
 
     @staticmethod
     def partial(alg: JordanAlgebra, i: int) -> "PolyOpPlus":
         idx = tuple(1 if j == i else 0 for j in range(alg.n))
         return PolyOpPlus(alg, {idx: ZPoly.one(alg.n)})
-
-    def __add__(self, other: "PolyOpPlus") -> "PolyOpPlus":
-        _check_alg(self.alg, other.alg)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx, ZPoly.zero(self.alg.n)) + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return PolyOpPlus(self.alg, out)
-
-    def __neg__(self) -> "PolyOpPlus":
-        return PolyOpPlus(self.alg, {idx: -c for idx, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyOpPlus") -> "PolyOpPlus":
-        return self + (-other)
-
-    def scale(self, c: Scalar | LambdaPoly) -> "PolyOpPlus":
-        return PolyOpPlus(self.alg, {idx: p.scale(c) for idx, p in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def compose(self, other: "PolyOpPlus") -> "PolyOpPlus":
-        _check_alg(self.alg, other.alg)
-        n = self.alg.n
-        out: dict[MultiIndex, ZPoly] = {}
-        for beta, a in self.terms.items():
-            for gamma, b in other.terms.items():
-                cache = {(0,) * n: b}
-                for delta in sorted(_sub_indices(beta), key=sum):
-                    if delta not in cache:
-                        i = next(k for k, e in enumerate(delta) if e)
-                        lower = delta[:i] + (delta[i] - 1,) + delta[i + 1:]
-                        cache[delta] = cache[lower].derivative(i)
-                for delta, db in cache.items():
-                    if db.is_zero():
-                        continue
-                    term = a * db
-                    cf = _multi_binom(beta, delta)
-                    if cf != 1:
-                        term = term.scale(Scalar(cf))
-                    idx = tuple(bb - dd + gg for bb, dd, gg in zip(beta, delta, gamma))
-                    s = out.get(idx, ZPoly.zero(n)) + term
-                    if s.is_zero():
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = s
-        return PolyOpPlus(self.alg, out)
-
-    def commutator(self, other: "PolyOpPlus") -> "PolyOpPlus":
-        return self.compose(other) - other.compose(self)
-
-    def apply_poly(self, p: ZPoly) -> ZPoly:
-        out = ZPoly.zero(self.alg.n)
-        for beta, c in self.terms.items():
-            g = p
-            for i, e in enumerate(beta):
-                for _ in range(e):
-                    g = g.derivative(i)
-            out = out + c * g
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyOpPlus)
-            and self.alg.ring.compatible(other.alg.ring)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"PolyOpPlus({polyop_str(self)})"
 
     def __str__(self) -> str:
         return polyop_str(self)
@@ -457,15 +358,11 @@ def fourier(A: PolyOpPlus) -> DiffOp:
 
 def polyop_str(A: PolyOpPlus) -> str:
     """Text form of a u-side operator, e.g. ``(1)*u1^2 * d1 + (2*L)*u1``."""
-    from .ring import _coeff_groups
     parts = []
-    for beta, c in sorted(A.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True):
-        ds = _dmono_str(beta)
+    for beta, c in A.sorted_terms():
+        ds = _mono_str("d", beta)
         for mono, lp in c.sorted_terms():
-            us = "*".join(
-                f"u{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono) if e
-            )
+            us = _mono_str("u", mono)
             term = _coeff_groups(lp) + (f"*{us}" if us else "")
             if ds:
                 term += f" * {ds}"
@@ -476,7 +373,7 @@ def polyop_str(A: PolyOpPlus) -> str:
 def diffop_str(A: DiffOp) -> str:
     parts = []
     for beta, c in A.sorted_terms():
-        ds = _dmono_str(beta)
+        ds = _mono_str("d", beta)
         for term in superfn_terms(c):
             parts.append(term + (f" * {ds}" if ds else ""))
     return " + ".join(parts) if parts else "0"

@@ -258,3 +258,16 @@ def test_primitive_idempotent_guard(full2):
         full2.check_primitive_idempotent(full2.unit_elem())  # trace is 2, not 1
     with pytest.raises(PrimitiveIdempotentError):
         full2.check_primitive_idempotent(full2.basis_element(1))  # not idempotent
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_passing_checks_carry_no_witness(selector):
+    J = from_selector(selector)
+    results = (
+        validate_structure(J)
+        + point_identities(J, random.Random(1), count=4)
+        + derivative_identities(J, mode="symbolic")
+        + derivative_identities(J, mode="points", rng=random.Random(2), count=4)
+    )
+    assert results and all(c.ok for c in results)
+    assert all(c.witness is None for c in results)

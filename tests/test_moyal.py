@@ -279,3 +279,8 @@ def test_quantized_generators_match_operator_picture(full1):
     assert symmetrize(PolyZX.zeta(2)) == WOp.w(2)
     assert symmetrize(PolyZX.monomial(1, 1)) == WOp({(1, 1): ONE, (0, 0): sc("1/2")})
     assert symmetrize(PolyZX.xi(2)).scale(sc("-1/4")) == WOp({(0, 2): sc("-1/4")})
+
+
+def test_operator_and_symbol_never_equal():
+    assert WOp.one() != PolyZX.one()
+    assert PolyZX.zero() != WOp.zero()

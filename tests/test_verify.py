@@ -234,6 +234,18 @@ def test_run_suite_parallel_matches_sequential(spin3):
     assert [(c.name, c.status) for c in seq.checks] == [(c.name, c.status) for c in par.checks]
 
 
+def test_jordan_block_defaults_to_symbolic(monkeypatch):
+    seen = []
+
+    def spy(J, mode, rng, count):
+        seen.append((J.selector, mode))
+        return []
+
+    monkeypatch.setattr(verify._jordan, "verify_jordan_calculus", spy)
+    verify.run_suite(from_selector("full:3"), "jordan")
+    assert seen == [("full:3", "symbolic")]
+
+
 def test_corrupt_algebra_flagged_with_witness(sym2):
     from test_jordan import corrupt_structure
     bad = corrupt_structure(sym2)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from twistedops import rep
 from twistedops.ring import (
@@ -17,6 +18,7 @@ from twistedops.ring import (
     ZPoly,
     IUNIT,
     ONE,
+    ParseError,
 )
 from twistedops.weyl import DiffOp, PolyOpPlus, diffop_str, fourier, parse_diffop
 
@@ -292,6 +294,60 @@ def test_roundtrip_with_denominators(full2):
 def test_zero_operator_text(full1):
     assert diffop_str(DiffOp.zero(full1)) == "0"
     assert parse_diffop("0", full1).is_zero()
+
+
+@pytest.mark.parametrize("text", [
+    "(1)*z1^-1",       # negative exponent
+    "(1)*w*w",         # w twice (w*w is F, not w)
+    "(1",              # unclosed group
+    "(1)*d1^",         # missing exponent
+    "(1)*z",           # missing index
+    "(1)*zx",          # non-numeric index
+    "(1)*z1 / F^x",    # non-numeric F-power
+    "(1)(L^)",         # missing L exponent
+])
+def test_parse_rejects_malformed(full2, text):
+    with pytest.raises(ParseError):
+        parse_diffop(text, full2)
+
+
+def test_parse_sum_with_high_denominator_power(full1):
+    # lifting the lower term to F^1200 must not recurse once per power
+    op = parse_diffop("(1) / F^1200 + (1)", full1)
+    assert parse_diffop(diffop_str(op), full1) == op
+
+
+def test_operator_types_never_equal(full1):
+    assert DiffOp.zero(full1) != PolyOpPlus.zero(full1)
+    assert PolyOpPlus.zero(full1) != DiffOp.zero(full1)
+
+
+_GROUPS = ["(1)", "(-2/3)", "(1+1i)", "(0)", "(2)(L)", "(1)(1 + -2*L + L^2)", "(1)(L^)", "(1", "1"]
+_FACTORS = ["z1", "z2^2", "z4", "w", "F", "F^2", "d1", "d3^2", "z5", "z", "z1^-1", "d1^", "x", ""]
+_SEPARATORS = ["*", " * ", "/", " / ", " "]
+
+_terms = st.tuples(
+    st.sampled_from(_GROUPS),
+    st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_FACTORS)), max_size=4),
+).map(lambda t: t[0] + "".join(sep + f for sep, f in t[1]))
+
+# free text leaves out '+' so that no sum can ask for a huge power of F
+_texts = st.one_of(
+    st.text(alphabet="()0123456789-*/^ zdwFLi", max_size=24),
+    st.lists(_terms, min_size=1, max_size=3).map(" + ".join),
+)
+
+
+@given(text=_texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_accepts_or_raises_parse_error(full2, text):
+    try:
+        op = parse_diffop(text, full2)
+    except ParseError:
+        return
+    printed = diffop_str(op)
+    assert parse_diffop(printed, full2) == op
+    assert diffop_str(parse_diffop(printed, full2)) == printed
 
 
 # ---------------------------------------------------------------------------
