@@ -17,7 +17,7 @@ from twistedops.ring import (
 n = 4
 z = [ZPoly.coord(n, i) for i in range(n)]
 F = z[0] * z[3] - z[1] * z[2]
-ctx = RingContext(n, F, r=2, irreducible=True)
+ctx = RingContext(n, F, r=2)
 
 print("norm polynomial F:", F)
 

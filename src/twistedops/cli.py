@@ -9,7 +9,7 @@ Subcommands:
 * ``algebras`` -- list the built-in algebra selectors.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-configuration error.  All randomness flows from ``--seed``.
+configuration error.  All randomness flows from ``verify --seed``.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def cmd_critical(args) -> int:
 
 def cmd_moyal(args) -> int:
     which = args.check
+    if args.max_degree < 0:
+        raise UsageError(f"--max-degree must be >= 0, got {args.max_degree}")
     payload: dict = {}
     if which in ("pairing", "all"):
         payload["pairing"] = moyal.pairing_table(args.max_degree)
@@ -154,7 +156,7 @@ def cmd_show(args) -> int:
 def cmd_algebras(args) -> int:
     if args.action != "list":
         raise UsageError(f"unknown algebras action {args.action!r}; expected 'list'")
-    lines = ["selector  n  r  m  (limit)"]
+    lines = ["selector  n  r  m"]
     entries = (
         [f"sym:{r}" for r in range(1, RANK_LIMITS["sym"] + 1)]
         + [f"full:{r}" for r in range(1, RANK_LIMITS["full"] + 1)]
@@ -178,16 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
+    def common(p, algebra=True, formats=True):
         if algebra:
             p.add_argument("--algebra", required=True, help="sym:<r> | full:<r> | spin:<p>")
             p.add_argument("--force", action="store_true", help="override the desk-scale rank limits")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write to a file instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for the random point checks")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     common(pv)
+    pv.add_argument("--seed", type=int, default=0, help="seed for the random point checks")
     pv.add_argument("--suite", default="all",
                     help="comma list of: jordan, brackets, critical, innw, delta, ft, closure, hmodule, lowest (or 'all')")
     pv.add_argument("--lam", help="rational twist for span/witness computations (default 5/7)")
@@ -205,15 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(fn=cmd_moyal)
 
     ps = sub.add_parser("show", help="print one operator in canonical text form")
-    common(ps)
+    common(ps, formats=False)
     ps.add_argument("--op", required=True, help="p+:<i> | p-:<j> | idem | eta:<same>")
     ps.add_argument("--lam", help="specialize the twist to a rational value")
     ps.set_defaults(fn=cmd_show)
 
     pa = sub.add_parser("algebras", help="list the built-in algebras")
     pa.add_argument("action", nargs="?", default="list")
-    pa.add_argument("--format", choices=("text", "json"), default="text")
-    pa.add_argument("--output")
+    common(pa, algebra=False, formats=False)
     pa.set_defaults(fn=cmd_algebras)
 
     return parser

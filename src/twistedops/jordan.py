@@ -345,13 +345,13 @@ def _adjugate_entries(n_coords: int, entries: list[list[ZPoly]]) -> list[list[ZP
 
 
 def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec,
-            normF: ZPoly, adjugate, idempotent, irreducible: bool) -> JordanAlgebra:
+            normF: ZPoly, adjugate, idempotent) -> JordanAlgebra:
     gram = [
         [sum((prod[i][j][k] * trace_vec[k] for k in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
     gram_inv = _gauss_inverse([row[:] for row in gram])
-    ctx = RingContext(n, normF, r, irreducible=irreducible)
+    ctx = RingContext(n, normF, r)
     to_t = lambda rows: tuple(tuple(row) for row in rows)
     return JordanAlgebra(
         kind=kind,
@@ -400,7 +400,7 @@ def make_full(r: int) -> JordanAlgebra:
 
     idem = [Fraction(0)] * n
     idem[index[(0, 0)]] = Fraction(1)
-    return _finish("full", r, n, labels, prod, unit, trace_vec, normF, adjugate, idem, True)
+    return _finish("full", r, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
 
 
 def make_sym(r: int) -> JordanAlgebra:
@@ -442,7 +442,7 @@ def make_sym(r: int) -> JordanAlgebra:
 
     idem = [Fraction(0)] * n
     idem[index[(0, 0)]] = Fraction(1)
-    return _finish("sym", r, n, labels, prod, unit, trace_vec, normF, adjugate, idem, True)
+    return _finish("sym", r, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
 
 
 def make_spin(p: int) -> JordanAlgebra:
@@ -475,7 +475,7 @@ def make_spin(p: int) -> JordanAlgebra:
     adjugate = [z[0]] + [-z[i] for i in range(1, n)]
 
     idem = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (p - 2)
-    return _finish("spin", 2, n, labels, prod, unit, trace_vec, normF, adjugate, idem, p > 2)
+    return _finish("spin", 2, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
 
 
 def from_selector(selector: str) -> JordanAlgebra:

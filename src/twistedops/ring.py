@@ -12,9 +12,9 @@ The coefficient field is Q(i), the Gaussian rationals, represented by
 * :class:`SuperFn` -- elements ``even + odd*w`` of the quadratic extension
   generated by a square root w of F, so ``w*w = F``.
 
-Everything is exact: no floats anywhere, fractions are canonical
-(minimal power of F in the denominator), and all values are immutable
-after construction.
+Everything is exact: no floats anywhere, a fraction is reduced to the
+minimal power of F once, when first observed (see :class:`LocFn`), and
+all values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -619,20 +619,14 @@ class ZPoly:
 # ---------------------------------------------------------------------------
 
 class RingContext:
-    """Shared data for localized fractions: coordinates, F, and its degree.
+    """Shared data for localized fractions: coordinates, F, and its degree."""
 
-    ``irreducible`` marks norms known to be irreducible; it only enables a
-    fast path (products of canonical fractions stay canonical) and is safe
-    to leave False.
-    """
+    __slots__ = ("n", "F", "r", "_fpow", "_dF")
 
-    __slots__ = ("n", "F", "r", "irreducible", "_fpow", "_dF")
-
-    def __init__(self, n: int, F: ZPoly, r: int, irreducible: bool = False):
+    def __init__(self, n: int, F: ZPoly, r: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "irreducible", irreducible)
         object.__setattr__(self, "_fpow", {0: ZPoly.one(n), 1: F})
         object.__setattr__(self, "_dF", {})
 
@@ -667,46 +661,67 @@ def _check_ctx(a: RingContext, b: RingContext) -> None:
 
 
 # ---------------------------------------------------------------------------
-# LocFn: canonical fractions p / F^k
+# LocFn: fractions p / F^k, reduced when first observed
 # ---------------------------------------------------------------------------
 
 class LocFn:
-    """Localized function ``num / F^k`` in canonical (minimal-k) form."""
+    """Localized function ``num / F^k``; arithmetic never divides by F.
 
-    __slots__ = ("ctx", "num", "k")
+    ``num``, ``k``, equality, hashing and printing use the reduced
+    (minimal-k) pair, which :meth:`_reduce` computes once, on first use.
+    """
 
-    def __init__(self, ctx: RingContext, num: ZPoly, k: int = 0, _canonical: bool = False):
+    __slots__ = ("ctx", "_num", "_k", "_reduced")
+
+    def __init__(self, ctx: RingContext, num: ZPoly, k: int = 0):
         if num.is_zero():
             num, k = ZPoly.zero(ctx.n), 0
-        elif not _canonical:
-            while k > 0:
-                q = num.exact_div(ctx.F)
-                if q is None:
-                    break
-                num, k = q, k - 1
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_reduced", None if k else (num, 0))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LocFn is immutable")
 
+    def _reduce(self) -> tuple[ZPoly, int]:
+        """The pair with F cancelled as often as it divides the numerator."""
+        reduced = self._reduced
+        if reduced is None:
+            num, k = self._num, self._k
+            while k > 0:
+                q = num.exact_div(self.ctx.F)
+                if q is None:
+                    break
+                num, k = q, k - 1
+            reduced = (num, k)
+            object.__setattr__(self, "_reduced", reduced)
+        return reduced
+
+    @property
+    def num(self) -> ZPoly:
+        return self._reduce()[0]
+
+    @property
+    def k(self) -> int:
+        return self._reduce()[1]
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(ctx: RingContext) -> "LocFn":
-        return LocFn(ctx, ZPoly.zero(ctx.n), 0, _canonical=True)
+        return LocFn(ctx, ZPoly.zero(ctx.n), 0)
 
     @staticmethod
     def one(ctx: RingContext) -> "LocFn":
-        return LocFn(ctx, ZPoly.one(ctx.n), 0, _canonical=True)
+        return LocFn(ctx, ZPoly.one(ctx.n), 0)
 
     @staticmethod
     def from_zpoly(ctx: RingContext, p: ZPoly) -> "LocFn":
-        return LocFn(ctx, p, 0, _canonical=True)
+        return LocFn(ctx, p, 0)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def is_polynomial(self) -> bool:
         return self.k == 0
@@ -714,62 +729,54 @@ class LocFn:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LocFn") -> "LocFn":
         _check_ctx(self.ctx, other.ctx)
-        if self.k == other.k:
-            return LocFn(self.ctx, self.num + other.num, self.k)
-        if self.k > other.k:
+        if self._k == other._k:
+            return LocFn(self.ctx, self._num + other._num, self._k)
+        if self._k > other._k:
             hi, lo = self, other
         else:
             hi, lo = other, self
-        lifted = lo.num * self.ctx.F_pow(hi.k - lo.k)
-        # the high side was canonical, so no cancellation can occur unless
-        # the numerators interact; a sum still needs the full check
-        return LocFn(self.ctx, hi.num + lifted, hi.k)
+        lifted = lo._num * self.ctx.F_pow(hi._k - lo._k)
+        return LocFn(self.ctx, hi._num + lifted, hi._k)
 
     def __neg__(self) -> "LocFn":
-        return LocFn(self.ctx, -self.num, self.k, _canonical=True)
+        return LocFn(self.ctx, -self._num, self._k)
 
     def __sub__(self, other: "LocFn") -> "LocFn":
         return self + (-other)
 
     def __mul__(self, other: "LocFn") -> "LocFn":
         _check_ctx(self.ctx, other.ctx)
-        num = self.num * other.num
-        k = self.k + other.k
-        if self.ctx.irreducible and self.k > 0 and other.k > 0:
-            # both factors canonical with F absent from the numerators, so
-            # the product numerator stays coprime to an irreducible F
-            return LocFn(self.ctx, num, k, _canonical=True)
-        return LocFn(self.ctx, num, k)
+        return LocFn(self.ctx, self._num * other._num, self._k + other._k)
 
     def mul_F(self) -> "LocFn":
-        if self.k > 0:
-            return LocFn(self.ctx, self.num, self.k - 1, _canonical=True)
-        return LocFn(self.ctx, self.num * self.ctx.F, 0, _canonical=True)
+        if self._k > 0:
+            return LocFn(self.ctx, self._num, self._k - 1)
+        return LocFn(self.ctx, self._num * self.ctx.F, 0)
 
     def scale(self, c: Scalar | LambdaPoly) -> "LocFn":
-        return LocFn(self.ctx, self.num.scale(c), self.k)
+        return LocFn(self.ctx, self._num.scale(c), self._k)
 
     def derivative(self, i: int) -> "LocFn":
-        dnum = self.num.derivative(i)
-        if self.k == 0:
-            return LocFn(self.ctx, dnum, 0, _canonical=True)
-        combined = dnum * self.ctx.F - self.num.scale(Scalar(self.k)) * self.ctx.dF(i)
-        return LocFn(self.ctx, combined, self.k + 1)
+        dnum = self._num.derivative(i)
+        if self._k == 0:
+            return LocFn(self.ctx, dnum, 0)
+        combined = dnum * self.ctx.F - self._num.scale(Scalar(self._k)) * self.ctx.dF(i)
+        return LocFn(self.ctx, combined, self._k + 1)
 
     def subst_lambda(self, value: LambdaPoly) -> "LocFn":
-        return LocFn(self.ctx, self.num.subst_lambda(value), self.k)
+        return LocFn(self.ctx, self._num.subst_lambda(value), self._k)
 
     def evaluate(self, point: list[Scalar], lam: Scalar | None = None) -> Scalar:
-        denom = self.ctx.F.evaluate(point) ** self.k
-        return self.num.evaluate(point, lam) / denom
+        f = self.ctx.F.evaluate(point)
+        num, k = self._reduce() if f.is_zero() else (self._num, self._k)
+        return num.evaluate(point, lam) / f ** k
 
     # -- comparison ----------------------------------------------------------
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LocFn)
             and self.ctx.compatible(other.ctx)
-            and self.k == other.k
-            and self.num == other.num
+            and self._reduce() == other._reduce()
         )
 
     def __hash__(self) -> int:
@@ -817,7 +824,7 @@ class SuperFn:
     @staticmethod
     def w_inv(ctx: RingContext) -> "SuperFn":
         # 1/w = w/F
-        return SuperFn(ctx, LocFn.zero(ctx), LocFn(ctx, ZPoly.one(ctx.n), 1, _canonical=True))
+        return SuperFn(ctx, LocFn.zero(ctx), LocFn(ctx, ZPoly.one(ctx.n), 1))
 
     @staticmethod
     def from_zpoly(ctx: RingContext, p: ZPoly) -> "SuperFn":
@@ -865,7 +872,7 @@ class SuperFn:
         od = self.od
         od_new = od.derivative(i)
         if not od.is_zero():
-            chain = LocFn(self.ctx, od.num * self.ctx.dF(i), od.k + 1).scale(HALF)
+            chain = LocFn(self.ctx, od._num * self.ctx.dF(i), od._k + 1).scale(HALF)
             od_new = od_new + chain
         return SuperFn(self.ctx, self.ev.derivative(i), od_new)
 

@@ -294,7 +294,7 @@ def _flip_superfn(c: SuperFn, iw: Scalar) -> SuperFn:
         for mono, coef in p.num.terms.items():
             s = Scalar(-1) ** (sum(mono) % 2)
             terms[mono] = coef.scale(s * sign_k * extra)
-        return LocFn(ctx, ZPoly(ctx.n, terms), p.k, _canonical=True)
+        return LocFn(ctx, ZPoly(ctx.n, terms), p.k)
 
     return SuperFn(ctx, flip_loc(c.ev, ONE), flip_loc(c.od, iw))
 

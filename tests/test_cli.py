@@ -189,6 +189,21 @@ def test_algebras_list(capsys):
         assert sel in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("show", "--algebra", "full:1", "--op", "p-:1", "--format", "json"),
+    ("algebras", "list", "--format", "json"),
+    ("critical", "--algebra", "full:1", "--seed", "3"),
+    ("moyal", "--seed", "3"),
+    ("show", "--algebra", "full:1", "--op", "p-:1", "--seed", "3"),
+    ("moyal", "--max-degree", "-1"),
+], ids=["show-format", "algebras-format", "critical-seed", "moyal-seed", "show-seed",
+        "moyal-negative-degree"])
+def test_rejected_options(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_usage_error_missing_algebra(capsys):
     code = cli.main(["verify"])
     capsys.readouterr()

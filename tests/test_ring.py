@@ -113,7 +113,7 @@ def test_lambda_roots_errors():
 @pytest.fixture()
 def ctx1():
     # one coordinate, F = z
-    return RingContext(1, ZPoly.coord(1, 0), 1, irreducible=True)
+    return RingContext(1, ZPoly.coord(1, 0), 1)
 
 
 @pytest.fixture()
@@ -122,7 +122,7 @@ def ctx2x2():
     n = 4
     z = [ZPoly.coord(n, i) for i in range(n)]
     F = z[0] * z[3] - z[1] * z[2]
-    return RingContext(n, F, 2, irreducible=True)
+    return RingContext(n, F, 2)
 
 
 def test_zpoly_exact_division(ctx2x2):
@@ -165,6 +165,99 @@ def test_locfn_equality_is_cross_multiplication(ctx2x2):
     b = LocFn(ctx2x2, z1, 1)
     assert a == b
     assert a.num * ctx2x2.F_pow(b.k) == b.num * ctx2x2.F_pow(a.k)
+
+
+@pytest.fixture()
+def div_calls(monkeypatch):
+    """Records every ZPoly.exact_div call made while the test runs."""
+    calls = []
+    original = ZPoly.exact_div
+
+    def spy(self, divisor):
+        calls.append(divisor)
+        return original(self, divisor)
+
+    monkeypatch.setattr(ZPoly, "exact_div", spy)
+    return calls
+
+
+def test_locfn_reduces_only_when_observed(ctx2x2, div_calls):
+    F = ctx2x2.F
+    z = [ZPoly.coord(4, i) for i in range(4)]
+    a = LocFn(ctx2x2, z[0] * F, 2)
+    b = LocFn(ctx2x2, z[1], 1)
+    f = SuperFn.from_locfn(a, b)
+    g = SuperFn.from_locfn(b, a)
+    built = [a + b, a - b, a * b, -a, a.mul_F(), a.scale(sc(3)), a.derivative(0),
+             f + g, f * g, f.derivative(1), f.derivative(0).derivative(3)]
+    assert div_calls == []
+    # the first ==, .k or is_polynomial divides; a second look does not
+    for observe in (lambda x: x == a, lambda x: x.k, lambda x: x.is_polynomial()):
+        value = a * b
+        observe(value)
+        seen = len(div_calls)
+        assert seen > 0
+        assert value.num == z[0] * z[1] and value.k == 2
+        assert not value.is_polynomial() and value == value and hash(value) == hash(value)
+        assert len(div_calls) == seen
+        div_calls.clear()
+    assert [x.k for x in built[:3]] == [1, 1, 2]
+
+
+def test_locfn_evaluates_reduced_form_on_the_norm_zero_set(ctx1):
+    z = ZPoly.coord(1, 0)
+    # z (z + 1) / z is z + 1, finite at z = 0 although the stored F-power is 1
+    f = LocFn(ctx1, z * (z + ZPoly.one(1)), 1)
+    assert f.evaluate([ZERO]) == ONE
+    assert f.evaluate([Scalar(2)]) == Scalar(3)
+    with pytest.raises(ZeroDivisionError):
+        LocFn(ctx1, ZPoly.one(1), 1).evaluate([ZERO])
+
+
+def _reduction_contexts():
+    from twistedops import jordan
+    full2, spin2 = jordan.make_full(2).ring, jordan.make_spin(2).ring
+    z = [ZPoly.coord(2, i) for i in range(2)]
+    # F = z1^2 - z2^2 = (z1 - z2)(z1 + z2) is reducible on spin:2
+    return [(full2, ZPoly.one(4)), (spin2, ZPoly.one(2)), (spin2, z[0] - z[1])]
+
+
+@pytest.mark.parametrize("ctx,factor", _reduction_contexts(), ids=["full:2", "spin:2", "spin:2-factor"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_locfn_reduced_form_independent_of_construction(ctx, factor, data):
+    n = ctx.n
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        mono = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
+        terms[mono] = LambdaPoly((Scalar(data.draw(coeff_strategy)),))
+    p = ZPoly(n, terms) * factor
+    k, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    F = ctx.F
+    cut = data.draw(st.integers(0, len(p.terms)))
+    p1 = ZPoly(n, dict(list(p.terms.items())[:cut]))
+    p2 = ZPoly(n, dict(list(p.terms.items())[cut:]))
+    direct = LocFn(ctx, p * ctx.F_pow(j), k + j)
+    product = LocFn(ctx, p, k) * LocFn(ctx, ctx.F_pow(j + 1), j + 1)
+    total = LocFn(ctx, p1 * ctx.F_pow(j), k + j) + LocFn(ctx, p2, k)
+    for x in (product, total):
+        assert (x.num, x.k) == (direct.num, direct.k)
+        assert hash(x) == hash(direct)
+        assert superfn_str(SuperFn.from_locfn(x, x)) == superfn_str(SuperFn.from_locfn(direct, direct))
+    # the reduced pair is the stored pair with F cancelled as often as it divides
+    assert direct.num * ctx.F_pow(k) == p * ctx.F_pow(direct.k)
+    if direct.k:
+        assert direct.num.exact_div(F) is None
+
+
+def test_locfn_keeps_power_of_a_proper_factor():
+    from twistedops import jordan
+    ctx = jordan.make_spin(2).ring
+    z = [ZPoly.coord(2, i) for i in range(2)]
+    p = (z[0] - z[1]) * z[0]  # divisible by z1 - z2 but not by F
+    f = LocFn(ctx, p, 1) * LocFn(ctx, ctx.F, 1)
+    assert (f.num, f.k) == (p, 1)
+    assert f == LocFn(ctx, p, 1) and not f.is_polynomial()
 
 
 @given(st.data())
