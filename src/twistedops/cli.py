@@ -73,7 +73,7 @@ def cmd_verify(args) -> int:
     lam = _parse_twist(args.lam) if args.lam else rep.GENERIC_TWIST
     try:
         report = verify.run_suite(J, selection=args.suite, seed=args.seed,
-                                  lam_value=lam, parallel=args.parallel)
+                                  lam_value=lam)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "json":
@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all",
                     help="comma list of: jordan, brackets, critical, innw, delta, ft, closure, hmodule, lowest (or 'all')")
     pv.add_argument("--lam", help="rational twist for span/witness computations (default 5/7)")
-    pv.add_argument("--parallel", action="store_true", help="accepted for compatibility; blocks always run in order")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("critical", help="print the two critical twist values")

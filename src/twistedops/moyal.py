@@ -18,7 +18,7 @@ degrees are half the polynomial degrees (zeta and xi both carry 1/2).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Mapping
 
 from .ring import NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, scalar_str
@@ -275,16 +275,35 @@ def circle(phi: PolyZX, psi: PolyZX) -> PolyZX:
     return dequantize(symmetrize(phi) * symmetrize(psi))
 
 
+def _partial(f: PolyZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> PolyZX:
+    """weight * d_xi^n_xi d_zeta^n_zeta f, in one pass over the terms."""
+    return PolyZX({
+        (a - n_zeta, b - n_xi): c * Scalar(weight * perm(a, n_zeta) * perm(b, n_xi))
+        for (a, b), c in f.terms.items()
+        if a >= n_zeta and b >= n_xi
+    })
+
+
 def c_component(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
-    """Euler-homogeneous piece of degree j + k - p of the circle product."""
+    """Euler-homogeneous piece of degree j + k - p of the circle product.
+
+    Computed by the bidifferential formula of Groenewold and Moyal,
+
+        C_p = 1/(2^p p!) sum_t (-1)^t C(p, t)
+              (d_xi^(p-t) d_zeta^t phi) (d_zeta^(p-t) d_xi^t psi),
+
+    which agrees with the matching component of :func:`circle` because
+    symmetrization carries composition to the Moyal product.
+    """
     j = phi.euler_degree()
     k = psi.euler_degree()
-    if j is NEG_INF or k is NEG_INF:
+    if j is NEG_INF or k is NEG_INF or not 0 <= p <= j + k:
         return PolyZX.zero()
-    target = j + k - p
-    if target < 0:
-        return PolyZX.zero()
-    return circle(phi, psi).component(int(2 * target))
+    out = PolyZX.zero()
+    for t in range(p + 1):
+        weight = Fraction((-1) ** t * comb(p, t), 2 ** p * factorial(p))
+        out = out + _partial(phi, p - t, t, weight) * _partial(psi, t, p - t)
+    return out
 
 
 def poisson(phi: PolyZX, psi: PolyZX) -> PolyZX:

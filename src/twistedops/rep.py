@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .jordan import JElem, JordanAlgebra, PrimitiveIdempotentError  # noqa: F401 (guard error re-export)
-from .ring import LAMBDA, LambdaPoly, Scalar, SuperFn, ZPoly, ZERO
+from .ring import LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 
 # default rational twist used for span/rank computations; any value off
@@ -75,16 +75,22 @@ def critical_pair(J: JordanAlgebra) -> tuple[Fraction, Fraction]:
     return (Fraction(1, 2) - shift, Fraction(1, 2) + shift)
 
 
-def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | Fraction | None = None) -> DiffOp:
+def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
+    """The twist as a LambdaPoly: formal L by default, else the given value."""
+    if lam is None:
+        return LAMBDA
+    if isinstance(lam, LambdaPoly):
+        return lam
+    return LambdaPoly.from_rational(lam)
+
+
+def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> DiffOp:
     """Second-order operator for a generator on the derivative side.
 
-    ``lam`` defaults to the formal parameter; pass a Fraction or a
-    LambdaPoly to specialize.
+    ``lam`` defaults to the formal parameter; pass an int, a Fraction or
+    a LambdaPoly to specialize.
     """
-    if lam is None:
-        lam = LAMBDA
-    elif isinstance(lam, Fraction):
-        lam = LambdaPoly.from_rational(lam)
+    lam = _twist(lam)
     n = J.n
     terms: dict[tuple, SuperFn] = {}
     duals = [J.dual_basis_element(i) for i in range(n)]
@@ -133,12 +139,9 @@ def eta_plus(J: JordanAlgebra, x: JElem) -> PolyOpPlus:
     return PolyOpPlus(J, terms)
 
 
-def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | Fraction | None = None) -> PolyOpPlus:
+def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> PolyOpPlus:
     """Quadratic field p -> {p, y, p} plus the function 2 m L tr(y o p)."""
-    if lam is None:
-        lam = LAMBDA
-    elif isinstance(lam, Fraction):
-        lam = LambdaPoly.from_rational(lam)
+    lam = _twist(lam)
     n = J.n
     terms: dict[tuple, ZPoly] = {}
     for i in range(n):
@@ -194,8 +197,9 @@ def _op_vector(op: DiffOp, columns: dict) -> dict:
         for part_tag, loc in (("ev", c.ev), ("od", c.od)):
             if loc.k != 0:
                 raise ValueError("span computation expects polynomial coefficients")
-            for mono, lp in loc.num.terms.items():
-                s = lp.constant_value()
+            for mono, s in loc.num.terms.items():
+                if mono[-1]:
+                    raise DegreeError("not a constant in L")
                 key = (beta, mono, part_tag)
                 col = columns.setdefault(key, len(columns))
                 vec[col] = s

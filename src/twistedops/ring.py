@@ -3,10 +3,12 @@
 The coefficient field is Q(i), the Gaussian rationals, represented by
 :class:`Scalar`.  On top of it sit
 
-* :class:`LambdaPoly` -- univariate polynomials in a formal parameter L
-  (printed ``L``), used to keep the twist parameter symbolic,
-* :class:`ZPoly` -- sparse multivariate polynomials in coordinates
-  ``z1..zn`` with LambdaPoly coefficients,
+* :class:`ZPoly` -- sparse polynomials in coordinates ``z1..zn`` and the
+  formal twist parameter L (printed ``L``) with Scalar coefficients; the
+  twist is the last variable, so "zero identically in the twist" is
+  plain polynomial zero,
+* :class:`LambdaPoly` -- a ZPoly with no coordinates, the polynomials in
+  L alone (critical twists are roots of one of them),
 * :class:`LocFn` -- localized fractions ``p / F^k`` where F is a fixed
   "norm" polynomial attached to a :class:`RingContext`,
 * :class:`SuperFn` -- elements ``even + odd*w`` of the quadratic extension
@@ -91,7 +93,10 @@ class Scalar:
         return not self.im
 
     # -- arithmetic --------------------------------------------------------
+    # real operands skip the imaginary arithmetic; the result is the same
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not self.im and not other.im:
+            return Scalar(self.re + other.re)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
@@ -101,6 +106,8 @@ class Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if not self.im and not other.im:
+            return Scalar(self.re * other.re)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -211,26 +218,234 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# LambdaPoly: Q(i)[L] for the formal twist parameter
+# Monomials and sparse polynomials in z1..zn and the twist L
 # ---------------------------------------------------------------------------
 
-class LambdaPoly:
-    """Polynomial in the formal parameter L with Scalar coefficients.
+Monomial = tuple  # exponents of z1..zn, then the exponent of L
 
-    Coefficient ``coeffs[k]`` multiplies ``L^k``; trailing zeros are
-    stripped so the zero polynomial has an empty coefficient tuple.
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a: tuple, b: tuple) -> tuple | None:
+    out = []
+    for x, y in zip(a, b):
+        if x < y:
+            return None
+        out.append(x - y)
+    return tuple(out)
+
+
+def grlex_key(mono: tuple) -> tuple:
+    return (sum(mono), mono)
+
+
+class ZPoly:
+    """Sparse polynomial in z1..zn and the twist L with Scalar coefficients.
+
+    ``terms`` maps exponent vectors of length n + 1 to nonzero scalars;
+    the last exponent is the power of L.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("n", "terms")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, n: int, terms: Mapping[tuple, Scalar] | None = None):
+        object.__setattr__(self, "n", n)
+        clean = {}
+        if terms:
+            for mono, c in terms.items():
+                if not c.is_zero():
+                    clean[mono] = c
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LambdaPoly is immutable")
+        raise AttributeError("ZPoly is immutable")
+
+    def _with(self, terms: dict) -> "ZPoly":
+        """A polynomial of the same type and size with already-pruned terms."""
+        p = object.__new__(type(self))
+        object.__setattr__(p, "n", self.n)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    # -- constructors ------------------------------------------------------
+    @staticmethod
+    def zero(n: int) -> "ZPoly":
+        return ZPoly(n)
+
+    @staticmethod
+    def const(n: int, c: Scalar | LambdaPoly) -> "ZPoly":
+        return ZPoly.monomial(n, (0,) * n, c)
+
+    @staticmethod
+    def one(n: int) -> "ZPoly":
+        return ZPoly.const(n, ONE)
+
+    @staticmethod
+    def coord(n: int, i: int) -> "ZPoly":
+        return ZPoly.monomial(n, tuple(1 if j == i else 0 for j in range(n)))
+
+    @staticmethod
+    def monomial(n: int, mono: tuple, c: Scalar | LambdaPoly = ONE) -> "ZPoly":
+        """``c * z^mono``; a LambdaPoly ``c`` spreads over the powers of L."""
+        mono = tuple(mono)
+        if isinstance(c, Scalar):
+            return ZPoly(n, {mono + (0,): c})
+        return ZPoly(n, {mono + lmono: v for lmono, v in c.terms.items()})
+
+    # -- predicates --------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- arithmetic --------------------------------------------------------
+    def __add__(self, other: "ZPoly") -> "ZPoly":
+        if self.n != other.n:
+            raise ContextMismatchError("coordinate counts differ")
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            acc = out.get(mono)
+            s = c if acc is None else acc + c
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+        return self._with(out)
+
+    def __neg__(self) -> "ZPoly":
+        return self._with({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "ZPoly") -> "ZPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "ZPoly") -> "ZPoly":
+        if self.n != other.n:
+            raise ContextMismatchError("coordinate counts differ")
+        out: dict[tuple, Scalar] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = mono_mul(m1, m2)
+                prod = c1 * c2
+                acc = out.get(mono)
+                s = prod if acc is None else acc + prod
+                if s.is_zero():
+                    out.pop(mono, None)
+                else:
+                    out[mono] = s
+        return self._with(out)
+
+    def scale(self, c: Scalar | LambdaPoly) -> "ZPoly":
+        if not isinstance(c, Scalar):
+            return self * ZPoly.const(self.n, c)
+        if c.is_zero():
+            return self._with({})
+        return self._with({m: v * c for m, v in self.terms.items()})
+
+    # -- calculus -----------------------------------------------------------
+    def derivative(self, i: int) -> "ZPoly":
+        out = {}
+        for mono, c in self.terms.items():
+            e = mono[i]
+            if e:
+                out[mono[:i] + (e - 1,) + mono[i + 1:]] = c * Scalar(e)
+        return self._with(out)
+
+    def subst_lambda(self, value: "LambdaPoly") -> "ZPoly":
+        """Replace L by ``value`` (itself a LambdaPoly), expanded exactly."""
+        powers = [LP_ONE]
+        out: dict[tuple, Scalar] = {}
+        for mono, c in self.terms.items():
+            k = mono[-1]
+            while len(powers) <= k:
+                powers.append(powers[-1] * value)
+            for (j,), v in powers[k].terms.items():
+                target = mono[:-1] + (j,)
+                acc = out.get(target)
+                out[target] = c * v if acc is None else acc + c * v
+        return self._with({m: c for m, c in out.items() if not c.is_zero()})
+
+    def evaluate(self, point: list[Scalar], lam: Scalar | None = None) -> Scalar:
+        """Value at ``point``; ``lam`` is the value of L, needed when L occurs."""
+        total = ZERO
+        for mono, c in self.terms.items():
+            if mono[-1]:
+                if lam is None:
+                    raise DegreeError("not a constant in L")
+                c = c * lam ** mono[-1]
+            for i in range(self.n):
+                for _ in range(mono[i]):
+                    c = c * point[i]
+            total = total + c
+        return total
+
+    # -- division -----------------------------------------------------------
+    def exact_div(self, divisor: "ZPoly") -> "ZPoly | None":
+        """Quotient self/divisor if the division is exact, else None."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        if self.is_zero():
+            return self._with({})
+        dmono = max(divisor.terms, key=grlex_key)
+        dinv = divisor.terms[dmono].inv()
+        work = dict(self.terms)
+        quot: dict[tuple, Scalar] = {}
+        while work:
+            mono = max(work, key=grlex_key)
+            rest = mono_div(mono, dmono)
+            if rest is None:
+                return None  # this term can never be cancelled
+            q = work[mono] * dinv
+            quot[rest] = q
+            for m2, c2 in divisor.terms.items():
+                target = mono_mul(rest, m2)
+                sub = q * c2
+                acc = work.get(target)
+                s = (-sub) if acc is None else acc - sub
+                if s.is_zero():
+                    work.pop(target, None)
+                else:
+                    work[target] = s
+        return self._with(quot)
+
+    # -- comparison ----------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ZPoly) and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def sorted_terms(self) -> list[tuple[tuple, "LambdaPoly"]]:
+        """(z-monomial, coefficient in L) pairs, highest z-monomial first."""
+        groups: dict[tuple, dict] = {}
+        for mono, c in self.terms.items():
+            groups.setdefault(mono[:-1], {})[mono[-1:]] = c
+        return [(z, LP_ZERO._with(groups[z])) for z in sorted(groups, key=grlex_key, reverse=True)]
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "ZPoly(0)"
+        bits = []
+        for mono, c in self.sorted_terms():
+            zs = _mono_str("z", mono)
+            bits.append(f"({lambda_str(c)})" + (f"*{zs}" if zs else ""))
+        return "ZPoly(" + " + ".join(bits) + ")"
+
+
+# ---------------------------------------------------------------------------
+# LambdaPoly: Q(i)[L], the polynomials with no z-variables
+# ---------------------------------------------------------------------------
+
+class LambdaPoly(ZPoly):
+    """Polynomial in the formal parameter L: a ZPoly with n = 0.
+
+    ``LambdaPoly(coeffs)`` is the sum of ``coeffs[k] * L^k``; arithmetic is
+    inherited from ZPoly and returns LambdaPoly values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        ZPoly.__init__(self, 0, {(k,): c for k, c in enumerate(coeffs)})
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -245,67 +460,16 @@ class LambdaPoly:
     def from_rational(x: RationalLike) -> "LambdaPoly":
         return LambdaPoly((Scalar(x),))
 
-    # -- predicates --------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def constant_value(self) -> Scalar:
-        if not self.coeffs:
-            return ZERO
-        if len(self.coeffs) > 1:
-            raise DegreeError("not a constant in L")
-        return self.coeffs[0]
-
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial: -1
+        return max((k for (k,) in self.terms), default=-1)  # zero polynomial: -1
 
-    def coeff(self, k: int) -> Scalar:
-        return self.coeffs[k] if k < len(self.coeffs) else ZERO
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients of L^0 .. L^degree; empty for zero."""
+        return tuple(self.terms.get((k,), ZERO) for k in range(self.degree + 1))
 
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return LambdaPoly(out)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not self.coeffs or not other.coeffs:
-            return LP_ZERO
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return LambdaPoly(out)
-
-    def scale(self, s: Scalar) -> "LambdaPoly":
-        return LambdaPoly(tuple(c * s for c in self.coeffs))
-
-    # -- substitution and roots ---------------------------------------------
-    def subst(self, value: "LambdaPoly") -> "LambdaPoly":
-        """Replace L by ``value`` (itself a LambdaPoly), expanded exactly."""
-        out = LP_ZERO
-        for c in reversed(self.coeffs):
-            out = out * value + LambdaPoly.const(c)
-        return out
-
-    def eval_scalar(self, value: Scalar) -> Scalar:
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
+    subst = ZPoly.subst_lambda
 
     def quadratic_roots(self) -> tuple[Scalar, Scalar]:
         """Exact roots of a degree-2 polynomial, sorted by real part.
@@ -330,13 +494,6 @@ class LambdaPoly:
         if r2.sort_key() < r1.sort_key():
             r1, r2 = r2, r1
         return r1, r2
-
-    # -- comparison --------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"LambdaPoly({lambda_str(self)})"
@@ -395,223 +552,6 @@ def parse_lambda(text: str) -> LambdaPoly:
         coeffs[k] = coeffs.get(k, ZERO) + c
     size = max(coeffs) + 1
     return LambdaPoly(tuple(coeffs.get(k, ZERO) for k in range(size)))
-
-
-# ---------------------------------------------------------------------------
-# Monomials and sparse multivariate polynomials
-# ---------------------------------------------------------------------------
-
-Monomial = tuple  # exponent vectors are tuple[int, ...] of length n
-
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: tuple, b: tuple) -> tuple | None:
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def grlex_key(mono: tuple) -> tuple:
-    return (sum(mono), mono)
-
-
-class ZPoly:
-    """Sparse polynomial in z1..zn with LambdaPoly coefficients."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple, LambdaPoly] | None = None):
-        object.__setattr__(self, "n", n)
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if not c.is_zero():
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ZPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero(n: int) -> "ZPoly":
-        return ZPoly(n)
-
-    @staticmethod
-    def const(n: int, c: Scalar | LambdaPoly) -> "ZPoly":
-        if isinstance(c, Scalar):
-            c = LambdaPoly.const(c)
-        return ZPoly(n, {(0,) * n: c})
-
-    @staticmethod
-    def one(n: int) -> "ZPoly":
-        return ZPoly.const(n, ONE)
-
-    @staticmethod
-    def coord(n: int, i: int) -> "ZPoly":
-        mono = tuple(1 if j == i else 0 for j in range(n))
-        return ZPoly(n, {mono: LP_ONE})
-
-    @staticmethod
-    def monomial(n: int, mono: tuple, c: Scalar | LambdaPoly = ONE) -> "ZPoly":
-        if isinstance(c, Scalar):
-            c = LambdaPoly.const(c)
-        return ZPoly(n, {tuple(mono): c})
-
-    # -- predicates --------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
-
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        if self.n != other.n:
-            raise ContextMismatchError("coordinate counts differ")
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        p = ZPoly.__new__(ZPoly)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", out)
-        return p
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ZPoly") -> "ZPoly":
-        if self.n != other.n:
-            raise ContextMismatchError("coordinate counts differ")
-        out: dict[tuple, LambdaPoly] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                prod = c1 * c2
-                acc = out.get(mono)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        p = ZPoly.__new__(ZPoly)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", out)
-        return p
-
-    def scale(self, c: Scalar | LambdaPoly) -> "ZPoly":
-        if isinstance(c, Scalar):
-            c = LambdaPoly.const(c)
-        if c.is_zero():
-            return ZPoly.zero(self.n)
-        return ZPoly(self.n, {m: v * c for m, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "ZPoly":
-        out = ZPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- calculus -----------------------------------------------------------
-    def derivative(self, i: int) -> "ZPoly":
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-            term = c.scale(Scalar(e))
-            acc = out.get(lowered)
-            out[lowered] = term if acc is None else acc + term
-        return ZPoly(self.n, out)
-
-    def subst_lambda(self, value: LambdaPoly) -> "ZPoly":
-        return ZPoly(self.n, {m: c.subst(value) for m, c in self.terms.items()})
-
-    def evaluate(self, point: list[Scalar], lam: Scalar | None = None) -> Scalar:
-        total = ZERO
-        for mono, c in self.terms.items():
-            cval = c.constant_value() if lam is None else c.eval_scalar(lam)
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    cval = cval * point[i]
-            total = total + cval
-        return total
-
-    # -- division -----------------------------------------------------------
-    def leading(self) -> tuple[tuple, LambdaPoly]:
-        mono = max(self.terms, key=grlex_key)
-        return mono, self.terms[mono]
-
-    def exact_div(self, divisor: "ZPoly") -> "ZPoly | None":
-        """Quotient self/divisor if the division is exact, else None.
-
-        The divisor's leading coefficient must be constant in L (true for
-        every norm polynomial), so division stays in the coefficient ring.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return ZPoly.zero(self.n)
-        dmono, dcoef = divisor.leading()
-        dscalar = dcoef.constant_value()  # DegreeError if not constant
-        dinv = dscalar.inv()
-        work = dict(self.terms)
-        quot: dict[tuple, LambdaPoly] = {}
-        while work:
-            mono = max(work, key=grlex_key)
-            rest = mono_div(mono, dmono)
-            if rest is None:
-                return None  # this term can never be cancelled
-            q = work[mono].scale(dinv)
-            quot[rest] = q
-            for m2, c2 in divisor.terms.items():
-                target = mono_mul(rest, m2)
-                sub = q * c2
-                acc = work.get(target)
-                s = (-sub) if acc is None else acc - sub
-                if s.is_zero():
-                    work.pop(target, None)
-                else:
-                    work[target] = s
-        return ZPoly(self.n, quot)
-
-    # -- comparison ----------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZPoly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[tuple, LambdaPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "ZPoly(0)"
-        bits = []
-        for mono, c in self.sorted_terms():
-            zs = _mono_str("z", mono)
-            bits.append(f"({lambda_str(c)})" + (f"*{zs}" if zs else ""))
-        return "ZPoly(" + " + ".join(bits) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +842,7 @@ HALF = Scalar(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
-# Euler grading: deg z_i = 1, deg w = r/2, deg F^-1 = -r
+# Euler grading: deg z_i = 1, deg w = r/2, deg F^-1 = -r, deg L = 0
 # ---------------------------------------------------------------------------
 
 NEG_INF = float("-inf")
@@ -910,7 +850,7 @@ NEG_INF = float("-inf")
 
 def _locfn_grades(f: LocFn, shift: Fraction) -> set:
     r = f.ctx.r
-    return {Fraction(sum(mono)) - f.k * r + shift for mono in f.num.terms}
+    return {Fraction(sum(mono) - mono[-1]) - f.k * r + shift for mono in f.num.terms}
 
 
 def grade_components(f: SuperFn) -> set:
@@ -943,12 +883,8 @@ def _coeff_groups(c: LambdaPoly) -> str:
     The scalar is the lowest nonzero coefficient, the tail the remaining
     monic-from-below polynomial; the tail group is omitted when it is 1.
     """
-    low = next(k for k, s in enumerate(c.coeffs) if not s.is_zero())
-    s = c.coeffs[low]
-    tail = LambdaPoly(
-        tuple(ZERO for _ in range(low))
-        + tuple(ci / s for ci in c.coeffs[low:])
-    )
+    s = c.terms[min(c.terms)]
+    tail = c.scale(s.inv())
     if tail == LP_ONE:
         return f"({scalar_str(s)})"
     return f"({scalar_str(s)})({lambda_str(tail)})"

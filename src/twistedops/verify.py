@@ -130,23 +130,14 @@ def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
     if od.k != sfac.k:
         raise DivisionError(
             f"denominator exponents differ: {od.k} vs {sfac.k}")
-    # split the numerator by powers of the twist parameter and divide each
-    by_power: dict[int, dict] = {}
-    for mono, lp in od.num.terms.items():
-        for k, sc in enumerate(lp.coeffs):
-            if not sc.is_zero():
-                by_power.setdefault(k, {})[mono] = LambdaPoly.const(sc)
-    coeffs = [Scalar(0)] * (max(by_power, default=-1) + 1)
-    for k, terms in by_power.items():
-        comp = ZPoly(J.n, terms)
-        q = comp.exact_div(sfac.num)
-        if q is None:
-            raise DivisionError(f"L^{k} component not divisible by the factor")
-        mono_zero = (0,) * J.n
-        if set(q.terms) - {mono_zero}:
-            raise DivisionError(f"L^{k} quotient is not constant: {q!r}")
-        coeffs[k] = q.terms.get(mono_zero, LambdaPoly()).constant_value()
-    return LambdaPoly(coeffs)
+    # F does not involve L, so one division covers every power of the twist
+    q = od.num.exact_div(sfac.num)
+    if q is None:
+        raise DivisionError("numerator not divisible by the factor")
+    groups = q.sorted_terms()
+    if any(any(zmono) for zmono, _ in groups):
+        raise DivisionError(f"quotient is not constant in z: {q!r}")
+    return groups[0][1] if groups else LambdaPoly()
 
 
 def check_double_commutator(J: JordanAlgebra) -> tuple[CheckResult, LambdaPoly | None]:
@@ -463,13 +454,8 @@ def _run_block(J: JordanAlgebra, block: str, seed: int,
 
 
 def run_suite(J: JordanAlgebra, selection: str = "all", seed: int = 0,
-              lam_value: Fraction = GENERIC_TWIST, parallel: bool = False) -> Report:
-    """Run the selected checks in a fixed order.
-
-    ``parallel`` is accepted for compatibility and ignored: blocks always
-    run one after another, since threads are slower under the GIL and
-    would share the ring caches.
-    """
+              lam_value: Fraction = GENERIC_TWIST) -> Report:
+    """Run the selected checks one after another, in a fixed order."""
     checks: list[CheckResult] = []
     for block in _suite_selection(selection):
         checks.extend(_run_block(J, block, seed, lam_value))

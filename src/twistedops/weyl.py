@@ -289,11 +289,12 @@ def _flip_superfn(c: SuperFn, iw: Scalar) -> SuperFn:
     r = ctx.r
 
     def flip_loc(p: LocFn, extra: Scalar) -> LocFn:
-        sign_k = Scalar(-1) ** (r * p.k)
+        even = Scalar(-1) ** (r * p.k) * extra
+        odd = -even
         terms = {}
         for mono, coef in p.num.terms.items():
-            s = Scalar(-1) ** (sum(mono) % 2)
-            terms[mono] = coef.scale(s * sign_k * extra)
+            # parity of the z-degree; the last exponent is the power of L
+            terms[mono] = coef * (odd if (sum(mono) - mono[-1]) % 2 else even)
         return LocFn(ctx, ZPoly(ctx.n, terms), p.k)
 
     return SuperFn(ctx, flip_loc(c.ev, ONE), flip_loc(c.od, iw))
@@ -337,7 +338,7 @@ def fourier(A: PolyOpPlus) -> DiffOp:
         for i, e in enumerate(beta):
             for _ in range(e):
                 mult_poly = mult_poly * ell[i]
-        for alpha, lam_coeff in coeff.terms.items():
+        for alpha, lam_coeff in coeff.sorted_terms():
             # derivative part: product over i of (d along dual basis b^i)^alpha_i
             dop = DiffOp.identity(alg)
             for i, e in enumerate(alpha):

@@ -91,13 +91,6 @@ def test_verify_deterministic(capsys):
     assert strip(d1) == strip(d2)
 
 
-def test_verify_parallel_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--algebra", "full:1", "--suite",
-                       "critical,delta,ft", "--parallel")
-    assert code == 0
-    assert "overall: pass" in out
-
-
 # ---------------------------------------------------------------------------
 # critical
 # ---------------------------------------------------------------------------
@@ -196,8 +189,9 @@ def test_algebras_list(capsys):
     ("moyal", "--seed", "3"),
     ("show", "--algebra", "full:1", "--op", "p-:1", "--seed", "3"),
     ("moyal", "--max-degree", "-1"),
+    ("verify", "--algebra", "full:1", "--suite", "critical", "--parallel"),
 ], ids=["show-format", "algebras-format", "critical-seed", "moyal-seed", "show-seed",
-        "moyal-negative-degree"])
+        "moyal-negative-degree", "verify-parallel"])
 def test_rejected_options(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2

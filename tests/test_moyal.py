@@ -161,6 +161,25 @@ def test_leading_components():
             assert c1 == poisson(phi, psi).scale(sc("1/2"))
 
 
+def test_closed_form_components_match_round_trip():
+    # the bidifferential formula against symmetrize / compose / dequantize
+    monos = monomials_up_to(8)
+    for phi in monos:
+        for psi in monos:
+            a, b = phi.poly_degree(), psi.poly_degree()
+            if a + b > 8:
+                continue
+            full = circle(phi, psi)
+            total = PolyZX.zero()
+            for p in range(min(a, b) + 1):
+                cp = c_component(phi, psi, p)
+                assert cp == full.component(a + b - 2 * p), (phi, psi, p)
+                total = total + cp
+            assert total == full
+            assert c_component(phi, psi, min(a, b) + 1).is_zero()
+            assert c_component(phi, psi, -1).is_zero()
+
+
 def test_component_requires_homogeneous():
     mixed = PolyZX.one() + PolyZX.zeta()
     with pytest.raises(NotHomogeneousError):
@@ -249,9 +268,11 @@ def wop_poly_from_superfn(f):
     assert f.is_polynomial()
     out = {}
     for mono, c in f.ev.num.terms.items():
-        out[2 * mono[0]] = c.constant_value()
+        assert mono[-1] == 0  # no power of L
+        out[2 * mono[0]] = c
     for mono, c in f.od.num.terms.items():
-        out[2 * mono[0] + 1] = c.constant_value()
+        assert mono[-1] == 0
+        out[2 * mono[0] + 1] = c
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

@@ -26,6 +26,15 @@ def mono_fn(J, mono, coeff=ONE, odd=False, k=0):
 # Generator selectors
 # ---------------------------------------------------------------------------
 
+def test_integer_twists_specialize_like_fractions(sym2):
+    from twistedops import verify
+    for i in range(sym2.n):
+        y = sym2.basis_element(i)
+        assert rep.pi_minus(sym2, y, 1) == rep.pi_minus(sym2, y, Fraction(1))
+        assert rep.eta_minus(sym2, y, -2) == rep.eta_minus(sym2, y, Fraction(-2))
+    assert verify.run_suite(sym2, "closure", lam_value=2).overall == "pass"
+
+
 def test_generator_selectors(full2):
     g = rep.generator_from_selector(full2, "p+:1")
     assert g.side == "plus" and g.element == full2.basis_element(0)

@@ -35,6 +35,14 @@ def sc(x) -> Scalar:
     return Scalar(Fraction(x))
 
 
+def zpoly_of(n: int, terms: dict) -> ZPoly:
+    """The ZPoly with the given z-monomial -> LambdaPoly coefficients."""
+    out = ZPoly.zero(n)
+    for mono, c in terms.items():
+        out = out + ZPoly.monomial(n, mono, c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------
@@ -104,6 +112,34 @@ def test_lambda_roots_errors():
     with pytest.raises(IrrationalRootError) as err:
         (lam * lam - lc(2)).quadratic_roots()
     assert err.value.discriminant == Scalar(8)
+
+
+def test_lambdapoly_is_a_zpoly_without_coordinates():
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale", "subst_lambda",
+                 "evaluate", "__eq__", "__hash__"):
+        assert name not in vars(LambdaPoly), name
+    p = LAMBDA * LAMBDA - lc(1)
+    assert isinstance(p, ZPoly) and p.n == 0
+    for value in (p + p, p - LAMBDA, -p, p * p, p.scale(sc(2)), p.scale(LAMBDA),
+                  p.subst(LAMBDA + lc(1))):
+        assert type(value) is LambdaPoly
+    assert p.coeffs == (sc(-1), ZERO, ONE) and p.degree == 2
+    assert LambdaPoly().coeffs == () and LambdaPoly().degree == -1
+    assert p.terms == {(0,): sc(-1), (2,): ONE}
+
+
+def test_zpoly_twist_is_the_last_variable():
+    f = ZPoly.monomial(2, (1, 0), LAMBDA.scale(sc(3)) + lc(1))
+    assert f.terms == {(1, 0, 1): sc(3), (1, 0, 0): ONE}
+    assert all(isinstance(c, Scalar) for c in f.terms.values())
+    assert f.subst_lambda(lc(2)) == ZPoly.monomial(2, (1, 0), sc(7))
+    assert f.subst_lambda(LAMBDA * LAMBDA) == ZPoly.monomial(2, (1, 0), (LAMBDA * LAMBDA).scale(sc(3)) + lc(1))
+    assert f.evaluate([sc(2), sc(5)], lam=sc(2)) == sc(14)
+    with pytest.raises(DegreeError):
+        f.evaluate([sc(2), sc(5)])
+    assert f.sorted_terms() == [((1, 0), LAMBDA.scale(sc(3)) + lc(1))]
+    ctx = RingContext(2, ZPoly.coord(2, 0) * ZPoly.coord(2, 1), 2)
+    assert grade(SuperFn.from_zpoly(ctx, f * f)) == 2  # L has Euler degree 0
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +267,7 @@ def test_locfn_reduced_form_independent_of_construction(ctx, factor, data):
     for _ in range(data.draw(st.integers(1, 3))):
         mono = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
         terms[mono] = LambdaPoly((Scalar(data.draw(coeff_strategy)),))
-    p = ZPoly(n, terms) * factor
+    p = zpoly_of(n, terms) * factor
     k, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     F = ctx.F
     cut = data.draw(st.integers(0, len(p.terms)))
@@ -272,7 +308,7 @@ def test_locfn_ring_laws(data):
         for _ in range(data.draw(st.integers(1, 3))):
             mono = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
             terms[mono] = LambdaPoly((Scalar(data.draw(coeff_strategy)),))
-        return LocFn(ctx, ZPoly(n, terms), data.draw(st.integers(0, 2)))
+        return LocFn(ctx, zpoly_of(n, terms), data.draw(st.integers(0, 2)))
 
     a, b, c = rand_locfn(), rand_locfn(), rand_locfn()
     assert (a + b) * c == a * c + b * c
@@ -422,8 +458,8 @@ def superfns(draw, ctx):
     kev = draw(st.integers(0, 2))
     kod = draw(st.integers(0, 1))
     return SuperFn.from_locfn(
-        LocFn(ctx, ZPoly(n, terms_ev), kev),
-        LocFn(ctx, ZPoly(n, terms_od), kod),
+        LocFn(ctx, zpoly_of(n, terms_ev), kev),
+        LocFn(ctx, zpoly_of(n, terms_od), kod),
     )
 
 
@@ -441,3 +477,36 @@ def test_partials_commute_random(data):
     ctx = RingContext(2, ZPoly.coord(2, 0) * ZPoly.coord(2, 1) - ZPoly.one(2), 2)
     f = data.draw(superfns(ctx))
     assert f.derivative(0).derivative(1) == f.derivative(1).derivative(0)
+
+
+@st.composite
+def twisted_zpolys(draw, n):
+    """Random ZPoly in n coordinates with coefficients carrying L^0..L^2."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = tuple(draw(st.integers(0, 2)) for _ in range(n)) + (draw(st.integers(0, 2)),)
+        terms[mono] = Scalar(draw(coeff_strategy), draw(coeff_strategy))
+    return ZPoly(n, terms)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_ring_laws_with_twist_in_coefficients(data):
+    n = 2
+    ctx = RingContext(n, ZPoly.coord(n, 0) * ZPoly.coord(n, 1) - ZPoly.one(n), 2)
+    F = ctx.F
+    a, b, c = (data.draw(twisted_zpolys(n)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a * F).exact_div(F) == a
+    v = LambdaPoly([Scalar(data.draw(coeff_strategy)) for _ in range(data.draw(st.integers(0, 3)))])
+    assert (a * b).subst_lambda(v) == a.subst_lambda(v) * b.subst_lambda(v)
+    point = [Scalar(data.draw(coeff_strategy)) for _ in range(n)]
+    lam = Scalar(data.draw(coeff_strategy), data.draw(coeff_strategy))
+    assert (a * b).evaluate(point, lam) == a.evaluate(point, lam) * b.evaluate(point, lam)
+    fa, fb, fc = (LocFn(ctx, p, data.draw(st.integers(0, 2))) for p in (a, b, c))
+    assert (fa * fb) * fc == fa * (fb * fc)
+    assert (fa + fb) * fc == fa * fc + fb * fc
+    assert (fa * fb).subst_lambda(v) == fa.subst_lambda(v) * fb.subst_lambda(v)
+    if not F.evaluate(point).is_zero():
+        assert (fa * fb).evaluate(point, lam) == fa.evaluate(point, lam) * fb.evaluate(point, lam)

@@ -95,6 +95,21 @@ def test_double_commutator_rank_one(full1):
     assert quad == -(lam * lam) + lam + LambdaPoly.from_rational(Fraction(-3, 16))
 
 
+def test_double_commutator_divides_once(full2, monkeypatch):
+    # F involves no L, so one division by the factor covers every power of L
+    divisors = []
+    original = ZPoly.exact_div
+
+    def spy(self, divisor):
+        divisors.append(divisor)
+        return original(self, divisor)
+
+    monkeypatch.setattr(ZPoly, "exact_div", spy)
+    quad = verify.double_commutator_quadratic(full2)
+    assert quad.degree == 2
+    assert len([d for d in divisors if d != full2.ring.F]) == 1
+
+
 def test_double_commutator_vanishes_at_critical(spin3):
     lam0, lam0p = rep.critical_pair(spin3)
     y = spin3.idempotent_elem()
@@ -226,12 +241,6 @@ def test_run_suite_selection(sym2):
     assert names == ["w-bracket", "idempotent-bracket", "double-commutator", "critical-values"]
     with pytest.raises(ValueError):
         verify.run_suite(sym2, "nonsense")
-
-
-def test_run_suite_parallel_matches_sequential(spin3):
-    seq = verify.run_suite(spin3, "brackets,critical,delta", parallel=False)
-    par = verify.run_suite(spin3, "brackets,critical,delta", parallel=True)
-    assert [(c.name, c.status) for c in seq.checks] == [(c.name, c.status) for c in par.checks]
 
 
 def test_jordan_block_defaults_to_symbolic(monkeypatch):

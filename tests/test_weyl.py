@@ -355,15 +355,11 @@ def test_parse_accepts_or_raises_parse_error(full2, text):
 # ---------------------------------------------------------------------------
 
 def _superfn_to_sympy(f, z, L):
-    def lam_to_sympy(lp):
-        return sum(
-            sympy.Rational(c.re) * L ** k + sympy.Rational(c.im) * sympy.I * L ** k
-            for k, c in enumerate(lp.coeffs)
-        )
-
     def loc_to_sympy(loc):
+        # exponent vectors are (z-exponent, L-exponent)
         num = sum(
-            lam_to_sympy(c) * z ** mono[0] for mono, c in loc.num.terms.items()
+            (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * L ** mono[1] * z ** mono[0]
+            for mono, c in loc.num.terms.items()
         )
         return num / z ** loc.k
 
