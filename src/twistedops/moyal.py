@@ -2,17 +2,28 @@
 supertrace and the graded pairing.
 
 Functions live in C[zeta, xi] (:class:`PolyZX`), operators in the Weyl
-algebra C[w, d/dw] (:class:`WOp`, normal-ordered, exact Scalar
-coefficients).  The quantization map is full symmetrization: a monomial
-zeta^a xi^b goes to the average of all interleavings of a copies of w
-and b copies of d/dw.  Its inverse is triangular with respect to total
-degree, so the transported (circle) product
+algebra C[w, d/dw] (:class:`WOp`, normal-ordered symbols w^a d^b).  Both
+are :class:`~twistedops.ring.ZPoly` values in two variables in which L
+never occurs, so they share its exact arithmetic; only ``WOp.__mul__``
+differs, composing normal-ordered symbols by
+f . g = sum_k (1/k!) (d_d^k f)(d_w^k g).
+
+The quantization map is full symmetrization: zeta^a xi^b goes to the
+average of all interleavings of a copies of w and b copies of d/dw,
+which in normal order is
+
+    sum_k (1/2)^k k! C(a,k) C(b,k) w^(a-k) d^(b-k),
+
+that is exp(1/2 d_zeta d_xi) read in normal order; its inverse is
+exp(-1/2 d_zeta d_xi).  The transported (circle) product
 
     phi o psi = dequantize( symmetrize(phi) . symmetrize(psi) )
 
-is computable exactly.  The supertrace is projection to the constant
-term; the pairing is the supertrace of the circle product.  Euler
-degrees are half the polynomial degrees (zeta and xi both carry 1/2).
+is the Moyal product (Groenewold 1946, Moyal 1949), whose graded pieces
+:func:`c_component` computes by the bidifferential formula.  The
+supertrace is projection to the constant term; the pairing is the
+supertrace of the circle product.  Euler degrees are half the polynomial
+degrees (zeta and xi both carry 1/2).
 """
 
 from __future__ import annotations
@@ -21,26 +32,19 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Mapping
 
-from .ring import NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, scalar_str
-
-Key = tuple  # (a, b): exponents of w^a d^b or zeta^a xi^b
+from .ring import NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, ZPoly, grlex_key, scalar_str
 
 
-class _Sparse:
-    """Immutable sparse map (a, b) -> Scalar with its linear structure."""
+class _ZX(ZPoly):
+    """A ZPoly in two variables without L, built from an (a, b) -> Scalar map.
 
-    __slots__ = ("terms",)
+    Equality needs the exact type, so an operator never equals a symbol.
+    """
 
-    def __init__(self, terms: Mapping[Key, Scalar] | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    clean[key] = c
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+        ZPoly.__init__(self, 2, {(a, b, 0): c for (a, b), c in (terms or {}).items()})
 
     @classmethod
     def zero(cls):
@@ -50,39 +54,25 @@ class _Sparse:
     def one(cls):
         return cls({(0, 0): ONE})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return type(self)(out)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar):
-        return type(self)({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((a + b for a, b in self.terms), default=-1)
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+    __hash__ = ZPoly.__hash__
 
 
-class WOp(_Sparse):
+def _terms_str(p: _ZX, x: str, y: str, sep: str) -> str:
+    """(c)*x^a<sep>y^b terms, highest total degree first; "" for zero."""
+    bits = []
+    for (a, b, _), c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+        mono = sep.join(
+            ([f"{x}^{a}" if a > 1 else x] if a else [])
+            + ([f"{y}^{b}" if b > 1 else y] if b else [])
+        )
+        bits.append(f"({scalar_str(c)})" + (f"*{mono}" if mono else ""))
+    return " + ".join(bits)
+
+
+class WOp(_ZX):
     """Normal-ordered operator sum c_{ab} w^a d^b on one variable."""
 
     __slots__ = ()
@@ -96,35 +86,23 @@ class WOp(_Sparse):
         return WOp({(0, b): ONE})
 
     def __mul__(self, other: "WOp") -> "WOp":
-        """Composition, normal-ordered via d^b w^c = sum_k k! C(b,k) C(c,k) w^{c-k} d^{b-k}."""
-        out: dict[Key, Scalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                base = c1 * c2
-                for k in range(min(b1, a2) + 1):
-                    coeff = base * Scalar(factorial(k) * comb(b1, k) * comb(a2, k))
-                    key = (a1 + a2 - k, b1 + b2 - k)
-                    s = out.get(key, ZERO) + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return WOp(out)
-
-    def commutator(self, other: "WOp") -> "WOp":
-        return self * other - other * self
+        """Composition: sum_k (1/k!) (d_d^k self)(d_w^k other), as symbols."""
+        out = WOp()
+        top = min(max((b for _, b, _ in self.terms), default=0),
+                  max((a for a, _, _ in other.terms), default=0))
+        for k in range(top + 1):
+            out = out + ZPoly.__mul__(_partial(self, k, 0, Fraction(1, factorial(k))),
+                                      _partial(other, 0, k))
+        return out
 
     def apply_monomial(self, j: int) -> dict[int, Scalar]:
         """Image of w^j as a polynomial in w: exponent -> coefficient."""
         out: dict[int, Scalar] = {}
-        for (a, b), c in self.terms.items():
+        for (a, b, _), c in self.terms.items():
             if b > j:
                 continue
-            fall = 1
-            for t in range(b):
-                fall *= j - t
             e = a + j - b
-            s = out.get(e, ZERO) + c * Scalar(fall)
+            s = out.get(e, ZERO) + c * Scalar(perm(j, b))
             if s.is_zero():
                 out.pop(e, None)
             else:
@@ -132,17 +110,10 @@ class WOp(_Sparse):
         return out
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "WOp(0)"
-        bits = []
-        for (a, b), c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
-            mono = "".join((f"w^{a}" if a > 1 else "w" if a else "",
-                            f"d^{b}" if b > 1 else "d" if b else ""))
-            bits.append(f"({scalar_str(c)})" + (mono and "*" + mono))
-        return "WOp(" + " + ".join(bits) + ")"
+        return f"WOp({_terms_str(self, 'w', 'd', '') or 0})"
 
 
-class PolyZX(_Sparse):
+class PolyZX(_ZX):
     """Polynomial in zeta, xi; Euler degree of zeta^a xi^b is (a+b)/2."""
 
     __slots__ = ()
@@ -159,29 +130,12 @@ class PolyZX(_Sparse):
     def monomial(a: int, b: int, c: Scalar = ONE) -> "PolyZX":
         return PolyZX({(a, b): c})
 
-    def __mul__(self, other: "PolyZX") -> "PolyZX":
-        out: dict[Key, Scalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return PolyZX(out)
-
-    def d_zeta(self) -> "PolyZX":
-        return PolyZX({(a - 1, b): c * Scalar(a) for (a, b), c in self.terms.items() if a})
-
-    def d_xi(self) -> "PolyZX":
-        return PolyZX({(a, b - 1): c * Scalar(b) for (a, b), c in self.terms.items() if b})
-
-    poly_degree = _Sparse.total_degree
+    def poly_degree(self) -> int:
+        return max((a + b for a, b, _ in self.terms), default=-1)
 
     def euler_degree(self):
         """Euler degree for homogeneous input; -inf for zero."""
-        degs = {a + b for a, b in self.terms}
+        degs = {a + b for a, b, _ in self.terms}
         if not degs:
             return NEG_INF
         if len(degs) > 1:
@@ -189,10 +143,10 @@ class PolyZX(_Sparse):
         return Fraction(degs.pop(), 2)
 
     def component(self, poly_degree: int) -> "PolyZX":
-        return PolyZX({k: c for k, c in self.terms.items() if sum(k) == poly_degree})
+        return self._with({m: c for m, c in self.terms.items() if m[0] + m[1] == poly_degree})
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0, 0), ZERO)
+        return self.terms.get((0, 0, 0), ZERO)
 
     def __repr__(self) -> str:
         return f"PolyZX({polyzx_str(self)})"
@@ -202,68 +156,41 @@ class PolyZX(_Sparse):
 
 
 def polyzx_str(p: PolyZX) -> str:
-    if not p.terms:
-        return "0"
-    bits = []
-    for (a, b), c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
-        mono = "*".join(
-            ([f"zeta^{a}" if a > 1 else "zeta"] if a else [])
-            + ([f"xi^{b}" if b > 1 else "xi"] if b else [])
-        )
-        bits.append(f"({scalar_str(c)})" + (f"*{mono}" if mono else ""))
-    return " + ".join(bits)
+    return _terms_str(p, "zeta", "xi", "*") or "0"
+
+
+def _partial(f: _ZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> _ZX:
+    """weight * d_xi^n_xi d_zeta^n_zeta f, in one pass over the terms.
+
+    On a WOp, zeta stands for w and xi for d.
+    """
+    return f._with({
+        (a - n_zeta, b - n_xi, 0): c * Scalar(weight * (perm(a, n_zeta) * perm(b, n_xi)))
+        for (a, b, _), c in f.terms.items()
+        if a >= n_zeta and b >= n_xi
+    })
 
 
 # ---------------------------------------------------------------------------
 # Quantization map and its inverse
 # ---------------------------------------------------------------------------
 
-_SYM_CACHE: dict[Key, WOp] = {}
-
-
-def _symmetrize_monomial(a: int, b: int) -> WOp:
-    """Average over all interleavings of a w's and b d's.
-
-    Recursion on the first letter: with weight a/(a+b) it is w, with
-    weight b/(a+b) it is d.
-    """
-    key = (a, b)
-    cached = _SYM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if a == 0 and b == 0:
-        out = WOp.one()
-    else:
-        total = a + b
-        out = WOp.zero()
-        if a:
-            out = out + (WOp.w() * _symmetrize_monomial(a - 1, b)).scale(Scalar(Fraction(a, total)))
-        if b:
-            out = out + (WOp.d() * _symmetrize_monomial(a, b - 1)).scale(Scalar(Fraction(b, total)))
-    _SYM_CACHE[key] = out
+def _reorder(p: _ZX, half: Fraction, cls: type) -> _ZX:
+    """sum_k half^k/k! d_zeta^k d_xi^k p, as a value of type ``cls``."""
+    out = cls()
+    for k in range(max((min(a, b) for a, b, _ in p.terms), default=0) + 1):
+        out = out + _partial(p, k, k, half ** k / factorial(k))
     return out
 
 
 def symmetrize(p: PolyZX) -> WOp:
-    """The quantization map: linear extension of monomial symmetrization."""
-    out = WOp.zero()
-    for (a, b), c in p.terms.items():
-        out = out + _symmetrize_monomial(a, b).scale(c)
-    return out
+    """The quantization map: zeta^a xi^b -> sum_k (1/2)^k k! C(a,k) C(b,k) w^(a-k) d^(b-k)."""
+    return _reorder(p, Fraction(1, 2), WOp)
 
 
 def dequantize(A: WOp) -> PolyZX:
-    """Inverse of :func:`symmetrize`, solved top-down in total degree."""
-    out = PolyZX.zero()
-    rest = A
-    while rest.terms:
-        d = rest.total_degree()
-        top = PolyZX({key: c for key, c in rest.terms.items() if sum(key) == d})
-        out = out + top
-        rest = rest - symmetrize(top)
-        if rest.total_degree() >= d and rest.terms:  # pragma: no cover - sanity
-            raise ArithmeticError("triangularity failure in dequantization")
-    return out
+    """Inverse of :func:`symmetrize`: the same sum with -1/2 in place of 1/2."""
+    return _reorder(A, Fraction(-1, 2), PolyZX)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +200,6 @@ def dequantize(A: WOp) -> PolyZX:
 def circle(phi: PolyZX, psi: PolyZX) -> PolyZX:
     """The product transported from operator composition."""
     return dequantize(symmetrize(phi) * symmetrize(psi))
-
-
-def _partial(f: PolyZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> PolyZX:
-    """weight * d_xi^n_xi d_zeta^n_zeta f, in one pass over the terms."""
-    return PolyZX({
-        (a - n_zeta, b - n_xi): c * Scalar(weight * perm(a, n_zeta) * perm(b, n_xi))
-        for (a, b), c in f.terms.items()
-        if a >= n_zeta and b >= n_xi
-    })
 
 
 def c_component(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
@@ -308,7 +226,7 @@ def c_component(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
 
 def poisson(phi: PolyZX, psi: PolyZX) -> PolyZX:
     """{phi, psi} = d_xi phi d_zeta psi - d_zeta phi d_xi psi."""
-    return phi.d_xi() * psi.d_zeta() - phi.d_zeta() * psi.d_xi()
+    return phi.derivative(1) * psi.derivative(0) - phi.derivative(0) * psi.derivative(1)
 
 
 def supertrace(phi: PolyZX) -> Scalar:
@@ -349,13 +267,13 @@ def lambda_op(tag: str, psi: PolyZX) -> PolyZX:
     zetaxi -> -(1/4) d^2/dxi dzeta,
     xi2    -> (1/4) d^2/dzeta^2.
     """
-    quarter = Scalar(Fraction(1, 4))
+    quarter = Fraction(1, 4)
     if tag == "zeta2":
-        return psi.d_xi().d_xi().scale(quarter)
+        return _partial(psi, 2, 0, quarter)
     if tag == "zetaxi":
-        return psi.d_xi().d_zeta().scale(-quarter)
+        return _partial(psi, 1, 1, -quarter)
     if tag == "xi2":
-        return psi.d_zeta().d_zeta().scale(quarter)
+        return _partial(psi, 0, 2, quarter)
     raise ValueError(f"unknown generator tag {tag!r}; expected one of {LAMBDA_OP_TAGS}")
 
 

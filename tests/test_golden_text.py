@@ -4,7 +4,10 @@
 generator (``p+``, ``p-``, ``idem`` and their ``eta:`` fields) on full:1,
 full:2, sym:2 and spin:4, and the double commutator [pi^y, [pi^y, w]] at
 the canonical idempotent on full:2 and sym:2, whose coefficients carry
-several powers of L.  Print the current text with
+several powers of L.  It also pins the quantization lab: the text output
+of ``moyal --max-degree 3``, ``repr(symmetrize(m))`` for every monomial
+m = zeta^a xi^b with a + b <= 3, and ``str(dequantize(w^a d^b))`` for
+a + b <= 3.  Print the current text with
 ``python tests/test_golden_text.py``.
 """
 
@@ -13,16 +16,17 @@ import io
 import sys
 from pathlib import Path
 
-from twistedops import cli, jordan, rep
+from twistedops import cli, jordan, moyal, rep
+from twistedops.ring import ONE
 from twistedops.weyl import DiffOp, diffop_str
 
 GOLDEN = Path(__file__).parent / "data" / "golden_text.txt"
 
 
-def _show(selector: str, op: str) -> str:
+def _cli(*argv: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["show", "--algebra", selector, "--op", op]) == 0
+        assert cli.main(list(argv)) == 0
     return out.getvalue()
 
 
@@ -32,12 +36,20 @@ def golden_text() -> str:
         J = jordan.from_selector(selector)
         gens = [f"p+:{i + 1}" for i in range(J.n)] + [f"p-:{i + 1}" for i in range(J.n)] + ["idem"]
         for op in gens + ["eta:" + g for g in gens]:
-            blocks.append(f"# show --algebra {selector} --op {op}\n{_show(selector, op)}")
+            blocks.append(f"# show --algebra {selector} --op {op}\n{_cli('show', '--algebra', selector, '--op', op)}")
     for selector in ("full:2", "sym:2"):
         J = jordan.from_selector(selector)
         p = rep.pi_minus(J, J.idempotent_elem())
         D = p.commutator(p.commutator(DiffOp.mult_w(J)))
         blocks.append(f"# double commutator on {selector} at idem\n{diffop_str(D)}\n")
+    blocks.append(f"# moyal --max-degree 3\n{_cli('moyal', '--max-degree', '3')}")
+    pairs = [(a, d - a) for d in range(4) for a in range(d + 1)]
+    blocks.append("# symmetrize(zeta^a xi^b)\n")
+    for a, b in pairs:
+        blocks.append(f"{a} {b} {moyal.symmetrize(moyal.PolyZX.monomial(a, b))!r}\n")
+    blocks.append("# dequantize(w^a d^b)\n")
+    for a, b in pairs:
+        blocks.append(f"{a} {b} {moyal.dequantize(moyal.WOp({(a, b): ONE}))}\n")
     return "".join(blocks)
 
 

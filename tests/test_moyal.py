@@ -2,12 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
-from twistedops import rep
+from twistedops import moyal, rep
 from twistedops.moyal import (
     GENERATORS,
     PolyZX,
@@ -23,7 +23,7 @@ from twistedops.moyal import (
     supertrace,
     symmetrize,
 )
-from twistedops.ring import NotHomogeneousError, Scalar, ONE, ZERO
+from twistedops.ring import NotHomogeneousError, Scalar, ONE, ZERO, ZPoly
 
 
 def sc(x):
@@ -87,6 +87,57 @@ def test_quantization_roundtrip():
         assert dequantize(symmetrize(p)) == p
     # degree-8 monomial round trip
     assert dequantize(symmetrize(PolyZX.monomial(4, 4))) == PolyZX.monomial(4, 4)
+
+    def random_terms(gaussian):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            im = Fraction(rng.randint(1, 5), rng.randint(1, 3)) if gaussian else 0
+            terms[(a, b)] = Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), im)
+        return terms
+
+    # the other direction, and Gaussian coefficients both ways
+    for gaussian in (False, True):
+        for _ in range(10):
+            p = PolyZX(random_terms(gaussian))
+            A = WOp(random_terms(gaussian))
+            assert dequantize(symmetrize(p)) == p
+            assert symmetrize(dequantize(A)) == A
+    assert symmetrize(dequantize(WOp.w(4) * WOp.d(4))) == WOp.w(4) * WOp.d(4)
+    i_half = Scalar(Fraction(1, 2), Fraction(1, 2))
+    assert symmetrize(PolyZX.monomial(1, 1, i_half)) == WOp({(1, 1): i_half, (0, 0): i_half * sc("1/2")})
+
+
+def test_wop_product_matches_word_oracle():
+    # composing the normal orders of two words is the normal order of the joined word
+    words = ["".join(w) for n in range(4) for w in product("wd", repeat=n)]
+
+    def W(word):
+        return WOp({k: Scalar(v) for k, v in normal_order_word(word).items()})
+
+    for u in words:
+        for v in words:
+            assert W(u) * W(v) == W(u + v), (u, v)
+
+
+def test_circle_symmetrizes_twice_and_composes_once(monkeypatch):
+    calls = {"symmetrize": 0, "mul": 0}
+    real_symmetrize, real_mul = moyal.symmetrize, WOp.__mul__
+
+    def spy_symmetrize(p):
+        calls["symmetrize"] += 1
+        return real_symmetrize(p)
+
+    def spy_mul(self, other):
+        calls["mul"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(moyal, "symmetrize", spy_symmetrize)
+    monkeypatch.setattr(WOp, "__mul__", spy_mul)
+    phi = PolyZX.monomial(2, 1) + PolyZX.xi()
+    psi = PolyZX.monomial(1, 3)
+    moyal.circle(phi, psi)
+    assert calls == {"symmetrize": 2, "mul": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +356,13 @@ def test_quantized_generators_match_operator_picture(full1):
 def test_operator_and_symbol_never_equal():
     assert WOp.one() != PolyZX.one()
     assert PolyZX.zero() != WOp.zero()
+
+
+def test_symbols_and_operators_are_two_variable_zpolys():
+    values = [PolyZX.monomial(2, 3, sc(5)), circle(PolyZX.xi(2), PolyZX.zeta(3)),
+              WOp.w(2) * WOp.d(3), symmetrize(PolyZX.monomial(3, 2))]
+    for v in values:
+        assert isinstance(v, ZPoly) and v.n == 2
+        assert v.terms and all(len(m) == 3 and m[-1] == 0 for m in v.terms)
+    assert len({PolyZX.one(), WOp.one(), PolyZX.one()}) == 2
+    assert hash(PolyZX.monomial(1, 1)) == hash(PolyZX({(1, 1): ONE}))
