@@ -38,7 +38,7 @@ from .ring import NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, ZPoly, grlex_
 class _ZX(ZPoly):
     """A ZPoly in two variables without L, built from an (a, b) -> Scalar map.
 
-    Equality needs the exact type, so an operator never equals a symbol.
+    An operator never equals, adds to or multiplies a symbol (TypeError).
     """
 
     __slots__ = ()
@@ -53,6 +53,12 @@ class _ZX(ZPoly):
     @classmethod
     def one(cls):
         return cls({(0, 0): ONE})
+
+    def __add__(self, other):
+        return ZPoly.__add__(self, other) if type(other) is type(self) else NotImplemented
+
+    def __mul__(self, other):
+        return ZPoly.__mul__(self, other) if type(other) is type(self) else NotImplemented
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
@@ -87,6 +93,8 @@ class WOp(_ZX):
 
     def __mul__(self, other: "WOp") -> "WOp":
         """Composition: sum_k (1/k!) (d_d^k self)(d_w^k other), as symbols."""
+        if type(other) is not WOp:
+            return NotImplemented
         out = WOp()
         top = min(max((b for _, b, _ in self.terms), default=0),
                   max((a for a, _, _ in other.terms), default=0))
@@ -177,10 +185,10 @@ def _partial(f: _ZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> 
 
 def _reorder(p: _ZX, half: Fraction, cls: type) -> _ZX:
     """sum_k half^k/k! d_zeta^k d_xi^k p, as a value of type ``cls``."""
-    out = cls()
+    out = p.zero()
     for k in range(max((min(a, b) for a, b, _ in p.terms), default=0) + 1):
         out = out + _partial(p, k, k, half ** k / factorial(k))
-    return out
+    return cls()._with(out.terms)
 
 
 def symmetrize(p: PolyZX) -> WOp:
@@ -220,7 +228,9 @@ def c_component(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
     out = PolyZX.zero()
     for t in range(p + 1):
         weight = Fraction((-1) ** t * comb(p, t), 2 ** p * factorial(p))
-        out = out + _partial(phi, p - t, t, weight) * _partial(psi, t, p - t)
+        # both factors are PolyZX: ZPoly's operators skip the mixed-type guard
+        term = ZPoly.__mul__(_partial(phi, p - t, t, weight), _partial(psi, t, p - t))
+        out = ZPoly.__add__(out, term)
     return out
 
 

@@ -18,6 +18,7 @@ the extracted quadratic are then compared against that closed form.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from .ring import (
     SuperFn,
     ZPoly,
 )
-from .weyl import DiffOp, diffop_str
+from .weyl import DiffOp, diffop_str, fourier
 from .rep import GENERIC_TWIST
 
 
@@ -165,12 +166,14 @@ def check_double_commutator(J: JordanAlgebra) -> tuple[CheckResult, LambdaPoly |
     return result, (quad_holder[0] if quad_holder else None)
 
 
-def critical_values(J: JordanAlgebra) -> tuple[Scalar, Scalar]:
+def critical_values(J: JordanAlgebra, quad: LambdaPoly | None = None) -> tuple[Scalar, Scalar]:
     """The two twists extracted from the double commutator quadratic.
 
     They must agree with 1/2 -+ 1/(4m); a mismatch raises VerifyError.
+    ``quad`` is the quadratic when already computed; else it is built.
     """
-    quad = double_commutator_quadratic(J)
+    if quad is None:
+        quad = double_commutator_quadratic(J)
     roots = quad.quadratic_roots()
     lam0, lam0p = rep.critical_pair(J)
     expect = (Scalar(lam0), Scalar(lam0p))
@@ -179,32 +182,41 @@ def critical_values(J: JordanAlgebra) -> tuple[Scalar, Scalar]:
     return roots
 
 
-def check_critical(J: JordanAlgebra) -> CheckResult:
+def check_critical(J: JordanAlgebra, quad: LambdaPoly | None = None) -> CheckResult:
     def body():
         try:
-            roots = critical_values(J)
+            roots = critical_values(J, quad)
         except (VerifyError, RingError) as exc:
             return False, str(exc)
         return True, f"{roots[0]}, {roots[1]}"
-    res = timed_check("critical-values", body)
-    return res
+    return timed_check("critical-values", body)
 
 
-def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
-    """Conjugation by w carries the upper-twist family to the lower one."""
+def _w_conjugation_witness(J: JordanAlgebra) -> str | None:
+    """Residual of w pi_{l0'}^y w^{-1} = pi_{l0}^y at the first failing basis y."""
+    lam0, lam0p = rep.critical_pair(J)
+    for i in range(J.n):
+        y = J.basis_element(i)
+        got = rep.pi_minus(J, y, lam0p).conjugate_by_w()
+        lower = rep.pi_minus(J, y, lam0)
+        if got != lower:
+            return f"residual at y=b{i+1}: {diffop_str(got - lower)}"
+    return None
+
+
+def check_w_conjugation(J: JordanAlgebra, conjugation=_w_conjugation_witness) -> CheckResult:
+    """Conjugation by w carries the upper-twist family to the lower one.
+
+    ``conjugation(J)`` is the minus-side witness (None: it holds); a suite
+    run shares one memoised copy with every check that needs it.
+    """
     def body():
-        lam0, lam0p = rep.critical_pair(J)
         for i in range(J.n):
-            x = J.basis_element(i)
-            mult = rep.pi_plus(J, x)
+            mult = rep.pi_plus(J, J.basis_element(i))
             if mult.conjugate_by_w() != mult:
                 return False, f"multiplication operator moved at x=b{i+1}"
-            upper = rep.pi_minus(J, x, lam0p)
-            lower = rep.pi_minus(J, x, lam0)
-            got = upper.conjugate_by_w()
-            if got != lower:
-                return False, f"residual at y=b{i+1}: {diffop_str(got - lower)}"
-        return True, None
+        witness = conjugation(J)
+        return witness is None, witness
     return timed_check("w-conjugation", body)
 
 
@@ -243,8 +255,6 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
 
 def check_fourier(J: JordanAlgebra) -> CheckResult:
     """fourier(-eta^x) = pi^x for every basis generator, at formal twist."""
-    from .weyl import fourier
-
     def body():
         for i in range(J.n):
             x = J.basis_element(i)
@@ -298,89 +308,70 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
     return timed_check("closure", body)
 
 
-def check_h_module(J: JordanAlgebra, max_degree: int = 3,
-                   generic: Fraction = GENERIC_TWIST) -> CheckResult:
-    """Stability of the polynomial module at the lower critical twist.
+def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST,
+                   conjugation=_w_conjugation_witness) -> CheckResult:
+    """Stability of the module C[z] + wC[z] at the lower critical twist.
 
-    Also witnesses criticality: at a generic twist the same action
-    produces denominators.
+    (1) w pi_{l0'}^y w^{-1} = pi_{l0}^y for every basis y, hence for every
+    y, as pi^y is linear in y.  (2) The coefficients of pi^y at l0 and l0'
+    are polynomials free of L.  So pi_{l0} maps C[z] into the module, and
+    pi_{l0}(wP) = w pi_{l0'}(P) puts wC[z] there too, in every degree.
+    (3) pi_{l0}(1) = pi_{l0}(w) = 0.  (4) Criticality: at a generic twist
+    the same action produces denominators.  ``conjugation`` is as in
+    :func:`check_w_conjugation`.
     """
     def body():
-        lam0, _ = rep.critical_pair(J)
+        witness = conjugation(J)
+        if witness is not None:
+            return False, witness
+        lam0, lam0p = rep.critical_pair(J)
+        for lam in (lam0, lam0p):
+            for i in range(J.n):
+                op = rep.pi_minus(J, J.basis_element(i), lam)
+                polynomial = all(c.is_polynomial() for c in op.terms.values())
+                if not polynomial or op.subst_lambda(LambdaPoly()) != op:
+                    return False, f"pi^y at {lam} has a denominator or L at y=b{i+1}"
         ctx = J.ring
         w = SuperFn.w(ctx)
         one = SuperFn.one(ctx)
         for i in range(J.n):
-            y = J.basis_element(i)
-            at0 = rep.pi_minus(J, y, lam0)
+            at0 = rep.pi_minus(J, J.basis_element(i), lam0)
             if not at0.apply(one).is_zero():
                 return False, f"pi(1) != 0 at y=b{i+1}"
             if not at0.apply(w).is_zero():
                 return False, f"pi(w) != 0 at y=b{i+1}"
-        # monomials of degree <= max_degree
-        monos = [(0,) * J.n]
-        frontier = list(monos)
-        for _ in range(max_degree):
-            nxt = []
-            for m in frontier:
-                for i in range(J.n):
-                    mm = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    nxt.append(mm)
-            frontier = sorted(set(nxt))
-            monos.extend(frontier)
-        for i in range(J.n):
-            at0 = rep.pi_minus(J, J.basis_element(i), lam0)
-            for mono in monos:
-                h = w * SuperFn.from_zpoly(ctx, ZPoly.monomial(J.n, mono))
-                out, inside = rep.act_on_H(at0, h)
-                if not inside:
-                    return False, f"image leaves the module at y=b{i+1}, P=z^{mono}"
         # criticality witness at a generic twist
-        witnessed = False
         for i in range(J.n):
             atg = rep.pi_minus(J, J.basis_element(i), generic)
             for mono in ((0,) * J.n, tuple(1 if k == 0 else 0 for k in range(J.n))):
                 h = w * SuperFn.from_zpoly(ctx, ZPoly.monomial(J.n, mono))
-                _, inside = rep.act_on_H(atg, h)
-                if not inside:
-                    witnessed = True
-                    break
-            if witnessed:
-                break
-        if not witnessed:
-            return False, f"no denominator appeared at generic twist {generic}"
-        return True, None
+                if not rep.act_on_H(atg, h)[1]:
+                    return True, None
+        return False, f"no denominator appeared at generic twist {generic}"
     return timed_check("module-stability", body)
 
 
-def check_lowest_weight(J: JordanAlgebra) -> CheckResult:
-    """The vectors w.(norm-derivative op) and (norm-derivative op).w are
-    annihilated by every minus-side commutator at their critical twists."""
+def check_lowest_weight(J: JordanAlgebra, conjugation=_w_conjugation_witness) -> CheckResult:
+    """w.(norm-derivative op) at l0 and (norm-derivative op).w at l0' are
+    annihilated by every minus-side commutator.
+
+    Checked: w pi_{l0'}^y w^{-1} = pi_{l0}^y and [pi_{l0}^y, w dF] = 0 for
+    every basis y, hence every y (pi^y is linear in y).  The upper vector
+    follows: [pi_{l0'}^y, dF w] = w^{-1} [pi_{l0}^y, w dF] w = 0.  For
+    ``conjugation`` see :func:`check_w_conjugation`.
+    """
     def body():
-        lam0, lam0p = rep.critical_pair(J)
+        witness = conjugation(J)
+        if witness is not None:
+            return False, witness
+        lam0, _ = rep.critical_pair(J)
         T = rep.semi_invariant_w_dF(J)
-        Tp = rep.semi_invariant_dF_w(J)
         for i in range(J.n):
-            y = J.basis_element(i)
-            c = rep.pi_minus(J, y, lam0).commutator(T)
+            c = rep.pi_minus(J, J.basis_element(i), lam0).commutator(T)
             if not c.is_zero():
                 return False, f"[pi^y, w dF] != 0 at y=b{i+1}: {diffop_str(c)}"
-            c = rep.pi_minus(J, y, lam0p).commutator(Tp)
-            if not c.is_zero():
-                return False, f"[pi^y, dF w] != 0 at y=b{i+1}"
         return True, None
     return timed_check("lowest-weight", body)
-
-
-def check_jordan_calculus(J: JordanAlgebra, mode: str = "symbolic",
-                          seed: int = 0, count: int = 20) -> list[CheckResult]:
-    """Structure + point identities + derivative identities.
-
-    The derivative identities are exact (``mode="symbolic"``) unless
-    ``mode="points"`` asks for evaluation at random rational points.
-    """
-    rng = random.Random(seed)
-    return _jordan.verify_jordan_calculus(J, mode=mode, rng=rng, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -424,39 +415,37 @@ def _suite_selection(selection: str) -> list[str]:
     return [s for s in SUITE_ORDER if s in picked]
 
 
-def _run_block(J: JordanAlgebra, block: str, seed: int,
-               lam_value: Fraction) -> list[CheckResult]:
-    if block == "jordan":
-        return check_jordan_calculus(J, seed=seed)
-    if block == "brackets":
-        results = [check_w_bracket(J)]
-        try:
-            results.append(check_idempotent_bracket(J))
-        except PrimitiveIdempotentError as exc:  # pragma: no cover - guard
-            results.append(CheckResult("idempotent-bracket", "fail", str(exc)))
-        results.append(check_double_commutator(J)[0])
-        return results
-    if block == "critical":
-        return [check_critical(J)]
-    if block == "innw":
-        return [check_w_conjugation(J)]
-    if block == "delta":
-        return [check_delta_antimap(J)]
-    if block == "ft":
-        return [check_fourier(J)]
-    if block == "closure":
-        return [check_closure(J, lam_value)]
-    if block == "hmodule":
-        return [check_h_module(J, generic=lam_value)]
-    if block == "lowest":
-        return [check_lowest_weight(J)]
-    raise ValueError(f"unknown block {block!r}")
-
-
 def run_suite(J: JordanAlgebra, selection: str = "all", seed: int = 0,
               lam_value: Fraction = GENERIC_TWIST) -> Report:
-    """Run the selected checks one after another, in a fixed order."""
+    """Run the selected checks in a fixed order; the double-commutator
+    quadratic and the w-conjugation identity are computed at most once."""
+    conjugation = functools.cache(_w_conjugation_witness)
+    quad = None
     checks: list[CheckResult] = []
     for block in _suite_selection(selection):
-        checks.extend(_run_block(J, block, seed, lam_value))
+        if block == "jordan":
+            checks += _jordan.verify_jordan_calculus(J, mode="symbolic",
+                                                     rng=random.Random(seed), count=20)
+        elif block == "brackets":
+            checks.append(check_w_bracket(J))
+            try:
+                checks.append(check_idempotent_bracket(J))
+            except PrimitiveIdempotentError as exc:  # pragma: no cover - guard
+                checks.append(CheckResult("idempotent-bracket", "fail", str(exc)))
+            result, quad = check_double_commutator(J)
+            checks.append(result)
+        elif block == "critical":
+            checks.append(check_critical(J, quad))
+        elif block == "innw":
+            checks.append(check_w_conjugation(J, conjugation))
+        elif block == "delta":
+            checks.append(check_delta_antimap(J))
+        elif block == "ft":
+            checks.append(check_fourier(J))
+        elif block == "closure":
+            checks.append(check_closure(J, lam_value))
+        elif block == "hmodule":
+            checks.append(check_h_module(J, lam_value, conjugation))
+        elif block == "lowest":
+            checks.append(check_lowest_weight(J, conjugation))
     return Report(algebra=J.selector, suite=selection or "all", checks=tuple(checks))

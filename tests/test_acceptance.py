@@ -167,7 +167,7 @@ def test_criterion_09_symmetry_span_and_closure():
 def test_criterion_10_module_and_lowest_weight():
     for selector in CORE_ALGEBRAS:
         J = from_selector(selector)
-        res = verify.check_h_module(J, max_degree=3)
+        res = verify.check_h_module(J)
         assert res.ok, f"{selector}: {res.witness}"
         res = verify.check_lowest_weight(J)
         assert res.ok, f"{selector}: {res.witness}"

@@ -72,6 +72,14 @@ def test_verify_failure_exit_code(capsys, monkeypatch, sym2):
     assert "overall: fail" in out
 
 
+def test_verify_module_sym4_forced(capsys):
+    # above the desk-scale limit, the module certificate still runs
+    code, out, _ = run(capsys, "verify", "--algebra", "sym:4", "--force", "--suite", "hmodule")
+    assert code == 0
+    assert "module-stability  pass" in out
+    assert "overall: pass" in out
+
+
 def test_verify_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--algebra", "full:1", "--suite", "critical",

@@ -1,5 +1,6 @@
 """One-variable quantization lab: symmetrization, circle product, pairing."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -356,6 +357,15 @@ def test_quantized_generators_match_operator_picture(full1):
 def test_operator_and_symbol_never_equal():
     assert WOp.one() != PolyZX.one()
     assert PolyZX.zero() != WOp.zero()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_symbols_and_operators_do_not_mix(op):
+    symbol, wop = PolyZX.one(), WOp.w()
+    for a, b in ((symbol, wop), (wop, symbol), (symbol, ZPoly.one(2)), (wop, ZPoly.one(2))):
+        with pytest.raises(TypeError):
+            op(a, b)
+    assert type(op(symbol, symbol)) is PolyZX and type(op(wop, wop)) is WOp
 
 
 def test_symbols_and_operators_are_two_variable_zpolys():

@@ -1,6 +1,7 @@
 """The identity suite end to end, including negative controls."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -209,14 +210,55 @@ def test_closure_block(selector):
     assert verify.check_closure(from_selector(selector)).ok
 
 
-@pytest.mark.parametrize("selector", ["full:1", "full:2", "sym:2", "spin:3"])
+@pytest.mark.parametrize("selector", ALGEBRAS)
 def test_module_block(selector):
     assert verify.check_h_module(from_selector(selector)).ok
 
 
-@pytest.mark.parametrize("selector", ["full:1", "sym:2", "spin:3"])
+@pytest.mark.parametrize("selector", ALGEBRAS)
 def test_lowest_weight_block(selector):
     assert verify.check_lowest_weight(from_selector(selector)).ok
+
+
+def degree3_sweep_ok(J) -> bool:
+    """The monomial route: pi^y at l0 keeps w z^a polynomial for |a| <= 3."""
+    lam0, _ = rep.critical_pair(J)
+    ctx = J.ring
+    w = SuperFn.w(ctx)
+    monos = [a for a in itertools.product(range(4), repeat=J.n) if sum(a) <= 3]
+    for i in range(J.n):
+        at0 = rep.pi_minus(J, J.basis_element(i), lam0)
+        for mono in monos:
+            h = w * SuperFn.from_zpoly(ctx, ZPoly.monomial(J.n, mono))
+            if not rep.act_on_H(at0, h)[1]:
+                return False
+    return True
+
+
+def upper_vector_direct_ok(J) -> bool:
+    """The direct route: [pi^y at l0', dF w] = 0 for every basis y."""
+    _, lam0p = rep.critical_pair(J)
+    Tp = rep.semi_invariant_dF_w(J)
+    return all(rep.pi_minus(J, J.basis_element(i), lam0p).commutator(Tp).is_zero()
+               for i in range(J.n))
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+@pytest.mark.parametrize("skew", [False, True])
+def test_conjugation_certificates_agree_with_direct_routes(selector, skew):
+    # the certificates rest on w pi_{l0'} w^{-1} = pi_{l0}; the monomial
+    # sweep and the direct upper commutator must give the same verdicts,
+    # on the algebra and on a control whose m is off by one
+    J = from_selector(selector)
+    if skew:
+        J = dataclasses.replace(J, m=J.m + 1)
+    module = verify.check_h_module(J)
+    lowest = verify.check_lowest_weight(J)
+    assert module.ok == degree3_sweep_ok(J) == (not skew)
+    assert lowest.ok == upper_vector_direct_ok(J) == (not skew)
+    if skew:
+        assert module.witness.startswith("residual at y=b1: ")
+        assert lowest.witness == module.witness
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +283,49 @@ def test_run_suite_selection(sym2):
     assert names == ["w-bracket", "idempotent-bracket", "double-commutator", "critical-values"]
     with pytest.raises(ValueError):
         verify.run_suite(sym2, "nonsense")
+
+
+@pytest.mark.parametrize("defect", ["formal twist", "denominator"])
+def test_module_certificate_needs_polynomial_twist_free_coefficients(sym2, monkeypatch, defect):
+    # step 2 on its own: with step 1 taken as given, a family whose
+    # coefficients keep L or a power of F in a denominator is refused
+    original = rep.pi_minus
+
+    def altered(J, y, lam=None):
+        if defect == "formal twist":
+            return original(J, y)
+        return original(J, y, lam) + DiffOp.mult_w_inv(J)
+
+    monkeypatch.setattr(rep, "pi_minus", altered)
+    res = verify.check_h_module(sym2, conjugation=lambda J: None)
+    assert not res.ok
+    assert res.witness.startswith("pi^y at 1/3 has a denominator or L at y=b1")
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(verify, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("selection", ["brackets,critical", "critical"])
+def test_run_suite_builds_the_quadratic_once(sym2, monkeypatch, selection):
+    calls = count_calls(monkeypatch, "double_commutator_quadratic")
+    assert verify.run_suite(sym2, selection).overall == "pass"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("selection", ["innw,hmodule,lowest", "hmodule", "lowest"])
+def test_run_suite_checks_the_conjugation_once(sym2, monkeypatch, selection):
+    calls = count_calls(monkeypatch, "_w_conjugation_witness")
+    assert verify.run_suite(sym2, selection).overall == "pass"
+    assert len(calls) == 1
 
 
 def test_jordan_block_defaults_to_symbolic(monkeypatch):
