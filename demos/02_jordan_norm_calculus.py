@@ -31,8 +31,8 @@ for selector in ("full:2", "sym:2", "spin:3"):
     print("   q o adj(q) = F(q) e at a random point:",
           prod == J.scale_elem(f.re, J.unit_elem()))
 
-    # the full identity suite: structure, point identities, derivatives
-    results = verify_jordan_calculus(J, mode="symbolic", rng=rng)
+    # the full identity suite: structure, product identities, derivatives
+    results = verify_jordan_calculus(J, rng)
     width = max(len(c.name) for c in results)
     for c in results:
         print(f"   {c.name:<{width}}  {c.status}")

@@ -9,7 +9,7 @@ Subcommands:
 * ``algebras`` -- list the built-in algebra selectors.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-configuration error.  All randomness flows from ``verify --seed``.
+configuration error.  ``verify --seed`` only places failure witnesses.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     common(pv)
-    pv.add_argument("--seed", type=int, default=0, help="seed for the random point checks")
+    pv.add_argument("--seed", type=int, default=0, help="picks the rational point at which a failing identity's residual is shown")
     pv.add_argument("--suite", default="all",
                     help="comma list of: jordan, brackets, critical, innw, delta, ft, closure, hmodule, lowest (or 'all')")
     pv.add_argument("--lam", help="rational twist for span/witness computations (default 5/7)")

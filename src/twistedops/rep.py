@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .jordan import JElem, JordanAlgebra, PrimitiveIdempotentError  # noqa: F401 (guard error re-export)
+from .jordan import JElem, JordanAlgebra
 from .ring import LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 
@@ -279,30 +279,10 @@ def expected_k_dimension(J: JordanAlgebra) -> int:
 # The polynomial module generated by 1 and w
 # ---------------------------------------------------------------------------
 
-class HElem:
-    """A function in the module: both parts polynomial (no F-denominators)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: SuperFn):
-        if not fn.is_polynomial():
-            raise ValueError("not a module element: denominator present")
-        object.__setattr__(self, "fn", fn)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("HElem is immutable")
-
-
-def h_membership(f: SuperFn) -> bool:
-    """True when f lies in the polynomial module (even and odd parts)."""
-    return f.is_polynomial()
-
-
-def act_on_H(A: DiffOp, h: HElem | SuperFn) -> tuple[SuperFn, bool]:
+def act_on_H(A: DiffOp, h: SuperFn) -> tuple[SuperFn, bool]:
     """Apply A and report whether the image stays in the module."""
-    fn = h.fn if isinstance(h, HElem) else h
-    out = A.apply(fn)
-    return out, h_membership(out)
+    out = A.apply(h)
+    return out, out.is_polynomial()
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +305,4 @@ def semi_invariant_w_dF(J: JordanAlgebra) -> DiffOp:
 def semi_invariant_dF_w(J: JordanAlgebra) -> DiffOp:
     """(norm derivative operator) . w: the mirror vector at the upper twist."""
     return norm_derivative_op(J).compose(DiffOp.mult_w(J))
-
-
-def require_primitive_idempotent(J: JordanAlgebra, y: JElem) -> None:
-    """Guard used by the idempotent-specific operator identities."""
-    J.check_primitive_idempotent(y)  # raises PrimitiveIdempotentError
 

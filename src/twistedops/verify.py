@@ -2,9 +2,9 @@
 
 Every check here is exact: a check passes iff the residual operator or
 polynomial is identically zero (in particular, identically in the formal
-twist parameter).  Random points are used only by the Jordan-algebra
-point identities (products, inverses and triples at rational points);
-the derivative identities are established symbolically on every algebra.
+twist parameter).  The Jordan product and derivative identities hold at
+the generic element; the seed only picks the rational point at which a
+failing product identity's residual is shown.
 
 The central computation takes the canonical primitive idempotent y,
 forms the double commutator of the twisted operator of y with the
@@ -270,7 +270,15 @@ def check_fourier(J: JordanAlgebra) -> CheckResult:
 
 
 def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> CheckResult:
-    """Bracket closure of the generated symmetry at a rational twist."""
+    """Bracket closure of the generated symmetry at a rational twist.
+
+    With P_a = pi_plus(b_a) and M_b = pi_minus(b_b) at ``lam_value``,
+    checked: both wings are abelian, the K-span of the [P_a, M_b] has the
+    expected dimension, and [K, P_c] lies in span P, [K, M_d] in span M
+    for every K in it.  [K, K'] needs no check: for K' = [P_c, M_d],
+    Jacobi gives [K, K'] = [[K, P_c], M_d] + [P_c, [K, M_d]], and both
+    terms lie in span{[P_i, M_j]}, the K-span by construction.
+    """
     def body():
         plus = [rep.pi_plus(J, J.basis_element(i)) for i in range(J.n)]
         minus = [rep.pi_minus(J, J.basis_element(i), lam_value) for i in range(J.n)]
@@ -292,18 +300,12 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
         minus_span = rep.SpanBasis()
         for op in minus:
             minus_span.add(op)
-        k_basis = rep.SpanBasis()
-        for op in ops:
-            k_basis.add(op)
         for K in ops:
             for i in range(J.n):
                 if not plus_span.contains(K.commutator(plus[i])):
                     return False, f"[K, b{i+1}+] leaves the plus wing"
                 if not minus_span.contains(K.commutator(minus[i])):
                     return False, f"[K, b{i+1}-] leaves the minus wing"
-            for K2 in ops:
-                if not k_basis.contains(K.commutator(K2)):
-                    return False, "[K, K'] leaves the generated span"
         return True, f"dimension {dim}"
     return timed_check("closure", body)
 
@@ -424,8 +426,7 @@ def run_suite(J: JordanAlgebra, selection: str = "all", seed: int = 0,
     checks: list[CheckResult] = []
     for block in _suite_selection(selection):
         if block == "jordan":
-            checks += _jordan.verify_jordan_calculus(J, mode="symbolic",
-                                                     rng=random.Random(seed), count=20)
+            checks += _jordan.verify_jordan_calculus(J, random.Random(seed))
         elif block == "brackets":
             checks.append(check_w_bracket(J))
             try:

@@ -223,12 +223,12 @@ def test_derivative_identities_points_full3():
 
 def test_point_identities(sym2, spin5):
     for J in (sym2, spin5):
-        results = point_identities(J, random.Random(1), count=20)
+        results = point_identities(J, random.Random(1))
         assert all(c.ok for c in results), [c.name for c in results if not c.ok]
 
 
 def test_full_suite_wrapper(spin3):
-    results = verify_jordan_calculus(spin3, mode="symbolic", rng=random.Random(0))
+    results = verify_jordan_calculus(spin3, rng=random.Random(0))
     assert all(c.ok for c in results)
     assert len(results) >= 10
 
@@ -253,6 +253,16 @@ def test_corrupt_structure_detected(sym2):
     assert all(c.witness for c in failed)
 
 
+def test_corrupt_product_identities_fail_at_a_basis_element(sym2):
+    bad = corrupt_structure(sym2)
+    results = {c.name: c for c in point_identities(bad, random.Random(0))}
+    for name in ("power-associativity", "inverse-triple", "triple-shift", "triple-fundamental"):
+        check = results[name]
+        assert not check.ok, name
+        assert any(f"={label}" in check.witness for label in bad.labels), check.witness
+        assert "terms, value" in check.witness
+
+
 def test_primitive_idempotent_guard(full2):
     with pytest.raises(PrimitiveIdempotentError):
         full2.check_primitive_idempotent(full2.unit_elem())  # trace is 2, not 1
@@ -265,7 +275,7 @@ def test_passing_checks_carry_no_witness(selector):
     J = from_selector(selector)
     results = (
         validate_structure(J)
-        + point_identities(J, random.Random(1), count=4)
+        + point_identities(J, random.Random(1))
         + derivative_identities(J, mode="symbolic")
         + derivative_identities(J, mode="points", rng=random.Random(2), count=4)
     )

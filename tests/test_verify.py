@@ -1,6 +1,7 @@
 """The identity suite end to end, including negative controls."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 from fractions import Fraction
@@ -210,6 +211,24 @@ def test_closure_block(selector):
     assert verify.check_closure(from_selector(selector)).ok
 
 
+def kk_loop_closed(J, lam) -> bool:
+    """Reference: the [K, K'] loop that check_closure leaves to Jacobi."""
+    ops, _ = rep.k_span(J, lam)
+    k_basis = rep.SpanBasis()
+    for op in ops:
+        k_basis.add(op)
+    return all(k_basis.contains(K.commutator(K2)) for K in ops for K2 in ops)
+
+
+@pytest.mark.parametrize("selector", ALGEBRAS)
+def test_closure_agrees_with_the_kk_loop(selector):
+    J = from_selector(selector)
+    for lam in (rep.GENERIC_TWIST, *rep.critical_pair(J)):
+        ok = verify.check_closure(J, lam).ok
+        with_loop = ok and kk_loop_closed(J, lam)
+        assert with_loop == ok, (selector, lam)
+
+
 @pytest.mark.parametrize("selector", ALGEBRAS)
 def test_module_block(selector):
     assert verify.check_h_module(from_selector(selector)).ok
@@ -331,13 +350,34 @@ def test_run_suite_checks_the_conjugation_once(sym2, monkeypatch, selection):
 def test_jordan_block_defaults_to_symbolic(monkeypatch):
     seen = []
 
-    def spy(J, mode, rng, count):
-        seen.append((J.selector, mode))
+    def spy(J, rng):
+        seen.append((J.selector, derivative_mode))
         return []
 
+    # the block sets no mode, so the derivative identities run at their default
+    assert "mode" not in inspect.signature(verify._jordan.verify_jordan_calculus).parameters
+    derivative_mode = inspect.signature(verify._jordan.derivative_identities).parameters["mode"].default
     monkeypatch.setattr(verify._jordan, "verify_jordan_calculus", spy)
     verify.run_suite(from_selector("full:3"), "jordan")
     assert seen == [("full:3", "symbolic")]
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_jordan_block_draws_no_random_point_when_it_passes(selector, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random point drawn")
+
+    monkeypatch.setattr(verify._jordan, "random_point", refuse)
+    assert verify.run_suite(from_selector(selector), "jordan").overall == "pass"
+
+
+def test_jordan_verdicts_do_not_depend_on_the_seed(sym2):
+    from test_jordan import corrupt_structure
+    bad = corrupt_structure(sym2)
+    verdicts = [[(c.name, c.status) for c in verify.run_suite(bad, "jordan", seed=s).checks]
+                for s in (0, 1)]
+    assert verdicts[0] == verdicts[1]
+    assert any(status == "fail" for _, status in verdicts[0])
 
 
 def test_corrupt_algebra_flagged_with_witness(sym2):
