@@ -34,19 +34,13 @@ class UsageError(Exception):
 
 def _load_algebra(selector: str, force: bool = False) -> jordan.JordanAlgebra:
     try:
-        kind, _, size = selector.partition(":")
-        value = int(size)
-    except ValueError:
-        raise UsageError(f"bad algebra selector {selector!r}; expected sym:<r>|full:<r>|spin:<p>")
-    if kind not in RANK_LIMITS:
-        raise UsageError(f"unknown algebra kind {kind!r}; expected sym|full|spin")
-    limit = RANK_LIMITS[kind]
-    if value > limit and not force:
-        raise UsageError(
-            f"{selector} exceeds the desk-scale limit {kind}:{limit}; pass --force to override")
-    if value < (2 if kind == "spin" else 1):
-        raise UsageError(f"size too small in {selector!r}")
-    return jordan.from_selector(selector)
+        kind, size = jordan.parse_selector(selector)
+        if size > RANK_LIMITS[kind] and not force:
+            raise UsageError(
+                f"{selector} exceeds the desk-scale limit {kind}:{RANK_LIMITS[kind]}; pass --force to override")
+        return jordan.from_selector(selector)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _parse_twist(text: str) -> Fraction:
@@ -58,8 +52,11 @@ def _parse_twist(text: str) -> Fraction:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {output!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -20,6 +20,7 @@ rational points.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -35,6 +36,7 @@ from .ring import (
     ZERO,
     ONE,
     RingError,
+    _POSINT,
 )
 
 
@@ -251,10 +253,7 @@ class JordanAlgebra:
 
     def tr_v_qinv(self, v: JElem) -> LocFn:
         """The function q -> tr(v o q^{-1}) = tr(v o adj q) / F."""
-        num = self.trace(self.product(v, self.adjugate_elem()))
-        if isinstance(num, Scalar):
-            num = ZPoly.const(self.n, num)
-        return LocFn(self.ring, num, 1)
+        return LocFn(self.ring, self.trace(self.product(v, self.adjugate_elem())), 1)
 
     # -- guards ---------------------------------------------------------------
     def check_primitive_idempotent(self, y: JElem) -> None:
@@ -373,77 +372,37 @@ def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec,
     )
 
 
-def make_full(r: int) -> JordanAlgebra:
-    """All r x r matrices; basis E_ij (row-major), norm = determinant."""
+def _matrix_family(kind: str, r: int, pairs: list[tuple[int, int]]) -> JordanAlgebra:
+    """r x r matrices under A o B = (AB + BA)/2, one basis matrix per pair:
+    E_ij, or E_ij + E_ji for ``sym``.  A matrix has coordinates its entries
+    at ``pairs``; F and adj q are read off the generic matrix sum_k z_k B_k."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    n = r * r
-    index = {(i, j): i * r + j for i in range(r) for j in range(r)}
-    labels = [f"E{i+1}{j+1}" for i in range(r) for j in range(r)]
-    basis = [{(i, j): Fraction(1)} for i in range(r) for j in range(r)]
-
-    prod = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            mat = _mat_jordan(basis[a], basis[b])
-            for (i, j), v in mat.items():
-                prod[a][b][index[(i, j)]] = v
-
-    unit = [Fraction(0)] * n
-    for i in range(r):
-        unit[index[(i, i)]] = Fraction(1)
-    trace_vec = [Fraction(1) if i == j else Fraction(0) for i in range(r) for j in range(r)]
-
-    entries = [[ZPoly.coord(n, index[(i, j)]) for j in range(r)] for i in range(r)]
-    normF = _det_zpoly(n, entries)
+    n = len(pairs)
+    basis = [dict.fromkeys({(i, j), (j, i)} if kind == "sym" else {(i, j)}, Fraction(1))
+             for i, j in pairs]
+    labels = ["+".join(f"E{i+1}{j+1}" for i, j in sorted(mat)) for mat in basis]
+    coords = lambda mat: [mat.get(p, Fraction(0)) for p in pairs]
+    prod = [[coords(_mat_jordan(a, b)) for b in basis] for a in basis]
+    entries = [[None] * r for _ in range(r)]
+    for k, mat in enumerate(basis):
+        for i, j in mat:
+            entries[i][j] = ZPoly.coord(n, k)
     adj = _adjugate_entries(n, entries)
-    adjugate = [adj[i][j] for i in range(r) for j in range(r)]
+    return _finish(kind, r, n, labels, prod, coords({(i, i): Fraction(1) for i in range(r)}),
+                   [Fraction(int(i == j)) for i, j in pairs], _det_zpoly(n, entries),
+                   [adj[i][j] for i, j in pairs], coords({(0, 0): Fraction(1)}))
 
-    idem = [Fraction(0)] * n
-    idem[index[(0, 0)]] = Fraction(1)
-    return _finish("full", r, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
+
+def make_full(r: int) -> JordanAlgebra:
+    """All r x r matrices; basis E_ij (row-major), norm = determinant."""
+    return _matrix_family("full", r, [(i, j) for i in range(r) for j in range(r)])
 
 
 def make_sym(r: int) -> JordanAlgebra:
     """Symmetric r x r matrices; basis E_ii and E_ij + E_ji for i < j."""
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    pairs = [(i, i) for i in range(r)] + [(i, j) for i in range(r) for j in range(i + 1, r)]
-    n = len(pairs)
-    index = {p: k for k, p in enumerate(pairs)}
-    labels = [f"E{i+1}{i+1}" if i == j else f"E{i+1}{j+1}+E{j+1}{i+1}" for (i, j) in pairs]
-
-    def matrix_of(k: int) -> dict:
-        i, j = pairs[k]
-        if i == j:
-            return {(i, i): Fraction(1)}
-        return {(i, j): Fraction(1), (j, i): Fraction(1)}
-
-    def coords_of(mat: dict) -> list[Fraction]:
-        out = [Fraction(0)] * n
-        for (i, j), v in mat.items():
-            if i <= j:
-                out[index[(i, j)]] = v
-        return out
-
-    basis = [matrix_of(k) for k in range(n)]
-    prod = [[coords_of(_mat_jordan(basis[a], basis[b])) for b in range(n)] for a in range(n)]
-
-    unit = coords_of({(i, i): Fraction(1) for i in range(r)})
-    trace_vec = [Fraction(1) if i == j else Fraction(0) for (i, j) in pairs]
-
-    def entry(i: int, j: int) -> ZPoly:
-        key = (i, j) if i <= j else (j, i)
-        return ZPoly.coord(n, index[key])
-
-    entries = [[entry(i, j) for j in range(r)] for i in range(r)]
-    normF = _det_zpoly(n, entries)
-    adj = _adjugate_entries(n, entries)
-    adjugate = [adj[i][j] for (i, j) in pairs]
-
-    idem = [Fraction(0)] * n
-    idem[index[(0, 0)]] = Fraction(1)
-    return _finish("sym", r, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
+    return _matrix_family("sym", r, [(i, i) for i in range(r)]
+                          + [(i, j) for i in range(r) for j in range(i + 1, r)])
 
 
 def make_spin(p: int) -> JordanAlgebra:
@@ -479,20 +438,23 @@ def make_spin(p: int) -> JordanAlgebra:
     return _finish("spin", 2, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
 
 
+_FAMILIES = {"sym": make_sym, "full": make_full, "spin": make_spin}
+
+
+def parse_selector(selector: str) -> tuple[str, int]:
+    """Split a ``kind:size`` selector; the size is a positive decimal integer."""
+    kind, _, size = selector.partition(":")
+    if not re.fullmatch(_POSINT, size):
+        raise ValueError(f"bad algebra selector {selector!r}; expected sym:<r>|full:<r>|spin:<p>")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown algebra kind {kind!r}; expected sym|full|spin")
+    return kind, int(size)
+
+
 def from_selector(selector: str) -> JordanAlgebra:
     """Build an algebra from a ``kind:size`` selector string."""
-    try:
-        kind, _, size = selector.partition(":")
-        value = int(size)
-    except ValueError as exc:
-        raise ValueError(f"bad algebra selector {selector!r}") from exc
-    if kind == "sym":
-        return make_sym(value)
-    if kind == "full":
-        return make_full(value)
-    if kind == "spin":
-        return make_spin(value)
-    raise ValueError(f"unknown algebra kind {kind!r}")
+    kind, size = parse_selector(selector)
+    return _FAMILIES[kind](size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Twisted operator families attached to a Jordan algebra.
 
+Every operator is a Jordan expression in the generic element q = sum_i z_i b_i.
 For a generator x on the multiplication side (``p+``) the operator is
 multiplication by the linear form tr(x o q); for a generator y on the
 derivative side (``p-``) it is the second-order operator
 
     pi^y = - sum_ij tr({b^i, y, b^j} o q) d_i d_j  -  2 m L d^y
+         = - sum_ij {y, b^j, q}_i d_i d_j  -  2 m L d^y,
 
-with the twist parameter L kept formal (a LambdaPoly).  On the opposite
-patch the same generators act by vector fields: -d^x for x on the plus
-side, and for y the quadratic field whose value at p is {p, y, p} plus
-the function 2 m L tr(y o p).  The algebraic Fourier transform carries
-one family onto the other, which the test suite checks exactly.
+with the twist parameter L kept formal (a LambdaPoly).  The two forms agree
+because the trace form satisfies tr({a, b, c} o d) = tr(a o {b, c, d}), which
+follows from tr((a o b) o c) = tr(a o (b o c)) and commutativity; so the
+coefficient of d_i d_j is the i-th coordinate of {y, b^j, q}.  On the
+opposite patch the same generators act by vector fields: -d^x for x on the
+plus side, and for y the quadratic field p -> {p, y, p} plus the function
+2 m L tr(y o p).  The algebraic Fourier transform carries one family onto
+the other, which the test suite checks exactly.
 
 The remaining symmetry directions are not written down from a formula:
 they are generated as commutators [pi^x, pi^y] and their span is
@@ -19,10 +24,12 @@ extracted by exact linear algebra at a specialized rational twist.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .jordan import JElem, JordanAlgebra
-from .ring import LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ZERO
+from .ring import _POSINT, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 
 # default rational twist used for span/rank computations; any value off
@@ -30,19 +37,11 @@ from .weyl import DiffOp, PolyOpPlus, fourier
 GENERIC_TWIST = Fraction(5, 7)
 
 
-class GGenerator:
+class GGenerator(NamedTuple):
     """A symmetry generator: a side tag ('plus' | 'minus') and an element."""
 
-    __slots__ = ("side", "element")
-
-    def __init__(self, side: str, element: JElem):
-        if side not in ("plus", "minus"):
-            raise ValueError("side must be 'plus' or 'minus'")
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "element", element)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GGenerator is immutable")
+    side: str
+    element: JElem
 
 
 def generator_from_selector(J: JordanAlgebra, selector: str) -> GGenerator:
@@ -50,13 +49,17 @@ def generator_from_selector(J: JordanAlgebra, selector: str) -> GGenerator:
     if selector == "idem":
         return GGenerator("minus", J.idempotent_elem())
     side, _, idx = selector.partition(":")
-    if side not in ("p+", "p-") or not idx:
+    if side not in ("p+", "p-") or not re.fullmatch(_POSINT, idx):
         raise ValueError(f"bad generator selector {selector!r}")
     i = int(idx) - 1
-    if not 0 <= i < J.n:
+    if i >= J.n:
         raise ValueError(f"basis index out of range in {selector!r}")
-    elem = J.basis_element(i)
-    return GGenerator("plus" if side == "p+" else "minus", elem)
+    return GGenerator("plus" if side == "p+" else "minus", J.basis_element(i))
+
+
+def _unit(n: int, i: int) -> tuple:
+    """The multi-index of d_i (or of the coordinate u_i)."""
+    return tuple(int(k == i) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -85,36 +88,22 @@ def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
 
 
 def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> DiffOp:
-    """Second-order operator for a generator on the derivative side.
+    """- sum_ij {y, b^j, q}_i d_i d_j - 2 m L d^y at the generic element q.
 
-    ``lam`` defaults to the formal parameter; pass an int, a Fraction or
-    a LambdaPoly to specialize.
+    {y, b^j, q}_i = tr({b^i, y, b^j} o q) by tr({a, b, c} o d) =
+    tr(a o {b, c, d}); summing over every pair (i, j) gives the off-diagonal
+    factor 2.  ``lam`` defaults to the formal parameter; pass an int, a
+    Fraction or a LambdaPoly to specialize.
     """
-    lam = _twist(lam)
+    q = J.generic_elem()
     n = J.n
-    terms: dict[tuple, SuperFn] = {}
-    duals = [J.dual_basis_element(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            trip = J.triple(duals[i], y, duals[j])
-            form = J.linear_form(trip)
-            if form.is_zero():
-                continue
-            factor = Scalar(-1) if i == j else Scalar(-2)
-            idx = tuple(
-                (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                for k in range(n)
-            )
-            coeff = SuperFn.from_zpoly(J.ring, form.scale(factor))
-            terms[idx] = terms.get(idx, SuperFn.zero(J.ring)) + coeff
-    scale = lam.scale(Scalar(-2 * J.m))
-    for i, yi in enumerate(y.coords):
-        if yi.is_zero():
-            continue
-        idx = tuple(1 if k == i else 0 for k in range(n))
-        lin = SuperFn.const(J.ring, scale.scale(yi))
-        terms[idx] = terms.get(idx, SuperFn.zero(J.ring)) + lin
-    return DiffOp(J, {k: v for k, v in terms.items() if not v.is_zero()})
+    second: dict[tuple, ZPoly] = {}
+    for j in range(n):
+        for i, c in enumerate(J.triple(y, J.dual_basis_element(j), q).coords):
+            idx = tuple(int(k == i) + int(k == j) for k in range(n))
+            second[idx] = second.get(idx, ZPoly.zero(n)) - c
+    first = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
+    return DiffOp(J, {idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()}) + first
 
 
 def pi_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> DiffOp:
@@ -129,50 +118,15 @@ def pi_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> DiffOp:
 
 def eta_plus(J: JordanAlgebra, x: JElem) -> PolyOpPlus:
     """The constant field -d^x."""
-    n = J.n
-    terms = {}
-    for i, xi in enumerate(x.coords):
-        if xi.is_zero():
-            continue
-        idx = tuple(1 if k == i else 0 for k in range(n))
-        terms[idx] = ZPoly.const(n, -xi)
-    return PolyOpPlus(J, terms)
+    return PolyOpPlus(J, {_unit(J.n, i): ZPoly.const(J.n, -xi) for i, xi in enumerate(x.coords)})
 
 
 def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> PolyOpPlus:
     """Quadratic field p -> {p, y, p} plus the function 2 m L tr(y o p)."""
-    lam = _twist(lam)
-    n = J.n
-    terms: dict[tuple, ZPoly] = {}
-    for i in range(n):
-        bi = J.basis_element(i)
-        for j in range(i, n):
-            trip = J.triple(bi, y, J.basis_element(j))
-            mono = tuple(
-                (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                for k in range(n)
-            )
-            mult = 1 if i == j else 2
-            for k, c in enumerate(trip.coords):
-                if c.is_zero():
-                    continue
-                idx = tuple(1 if t == k else 0 for t in range(n))
-                add = ZPoly.monomial(n, mono, c * Scalar(mult))
-                terms[idx] = terms.get(idx, ZPoly.zero(n)) + add
-    # the order-zero part: 2 m L tr(y o p) = 2 m L sum_i (G y)_i u_i
-    zero_idx = (0,) * n
-    fn = ZPoly.zero(n)
-    two_m = lam.scale(Scalar(2 * J.m))
-    for i in range(n):
-        g = ZERO
-        for j, yj in enumerate(y.coords):
-            if J.gram[i][j] and not yj.is_zero():
-                g = g + yj * Scalar(J.gram[i][j])
-        if not g.is_zero():
-            fn = fn + ZPoly.monomial(n, tuple(1 if t == i else 0 for t in range(n)), two_m.scale(g))
-    if not fn.is_zero():
-        terms[zero_idx] = terms.get(zero_idx, ZPoly.zero(n)) + fn
-    return PolyOpPlus(J, {k: v for k, v in terms.items() if not v.is_zero()})
+    p = J.generic_elem()
+    terms = {_unit(J.n, k): c for k, c in enumerate(J.triple(p, y, p).coords)}
+    terms[(0,) * J.n] = J.linear_form(y).scale(_twist(lam).scale(Scalar(2 * J.m)))
+    return PolyOpPlus(J, terms)
 
 
 def eta_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> PolyOpPlus:

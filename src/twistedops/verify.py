@@ -254,7 +254,11 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
 
 
 def check_fourier(J: JordanAlgebra) -> CheckResult:
-    """fourier(-eta^x) = pi^x for every basis generator, at formal twist."""
+    """fourier(-eta^x) = pi^x for every basis generator, at formal twist.
+
+    A real cross-check: pi^y is built from {y, b^j, q} and eta^y from
+    {p, y, p}, two different Jordan expressions.
+    """
     def body():
         for i in range(J.n):
             x = J.basis_element(i)

@@ -210,3 +210,36 @@ def test_usage_error_missing_algebra(capsys):
     code = cli.main(["verify"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "sym"),
+    ("verify", "--algebra", "weird:2"),
+    ("verify", "--algebra", "sym:9999"),
+    ("critical", "--algebra", "spin:1"),
+    ("critical", "--algebra", "sym:0_2"),
+    ("critical", "--algebra", "sym: 2"),
+    ("verify", "--algebra", "full:1", "--suite", "critical", "--lam", "x"),
+    ("show", "--algebra", "full:1", "--op", "p-:1", "--lam", "1/0"),
+    ("verify", "--algebra", "full:1", "--suite", "bogus"),
+    ("moyal", "--max-degree", "-1"),
+    ("moyal", "--check", "bogus"),
+    ("show", "--algebra", "full:1", "--op", "q:1"),
+    ("show", "--algebra", "full:1", "--op", "p+:2"),
+    ("show", "--algebra", "full:2", "--op", "p+:0_1"),
+    ("show", "--algebra", "full:2", "--op", "p-: 2"),
+    ("algebras", "bogus"),
+    ("critical", "--algebra", "full:1", "--output", "{tmp}/missing/out.txt"),
+    ("critical", "--algebra", "full:1", "--output", "{tmp}"),
+], ids=["selector-no-size", "selector-kind", "selector-limit", "selector-too-small",
+        "selector-underscore", "selector-space", "verify-twist", "show-twist", "verify-suite",
+        "moyal-negative-degree", "moyal-table", "show-generator", "show-index-range",
+        "show-index-underscore", "show-index-space", "algebras-action", "output-missing-dir",
+        "output-is-dir"])
+def test_usage_errors_exit_2_without_traceback(capsys, tmp_path, argv):
+    # malformed input ends in one "error:" line and exit code 2, never a traceback
+    code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -77,6 +77,22 @@ def test_selector_parsing():
         from_selector("weird:2")
     with pytest.raises(ValueError):
         from_selector("full")
+    # sizes are positive decimal integers; int() would accept the rest
+    for bad in ("sym:0_2", "sym: 2", "sym:2 ", "sym:+2", "sym:-2", "sym:0", "sym:02", "full:", "spin:\u0663"):
+        with pytest.raises(ValueError):
+            from_selector(bad)
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_trace_form_moves_the_triple(selector):
+    # tr({a, b, c} o q) = tr(a o {b, c, q}), the identity rep.pi_minus rests on
+    J = from_selector(selector)
+    q = J.generic_elem()
+    basis = [J.basis_element(i) for i in range(J.n)]
+    for a in basis:
+        for b in basis:
+            for c in basis:
+                assert J.trace_form(J.triple(a, b, c), q) == J.trace_form(a, J.triple(b, c, q))
 
 
 # ---------------------------------------------------------------------------

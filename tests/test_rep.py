@@ -6,8 +6,10 @@ import pytest
 
 from twistedops import rep
 from twistedops.jordan import JElem, PrimitiveIdempotentError, from_selector
-from twistedops.ring import LAMBDA, LocFn, Scalar, SuperFn, ZPoly, ONE, ZERO
+from twistedops.ring import LAMBDA, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE, ZERO
 from twistedops.weyl import DiffOp, PolyOpPlus, fourier
+
+from test_verify import ALGEBRAS
 
 
 def sc(x):
@@ -46,6 +48,9 @@ def test_generator_selectors(full2):
         rep.generator_from_selector(full2, "p+:9")
     with pytest.raises(ValueError):
         rep.generator_from_selector(full2, "k:1")
+    for bad in ("p+:0_1", "p-: 2", "p-:2 ", "p+:+1", "p-:-1", "p+:0", "p+:01", "p-:"):
+        with pytest.raises(ValueError):
+            rep.generator_from_selector(full2, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,66 @@ def test_pi_minus_spin4_against_expansion_oracle(spin4):
             beta = tuple(1 if t == i else 0 for t in range(n))
             lam_part = lam_part + DiffOp(J, {beta: mono_fn(J, (0,) * n, LAMBDA.scale(Scalar(-2 * J.m * yi)))})
     assert op == want + lam_part
+
+
+def _twist(lam):
+    return LAMBDA if lam is None else LambdaPoly.from_rational(lam)
+
+
+def pi_minus_by_pairs(J, y, lam=None):
+    """Reference: - sum_{i<=j} c_ij tr({b^i, y, b^j} o q) d_i d_j - 2 m L d^y,
+    c_ii = 1 and c_ij = 2, one dual-basis triple per pair."""
+    lam = _twist(lam)
+    n = J.n
+    terms = {}
+    duals = [J.dual_basis_element(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            form = J.linear_form(J.triple(duals[i], y, duals[j]))
+            idx = tuple((2 if k == i else 0) if i == j else (1 if k in (i, j) else 0) for k in range(n))
+            coeff = SuperFn.from_zpoly(J.ring, form.scale(Scalar(-1 if i == j else -2)))
+            terms[idx] = terms.get(idx, SuperFn.zero(J.ring)) + coeff
+    scale = lam.scale(Scalar(-2 * J.m))
+    for i, yi in enumerate(y.coords):
+        idx = tuple(1 if k == i else 0 for k in range(n))
+        terms[idx] = terms.get(idx, SuperFn.zero(J.ring)) + SuperFn.const(J.ring, scale.scale(yi))
+    return DiffOp(J, terms)
+
+
+def eta_minus_by_pairs(J, y, lam=None):
+    """Reference: the field sum_{i<=j} c_ij u_i u_j {b_i, y, b_j} and the
+    function 2 m L sum_ij u_i G_ij y_j, with the Gram matrix G."""
+    lam = _twist(lam)
+    n = J.n
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            trip = J.triple(J.basis_element(i), y, J.basis_element(j))
+            mono = tuple((2 if k == i else 0) if i == j else (1 if k in (i, j) else 0) for k in range(n))
+            for k, c in enumerate(trip.coords):
+                idx = tuple(1 if t == k else 0 for t in range(n))
+                add = ZPoly.monomial(n, mono, c * Scalar(1 if i == j else 2))
+                terms[idx] = terms.get(idx, ZPoly.zero(n)) + add
+    fn = ZPoly.zero(n)
+    two_m = lam.scale(Scalar(2 * J.m))
+    for i in range(n):
+        g = sum((yj * Scalar(J.gram[i][j]) for j, yj in enumerate(y.coords)), ZERO)
+        fn = fn + ZPoly.monomial(n, tuple(1 if t == i else 0 for t in range(n)), two_m.scale(g))
+    terms[(0,) * n] = fn
+    return PolyOpPlus(J, terms)
+
+
+@pytest.mark.parametrize("selector", ALGEBRAS)
+def test_twisted_families_match_basis_pair_references(selector):
+    # pi^y and eta^y are built from the generic element; the references
+    # sum over basis pairs, as the paper's coordinate formulas do
+    J = from_selector(selector)
+    lam0, lam0p = rep.critical_pair(J)
+    elems = [J.basis_element(i) for i in range(J.n)] + [J.idempotent_elem()]
+    for y in elems:
+        for lam in (None, rep.GENERIC_TWIST, lam0, lam0p):
+            assert rep.pi_minus(J, y, lam) == pi_minus_by_pairs(J, y, lam)
+            assert rep.eta_minus(J, y, lam) == eta_minus_by_pairs(J, y, lam)
 
 
 # ---------------------------------------------------------------------------
