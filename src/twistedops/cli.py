@@ -50,10 +50,10 @@ def _parse_twist(text: str) -> Fraction:
         raise UsageError(f"bad twist value {text!r}; expected a rational like 5/7")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None, mode: str = "w") -> None:
     if output:
         try:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(output, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write --output {output!r}: {exc.strerror}")
@@ -225,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
+        _emit("", args.output, "a")  # an unwritable --output fails before any work
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

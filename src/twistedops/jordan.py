@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations
 
 from .report import CheckResult, timed_check
@@ -105,11 +105,8 @@ def _entry_mul(a, b):
     return a * b
 
 
-def _entry_scale(c: Fraction, x):
-    s = Scalar(c)
-    if isinstance(x, ZPoly):
-        return x.scale(s)
-    return x * s
+def _entry_scale(s: Scalar, x):
+    return x.scale(s) if isinstance(x, ZPoly) else x * s
 
 
 # ---------------------------------------------------------------------------
@@ -154,22 +151,27 @@ class JordanAlgebra:
         return JElem((ZERO,) * self.n)
 
     # -- products -----------------------------------------------------------
+    @cached_property
+    def _sparse_prod(self) -> tuple:
+        """``(k, Scalar(c_ijk))`` for the nonzero c_ijk, per (i, j)."""
+        return tuple(tuple(tuple((k, Scalar(c)) for k, c in enumerate(cell) if c)
+                           for cell in row) for row in self.prod)
+
     def product(self, a: JElem, b: JElem) -> JElem:
         if len(a) != self.n or len(b) != self.n:
             raise DimensionMismatchError(f"expected {self.n} coordinates")
         out = [None] * self.n
+        table = self._sparse_prod
         for i, ai in enumerate(a.coords):
             if ai.is_zero():
                 continue
-            row = self.prod[i]
+            row = table[i]
             for j, bj in enumerate(b.coords):
-                if bj.is_zero():
+                if not row[j] or bj.is_zero():
                     continue
                 ab = _entry_mul(ai, bj)
-                for k, c in enumerate(row[j]):
-                    if not c:
-                        continue
-                    term = _entry_scale(c, ab)
+                for k, s in row[j]:
+                    term = _entry_scale(s, ab)
                     out[k] = term if out[k] is None else out[k] + term
         zero = self._zero_like(a, b)
         return JElem(tuple(zero if x is None else x for x in out))
@@ -181,28 +183,25 @@ class JordanAlgebra:
                     return ZPoly.zero(self.n)
         return ZERO
 
-    def triple(self, a: JElem, b: JElem, c: JElem) -> JElem:
+    def triple(self, a: JElem, b: JElem, c: JElem, ac: JElem | None = None,
+               bc: JElem | None = None) -> JElem:
         """Triple product {a,b,c} = (a o b) o c + a o (b o c) - (a o c) o b.
 
         Outer slots a, c are symmetric; for matrix kinds this is
-        (abc + cba)/2 in ordinary matrix notation.
+        (abc + cba)/2 in ordinary matrix notation.  ``ac`` and ``bc``
+        are a o c and b o c when the caller has them already.
         """
         ab_c = self.product(self.product(a, b), c)
-        a_bc = self.product(a, self.product(b, c))
-        ac_b = self.product(self.product(a, c), b)
-        return JElem(
-            tuple(
-                x + y + _entry_scale(Fraction(-1), z)
-                for x, y, z in zip(ab_c.coords, a_bc.coords, ac_b.coords)
-            )
-        )
+        a_bc = self.product(a, self.product(b, c) if bc is None else bc)
+        ac_b = self.product(self.product(a, c) if ac is None else ac, b)
+        return JElem(tuple(x + y - z for x, y, z in zip(ab_c.coords, a_bc.coords, ac_b.coords)))
 
     def trace(self, a: JElem):
         out = None
         for ti, ai in zip(self.trace_vec, a.coords):
             if not ti or ai.is_zero():
                 continue
-            term = _entry_scale(ti, ai)
+            term = _entry_scale(Scalar(ti), ai)
             out = term if out is None else out + term
         if out is None:
             return self._zero_like(a)
@@ -212,7 +211,8 @@ class JordanAlgebra:
         return self.trace(self.product(a, b))
 
     def scale_elem(self, c: Fraction, a: JElem) -> JElem:
-        return JElem(tuple(_entry_scale(c, x) for x in a.coords))
+        s = Scalar(c)
+        return JElem(tuple(_entry_scale(s, x) for x in a.coords))
 
     def add_elem(self, a: JElem, b: JElem) -> JElem:
         return JElem(tuple(x + y for x, y in zip(a.coords, b.coords)))
@@ -545,10 +545,12 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
     {b, q, adj q} = F b (the inverse triple times F); {{adj q, v, adj q}, q,
     v} = F adj q o (v o v) (the triple shift times F^2); the fundamental
     identity {q, {b, q, c}, q} = {{q, b, q}, c, q}, with U_q b_k = {q, b_k, q}
-    formed once and extended linearly.  The shift is quadratic in v: the
-    polarised set b_i + b_j would cover every v, but takes 15 s on sym:4, so
-    only the basis v is checked.  ``rng`` only picks the rational point at
-    which a failing identity's residual is shown.
+    formed once and extended linearly.  adj q o adj q, U_q b_k o q and b_k o q
+    are formed once; no product is reordered, so a non-commutative structure
+    still fails.  The shift is quadratic in v: the polarised set b_i + b_j
+    would cover every v, but takes 15 s on sym:4, so only the basis v is
+    checked.  ``rng`` only picks the rational point at which a failing
+    identity's residual is shown.
     """
     q = J.generic_elem()
     adj = J.adjugate_elem()
@@ -593,8 +595,9 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
         return True, None
 
     def shift_identity():
+        adj2 = J.product(adj, adj)
         for i, v in enumerate(basis):
-            lhs = J.triple(J.triple(adj, v, adj), q, v)
+            lhs = J.triple(J.triple(adj, v, adj, ac=adj2), q, v)
             bad = mismatch(lhs, times_F(J.product(adj, J.product(v, v))))
             if bad:
                 return False, f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}: {bad}"
@@ -602,13 +605,15 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
 
     def fundamental_identity():
         U = [J.triple(q, b, q) for b in basis]
+        Uq = [J.product(u, q) for u in U]
+        bq = [J.product(b, q) for b in basis]
         for i, b in enumerate(basis):
             for j, c in enumerate(basis):
                 lhs = [ZPoly.zero(J.n)] * J.n
                 for t, Ut in zip(J.triple(b, q, c).coords, U):
                     if not t.is_zero():
                         lhs = [x + t * y for x, y in zip(lhs, Ut.coords)]
-                bad = mismatch(JElem(lhs), J.triple(U[i], c, q))
+                bad = mismatch(JElem(lhs), J.triple(U[i], c, q, ac=Uq[i], bc=bq[j]))
                 if bad:
                     return False, (f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at "
                                    f"b={J.labels[i]}, c={J.labels[j]}: {bad}")

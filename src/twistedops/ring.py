@@ -1,7 +1,8 @@
 """Exact coefficient arithmetic and the function ring of the square-root cover.
 
 The coefficient field is Q(i), the Gaussian rationals, represented by
-:class:`Scalar`.  On top of it sit
+:class:`Scalar`: a Gaussian integer over one positive denominator, three
+ints in lowest terms.  On top of it sit
 
 * :class:`ZPoly` -- sparse polynomials in coordinates ``z1..zn`` and the
   formal twist parameter L (printed ``L``) with Scalar coefficients; the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -65,59 +66,69 @@ class ParseError(RingError):
 # Scalars: the field Q(i)
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 class Scalar:
-    """A Gaussian rational ``re + im*i`` with exact Fraction parts."""
+    """A Gaussian rational ``(a + b*i) / d`` held as three ints.
 
-    __slots__ = ("re", "im")
+    ``d > 0`` and ``gcd(a, b, d) == 1``, so every value has exactly one
+    triple and ``==`` compares triples.  ``Scalar(re, im)`` takes ints or
+    Fractions; ``re`` and ``im`` read the parts back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        # reduced parts over the lcm of their denominators have no common factor
+        p, q, s, t = re.numerator, re.denominator, im.numerator, im.denominator
+        d = q * t // gcd(q, t)
+        _set_a(self, p * (d // q))
+        _set_b(self, s * (d // t))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("Scalar is immutable")
 
+    re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a Fraction.")
+    im = property(lambda self: Fraction(self.b, self.d), doc="The imaginary part, a Fraction.")
+
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self.a or self.b)
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self.b
 
     # -- arithmetic --------------------------------------------------------
-    # real operands skip the imaginary arithmetic; the result is the same
+    # integer results skip the gcd; equal denominators add without cross-multiplying
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not self.im and not other.im:
-            return Scalar(self.re + other.re)
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            a, b = self.a + other.a, self.b + other.b
+            return _triple(a, b, 1) if d == 1 else _reduced(a, b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        return self + _triple(-other.a, -other.b, other.d)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        d = self.d * other.d
+        return _triple(a, b, 1) if d == 1 else _reduced(a, b, d)
 
     def inv(self) -> "Scalar":
-        if self.is_zero():
+        a, b, d = self.a, self.b, self.d
+        if not (a or b):
             raise ZeroDivisionError("inversion of zero scalar")
-        d = self.re * self.re + self.im * self.im
-        return Scalar(self.re / d, -self.im / d)
+        return _reduced(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -136,14 +147,10 @@ class Scalar:
 
     # -- comparison --------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.re == other.re
-            and self.im == other.im
-        )
+        return isinstance(other, Scalar) and self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def sort_key(self):
         return (self.re, self.im)
@@ -153,6 +160,25 @@ class Scalar:
 
     def __str__(self) -> str:
         return scalar_str(self)
+
+
+_new_scalar = object.__new__
+_set_a, _set_b, _set_d = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
+
+
+def _triple(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d; the triple must already be normalised."""
+    s = _new_scalar(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    return _triple(a, b, d) if g == 1 else _triple(a // g, b // g, d // g)
 
 
 ZERO = Scalar(0)
@@ -516,7 +542,7 @@ def lambda_str(p: LambdaPoly) -> str:
         if c.is_zero():
             continue
         cs = scalar_str(c)
-        if c.im and c.re:
+        if c.a and c.b:
             cs = f"({cs})"
         if k == 0:
             parts.append(cs)

@@ -20,6 +20,7 @@ coefficients (derivatives count zero).
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import Mapping
 
@@ -67,6 +68,12 @@ def _sub_indices(beta: MultiIndex):
     for rest in _sub_indices(beta[1:]):
         for d in range(head + 1):
             yield (d,) + rest
+
+
+@cache
+def _sorted_sub_indices(beta: MultiIndex) -> tuple:
+    """The indices of ``_sub_indices(beta)``, lowest total degree first."""
+    return tuple(sorted(_sub_indices(beta), key=sum))
 
 
 def _partial(cache: dict, idx: MultiIndex):
@@ -156,7 +163,7 @@ class _NormalOrdered:
         for gamma, b in other.terms.items():
             partials = {(0,) * len(gamma): b}
             for beta, a in self.terms.items():
-                for delta in sorted(_sub_indices(beta), key=sum):
+                for delta in _sorted_sub_indices(beta):
                     db = _partial(partials, delta)
                     if db.is_zero():
                         continue

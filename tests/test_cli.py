@@ -243,3 +243,14 @@ def test_usage_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["{tmp}/missing/x.json", "{tmp}"], ids=["missing-dir", "is-dir"])
+def test_unwritable_output_fails_before_the_suite_runs(capsys, tmp_path, monkeypatch, target):
+    calls = []
+    monkeypatch.setattr(cli.verify, "run_suite", lambda *a, **k: calls.append(a))
+    code = cli.main(["verify", "--algebra", "full:3", "--output", target.replace("{tmp}", str(tmp_path))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write --output")
+    assert calls == []

@@ -1,5 +1,6 @@
 """Algebra families: structure data, products, norm calculus."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -249,15 +250,45 @@ def test_full_suite_wrapper(spin3):
     assert len(results) >= 10
 
 
+def lifted(J, e: JElem) -> list:
+    """The coordinates of ``e`` as polynomials, constants included."""
+    return [c if isinstance(c, ZPoly) else ZPoly.const(J.n, c) for c in e.coords]
+
+
+def reference_product(J, a: JElem, b: JElem) -> list:
+    """a o b summed straight from the Fraction structure constants ``prod``."""
+    x, y = lifted(J, a), lifted(J, b)
+    out = [ZPoly.zero(J.n)] * J.n
+    for i, j, k in itertools.product(range(J.n), repeat=3):
+        if J.prod[i][j][k]:
+            out[k] = out[k] + (x[i] * y[j]).scale(Scalar(J.prod[i][j][k]))
+    return out
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_product_table_matches_fraction_constants(selector):
+    J = from_selector(selector)
+    q, adj = J.generic_elem(), J.adjugate_elem()
+    basis = [J.basis_element(i) for i in range(J.n)]
+    point = random_point(J, random.Random(3))
+    args = [q, adj, point, J.idempotent_elem(), *basis]
+    for a, b in itertools.product(args, repeat=2):
+        got = J.product(a, b)
+        assert lifted(J, got) == reference_product(J, a, b)
+        if not isinstance(a[0], ZPoly) and not isinstance(b[0], ZPoly):
+            assert all(isinstance(c, Scalar) for c in got.coords)
+
+
 # ---------------------------------------------------------------------------
 # Negative control: corrupt one structure constant
 # ---------------------------------------------------------------------------
 
-def corrupt_structure(J, delta=Fraction(1, 3)):
+def corrupt_structure(J, delta=Fraction(1, 3), commutative=True):
     import dataclasses
     prod = [[[c for c in cell] for cell in row] for row in J.prod]
     prod[0][J.n - 1][0] += delta
-    prod[J.n - 1][0][0] += delta  # keep the product commutative
+    if commutative:
+        prod[J.n - 1][0][0] += delta
     return dataclasses.replace(J, prod=tuple(tuple(tuple(c) for c in row) for row in prod))
 
 
@@ -277,6 +308,15 @@ def test_corrupt_product_identities_fail_at_a_basis_element(sym2):
         assert not check.ok, name
         assert any(f"={label}" in check.witness for label in bad.labels), check.witness
         assert "terms, value" in check.witness
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_noncommutative_corruption_fails_the_triple_identities(selector):
+    bad = corrupt_structure(from_selector(selector), commutative=False)  # b1 o bn != bn o b1
+    results = {c.name: c for c in point_identities(bad, random.Random(0))}
+    for name in ("triple-shift", "triple-fundamental"):
+        assert not results[name].ok, name
+        assert f"={bad.labels[0]}" in results[name].witness, results[name].witness
 
 
 def test_primitive_idempotent_guard(full2):

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: scalars, twist polynomials, fractions, w."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,8 @@ def test_scalar_field_ops():
 def test_scalar_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         ZERO.inv()
+    with pytest.raises(ZeroDivisionError):
+        Scalar(0).inv()
 
 
 def test_scalar_normalization():
@@ -73,6 +76,67 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 def test_scalar_mul_distributes(a, b, c, d):
     x, y, z = Scalar(a, b), Scalar(c, d), Scalar(b, c)
     assert x * (y + z) == x * y + x * z
+
+
+def kernel(s: Scalar) -> tuple:
+    """The value of ``s`` as a (re, im) pair, after checking the invariants."""
+    assert s.d > 0 and gcd(s.a, s.b, s.d) == 1, (s.a, s.b, s.d)
+    return Fraction(s.a, s.d), Fraction(s.b, s.d)
+
+
+def ref_mul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_inv(x: tuple) -> tuple:
+    norm = x[0] * x[0] + x[1] * x[1]
+    return x[0] / norm, -x[1] / norm
+
+
+def ref_str(x: tuple) -> str:
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+scalar_parts = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@given(scalar_parts, scalar_parts, scalar_parts, scalar_parts, st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_scalar_matches_fraction_pair_reference(a, b, c, d, k):
+    x, y = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))
+    s, t = Scalar(a, b), Scalar(c, d)
+    assert kernel(s) == x and (s.re, s.im) == x
+    assert str(s) == ref_str(x)
+    assert kernel(s + t) == (x[0] + y[0], x[1] + y[1])
+    assert kernel(s - t) == (x[0] - y[0], x[1] - y[1])
+    assert kernel(-s) == (-x[0], -x[1])
+    assert kernel(s * t) == ref_mul(x, y)
+    assert (s == t) == (x == y)
+    back = (s + t) - t  # the same value reached through other denominators
+    assert back == s and hash(back) == hash(s)
+    assert Scalar(*x) == s and hash(Scalar(*x)) == hash(s)
+    assert not s == x[0] and s != x
+    if any(y):
+        assert kernel(t.inv()) == ref_inv(y)
+        assert kernel(s / t) == ref_mul(x, ref_inv(y))
+    if any(x) or k >= 0:
+        want, base = (Fraction(1), Fraction(0)), x if k >= 0 else ref_inv(x)
+        for _ in range(abs(k)):
+            want = ref_mul(want, base)
+        assert kernel(s ** k) == want
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, 1j])
+def test_scalar_rejects_non_rationals(bad):
+    with pytest.raises(TypeError):
+        Scalar(bad)
+    with pytest.raises(TypeError):
+        Scalar(0, bad)
 
 
 # ---------------------------------------------------------------------------
