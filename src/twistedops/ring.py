@@ -622,7 +622,7 @@ class RingContext:
 
 
 def _check_ctx(a: RingContext, b: RingContext) -> None:
-    if not a.compatible(b):
+    if a is not b and not a.compatible(b):
         raise ContextMismatchError("values built over different norm contexts")
 
 
@@ -635,17 +635,22 @@ class LocFn:
 
     ``num``, ``k``, equality, hashing and printing use the reduced
     (minimal-k) pair, which :meth:`_reduce` computes once, on first use.
+
+    A zero fraction keeps the zero numerator it was given and has k = 0.
+    Arithmetic skips zero operands: a sum with zero is the other operand,
+    and a product, derivative, scaling, negation or ``mul_F`` of zero is
+    that zero itself, so no value is built for it.
     """
 
     __slots__ = ("ctx", "_num", "_k", "_reduced")
 
     def __init__(self, ctx: RingContext, num: ZPoly, k: int = 0):
-        if num.is_zero():
-            num, k = ZPoly.zero(ctx.n), 0
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_reduced", None if k else (num, 0))
+        if not num.terms:
+            k = 0
+        _set_ctx(self, ctx)
+        _set_num(self, num)
+        _set_k(self, k)
+        _set_reduced(self, None if k else (num, 0))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LocFn is immutable")
@@ -661,7 +666,7 @@ class LocFn:
                     break
                 num, k = q, k - 1
             reduced = (num, k)
-            object.__setattr__(self, "_reduced", reduced)
+            _set_reduced(self, reduced)
         return reduced
 
     @property
@@ -695,6 +700,10 @@ class LocFn:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LocFn") -> "LocFn":
         _check_ctx(self.ctx, other.ctx)
+        if not self._num.terms:
+            return other
+        if not other._num.terms:
+            return self
         if self._k == other._k:
             return LocFn(self.ctx, self._num + other._num, self._k)
         if self._k > other._k:
@@ -705,6 +714,8 @@ class LocFn:
         return LocFn(self.ctx, hi._num + lifted, hi._k)
 
     def __neg__(self) -> "LocFn":
+        if not self._num.terms:
+            return self
         return LocFn(self.ctx, -self._num, self._k)
 
     def __sub__(self, other: "LocFn") -> "LocFn":
@@ -712,17 +723,27 @@ class LocFn:
 
     def __mul__(self, other: "LocFn") -> "LocFn":
         _check_ctx(self.ctx, other.ctx)
+        if not self._num.terms:
+            return self
+        if not other._num.terms:
+            return other
         return LocFn(self.ctx, self._num * other._num, self._k + other._k)
 
     def mul_F(self) -> "LocFn":
         if self._k > 0:
             return LocFn(self.ctx, self._num, self._k - 1)
+        if not self._num.terms:
+            return self
         return LocFn(self.ctx, self._num * self.ctx.F, 0)
 
     def scale(self, c: Scalar | LambdaPoly) -> "LocFn":
+        if not self._num.terms:
+            return self
         return LocFn(self.ctx, self._num.scale(c), self._k)
 
     def derivative(self, i: int) -> "LocFn":
+        if not self._num.terms:
+            return self
         dnum = self._num.derivative(i)
         if self._k == 0:
             return LocFn(self.ctx, dnum, 0)
@@ -752,6 +773,10 @@ class LocFn:
         if self.k == 0:
             return f"LocFn({self.num!r})"
         return f"LocFn({self.num!r} / F^{self.k})"
+
+
+_set_ctx, _set_num, _set_k, _set_reduced = (
+    LocFn.ctx.__set__, LocFn._num.__set__, LocFn._k.__set__, LocFn._reduced.__set__)
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +850,23 @@ class SuperFn:
         return self + (-other)
 
     def __mul__(self, other: "SuperFn") -> "SuperFn":
+        """(a + b w)(c + d w) = (a c + b d F) + (a d + b c) w.
+
+        Only the part products whose two factors are both nonzero are
+        formed; a product with a zero factor is that factor.  The twisted
+        families, w, dF and their commutators are each purely even or
+        purely odd, so a product of two of them is one LocFn product, not
+        four.
+        """
         _check_ctx(self.ctx, other.ctx)
-        ev = self.ev * other.ev + (self.od * other.od).mul_F()
-        od = self.ev * other.od + self.od * other.ev
+        a, b, c, d = self.ev, self.od, other.ev, other.od
+        az, bz, cz, dz = not a._num.terms, not b._num.terms, not c._num.terms, not d._num.terms
+        ev = a if az else c if cz else a * c
+        od = a if az else d if dz else a * d
+        if not (bz or dz):
+            ev = ev + (b * d).mul_F()
+        if not (bz or cz):
+            od = od + b * c
         return SuperFn(self.ctx, ev, od)
 
     def scale(self, c: Scalar | LambdaPoly) -> "SuperFn":

@@ -21,7 +21,7 @@ coefficients (derivatives count zero).
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+from math import comb, prod
 from typing import Mapping
 
 from .jordan import JordanAlgebra, JElem
@@ -52,13 +52,6 @@ def _check_alg(a: JordanAlgebra, b: JordanAlgebra) -> None:
         raise ContextMismatchError("operators over different algebras")
 
 
-def _multi_binom(beta: MultiIndex, delta: MultiIndex) -> int:
-    out = 1
-    for b, d in zip(beta, delta):
-        out *= comb(b, d)
-    return out
-
-
 def _sub_indices(beta: MultiIndex):
     """All delta with 0 <= delta <= beta componentwise."""
     if not beta:
@@ -71,9 +64,19 @@ def _sub_indices(beta: MultiIndex):
 
 
 @cache
-def _sorted_sub_indices(beta: MultiIndex) -> tuple:
-    """The indices of ``_sub_indices(beta)``, lowest total degree first."""
-    return tuple(sorted(_sub_indices(beta), key=sum))
+def _leibniz(beta: MultiIndex) -> tuple:
+    """The Leibniz table of d^beta: one ``(delta, C(beta, delta), beta - delta)``
+    per ``delta`` of ``_sub_indices(beta)``, lowest total degree first.
+
+    The binomial is a Scalar, or None when it is 1.  Keyed on beta alone,
+    the table stays as small as the set of derivative orders in use.
+    """
+    table = []
+    for delta in sorted(_sub_indices(beta), key=sum):
+        coeff = prod(comb(b, d) for b, d in zip(beta, delta))
+        rest = tuple(b - d for b, d in zip(beta, delta))
+        table.append((delta, None if coeff == 1 else Scalar(coeff), rest))
+    return tuple(table)
 
 
 def _partial(cache: dict, idx: MultiIndex):
@@ -156,22 +159,22 @@ class _NormalOrdered:
         """Normal-ordered product self . other (apply ``other`` first).
 
         Leibniz rule: d^beta . b = sum_{delta <= beta} C(beta, delta)
-        (d^delta b) d^(beta - delta).
+        (d^delta b) d^(beta - delta), with delta, the binomial and
+        beta - delta read from the cached per-beta table ``_leibniz``.
         """
         _check_alg(self.alg, other.alg)
         out: dict = {}
         for gamma, b in other.terms.items():
             partials = {(0,) * len(gamma): b}
             for beta, a in self.terms.items():
-                for delta in _sorted_sub_indices(beta):
+                for delta, coeff, rest in _leibniz(beta):
                     db = _partial(partials, delta)
                     if db.is_zero():
                         continue
-                    coeff = _multi_binom(beta, delta)
                     term = a * db
-                    if coeff != 1:
-                        term = term.scale(Scalar(coeff))
-                    idx = tuple(bb - dd + gg for bb, dd, gg in zip(beta, delta, gamma))
+                    if coeff is not None:
+                        term = term.scale(coeff)
+                    idx = tuple(r + g for r, g in zip(rest, gamma))
                     acc = out.get(idx)
                     s = term if acc is None else acc + term
                     if s.is_zero():

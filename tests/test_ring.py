@@ -574,3 +574,139 @@ def test_ring_laws_with_twist_in_coefficients(data):
     assert (fa * fb).subst_lambda(v) == fa.subst_lambda(v) * fb.subst_lambda(v)
     if not F.evaluate(point).is_zero():
         assert (fa * fb).evaluate(point, lam) == fa.evaluate(point, lam) * fb.evaluate(point, lam)
+
+
+# ---------------------------------------------------------------------------
+# Zero parts: skipped by the arithmetic, one canonical zero fraction
+# ---------------------------------------------------------------------------
+
+def _ref_locfn_add(x: LocFn, y: LocFn) -> LocFn:
+    """x + y over the common power of F, built even when a summand is zero."""
+    ctx, k = x.ctx, max(x.k, y.k)
+    return LocFn(ctx, x.num * ctx.F_pow(k - x.k) + y.num * ctx.F_pow(k - y.k), k)
+
+
+def _ref_locfn_mul(x: LocFn, y: LocFn) -> LocFn:
+    return LocFn(x.ctx, x.num * y.num, x.k + y.k)
+
+
+def _ref_locfn_mul_F(x: LocFn) -> LocFn:
+    return LocFn(x.ctx, x.num * x.ctx.F, x.k)
+
+
+def _ref_locfn_derivative(x: LocFn, i: int) -> LocFn:
+    """(p / F^k)' = (p' F - k p F') / F^(k+1)."""
+    ctx = x.ctx
+    num = x.num.derivative(i) * ctx.F - x.num.scale(Scalar(x.k)) * ctx.dF(i)
+    return LocFn(ctx, num, x.k + 1)
+
+
+def _ref_mul(f: SuperFn, g: SuperFn) -> SuperFn:
+    """(a + b w)(c + d w) with all four part products formed."""
+    a, b, c, d = f.ev, f.od, g.ev, g.od
+    ev = _ref_locfn_add(_ref_locfn_mul(a, c), _ref_locfn_mul_F(_ref_locfn_mul(b, d)))
+    od = _ref_locfn_add(_ref_locfn_mul(a, d), _ref_locfn_mul(b, c))
+    return SuperFn(f.ctx, ev, od)
+
+
+def _ref_derivative(f: SuperFn, i: int) -> SuperFn:
+    """(e + o w)' = e' + (o' + o F' / (2 F)) w."""
+    ctx = f.ctx
+    half_chain = LocFn(ctx, f.od.num * ctx.dF(i), f.od.k + 1).scale(sc("1/2"))
+    od = _ref_locfn_add(_ref_locfn_derivative(f.od, i), half_chain)
+    return SuperFn(ctx, _ref_locfn_derivative(f.ev, i), od)
+
+
+def _ref_neg(f: SuperFn) -> SuperFn:
+    return SuperFn(f.ctx, LocFn(f.ctx, -f.ev.num, f.ev.k), LocFn(f.ctx, -f.od.num, f.od.k))
+
+
+def _assert_zero_parts_canonical(ctx, *values):
+    zero = LocFn.zero(ctx)
+    for v in values:
+        for part in (v.ev, v.od) if isinstance(v, SuperFn) else (v,):
+            if part.is_zero():
+                assert part.k == 0 and part.num.n == ctx.n
+                assert part == zero and hash(part) == hash(zero)
+                assert superfn_str(SuperFn(ctx, part, part)) == "0"
+
+
+def _zero_parts_contexts():
+    from twistedops import jordan
+    n = 2
+    z0, z1 = ZPoly.coord(n, 0), ZPoly.coord(n, 1)
+    return [RingContext(n, z0 * z1 - ZPoly.one(n), 2), jordan.make_spin(2).ring]
+
+
+@st.composite
+def mixed_parts(draw, ctx):
+    """A LocFn that is zero (built one of several ways), a polynomial or p / F^k."""
+    kind = draw(st.sampled_from(["zero", "polynomial", "fraction"]))
+    n = ctx.n
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = tuple(draw(st.integers(0, 2)) for _ in range(n)) + (draw(st.integers(0, 1)),)
+        terms[mono] = Scalar(draw(coeff_strategy), draw(coeff_strategy))
+    p = ZPoly(n, terms)
+    if p.is_zero():
+        p = ZPoly.one(n)
+    k = draw(st.integers(1, 2))
+    if kind == "polynomial":
+        return LocFn(ctx, p, 0)
+    if kind == "fraction":
+        return LocFn(ctx, p, k)
+    frac = LocFn(ctx, p, k)
+    how = draw(st.sampled_from(["constructor", "product", "sum", "derivative"]))
+    if how == "constructor":
+        return LocFn(ctx, ZPoly.zero(n), draw(st.integers(0, 3)))
+    if how == "product":
+        return frac * LocFn(ctx, ZPoly.zero(n), draw(st.integers(0, 3)))
+    if how == "sum":
+        return frac + (-frac)
+    return LocFn(ctx, ZPoly.const(n, Scalar(draw(coeff_strategy), 1)), 0).derivative(0)
+
+
+@pytest.mark.parametrize("ctx", _zero_parts_contexts(), ids=["F=z1z2-1", "spin:2"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_superfn_arithmetic_with_zero_parts_matches_four_products(ctx, data):
+    f = SuperFn(ctx, data.draw(mixed_parts(ctx)), data.draw(mixed_parts(ctx)))
+    g = SuperFn(ctx, data.draw(mixed_parts(ctx)), data.draw(mixed_parts(ctx)))
+    i = data.draw(st.integers(0, ctx.n - 1))
+    c = Scalar(data.draw(coeff_strategy), data.draw(coeff_strategy))
+    results = {
+        "mul": (f * g, _ref_mul(f, g)),
+        "add": (f + g, SuperFn(ctx, _ref_locfn_add(f.ev, g.ev), _ref_locfn_add(f.od, g.od))),
+        "sub": (f - g, SuperFn(ctx, *(_ref_locfn_add(x, y) for x, y in
+                                      zip((f.ev, f.od), (_ref_neg(g).ev, _ref_neg(g).od))))),
+        "neg": (-f, _ref_neg(f)),
+        "derivative": (f.derivative(i), _ref_derivative(f, i)),
+        "scale": (f.scale(c), SuperFn(ctx, LocFn(ctx, f.ev.num.scale(c), f.ev.k),
+                                      LocFn(ctx, f.od.num.scale(c), f.od.k))),
+        "mul_F": (SuperFn(ctx, f.ev.mul_F(), f.od.mul_F()),
+                  SuperFn(ctx, _ref_locfn_mul_F(f.ev), _ref_locfn_mul_F(f.od))),
+    }
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert superfn_str(got) == superfn_str(want), name
+        _assert_zero_parts_canonical(ctx, got)
+    _assert_zero_parts_canonical(ctx, f, g)
+
+
+def test_zero_locfn_is_canonical_however_built(ctx2x2, div_calls):
+    n = ctx2x2.n
+    z0 = ZPoly.coord(n, 0)
+    frac = LocFn(ctx2x2, z0, 2)
+    zeros = [LocFn(ctx2x2, ZPoly.zero(n), k) for k in range(4)]
+    zeros += [frac * zeros[3], zeros[2] * frac, frac - frac, frac + (-frac),
+              LocFn.one(ctx2x2).derivative(1), zeros[1].derivative(0), zeros[3].mul_F(),
+              zeros[2].scale(sc(5)), frac.scale(ZERO), -zeros[1],
+              (SuperFn.w(ctx2x2) - SuperFn.w(ctx2x2)).od]
+    div_calls.clear()
+    assert [z.k for z in zeros] == [0] * len(zeros)
+    assert div_calls == []  # a zero fraction is stored with k = 0, so nothing reduces
+    _assert_zero_parts_canonical(ctx2x2, *zeros)
+    assert all(z.is_zero() for z in zeros)
+    # a zero operand is passed through, not rebuilt
+    assert frac + zeros[0] is frac and zeros[0] + frac is frac
+    assert (frac * zeros[1]) is zeros[1] and zeros[1].derivative(2) is zeros[1]

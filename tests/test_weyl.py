@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 import sympy
@@ -20,7 +21,7 @@ from twistedops.ring import (
     ONE,
     ParseError,
 )
-from twistedops.weyl import DiffOp, PolyOpPlus, diffop_str, fourier, parse_diffop
+from twistedops.weyl import DiffOp, PolyOpPlus, _sub_indices, diffop_str, fourier, parse_diffop
 
 
 def sc(x):
@@ -97,6 +98,54 @@ def test_associativity_random(spin3):
     for _ in range(6):
         A, B, C = rand_op(), rand_op(), rand_op()
         assert A.compose(B).compose(C) == A.compose(B.compose(C))
+
+
+def leibniz_reference(A, B):
+    """A . B term by term: every partial recomputed, every binomial from comb."""
+    out = type(A).zero(A.alg)
+    for gamma, b in B.terms.items():
+        for beta, a in A.terms.items():
+            for delta in _sub_indices(beta):
+                db = b
+                for i, e in enumerate(delta):
+                    for _ in range(e):
+                        db = db.derivative(i)
+                coeff = prod(comb(x, y) for x, y in zip(beta, delta))
+                idx = tuple(x - y + g for x, y, g in zip(beta, delta, gamma))
+                out = out + type(A)(A.alg, {idx: (a * db).scale(Scalar(coeff))})
+    return out
+
+
+@st.composite
+def spin3_operators(draw, J, polynomial):
+    """A DiffOp (or PolyOpPlus) on spin:3 with derivative orders up to 2 per
+    coordinate; DiffOp coefficients are even, odd or mixed, with F-powers."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        beta = tuple(draw(st.integers(0, 2)) for _ in range(3))
+        parts = []
+        for odd in (False, True):
+            mono = tuple(draw(st.integers(0, 2)) for _ in range(3))
+            c = LambdaPoly([Scalar(draw(st.integers(-3, 3))) for _ in range(draw(st.integers(1, 2)))])
+            parts.append(ZPoly.monomial(3, mono, c) if polynomial else
+                         mono_fn(J, mono, c, odd=odd, k=draw(st.integers(0, 1))))
+        if polynomial:
+            terms[beta] = parts[0]
+        else:
+            keep = draw(st.sampled_from(["even", "odd", "both"]))
+            terms[beta] = {"even": parts[0], "odd": parts[1], "both": parts[0] + parts[1]}[keep]
+    return (PolyOpPlus if polynomial else DiffOp)(J, terms)
+
+
+@pytest.mark.parametrize("polynomial", [False, True], ids=["DiffOp", "PolyOpPlus"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_compose_matches_leibniz_reference(spin3, polynomial, data):
+    A = data.draw(spin3_operators(spin3, polynomial))
+    B = data.draw(spin3_operators(spin3, polynomial))
+    got, want = A.compose(B), leibniz_reference(A, B)
+    assert got == want
+    assert str(got) == str(want)
 
 
 def test_apply_examples(full2, full1):
