@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import jordan, moyal, rep, verify
 from .weyl import diffop_str, polyop_str
 
-RANK_LIMITS = {"sym": 3, "full": 3, "spin": 6}
+RANK_LIMITS = {"sym": 4, "full": 4, "spin": 8}
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -161,7 +161,7 @@ def cmd_algebras(args) -> int:
     )
     for sel in entries:
         J = jordan.from_selector(sel)
-        lines.append(f"{sel:<8}  {J.n}  {J.r}  {J.m}")
+        lines.append(f"{sel:<8}  {J.n:<2} {J.r}  {J.m}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -25,11 +25,12 @@ extracted by exact linear algebra at a specialized rational twist.
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jordan import JElem, JordanAlgebra
-from .ring import _POSINT, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ZERO
+from .jordan import DimensionMismatchError, JElem, JordanAlgebra
+from .ring import _POSINT, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 
 # default rational twist used for span/rank computations; any value off
@@ -87,23 +88,55 @@ def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
     return LambdaPoly.from_rational(lam)
 
 
+# per algebra, the twist-free second-order part of pi^(b_k) for every k;
+# the rows hold SuperFns over J.ring, not J, so an entry goes with its algebra
+_SECOND_ORDER_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _second_order_rows(J: JordanAlgebra) -> tuple:
+    """- sum_ij {b_k, b^j, q}_i d_i d_j as a ``{beta: SuperFn}`` row per k.
+
+    n^2 triples, built on first use; b_k o q and b^j o q are formed once.
+    """
+    rows = _SECOND_ORDER_ROWS.get(J)
+    if rows is None:
+        q = J.generic_elem()
+        n = J.n
+        duals = [J.dual_basis_element(j) for j in range(n)]
+        duals_q = [J.product(d, q) for d in duals]
+        rows = []
+        for k in range(n):
+            b = J.basis_element(k)
+            b_q = J.product(b, q)
+            second: dict[tuple, ZPoly] = {}
+            for j in range(n):
+                trip = J.triple(b, duals[j], q, ac=b_q, bc=duals_q[j])
+                for i, c in enumerate(trip.coords):
+                    idx = tuple(int(t == i) + int(t == j) for t in range(n))
+                    second[idx] = second.get(idx, ZPoly.zero(n)) - c
+            rows.append({idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()})
+        rows = _SECOND_ORDER_ROWS[J] = tuple(rows)
+    return rows
+
+
 def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> DiffOp:
     """- sum_ij {y, b^j, q}_i d_i d_j - 2 m L d^y at the generic element q.
 
     {y, b^j, q}_i = tr({b^i, y, b^j} o q) by tr({a, b, c} o d) =
     tr(a o {b, c, d}); summing over every pair (i, j) gives the off-diagonal
-    factor 2.  ``lam`` defaults to the formal parameter; pass an int, a
-    Fraction or a LambdaPoly to specialize.
+    factor 2.  The second-order part is linear in y, so it is
+    sum_k y_k row_k with the rows of the basis elements b_k, built once
+    per algebra.  ``lam`` defaults to the formal parameter; pass an int,
+    a Fraction or a LambdaPoly to specialize.
     """
-    q = J.generic_elem()
-    n = J.n
-    second: dict[tuple, ZPoly] = {}
-    for j in range(n):
-        for i, c in enumerate(J.triple(y, J.dual_basis_element(j), q).coords):
-            idx = tuple(int(k == i) + int(k == j) for k in range(n))
-            second[idx] = second.get(idx, ZPoly.zero(n)) - c
-    first = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
-    return DiffOp(J, {idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()}) + first
+    if len(y) != J.n:
+        raise DimensionMismatchError(f"expected {J.n} coordinates")
+    op = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
+    for row, yk in zip(_second_order_rows(J), y.coords):
+        if not yk.is_zero():
+            part = DiffOp(J, row)
+            op = op + (part if yk == ONE else part.scale(yk))
+    return op
 
 
 def pi_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> DiffOp:

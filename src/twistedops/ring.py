@@ -791,9 +791,9 @@ class SuperFn:
     def __init__(self, ctx: RingContext, ev: LocFn, od: LocFn):
         _check_ctx(ctx, ev.ctx)
         _check_ctx(ctx, od.ctx)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ev", ev)
-        object.__setattr__(self, "od", od)
+        _set_fctx(self, ctx)
+        _set_ev(self, ev)
+        _set_od(self, od)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("SuperFn is immutable")
@@ -841,10 +841,10 @@ class SuperFn:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "SuperFn") -> "SuperFn":
         _check_ctx(self.ctx, other.ctx)
-        return SuperFn(self.ctx, self.ev + other.ev, self.od + other.od)
+        return _superfn(self.ctx, self.ev + other.ev, self.od + other.od)
 
     def __neg__(self) -> "SuperFn":
-        return SuperFn(self.ctx, -self.ev, -self.od)
+        return _superfn(self.ctx, -self.ev, -self.od)
 
     def __sub__(self, other: "SuperFn") -> "SuperFn":
         return self + (-other)
@@ -867,10 +867,10 @@ class SuperFn:
             ev = ev + (b * d).mul_F()
         if not (bz or cz):
             od = od + b * c
-        return SuperFn(self.ctx, ev, od)
+        return _superfn(self.ctx, ev, od)
 
     def scale(self, c: Scalar | LambdaPoly) -> "SuperFn":
-        return SuperFn(self.ctx, self.ev.scale(c), self.od.scale(c))
+        return _superfn(self.ctx, self.ev.scale(c), self.od.scale(c))
 
     def derivative(self, i: int) -> "SuperFn":
         """Partial derivative using the chain rule for w: w' = F'/(2F) * w."""
@@ -879,10 +879,10 @@ class SuperFn:
         if not od.is_zero():
             chain = LocFn(self.ctx, od._num * self.ctx.dF(i), od._k + 1).scale(HALF)
             od_new = od_new + chain
-        return SuperFn(self.ctx, self.ev.derivative(i), od_new)
+        return _superfn(self.ctx, self.ev.derivative(i), od_new)
 
     def subst_lambda(self, value: LambdaPoly) -> "SuperFn":
-        return SuperFn(self.ctx, self.ev.subst_lambda(value), self.od.subst_lambda(value))
+        return _superfn(self.ctx, self.ev.subst_lambda(value), self.od.subst_lambda(value))
 
     # -- comparison ----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -901,6 +901,18 @@ class SuperFn:
 
     def __str__(self) -> str:
         return superfn_str(self)
+
+
+_set_fctx, _set_ev, _set_od = SuperFn.ctx.__set__, SuperFn.ev.__set__, SuperFn.od.__set__
+
+
+def _superfn(ctx: RingContext, ev: LocFn, od: LocFn) -> SuperFn:
+    """The SuperFn ``ev + od*w``; both parts must already be over ``ctx``."""
+    f = object.__new__(SuperFn)
+    _set_fctx(f, ctx)
+    _set_ev(f, ev)
+    _set_od(f, od)
+    return f
 
 
 HALF = Scalar(Fraction(1, 2))

@@ -5,7 +5,9 @@ coefficients c_beta are :class:`~twistedops.ring.SuperFn` values (so they
 may involve w and inverse powers of the norm F) and d^beta is a monomial
 in the coordinate derivatives.  Coefficients always stand to the left of
 the derivatives; composition re-establishes that normal order through
-the Leibniz rule, which is where the chain rule for w enters.
+the Leibniz rule, which is where the chain rule for w enters.  A
+commutator sums only the Leibniz terms in which a derivative falls on a
+coefficient: the coefficient ring is commutative, so the others cancel.
 
 :class:`PolyOpPlus` is the analogous polynomial-coefficient operator
 algebra on the opposite coordinate patch (coordinates ``u1..un``); the
@@ -66,7 +68,8 @@ def _sub_indices(beta: MultiIndex):
 @cache
 def _leibniz(beta: MultiIndex) -> tuple:
     """The Leibniz table of d^beta: one ``(delta, C(beta, delta), beta - delta)``
-    per ``delta`` of ``_sub_indices(beta)``, lowest total degree first.
+    per ``delta`` of ``_sub_indices(beta)``, lowest total degree first, so
+    row 0 is ``((0,)*n, None, beta)``.
 
     The binomial is a Scalar, or None when it is 1.  Keyed on beta alone,
     the table stays as small as the set of derivative orders in use.
@@ -155,19 +158,18 @@ class _NormalOrdered:
         return not self.terms
 
     # -- composition ----------------------------------------------------------
-    def compose(self, other):
-        """Normal-ordered product self . other (apply ``other`` first).
+    def _leibniz_sum(self, other, first: int) -> dict:
+        """The terms of self . other from row ``first`` on of each Leibniz table.
 
         Leibniz rule: d^beta . b = sum_{delta <= beta} C(beta, delta)
         (d^delta b) d^(beta - delta), with delta, the binomial and
         beta - delta read from the cached per-beta table ``_leibniz``.
         """
-        _check_alg(self.alg, other.alg)
         out: dict = {}
         for gamma, b in other.terms.items():
             partials = {(0,) * len(gamma): b}
             for beta, a in self.terms.items():
-                for delta, coeff, rest in _leibniz(beta):
+                for delta, coeff, rest in _leibniz(beta)[first:]:
                     db = _partial(partials, delta)
                     if db.is_zero():
                         continue
@@ -181,10 +183,24 @@ class _NormalOrdered:
                         out.pop(idx, None)
                     else:
                         out[idx] = s
-        return self._with(out)
+        return out
+
+    def compose(self, other):
+        """Normal-ordered product self . other (apply ``other`` first)."""
+        _check_alg(self.alg, other.alg)
+        return self._with(self._leibniz_sum(other, 0))
 
     def commutator(self, other):
-        return self.compose(other) - other.compose(self)
+        """[self, other] = self . other - other . self.
+
+        Row 0 of each Leibniz table is delta = 0, the term a_beta b_gamma
+        d^(beta + gamma).  The coefficient ring is commutative, so the
+        same term b_gamma a_beta d^(gamma + beta) comes out of
+        other . self and the two cancel exactly; only the rows with
+        delta != 0, where a derivative falls on a coefficient, are summed.
+        """
+        _check_alg(self.alg, other.alg)
+        return self._with(self._leibniz_sum(other, 1)) - other._with(other._leibniz_sum(self, 1))
 
     # -- comparison -------------------------------------------------------------
     def __eq__(self, other) -> bool:

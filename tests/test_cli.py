@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, formats, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -73,11 +74,20 @@ def test_verify_failure_exit_code(capsys, monkeypatch, sym2):
 
 
 def test_verify_module_sym4_forced(capsys):
-    # above the desk-scale limit, the module certificate still runs
+    # at the top of the desk-scale range, the module certificate still runs
     code, out, _ = run(capsys, "verify", "--algebra", "sym:4", "--force", "--suite", "hmodule")
     assert code == 0
     assert "module-stability  pass" in out
     assert "overall: pass" in out
+
+
+def test_verify_critical_sym4_within_limit(capsys):
+    # rank 4 is desk scale: no --force, and the critical block stays quick
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--algebra", "sym:4", "--suite", "critical")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert "2/5, 3/5" in out
 
 
 def test_verify_output_file(tmp_path, capsys):
@@ -179,7 +189,7 @@ def test_show_bad_selector(capsys):
 
 
 def test_show_with_force(capsys):
-    code, out, _ = run(capsys, "show", "--algebra", "spin:7", "--op", "p+:1", "--force")
+    code, out, _ = run(capsys, "show", "--algebra", "spin:9", "--op", "p+:1", "--force")
     assert code == 0
 
 
@@ -216,6 +226,7 @@ def test_usage_error_missing_algebra(capsys):
     ("verify", "--algebra", "sym"),
     ("verify", "--algebra", "weird:2"),
     ("verify", "--algebra", "sym:9999"),
+    ("verify", "--algebra", "sym:5"),
     ("critical", "--algebra", "spin:1"),
     ("critical", "--algebra", "sym:0_2"),
     ("critical", "--algebra", "sym: 2"),
@@ -231,9 +242,9 @@ def test_usage_error_missing_algebra(capsys):
     ("algebras", "bogus"),
     ("critical", "--algebra", "full:1", "--output", "{tmp}/missing/out.txt"),
     ("critical", "--algebra", "full:1", "--output", "{tmp}"),
-], ids=["selector-no-size", "selector-kind", "selector-limit", "selector-too-small",
-        "selector-underscore", "selector-space", "verify-twist", "show-twist", "verify-suite",
-        "moyal-negative-degree", "moyal-table", "show-generator", "show-index-range",
+], ids=["selector-no-size", "selector-kind", "selector-limit", "selector-above-rank-4",
+        "selector-too-small", "selector-underscore", "selector-space", "verify-twist", "show-twist",
+        "verify-suite", "moyal-negative-degree", "moyal-table", "show-generator", "show-index-range",
         "show-index-underscore", "show-index-space", "algebras-action", "output-missing-dir",
         "output-is-dir"])
 def test_usage_errors_exit_2_without_traceback(capsys, tmp_path, argv):

@@ -1,5 +1,8 @@
 """Twisted operator families, symmetry span, module action."""
 
+import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from twistedops.jordan import JElem, PrimitiveIdempotentError, from_selector
 from twistedops.ring import LAMBDA, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE, ZERO
 from twistedops.weyl import DiffOp, PolyOpPlus, fourier
 
+from test_jordan import corrupt_structure
 from test_verify import ALGEBRAS
 
 
@@ -194,11 +198,24 @@ def test_twisted_families_match_basis_pair_references(selector):
     # sum over basis pairs, as the paper's coordinate formulas do
     J = from_selector(selector)
     lam0, lam0p = rep.critical_pair(J)
-    elems = [J.basis_element(i) for i in range(J.n)] + [J.idempotent_elem()]
-    for y in elems:
-        for lam in (None, rep.GENERIC_TWIST, lam0, lam0p):
-            assert rep.pi_minus(J, y, lam) == pi_minus_by_pairs(J, y, lam)
-            assert rep.eta_minus(J, y, lam) == eta_minus_by_pairs(J, y, lam)
+    # an off-basis y with mixed coordinates scales the per-basis rows
+    mixed = JElem(([sc(Fraction(1, 2)), sc(-3), Scalar(0, 1)] + [ZERO] * J.n)[:J.n])
+    elems = [J.basis_element(i) for i in range(J.n)] + [J.idempotent_elem(), mixed]
+    # the m+1 control is its own algebra: its own -2mL term and its own rows
+    control = dataclasses.replace(J, m=J.m + 1)
+    for K in (J, control):
+        for y in elems:
+            for lam in (None, rep.GENERIC_TWIST, lam0, lam0p):
+                assert rep.pi_minus(K, y, lam) == pi_minus_by_pairs(K, y, lam)
+                assert rep.eta_minus(K, y, lam) == eta_minus_by_pairs(K, y, lam)
+    # a copy with a corrupted product shares the selector and the ring, not the rows
+    bad = corrupt_structure(J)
+    assert any(rep.pi_minus(bad, y) != rep.pi_minus(J, y) for y in elems)
+    # the rows do not keep their algebra alive
+    gone = weakref.ref(control)
+    del K, control
+    gc.collect()
+    assert gone() is None
 
 
 # ---------------------------------------------------------------------------

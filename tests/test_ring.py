@@ -255,6 +255,8 @@ def test_context_mismatch_rejected(ctx1, ctx2x2):
     other = RingContext(1, ZPoly.one(1) + ZPoly.coord(1, 0), 1)
     with pytest.raises(ContextMismatchError):
         SuperFn.w(ctx1) * SuperFn.w(other)
+    with pytest.raises(ContextMismatchError):
+        SuperFn(ctx1, LocFn.one(other), LocFn.zero(ctx1))
 
 
 def test_locfn_equality_is_cross_multiplication(ctx2x2):

@@ -21,7 +21,7 @@ from twistedops.ring import (
     ONE,
     ParseError,
 )
-from twistedops.weyl import DiffOp, PolyOpPlus, _sub_indices, diffop_str, fourier, parse_diffop
+from twistedops.weyl import DiffOp, PolyOpPlus, _leibniz, _sub_indices, diffop_str, fourier, parse_diffop
 
 
 def sc(x):
@@ -146,6 +146,12 @@ def test_compose_matches_leibniz_reference(spin3, polynomial, data):
     got, want = A.compose(B), leibniz_reference(A, B)
     assert got == want
     assert str(got) == str(want)
+    # the commutator drops the delta = 0 rows, which cancel between the orders
+    got, want = A.commutator(B), want - leibniz_reference(B, A)
+    assert got == want
+    assert str(got) == str(want)
+    for beta in list(A.terms) + list(B.terms):
+        assert _leibniz(beta)[0] == ((0,) * len(beta), None, beta)
 
 
 def test_apply_examples(full2, full1):
