@@ -7,24 +7,27 @@ Three families are provided, each over exact rationals:
 * ``spin:p`` -- the rank-2 spin factor C + C^(p-1) with
   (a,u) o (b,v) = (ab + <u,v>, av + bu).
 
-Each algebra carries its unit, trace form, Gram matrix with exact
-inverse (defining the dual basis), the norm polynomial F of degree equal
-to the rank, and the adjugate map q -> adj(q) satisfying
-q o adj(q) = F(q) * e.  The generic element q = sum_i z_i b_i lives in
-the polynomial ring of :mod:`twistedops.ring`; the product identities
-are checked exactly at q, and the derivative identities relating F,
-w = sqrt(F), traces and triple products symbolically or at random
-rational points.
+A family supplies only its structure data: basis labels, structure
+constants, unit, trace and a primitive idempotent.  From these each
+algebra carries its Gram matrix with exact inverse (defining the dual
+basis), the norm polynomial F of degree equal to the rank, and the
+adjugate map q -> adj(q) satisfying q o adj(q) = F(q) * e.  F and adj q
+are derived the same way for every family, from the generic minimal
+polynomial of the generic element q = sum_i z_i b_i: its coefficients
+come from the power traces tr(q^k), F is its constant term and adj q
+follows by Cayley-Hamilton.  q lives in the polynomial ring of
+:mod:`twistedops.ring`; the product identities are checked exactly at q,
+and the derivative identities relating F, w = sqrt(F), traces and triple
+products symbolically or at random rational points.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations
 
 from .report import CheckResult, timed_check
 from .ring import (
@@ -305,55 +308,42 @@ def _mat_jordan(a: dict, b: dict) -> dict:
     return {k: v / 2 for k, v in out.items() if v}
 
 
-def _det_zpoly(n_coords: int, entries: list[list[ZPoly]]) -> ZPoly:
-    """Determinant by Leibniz expansion over exact polynomial entries."""
-    size = len(entries)
-    out = ZPoly.zero(n_coords)
-    for perm in permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = ZPoly.const(n_coords, Scalar(sign))
-        for i in range(size):
-            term = term * entries[i][perm[i]]
-        out = out + term
-    return out
+def _norm_and_adjugate(J: JordanAlgebra) -> tuple[ZPoly, tuple]:
+    """F and adj q from the generic minimal polynomial of q.
+
+    The power traces p_k = tr(q^k) give its coefficients c_k, in
+    t^r + c_1 t^(r-1) + ... + c_r, by Newton's identities
+    k c_k = -sum_{i=1..k} c_(k-i) p_i, exact over Q.  F = (-1)^r c_r, and
+    Cayley-Hamilton, sum_k c_k q^(r-k) = 0, gives q o adj q = F e with
+    adj q = (-1)^(r-1) sum_{k<r} c_k q^(r-1-k).  p_k is read as
+    sum_i (q^(k-1))_i tr(b_i o q), so q^r is never formed.
+    """
+    n, r = J.n, J.r
+    q = J.generic_elem()
+    powers = [J.unit_elem(), q][:r]            # q^0 .. q^(r-1)
+    while len(powers) < r:
+        powers.append(J.product(q, powers[-1]))
+    forms = [J.trace_form(J.basis_element(i), q) for i in range(n)]
+    traces = [sum((_entry_mul(x, f) for x, f in zip(p.coords, forms) if not x.is_zero()),
+                  ZPoly.zero(n)) for p in powers]
+    c = [ZPoly.one(n)]
+    for k in range(1, r + 1):
+        acc = sum((c[k - i] * traces[i - 1] for i in range(1, k + 1)), ZPoly.zero(n))
+        c.append(acc.scale(Scalar(Fraction(-1, k))))
+    adj = [ZPoly.zero(n)] * n
+    for k in range(r):
+        for j, x in enumerate(powers[r - 1 - k].coords):
+            if not x.is_zero():
+                adj[j] = adj[j] + _entry_mul(c[k], x)
+    sign = Scalar((-1) ** (r - 1))
+    return c[r].scale(-sign), tuple(a.scale(sign) for a in adj)
 
 
-def _minor(entries: list[list[ZPoly]], row: int, col: int) -> list[list[ZPoly]]:
-    return [
-        [e for j, e in enumerate(rw) if j != col]
-        for i, rw in enumerate(entries) if i != row
-    ]
-
-
-def _adjugate_entries(n_coords: int, entries: list[list[ZPoly]]) -> list[list[ZPoly]]:
-    size = len(entries)
-    if size == 1:
-        return [[ZPoly.one(n_coords)]]
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            sub = _det_zpoly(n_coords, _minor(entries, j, i))
-            if (i + j) % 2:
-                sub = -sub
-            adj[i][j] = sub
-    return adj
-
-
-def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec,
-            normF: ZPoly, adjugate, idempotent) -> JordanAlgebra:
-    gram = [
-        [sum((prod[i][j][k] * trace_vec[k] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    gram_inv = _gauss_inverse([row[:] for row in gram])
-    ctx = RingContext(n, normF, r)
+def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec, idempotent) -> JordanAlgebra:
+    gram = [[sum((c * trace_vec[k] for k, c in enumerate(cell) if c and trace_vec[k]), Fraction(0))
+             for cell in row] for row in prod]
     to_t = lambda rows: tuple(tuple(row) for row in rows)
-    return JordanAlgebra(
+    J = JordanAlgebra(
         kind=kind,
         selector=f"{kind}:{r if kind != 'spin' else n}",
         r=r,
@@ -364,34 +354,30 @@ def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec,
         unit=tuple(unit),
         trace_vec=tuple(trace_vec),
         gram=to_t(gram),
-        gram_inv=to_t(gram_inv),
-        normF=normF,
-        adjugate=tuple(adjugate),
+        gram_inv=to_t(_gauss_inverse(gram)),
+        normF=None,
+        adjugate=None,
         idempotent=tuple(idempotent),
-        ring=ctx,
+        ring=None,
     )
+    normF, adjugate = _norm_and_adjugate(J)
+    return replace(J, normF=normF, adjugate=adjugate, ring=RingContext(n, normF, r))
 
 
 def _matrix_family(kind: str, r: int, pairs: list[tuple[int, int]]) -> JordanAlgebra:
     """r x r matrices under A o B = (AB + BA)/2, one basis matrix per pair:
     E_ij, or E_ij + E_ji for ``sym``.  A matrix has coordinates its entries
-    at ``pairs``; F and adj q are read off the generic matrix sum_k z_k B_k."""
+    at ``pairs``; its trace is the sum of the diagonal coordinates."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    n = len(pairs)
     basis = [dict.fromkeys({(i, j), (j, i)} if kind == "sym" else {(i, j)}, Fraction(1))
              for i, j in pairs]
     labels = ["+".join(f"E{i+1}{j+1}" for i, j in sorted(mat)) for mat in basis]
-    coords = lambda mat: [mat.get(p, Fraction(0)) for p in pairs]
+    zero = Fraction(0)
+    coords = lambda mat: [mat.get(p, zero) for p in pairs]
     prod = [[coords(_mat_jordan(a, b)) for b in basis] for a in basis]
-    entries = [[None] * r for _ in range(r)]
-    for k, mat in enumerate(basis):
-        for i, j in mat:
-            entries[i][j] = ZPoly.coord(n, k)
-    adj = _adjugate_entries(n, entries)
-    return _finish(kind, r, n, labels, prod, coords({(i, i): Fraction(1) for i in range(r)}),
-                   [Fraction(int(i == j)) for i, j in pairs], _det_zpoly(n, entries),
-                   [adj[i][j] for i, j in pairs], coords({(0, 0): Fraction(1)}))
+    return _finish(kind, r, len(pairs), labels, prod, coords({(i, i): Fraction(1) for i in range(r)}),
+                   [Fraction(int(i == j)) for i, j in pairs], coords({(0, 0): Fraction(1)}))
 
 
 def make_full(r: int) -> JordanAlgebra:
@@ -406,36 +392,17 @@ def make_sym(r: int) -> JordanAlgebra:
 
 
 def make_spin(p: int) -> JordanAlgebra:
-    """The spin factor C + C^(p-1): rank 2, norm z0^2 - z1^2 - ... ."""
+    """The spin factor C + C^(p-1) under (a,u) o (b,v) = (ab + <u,v>, av + bu):
+    rank 2, norm z0^2 - z1^2 - ... ."""
     if p < 2:
         raise ValueError("spin factor needs p >= 2")
-    n = p
-    labels = ["u0"] + [f"u{i}" for i in range(1, p)]
-
-    prod = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == 0 and b == 0:
-                prod[a][b][0] = Fraction(1)
-            elif a == 0:
-                prod[a][b][b] = Fraction(1)
-            elif b == 0:
-                prod[a][b][a] = Fraction(1)
-            else:
-                if a == b:
-                    prod[a][b][0] = Fraction(1)
-
-    unit = [Fraction(1)] + [Fraction(0)] * (p - 1)
-    trace_vec = [Fraction(2)] + [Fraction(0)] * (p - 1)
-
-    z = [ZPoly.coord(n, i) for i in range(n)]
-    normF = z[0] * z[0]
-    for i in range(1, n):
-        normF = normF - z[i] * z[i]
-    adjugate = [z[0]] + [-z[i] for i in range(1, n)]
-
-    idem = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (p - 2)
-    return _finish("spin", 2, n, labels, prod, unit, trace_vec, normF, adjugate, idem)
+    rule = lambda x, y: ([Fraction(sum(a * b for a, b in zip(x, y)))]
+                         + [Fraction(x[0] * y[i] + y[0] * x[i]) for i in range(1, p)])
+    basis = [[int(i == j) for j in range(p)] for i in range(p)]
+    return _finish("spin", 2, p, ["u0"] + [f"u{i}" for i in range(1, p)],
+                   [[rule(a, b) for b in basis] for a in basis],
+                   [Fraction(1)] + [Fraction(0)] * (p - 1), [Fraction(2)] + [Fraction(0)] * (p - 1),
+                   [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (p - 2))
 
 
 _FAMILIES = {"sym": make_sym, "full": make_full, "spin": make_spin}

@@ -247,9 +247,6 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
 # Monomials and sparse polynomials in z1..zn and the twist L
 # ---------------------------------------------------------------------------
 
-Monomial = tuple  # exponents of z1..zn, then the exponent of L
-
-
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 

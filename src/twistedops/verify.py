@@ -27,6 +27,7 @@ from . import rep
 from .jordan import JordanAlgebra, PrimitiveIdempotentError
 from .report import CheckResult, Report, timed_check
 from .ring import (
+    HALF,
     IUNIT,
     LAMBDA,
     LambdaPoly,
@@ -51,9 +52,6 @@ class ResidualOrderError(VerifyError):
 
 class DivisionError(VerifyError):
     """The functional factor did not divide the residual exactly."""
-
-
-HALF = Scalar(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +382,16 @@ def check_lowest_weight(J: JordanAlgebra, conjugation=_w_conjugation_witness) ->
 # Suite runner
 # ---------------------------------------------------------------------------
 
-SUITE_ALIASES = {
-    "jordan": "jordan",
-    "jordan-calculus": "jordan",
-    "brackets": "brackets",
-    "lemmas": "brackets",
-    "critical": "critical",
-    "innw": "innw",
-    "delta": "delta",
-    "ft": "ft",
-    "fourier": "ft",
-    "closure": "closure",
-    "h": "hmodule",
-    "hmodule": "hmodule",
-    "lowest": "lowest",
-    "lowest-weight": "lowest",
-}
-
 SUITE_ORDER = ("jordan", "brackets", "critical", "innw", "delta", "ft",
                "closure", "hmodule", "lowest")
+
+SUITE_ALIASES = {name: name for name in SUITE_ORDER} | {
+    "jordan-calculus": "jordan",
+    "lemmas": "brackets",
+    "fourier": "ft",
+    "h": "hmodule",
+    "lowest-weight": "lowest",
+}
 
 
 def _suite_selection(selection: str) -> list[str]:

@@ -149,6 +149,21 @@ def test_moyal_json(capsys):
     assert all(r["matches_closed_form"] for r in data["pairing"])
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_moyal_pairing_mismatch_exits_1(capsys, monkeypatch, fmt):
+    # one row off the closed form fails the table in either format
+    bad_row = {"p": 1, "q": 1, "Q": "1", "matches_closed_form": False}
+    monkeypatch.setattr(cli.moyal, "pairing_table", lambda max_degree: [bad_row])
+    code, out, _ = run(capsys, "moyal", "--max-degree", "1", "--check", "pairing",
+                       "--format", fmt)
+    assert code == 1
+    assert "all values match" not in out
+    if fmt == "json":
+        assert json.loads(out) == {"pairing": [bad_row]}
+    else:
+        assert "p=1 q=1  Q = 1" in out
+
+
 def test_moyal_bad_table(capsys):
     code, _, err = run(capsys, "moyal", "--check", "bogus")
     assert code == 2

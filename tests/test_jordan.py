@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from twistedops import jordan
 from twistedops.jordan import (
     JElem,
     NotInvertibleError,
@@ -170,26 +171,40 @@ def test_singular_point_raises(full2):
         full2.inverse_at(elem(1, 0, 0, 0))
 
 
-def test_adjugate_matches_sympy(full2, sym2):
-    # independent oracle: sympy's Matrix adjugate/determinant
-    zz = sympy.symbols("a b c d")
-    M = sympy.Matrix([[zz[0], zz[1]], [zz[2], zz[3]]])
-    adj = M.adjugate()
-    det = M.det()
-    rng = random.Random(11)
-    for _ in range(5):
-        vals = {s: Fraction(rng.randint(-5, 5)) for s in zz}
-        q = elem(*(vals[s] for s in zz))
-        assert full2.norm_at(q) == Scalar(Fraction(sympy.Rational(det.subs(vals))))
-        got = full2.adjugate_at(q)
-        want = [Fraction(sympy.Rational(adj[i, j].subs(vals))) for i in range(2) for j in range(2)]
-        assert got == elem(*want)
-    Ms = sympy.Matrix([[zz[0], zz[2]], [zz[2], zz[1]]])
-    dets = Ms.det()
-    for _ in range(5):
-        vals = {s: Fraction(rng.randint(-5, 5)) for s in zz[:3]}
-        q = elem(*(vals[s] for s in zz[:3]))
-        assert sym2.norm_at(q) == Scalar(Fraction(sympy.Rational(dets.subs(vals))))
+def _to_sympy(p, zs):
+    """A z-polynomial (no twist) as a sympy expression in the symbols zs."""
+    out = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        assert mono[-1] == 0, "unexpected power of L"
+        term = sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)
+        for z, e in zip(zs, mono):
+            term *= z ** e
+        out += term
+    return out
+
+
+def test_adjugate_matches_sympy():
+    # independent oracle: sympy's determinant and adjugate of the generic
+    # matrix, and the closed forms z0^2 - sum zi^2, (z0, -z1, ...) for spin
+    for selector in ([f"sym:{r}" for r in range(1, 5)] + [f"full:{r}" for r in range(1, 5)]
+                     + [f"spin:{p}" for p in range(2, 9)]):
+        J = from_selector(selector)
+        zs = sympy.symbols(f"z0:{J.n}")
+        if J.kind == "spin":
+            want_F = zs[0] ** 2 - sum(z ** 2 for z in zs[1:])
+            want_adj = [zs[0]] + [-z for z in zs[1:]]
+        else:
+            M = sympy.zeros(J.r, J.r)
+            for z, label in zip(zs, J.labels):
+                for part in label.split("+"):        # "E12+E21": z at (1, 2) and (2, 1)
+                    M[int(part[1]) - 1, int(part[2]) - 1] = z
+            adj = M.adjugate()
+            want_F = M.det()
+            want_adj = [adj[int(label[1]) - 1, int(label[2]) - 1] for label in J.labels]
+        assert sympy.expand(_to_sympy(J.normF, zs) - want_F) == 0, selector
+        assert len(J.adjugate) == J.n
+        for k, (got, want) in enumerate(zip(J.adjugate, want_adj)):
+            assert sympy.expand(_to_sympy(got, zs) - want) == 0, f"{selector}: adj coordinate {k + 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +323,24 @@ def test_corrupt_product_identities_fail_at_a_basis_element(sym2):
         assert not check.ok, name
         assert any(f"={label}" in check.witness for label in bad.labels), check.witness
         assert "terms, value" in check.witness
+
+
+@pytest.mark.parametrize("selector, rank, failing", [
+    ("spin:3", 3, {"norm-normalized"}),                      # above the rank: F = 0
+    ("sym:3", 2, {"norm-normalized", "adjugate-identity"}),  # below the rank
+])
+def test_wrong_rank_fails_the_norm_checks(selector, rank, failing):
+    # F and adj q are derived from the structure data and the rank; with a
+    # wrong rank the derived pair is no norm, and the structure checks say so
+    J = from_selector(selector)
+    bad = jordan._finish(J.kind, rank, J.n, J.labels, J.prod, J.unit, J.trace_vec, J.idempotent)
+    if rank > J.r:
+        assert bad.normF.is_zero()
+    results = {c.name: c for c in validate_structure(bad)}
+    for name in failing:
+        assert not results[name].ok, name
+        assert results[name].witness, name
+    assert all(c.ok for c in validate_structure(J))
 
 
 @pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])

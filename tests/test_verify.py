@@ -302,6 +302,16 @@ def test_run_suite_selection(sym2):
     assert names == ["w-bracket", "idempotent-bracket", "double-commutator", "critical-values"]
     with pytest.raises(ValueError):
         verify.run_suite(sym2, "nonsense")
+    canonical = {"jordan": "jordan", "jordan-calculus": "jordan", "brackets": "brackets",
+                 "lemmas": "brackets", "critical": "critical", "innw": "innw",
+                 "delta": "delta", "ft": "ft", "fourier": "ft", "closure": "closure",
+                 "h": "hmodule", "hmodule": "hmodule", "lowest": "lowest",
+                 "lowest-weight": "lowest"}
+    assert set(verify.SUITE_ALIASES) == set(canonical)
+    for name, suite in canonical.items():
+        assert verify._suite_selection(name) == [suite], name
+        assert verify._suite_selection(name.upper() + ", critical") == \
+            [s for s in verify.SUITE_ORDER if s in (suite, "critical")], name
 
 
 @pytest.mark.parametrize("defect", ["formal twist", "denominator"])
