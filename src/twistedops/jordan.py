@@ -40,6 +40,9 @@ from .ring import (
     ONE,
     RingError,
     _POSINT,
+    _guards,
+    _overflow,
+    _zpoly,
 )
 
 
@@ -112,6 +115,13 @@ def _entry_scale(s: Scalar, x):
     return x.scale(s) if isinstance(x, ZPoly) else x * s
 
 
+def _packed_terms(x) -> tuple:
+    """The (packed monomial, coefficient) pairs of a coordinate entry."""
+    if isinstance(x, ZPoly):
+        return tuple(x.packed.items())
+    return () if x.is_zero() else ((0, x),)
+
+
 # ---------------------------------------------------------------------------
 # The algebra container
 # ---------------------------------------------------------------------------
@@ -161,23 +171,44 @@ class JordanAlgebra:
                            for cell in row) for row in self.prod)
 
     def product(self, a: JElem, b: JElem) -> JElem:
+        """a o b, each output coordinate one packed dict into which every
+        s * a_i * b_j is added in place, term by term.  A Scalar coordinate
+        counts as a constant polynomial; when a and b have Scalar
+        coordinates only, so does the result."""
         if len(a) != self.n or len(b) != self.n:
             raise DimensionMismatchError(f"expected {self.n} coordinates")
-        out = [None] * self.n
         table = self._sparse_prod
+        guards = _guards(self.n)
+        out = [{} for _ in range(self.n)]
+        right = [_packed_terms(bj) for bj in b.coords]
         for i, ai in enumerate(a.coords):
-            if ai.is_zero():
+            left = _packed_terms(ai)
+            if not left:
                 continue
             row = table[i]
-            for j, bj in enumerate(b.coords):
-                if not row[j] or bj.is_zero():
+            for j, bj in enumerate(right):
+                cell = row[j]
+                if not (cell and bj):
                     continue
-                ab = _entry_mul(ai, bj)
-                for k, s in row[j]:
-                    term = _entry_scale(s, ab)
-                    out[k] = term if out[k] is None else out[k] + term
-        zero = self._zero_like(a, b)
-        return JElem(tuple(zero if x is None else x for x in out))
+                for ma, ca in left:
+                    for mb, cb in bj:
+                        mono = ma + mb
+                        if mono & guards:
+                            raise _overflow()
+                        cab = ca * cb
+                        for k, s in cell:
+                            acc = out[k]
+                            v = cab * s
+                            old = acc.get(mono)
+                            if old is not None:
+                                v = old + v
+                                if not (v.a or v.b):
+                                    del acc[mono]
+                                    continue
+                            acc[mono] = v
+        if not any(isinstance(x, ZPoly) for x in a.coords + b.coords):
+            return JElem(x.get(0, ZERO) for x in out)
+        return JElem(_zpoly(self.n, x) for x in out)
 
     def _zero_like(self, *elems: JElem):
         for e in elems:
@@ -529,7 +560,7 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
             if x != y:
                 d = x - y
                 z = random_point(J, rng, invertible=False)
-                return (f"residual coordinate {k+1} has {len(d.terms)} terms, "
+                return (f"residual coordinate {k+1} has {len(d.packed)} terms, "
                         f"value {d.evaluate(list(z.coords))} at z={z}")
         return None
 

@@ -32,7 +32,17 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Mapping
 
-from .ring import NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, ZPoly, grlex_key, scalar_str
+from .ring import FIELD, FIELD_MASK, NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, ZPoly, scalar_str
+
+# fields of a packed key [a + b | a | b | 0] (see ring.pack): zeta or w to the a, xi or d to the b
+_A, _TOP = 2 * FIELD, 3 * FIELD
+_A_STEP = (1 << _A) + (1 << _TOP)     # one more zeta: the a field and the total
+_B_STEP = (1 << FIELD) + (1 << _TOP)  # one more xi
+
+
+def _ab(key: int) -> tuple[int, int]:
+    """The exponents (a, b) of a packed two-variable key."""
+    return (key >> _A) & FIELD_MASK, (key >> FIELD) & FIELD_MASK
 
 
 class _ZX(ZPoly):
@@ -61,7 +71,7 @@ class _ZX(ZPoly):
         return ZPoly.__mul__(self, other) if type(other) is type(self) else NotImplemented
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.packed == other.packed
 
     __hash__ = ZPoly.__hash__
 
@@ -69,7 +79,8 @@ class _ZX(ZPoly):
 def _terms_str(p: _ZX, x: str, y: str, sep: str) -> str:
     """(c)*x^a<sep>y^b terms, highest total degree first; "" for zero."""
     bits = []
-    for (a, b, _), c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+    for key, c in sorted(p.packed.items(), reverse=True):
+        a, b = _ab(key)
         mono = sep.join(
             ([f"{x}^{a}" if a > 1 else x] if a else [])
             + ([f"{y}^{b}" if b > 1 else y] if b else [])
@@ -96,8 +107,8 @@ class WOp(_ZX):
         if type(other) is not WOp:
             return NotImplemented
         out = WOp()
-        top = min(max((b for _, b, _ in self.terms), default=0),
-                  max((a for a, _, _ in other.terms), default=0))
+        top = min(max((_ab(key)[1] for key in self.packed), default=0),
+                  max((_ab(key)[0] for key in other.packed), default=0))
         for k in range(top + 1):
             out = out + ZPoly.__mul__(_partial(self, k, 0, Fraction(1, factorial(k))),
                                       _partial(other, 0, k))
@@ -106,7 +117,8 @@ class WOp(_ZX):
     def apply_monomial(self, j: int) -> dict[int, Scalar]:
         """Image of w^j as a polynomial in w: exponent -> coefficient."""
         out: dict[int, Scalar] = {}
-        for (a, b, _), c in self.terms.items():
+        for key, c in self.packed.items():
+            a, b = _ab(key)
             if b > j:
                 continue
             e = a + j - b
@@ -139,11 +151,11 @@ class PolyZX(_ZX):
         return PolyZX({(a, b): c})
 
     def poly_degree(self) -> int:
-        return max((a + b for a, b, _ in self.terms), default=-1)
+        return max(self.packed) >> _TOP if self.packed else -1
 
     def euler_degree(self):
         """Euler degree for homogeneous input; -inf for zero."""
-        degs = {a + b for a, b, _ in self.terms}
+        degs = {key >> _TOP for key in self.packed}
         if not degs:
             return NEG_INF
         if len(degs) > 1:
@@ -151,10 +163,10 @@ class PolyZX(_ZX):
         return Fraction(degs.pop(), 2)
 
     def component(self, poly_degree: int) -> "PolyZX":
-        return self._with({m: c for m, c in self.terms.items() if m[0] + m[1] == poly_degree})
+        return self._with({m: c for m, c in self.packed.items() if m >> _TOP == poly_degree})
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0, 0, 0), ZERO)
+        return self.packed.get(0, ZERO)
 
     def __repr__(self) -> str:
         return f"PolyZX({polyzx_str(self)})"
@@ -172,11 +184,13 @@ def _partial(f: _ZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> 
 
     On a WOp, zeta stands for w and xi for d.
     """
-    return f._with({
-        (a - n_zeta, b - n_xi, 0): c * Scalar(weight * (perm(a, n_zeta) * perm(b, n_xi)))
-        for (a, b, _), c in f.terms.items()
-        if a >= n_zeta and b >= n_xi
-    })
+    step = n_zeta * _A_STEP + n_xi * _B_STEP
+    out = {}
+    for key, c in f.packed.items():
+        a, b = _ab(key)
+        if a >= n_zeta and b >= n_xi:
+            out[key - step] = c * Scalar(weight * (perm(a, n_zeta) * perm(b, n_xi)))
+    return f._with(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +200,9 @@ def _partial(f: _ZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> 
 def _reorder(p: _ZX, half: Fraction, cls: type) -> _ZX:
     """sum_k half^k/k! d_zeta^k d_xi^k p, as a value of type ``cls``."""
     out = p.zero()
-    for k in range(max((min(a, b) for a, b, _ in p.terms), default=0) + 1):
+    for k in range(max((min(_ab(key)) for key in p.packed), default=0) + 1):
         out = out + _partial(p, k, k, half ** k / factorial(k))
-    return cls()._with(out.terms)
+    return cls()._with(out.packed)
 
 
 def symmetrize(p: PolyZX) -> WOp:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .jordan import DimensionMismatchError, JElem, JordanAlgebra
-from .ring import _POSINT, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
+from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 
 # default rational twist used for span/rank computations; any value off
@@ -176,16 +176,16 @@ def _op_vector(op: DiffOp, columns: dict) -> dict:
     """Flatten an operator into rational coordinates for rank computations.
 
     Coefficients must be polynomial and twist-free (specialize first).
-    ``columns`` assigns stable integer ids to (multi-index, z-monomial,
-    part) triples across calls.
+    ``columns`` assigns stable integer ids to (multi-index, packed
+    z-monomial, part) triples across calls.
     """
     vec = {}
     for beta, c in op.terms.items():
         for part_tag, loc in (("ev", c.ev), ("od", c.od)):
             if loc.k != 0:
                 raise ValueError("span computation expects polynomial coefficients")
-            for mono, s in loc.num.terms.items():
-                if mono[-1]:
+            for mono, s in loc.num.packed.items():
+                if mono & FIELD_MASK:  # the lowest field is the power of L
                     raise DegreeError("not a constant in L")
                 key = (beta, mono, part_tag)
                 col = columns.setdefault(key, len(columns))

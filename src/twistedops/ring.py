@@ -7,7 +7,12 @@ ints in lowest terms.  On top of it sit
 * :class:`ZPoly` -- sparse polynomials in coordinates ``z1..zn`` and the
   formal twist parameter L (printed ``L``) with Scalar coefficients; the
   twist is the last variable, so "zero identically in the twist" is
-  plain polynomial zero,
+  plain polynomial zero.  Each monomial is one packed int (Monagan and
+  Pearce, CASC 2007): 16-bit fields holding the total degree, then the
+  exponents of z1..zn, then the power of L, each field with a guard
+  bit, so grlex order is int order and a monomial product is one
+  addition.  Exponents and total degrees stop below 2^15
+  (``EXPONENT_LIMIT``); going past raises DegreeError, never wraps,
 * :class:`LambdaPoly` -- a ZPoly with no coordinates, the polynomials in
   L alone (critical twists are roots of one of them),
 * :class:`LocFn` -- localized fractions ``p / F^k`` where F is a fixed
@@ -22,9 +27,11 @@ all values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd, isqrt
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -244,53 +251,98 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# Monomials and sparse polynomials in z1..zn and the twist L
+# Packed monomials and sparse polynomials in z1..zn and the twist L
 # ---------------------------------------------------------------------------
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+# A monomial z^e L^k is one int with FIELD-bit fields, from the top
+#
+#     [ total degree | e_1 | ... | e_n | k ]
+#
+# The top bit of every field is a guard and stays clear, so each
+# exponent and the total degree are below EXPONENT_LIMIT = 2^15.  Because
+# the total leads and e_1 comes next, grlex order is int order.  A
+# monomial product is one addition: fields below the limit cannot carry,
+# so the sum is exact, and it overflows exactly when a guard bit comes out
+# set.  Dividing a by b is (a | guards) - b: every guard survives exactly
+# when b divides a, and clearing them leaves the quotient.
+FIELD = 16
+EXPONENT_LIMIT = 1 << (FIELD - 1)
+FIELD_MASK = (1 << FIELD) - 1
 
 
-def mono_div(a: tuple, b: tuple) -> tuple | None:
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+@functools.cache
+def _guards(n: int) -> int:
+    """The guard bits of the n + 2 fields of a monomial in n coordinates."""
+    return sum(EXPONENT_LIMIT << (FIELD * j) for j in range(n + 2))
 
 
-def grlex_key(mono: tuple) -> tuple:
-    return (sum(mono), mono)
+def _total_unit(n: int) -> int:
+    """One unit of the total-degree field."""
+    return 1 << (FIELD * (n + 1))
+
+
+def _overflow() -> DegreeError:
+    return DegreeError(f"exponent or total degree past the packed field (limit {EXPONENT_LIMIT - 1})")
+
+
+def pack(n: int, mono: tuple) -> int:
+    """The packed key of an exponent vector ``(e_1, ..., e_n, k)``."""
+    if len(mono) != n + 1:
+        raise ValueError(f"expected {n + 1} exponents, got {len(mono)}")
+    key = total = 0
+    for e in mono:
+        if not 0 <= e < EXPONENT_LIMIT:
+            raise _overflow()
+        key = key << FIELD | e
+        total += e
+    if total >= EXPONENT_LIMIT:
+        raise _overflow()
+    return total << (FIELD * (n + 1)) | key
+
+
+def unpack(n: int, key: int) -> tuple:
+    """The exponent vector ``(e_1, ..., e_n, k)`` of a packed key."""
+    return tuple((key >> (FIELD * j)) & FIELD_MASK for j in range(n, -1, -1))
+
+
+def z_degree(n: int, key: int) -> int:
+    """The degree in z1..zn of a packed key (its total minus the power of L)."""
+    return (key >> (FIELD * (n + 1))) - (key & FIELD_MASK)
 
 
 class ZPoly:
     """Sparse polynomial in z1..zn and the twist L with Scalar coefficients.
 
-    ``terms`` maps exponent vectors of length n + 1 to nonzero scalars;
-    the last exponent is the power of L.
+    ``packed`` maps packed monomial keys (see :func:`pack`: total degree,
+    then e_1..e_n, then the power of L, in FIELD = 16-bit fields whose
+    top bit is a guard) to nonzero scalars; grlex order on monomials is
+    int order on keys.  An exponent
+    or total degree of EXPONENT_LIMIT or more raises DegreeError wherever
+    it would arise (construction, product, substitution); it never wraps.
+
+    ``ZPoly(n, {exponent tuple: Scalar})`` packs its argument, and
+    ``terms`` is a read-only view keyed by exponent tuples of length
+    n + 1, the last entry being the power of L; it is rebuilt on every
+    access, so code in this package reads ``packed``.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "packed")
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar] | None = None):
-        object.__setattr__(self, "n", n)
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if not c.is_zero():
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+        _set_n(self, n)
+        _set_packed(self, {pack(n, mono): c for mono, c in (terms or {}).items() if not c.is_zero()})
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ZPoly is immutable")
 
-    def _with(self, terms: dict) -> "ZPoly":
+    @property
+    def terms(self) -> Mapping[tuple, Scalar]:
+        n = self.n
+        return MappingProxyType({unpack(n, key): c for key, c in self.packed.items()})
+
+    def _with(self, packed: dict) -> "ZPoly":
         """A polynomial of the same type and size with already-pruned terms."""
-        p = object.__new__(type(self))
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", terms)
-        return p
+        return _zpoly(self.n, packed, type(self))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -315,18 +367,18 @@ class ZPoly:
         mono = tuple(mono)
         if isinstance(c, Scalar):
             return ZPoly(n, {mono + (0,): c})
-        return ZPoly(n, {mono + lmono: v for lmono, v in c.terms.items()})
+        return ZPoly(n, {mono + (key & FIELD_MASK,): v for key, v in c.packed.items()})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "ZPoly") -> "ZPoly":
         if self.n != other.n:
             raise ContextMismatchError("coordinate counts differ")
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
+        out = dict(self.packed)
+        for mono, c in other.packed.items():
             acc = out.get(mono)
             s = c if acc is None else acc + c
             if s.is_zero():
@@ -336,7 +388,7 @@ class ZPoly:
         return self._with(out)
 
     def __neg__(self) -> "ZPoly":
-        return self._with({m: -c for m, c in self.terms.items()})
+        return self._with({m: -c for m, c in self.packed.items()})
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         return self + (-other)
@@ -344,10 +396,14 @@ class ZPoly:
     def __mul__(self, other: "ZPoly") -> "ZPoly":
         if self.n != other.n:
             raise ContextMismatchError("coordinate counts differ")
-        out: dict[tuple, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
+        guards = _guards(self.n)
+        out: dict[int, Scalar] = {}
+        right = other.packed.items()
+        for m1, c1 in self.packed.items():
+            for m2, c2 in right:
+                mono = m1 + m2
+                if mono & guards:
+                    raise _overflow()
                 prod = c1 * c2
                 acc = out.get(mono)
                 s = prod if acc is None else acc + prod
@@ -362,27 +418,38 @@ class ZPoly:
             return self * ZPoly.const(self.n, c)
         if c.is_zero():
             return self._with({})
-        return self._with({m: v * c for m, v in self.terms.items()})
+        return self._with({m: v * c for m, v in self.packed.items()})
 
     # -- calculus -----------------------------------------------------------
     def derivative(self, i: int) -> "ZPoly":
+        """d/dz_(i+1); ``i = n`` differentiates in L."""
+        n = self.n
+        if not 0 <= i <= n:
+            raise IndexError(f"variable {i} out of range")
+        shift = FIELD * (n - i)
+        step = (1 << shift) + _total_unit(n)
         out = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
+        for mono, c in self.packed.items():
+            e = (mono >> shift) & FIELD_MASK
             if e:
-                out[mono[:i] + (e - 1,) + mono[i + 1:]] = c * Scalar(e)
+                out[mono - step] = c if e == 1 else c * _triple(e, 0, 1)
         return self._with(out)
 
     def subst_lambda(self, value: "LambdaPoly") -> "ZPoly":
         """Replace L by ``value`` (itself a LambdaPoly), expanded exactly."""
+        step = _total_unit(self.n) + 1  # one more power of L
+        guards = _guards(self.n)
         powers = [LP_ONE]
-        out: dict[tuple, Scalar] = {}
-        for mono, c in self.terms.items():
-            k = mono[-1]
+        out: dict[int, Scalar] = {}
+        for mono, c in self.packed.items():
+            k = mono & FIELD_MASK
+            base = mono - k * step
             while len(powers) <= k:
                 powers.append(powers[-1] * value)
-            for (j,), v in powers[k].terms.items():
-                target = mono[:-1] + (j,)
+            for lmono, v in powers[k].packed.items():
+                target = base + (lmono & FIELD_MASK) * step
+                if target & guards:
+                    raise _overflow()
                 acc = out.get(target)
                 out[target] = c * v if acc is None else acc + c * v
         return self._with({m: c for m, c in out.items() if not c.is_zero()})
@@ -390,7 +457,8 @@ class ZPoly:
     def evaluate(self, point: list[Scalar], lam: Scalar | None = None) -> Scalar:
         """Value at ``point``; ``lam`` is the value of L, needed when L occurs."""
         total = ZERO
-        for mono, c in self.terms.items():
+        for key, c in self.packed.items():
+            mono = unpack(self.n, key)
             if mono[-1]:
                 if lam is None:
                     raise DegreeError("not a constant in L")
@@ -408,19 +476,23 @@ class ZPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self._with({})
-        dmono = max(divisor.terms, key=grlex_key)
-        dinv = divisor.terms[dmono].inv()
-        work = dict(self.terms)
-        quot: dict[tuple, Scalar] = {}
+        guards = _guards(self.n)
+        dmono = max(divisor.packed)
+        dinv = divisor.packed[dmono].inv()
+        dterms = divisor.packed.items()
+        work = dict(self.packed)
+        quot: dict[int, Scalar] = {}
         while work:
-            mono = max(work, key=grlex_key)
-            rest = mono_div(mono, dmono)
-            if rest is None:
+            mono = max(work)
+            rest = (mono | guards) - dmono
+            if rest & guards != guards:
                 return None  # this term can never be cancelled
+            rest ^= guards
             q = work[mono] * dinv
             quot[rest] = q
-            for m2, c2 in divisor.terms.items():
-                target = mono_mul(rest, m2)
+            # rest * m2 is at most mono in total degree: no overflow
+            for m2, c2 in dterms:
+                target = rest + m2
                 sub = q * c2
                 acc = work.get(target)
                 s = (-sub) if acc is None else acc - sub
@@ -432,17 +504,24 @@ class ZPoly:
 
     # -- comparison ----------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return isinstance(other, ZPoly) and self.n == other.n and self.terms == other.terms
+        return isinstance(other, ZPoly) and self.n == other.n and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.packed.items())))
 
     def sorted_terms(self) -> list[tuple[tuple, "LambdaPoly"]]:
-        """(z-monomial, coefficient in L) pairs, highest z-monomial first."""
-        groups: dict[tuple, dict] = {}
-        for mono, c in self.terms.items():
-            groups.setdefault(mono[:-1], {})[mono[-1:]] = c
-        return [(z, LP_ZERO._with(groups[z])) for z in sorted(groups, key=grlex_key, reverse=True)]
+        """(z-monomial, coefficient in L) pairs, highest z-monomial first.
+
+        Clearing the L field and its share of the total leaves a key whose
+        int order is grlex order on the z-monomial.
+        """
+        n = self.n
+        step = _total_unit(n) + 1
+        groups: dict[int, dict] = {}
+        for mono, c in self.packed.items():
+            k = mono & FIELD_MASK
+            groups.setdefault(mono - k * step, {})[k * _LSTEP] = c
+        return [(unpack(n, z)[:-1], LP_ZERO._with(groups[z])) for z in sorted(groups, reverse=True)]
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -452,6 +531,19 @@ class ZPoly:
             zs = _mono_str("z", mono)
             bits.append(f"({lambda_str(c)})" + (f"*{zs}" if zs else ""))
         return "ZPoly(" + " + ".join(bits) + ")"
+
+
+_set_n, _set_packed = ZPoly.n.__set__, ZPoly.packed.__set__
+# the key of L^k in a LambdaPoly: k in the total and in the L field
+_LSTEP = _total_unit(0) + 1
+
+
+def _zpoly(n: int, packed: dict, cls: type = ZPoly) -> ZPoly:
+    """The ZPoly (or ``cls`` value) with already-pruned packed terms."""
+    p = object.__new__(cls)
+    _set_n(p, n)
+    _set_packed(p, packed)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +560,11 @@ class LambdaPoly(ZPoly):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        ZPoly.__init__(self, 0, {(k,): c for k, c in enumerate(coeffs)})
+        packed = {k * _LSTEP: c for k, c in enumerate(coeffs) if not c.is_zero()}
+        if packed and max(packed) >= EXPONENT_LIMIT * _LSTEP:
+            raise _overflow()
+        _set_n(self, 0)
+        _set_packed(self, packed)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -485,12 +581,12 @@ class LambdaPoly(ZPoly):
 
     @property
     def degree(self) -> int:
-        return max((k for (k,) in self.terms), default=-1)  # zero polynomial: -1
+        return max(self.packed) & FIELD_MASK if self.packed else -1  # zero polynomial: -1
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
         """The coefficients of L^0 .. L^degree; empty for zero."""
-        return tuple(self.terms.get((k,), ZERO) for k in range(self.degree + 1))
+        return tuple(self.packed.get(k * _LSTEP, ZERO) for k in range(self.degree + 1))
 
     subst = ZPoly.subst_lambda
 
@@ -553,6 +649,18 @@ def lambda_str(p: LambdaPoly) -> str:
 _POSINT = "[1-9][0-9]*"
 
 
+def _bounded(e: int, where: str) -> int:
+    """``e``, an exponent or degree read from text, if it fits the packed field."""
+    if e >= EXPONENT_LIMIT:
+        raise ParseError(f"exponent {e} past the limit {EXPONENT_LIMIT - 1} in {where!r}")
+    return e
+
+
+def _exponent(digits: str, where: str) -> int:
+    """A textual exponent (the digits of a positive integer), bounded."""
+    return _bounded(int(digits) if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT, where)
+
+
 def parse_lambda(text: str) -> LambdaPoly:
     text = text.strip()
     if text == "0":
@@ -569,7 +677,7 @@ def parse_lambda(text: str) -> LambdaPoly:
             power = re.fullmatch(rf"L(?:\^({_POSINT}))?", lpart.strip())
             if power is None:
                 raise ParseError(f"bad L-term {chunk!r}")
-            k = int(power.group(1) or 1)
+            k = _exponent(power.group(1) or "1", chunk)
         else:
             c, k = parse_scalar(chunk), 0
         coeffs[k] = coeffs.get(k, ZERO) + c
@@ -642,7 +750,7 @@ class LocFn:
     __slots__ = ("ctx", "_num", "_k", "_reduced")
 
     def __init__(self, ctx: RingContext, num: ZPoly, k: int = 0):
-        if not num.terms:
+        if not num.packed:
             k = 0
         _set_ctx(self, ctx)
         _set_num(self, num)
@@ -697,9 +805,9 @@ class LocFn:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LocFn") -> "LocFn":
         _check_ctx(self.ctx, other.ctx)
-        if not self._num.terms:
+        if not self._num.packed:
             return other
-        if not other._num.terms:
+        if not other._num.packed:
             return self
         if self._k == other._k:
             return LocFn(self.ctx, self._num + other._num, self._k)
@@ -711,7 +819,7 @@ class LocFn:
         return LocFn(self.ctx, hi._num + lifted, hi._k)
 
     def __neg__(self) -> "LocFn":
-        if not self._num.terms:
+        if not self._num.packed:
             return self
         return LocFn(self.ctx, -self._num, self._k)
 
@@ -720,26 +828,26 @@ class LocFn:
 
     def __mul__(self, other: "LocFn") -> "LocFn":
         _check_ctx(self.ctx, other.ctx)
-        if not self._num.terms:
+        if not self._num.packed:
             return self
-        if not other._num.terms:
+        if not other._num.packed:
             return other
         return LocFn(self.ctx, self._num * other._num, self._k + other._k)
 
     def mul_F(self) -> "LocFn":
         if self._k > 0:
             return LocFn(self.ctx, self._num, self._k - 1)
-        if not self._num.terms:
+        if not self._num.packed:
             return self
         return LocFn(self.ctx, self._num * self.ctx.F, 0)
 
     def scale(self, c: Scalar | LambdaPoly) -> "LocFn":
-        if not self._num.terms:
+        if not self._num.packed:
             return self
         return LocFn(self.ctx, self._num.scale(c), self._k)
 
     def derivative(self, i: int) -> "LocFn":
-        if not self._num.terms:
+        if not self._num.packed:
             return self
         dnum = self._num.derivative(i)
         if self._k == 0:
@@ -857,7 +965,7 @@ class SuperFn:
         """
         _check_ctx(self.ctx, other.ctx)
         a, b, c, d = self.ev, self.od, other.ev, other.od
-        az, bz, cz, dz = not a._num.terms, not b._num.terms, not c._num.terms, not d._num.terms
+        az, bz, cz, dz = not a._num.packed, not b._num.packed, not c._num.packed, not d._num.packed
         ev = a if az else c if cz else a * c
         od = a if az else d if dz else a * d
         if not (bz or dz):
@@ -924,7 +1032,8 @@ NEG_INF = float("-inf")
 
 def _locfn_grades(f: LocFn, shift: Fraction) -> set:
     r = f.ctx.r
-    return {Fraction(sum(mono) - mono[-1]) - f.k * r + shift for mono in f.num.terms}
+    n = f.ctx.n
+    return {Fraction(z_degree(n, mono)) - f.k * r + shift for mono in f.num.packed}
 
 
 def grade_components(f: SuperFn) -> set:
@@ -957,7 +1066,7 @@ def _coeff_groups(c: LambdaPoly) -> str:
     The scalar is the lowest nonzero coefficient, the tail the remaining
     monic-from-below polynomial; the tail group is omitted when it is 1.
     """
-    s = c.terms[min(c.terms)]
+    s = c.packed[min(c.packed)]
     tail = c.scale(s.inv())
     if tail == LP_ONE:
         return f"({scalar_str(s)})"
@@ -1060,7 +1169,10 @@ def parse_term(term: str, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
         groups := "(" scalar ")" ["(" Lpoly ")"]
         factor := ("z" | "d") index ["^" k]
 
-    Indices, exponents and k are positive decimal integers.
+    Indices, exponents and k are positive decimal integers below
+    EXPONENT_LIMIT; so must be each exponent summed over repeated
+    factors and the total degree of the z-factors and the coefficient's
+    power of L, else ParseError.
 
     Returns (coefficient, z-monomial, odd?, denominator power, d-monomial).
     """
@@ -1079,24 +1191,25 @@ def parse_term(term: str, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
         if m["op"] == "/":
             if not m["F"] or stage >= 2:
                 raise ParseError(f"misplaced denominator in term {term!r}")
-            k, stage = int(m["k"] or 1), 2
+            k, stage = _exponent(m["k"] or "1", term), 2
         elif m["w"]:
             if stage >= 1:
                 raise ParseError(f"misplaced w in term {term!r}")
             odd, stage = True, 1
         elif m["var"]:
-            idx = int(m["index"]) - 1
+            idx = _exponent(m["index"], term) - 1
             if idx >= n:
                 raise ParseError(f"index out of range in {m['var']}{m['index']}")
             if m["var"] == "z":
                 if stage > 0:
                     raise ParseError(f"misplaced z-factor in term {term!r}")
-                zmono[idx] += int(m["exp"] or 1)
+                mono = zmono
             else:
-                dmono[idx] += int(m["exp"] or 1)
-                stage = 3
+                mono, stage = dmono, 3
+            mono[idx] = _bounded(mono[idx] + _exponent(m["exp"] or "1", term), term)
         else:
             raise ParseError(f"F may only appear as a denominator in term {term!r}")
+    _bounded(sum(zmono) + max(coeff.degree, 0), term)
     return coeff, tuple(zmono), odd, k, tuple(dmono)
 
 

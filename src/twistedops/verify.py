@@ -140,14 +140,18 @@ def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
 
 
 def check_double_commutator(J: JordanAlgebra) -> tuple[CheckResult, LambdaPoly | None]:
-    """Full structure of the double commutator, plus the extracted quadratic."""
+    """Full structure of the double commutator, plus the extracted quadratic.
+
+    A canonical idempotent that fails its guard fails the check, with the
+    guard's message as witness, and no quadratic is returned.
+    """
     quad_holder: list[LambdaPoly] = []
 
     def body():
         lam0, lam0p = rep.critical_pair(J)
         try:
             quad = double_commutator_quadratic(J)
-        except VerifyError as exc:
+        except (VerifyError, PrimitiveIdempotentError) as exc:
             return False, str(exc)
         quad_holder.append(quad)
         m2 = Scalar(J.m * J.m)
@@ -424,7 +428,7 @@ def run_suite(J: JordanAlgebra, selection: str = "all", seed: int = 0,
             checks.append(check_w_bracket(J))
             try:
                 checks.append(check_idempotent_bracket(J))
-            except PrimitiveIdempotentError as exc:  # pragma: no cover - guard
+            except PrimitiveIdempotentError as exc:
                 checks.append(CheckResult("idempotent-bracket", "fail", str(exc)))
             result, quad = check_double_commutator(J)
             checks.append(result)

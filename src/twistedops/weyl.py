@@ -37,16 +37,22 @@ from .ring import (
     Scalar,
     SuperFn,
     ZPoly,
+    _zpoly,
     grade_components,
-    grlex_key,
     parse_term,
     superfn_terms,
+    z_degree,
     _coeff_groups,
     _mono_str,
     _split_terms,
 )
 
 MultiIndex = tuple  # tuple[int, ...] of length n
+
+
+def grlex_key(idx: MultiIndex) -> tuple:
+    """Graded lexicographic order on multi-indices."""
+    return (sum(idx), idx)
 
 
 def _check_alg(a: JordanAlgebra, b: JordanAlgebra) -> None:
@@ -101,9 +107,18 @@ class _NormalOrdered:
 
     The coefficient type (``SuperFn`` or ``ZPoly``) only has to provide
     ``derivative``, ``*``, ``scale``, ``+``, ``-`` and ``is_zero``.
+
+    The private slot ``_partials`` is None until an operator is first
+    composed on the right of another; it then holds, per index gamma, the
+    partials d^delta c_gamma of this operator's own coefficients that
+    Leibniz rows have asked for (``{gamma: {delta: partial}}``).  Later
+    compositions and commutators with the same operator read them from
+    there.  The partials depend on the coefficients alone, the operator
+    is immutable, and the slot lives and dies with its operator, so a
+    fresh operator, even one equal to this one, starts with an empty slot.
     """
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "terms", "_partials")
 
     def __init__(self, alg: JordanAlgebra, terms: Mapping | None = None):
         clean = {}
@@ -113,6 +128,7 @@ class _NormalOrdered:
                     clean[idx] = c
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -122,6 +138,7 @@ class _NormalOrdered:
         op = object.__new__(type(self))
         object.__setattr__(op, "alg", self.alg)
         object.__setattr__(op, "terms", terms)
+        object.__setattr__(op, "_partials", None)
         return op
 
     @classmethod
@@ -163,11 +180,18 @@ class _NormalOrdered:
 
         Leibniz rule: d^beta . b = sum_{delta <= beta} C(beta, delta)
         (d^delta b) d^(beta - delta), with delta, the binomial and
-        beta - delta read from the cached per-beta table ``_leibniz``.
+        beta - delta read from the cached per-beta table ``_leibniz`` and
+        d^delta b from the partials kept on ``other``.
         """
+        cache = other._partials
+        if cache is None:
+            cache = {}
+            object.__setattr__(other, "_partials", cache)
         out: dict = {}
         for gamma, b in other.terms.items():
-            partials = {(0,) * len(gamma): b}
+            partials = cache.get(gamma)
+            if partials is None:
+                partials = cache[gamma] = {(0,) * len(gamma): b}
             for beta, a in self.terms.items():
                 for delta, coeff, rest in _leibniz(beta)[first:]:
                     db = _partial(partials, delta)
@@ -317,11 +341,9 @@ def _flip_superfn(c: SuperFn, iw: Scalar) -> SuperFn:
     def flip_loc(p: LocFn, extra: Scalar) -> LocFn:
         even = Scalar(-1) ** (r * p.k) * extra
         odd = -even
-        terms = {}
-        for mono, coef in p.num.terms.items():
-            # parity of the z-degree; the last exponent is the power of L
-            terms[mono] = coef * (odd if (sum(mono) - mono[-1]) % 2 else even)
-        return LocFn(ctx, ZPoly(ctx.n, terms), p.k)
+        n = ctx.n
+        num = {mono: coef * (odd if z_degree(n, mono) % 2 else even) for mono, coef in p.num.packed.items()}
+        return LocFn(ctx, _zpoly(n, num), p.k)
 
     return SuperFn(ctx, flip_loc(c.ev, ONE), flip_loc(c.od, iw))
 

@@ -712,3 +712,187 @@ def test_zero_locfn_is_canonical_however_built(ctx2x2, div_calls):
     # a zero operand is passed through, not rebuilt
     assert frac + zeros[0] is frac and zeros[0] + frac is frac
     assert (frac * zeros[1]) is zeros[1] and zeros[1].derivative(2) is zeros[1]
+
+
+# ---------------------------------------------------------------------------
+# Packed monomial keys against a tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+def _tuple_add(x: dict, y: dict, sign: Scalar = ONE) -> dict:
+    out = dict(x)
+    for mono, c in y.items():
+        out[mono] = out.get(mono, ZERO) + c * sign
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _tuple_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            out = _tuple_add(out, {tuple(a + b for a, b in zip(m1, m2)): c1 * c2})
+    return out
+
+
+def _grlex(mono: tuple) -> tuple:
+    return (sum(mono), mono)
+
+
+def _tuple_derivative(x: dict, i: int) -> dict:
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * Scalar(m[i]) for m, c in x.items() if m[i]}
+
+
+def _tuple_subst(x: dict, value: dict) -> dict:
+    """L -> value, where value maps (k,) to the coefficient of L^k."""
+    out: dict = {}
+    for mono, c in x.items():
+        power = {(0,): ONE}
+        for _ in range(mono[-1]):
+            power = _tuple_mul(power, value)
+        out = _tuple_add(out, {mono[:-1] + k: c * v for k, v in power.items()})
+    return out
+
+
+def _tuple_exact_div(x: dict, y: dict) -> dict | None:
+    lead = max(y, key=_grlex)
+    work, quot = dict(x), {}
+    while work:
+        mono = max(work, key=_grlex)
+        rest = tuple(a - b for a, b in zip(mono, lead))
+        if min(rest) < 0:
+            return None
+        q = work[mono] / y[lead]
+        quot[rest] = q
+        work = _tuple_add(work, _tuple_mul({rest: q}, y), Scalar(-1))
+    return quot
+
+
+def _tuple_text(x: dict) -> str:
+    """``repr`` of a ZPoly, written from the tuple-keyed terms."""
+    if not x:
+        return "ZPoly(0)"
+    groups: dict = {}
+    for mono, c in x.items():
+        groups.setdefault(mono[:-1], {})[mono[-1]] = c
+    bits = []
+    for z in sorted(groups, key=_grlex, reverse=True):
+        parts = []
+        for k, c in sorted(groups[z].items()):
+            cs = f"({c})" if c.a and c.b else str(c)
+            power = "" if k == 0 else "L" if k == 1 else f"L^{k}"
+            parts.append(cs if not power else power if c == ONE else f"{cs}*{power}")
+        zs = "*".join(f"z{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(z) if e)
+        bits.append(f"({' + '.join(parts)})" + (f"*{zs}" if zs else ""))
+    return "ZPoly(" + " + ".join(bits) + ")"
+
+
+@st.composite
+def tuple_terms(draw, n, size=4):
+    """Tuple-keyed terms in n coordinates and L, exponents up to 3."""
+    terms = {}
+    for _ in range(draw(st.integers(0, size))):
+        mono = tuple(draw(st.integers(0, 3)) for _ in range(n + 1))
+        c = Scalar(draw(coeff_strategy), draw(coeff_strategy))
+        if not c.is_zero():
+            terms[mono] = c
+    return terms
+
+
+def _assert_matches(n: int, got: ZPoly, want: dict, name: str):
+    assert got == ZPoly(n, want), name
+    assert dict(got.terms) == want, name
+    assert repr(got) == _tuple_text(want), name
+
+
+@pytest.mark.parametrize("n", [0, 2, 9])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_kernel_matches_tuple_reference(n, data):
+    x, y = data.draw(tuple_terms(n)), data.draw(tuple_terms(n))
+    p, q = ZPoly(n, x), ZPoly(n, y)
+    c = Scalar(data.draw(coeff_strategy), data.draw(coeff_strategy))
+    value = data.draw(tuple_terms(0, 3))
+    _assert_matches(n, p * q, _tuple_mul(x, y), "*")
+    _assert_matches(n, p + q, _tuple_add(x, y), "+")
+    _assert_matches(n, p - q, _tuple_add(x, y, Scalar(-1)), "-")
+    _assert_matches(n, p.scale(c), _tuple_mul(x, {(0,) * (n + 1): c}), "scale")
+    for i in range(n + 1):
+        _assert_matches(n, p.derivative(i), _tuple_derivative(x, i), f"derivative({i})")
+    _assert_matches(n, p.subst_lambda(ZPoly(0, value)), _tuple_subst(x, value), "subst_lambda")
+    if y:
+        exact = _tuple_mul(x, y)
+        _assert_matches(n, ZPoly(n, exact).exact_div(q), x, "exact_div")
+        assert _tuple_exact_div(exact, y) == x
+        # plus a term of degree 0 in z: inexact unless q's lead is free of z
+        inexact = _tuple_add(exact, {(0,) * n + (3,): ONE})
+        want = _tuple_exact_div(inexact, y)
+        got = ZPoly(n, inexact).exact_div(q)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_matches(n, got, want, "exact_div, extra term")
+    groups: dict = {}
+    for mono, v in x.items():
+        groups.setdefault(mono[:-1], {})[(mono[-1],)] = v
+    want_z = sorted(groups, key=_grlex, reverse=True)
+    assert p.sorted_terms() == [(z, ZPoly(0, groups[z])) for z in want_z]
+    assert all(type(lp) is LambdaPoly for _, lp in p.sorted_terms())
+    assert sorted(p.terms, key=_grlex) == sorted(x, key=_grlex)
+    with pytest.raises(TypeError):
+        p.terms[(0,) * (n + 1)] = ONE
+
+
+def test_packed_key_order_is_grlex():
+    from twistedops.ring import pack, unpack
+    monos = [(a, b, k) for a in range(3) for b in range(3) for k in range(3)]
+    assert sorted(monos, key=lambda m: pack(2, m)) == sorted(monos, key=_grlex)
+    assert all(unpack(2, pack(2, m)) == m for m in monos)
+
+
+# ---------------------------------------------------------------------------
+# Exponent range of the packed field
+# ---------------------------------------------------------------------------
+
+def test_exponent_past_the_field_raises_instead_of_wrapping():
+    from twistedops.ring import EXPONENT_LIMIT
+    top = EXPONENT_LIMIT - 1
+    z = ZPoly.coord(1, 0)
+    high = ZPoly.monomial(1, (top,))
+    assert high.terms == {(top, 0): ONE}
+    assert high * ZPoly.one(1) == high
+    assert ZPoly.monomial(1, (top - 1,)) * z == high  # just inside the field
+    assert high.exact_div(z) == ZPoly.monomial(1, (top - 1,))
+    overflows = {
+        "product": lambda: high * z,
+        "product in L": lambda: LambdaPoly((ZERO,) * top + (ONE,)) * LAMBDA,
+        "product of totals": lambda: ZPoly.monomial(2, (top - 1, 0)) * ZPoly.coord(2, 1) * ZPoly.coord(2, 1),
+        "monomial": lambda: ZPoly.monomial(1, (EXPONENT_LIMIT,)),
+        "monomial total": lambda: ZPoly.monomial(2, (top, 1)),
+        "monomial with L": lambda: ZPoly.monomial(1, (top,), LAMBDA),
+        "constructor": lambda: ZPoly(1, {(0, EXPONENT_LIMIT): ONE}),
+        "LambdaPoly": lambda: LambdaPoly((ZERO,) * EXPONENT_LIMIT + (ONE,)),
+        "LambdaPoly, a whole field past": lambda: LambdaPoly((ZERO,) * (2 * EXPONENT_LIMIT) + (ONE,)),
+        "subst_lambda": lambda: ZPoly.monomial(1, (top - 1,), LAMBDA).subst_lambda(LAMBDA * LAMBDA),
+    }
+    for name, build in overflows.items():
+        with pytest.raises(DegreeError):
+            build()
+            pytest.fail(name)
+
+
+def test_largest_exponent_round_trips_through_text():
+    from twistedops.ring import EXPONENT_LIMIT, ParseError, parse_lambda
+    top = EXPONENT_LIMIT - 1
+    ctx2 = RingContext(2, ZPoly.coord(2, 0) * ZPoly.coord(2, 1), 2)
+    for text in (f"(1)*z1^{top}", f"(-2)(L^{top})", f"(1/2)(L^{top - 3})*z1^3 * w / F^2",
+                 f"(1)*z1^{top - 1}*z2"):
+        f = parse_superfn(text, ctx2)
+        assert superfn_str(f) == text
+        assert parse_superfn(superfn_str(f), ctx2) == f
+    assert str(parse_lambda(f"L^{top}")) == f"L^{top}"
+    for text in (f"(1)*z1^{EXPONENT_LIMIT}", f"(1)*z1^{top}*z1", f"(1)*z1^{top}*z2",
+                 f"(1)(L^{top})*z1", f"(1)(L^{EXPONENT_LIMIT})", "(1)*z1^" + "9" * 5000,
+                 "(1)*z" + "1" * 5000, f"(1) / F^{EXPONENT_LIMIT}", "(1) / F^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_superfn(text, ctx2)
+    for text in (f"L^{EXPONENT_LIMIT}", "L^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_lambda(text)

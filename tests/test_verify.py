@@ -399,3 +399,18 @@ def test_corrupt_algebra_flagged_with_witness(sym2):
     assert failed and all(c.witness for c in failed)
     data = json.loads(report.to_json())
     assert validate_report_dict(data) == []
+
+
+@pytest.mark.parametrize("selection", ["brackets", "brackets,critical"])
+def test_failed_idempotent_guard_fails_the_bracket_checks(selection):
+    from test_jordan import corrupt_structure
+    bad = corrupt_structure(from_selector("spin:2"))
+    with pytest.raises(PrimitiveIdempotentError):
+        bad.check_primitive_idempotent(bad.idempotent_elem())
+    report = verify.run_suite(bad, selection)
+    verdicts = {c.name: (c.status, c.witness) for c in report.checks}
+    guarded = ["idempotent-bracket", "double-commutator"] + (["critical-values"] if "critical" in selection else [])
+    for name in guarded:
+        assert verdicts[name] == ("fail", "element is not idempotent")
+    assert [c.name for c in report.checks] == ["w-bracket"] + guarded
+    assert validate_report_dict(json.loads(report.to_json())) == []

@@ -455,3 +455,64 @@ def test_compose_matches_sympy(full1):
         lhs = _superfn_to_sympy(AB.apply(f), z, L)
         rhs = _diffop_to_sympy_action(A, _diffop_to_sympy_action(B, _superfn_to_sympy(f, z, L), z, L), z, L)
         assert sympy.simplify(lhs - rhs) == 0
+
+
+# ---------------------------------------------------------------------------
+# Per-operator partials
+# ---------------------------------------------------------------------------
+
+def _derivative_calls(monkeypatch):
+    calls = []
+    original = SuperFn.derivative
+
+    def spy(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(SuperFn, "derivative", spy)
+    return calls
+
+
+def test_commutator_same_with_cold_warm_or_fresh_partials(monkeypatch):
+    import dataclasses
+    import weakref
+
+    from twistedops import jordan, weyl
+
+    J = jordan.make_full(2)
+    A = rep.pi_minus(J, J.idempotent_elem())
+    build_B = lambda: rep.semi_invariant_w_dF(J)
+    other = rep.pi_minus(J, J.basis_element(1))
+
+    cold = build_B()
+    assert cold._partials is None
+    want = A.commutator(cold)
+    assert want == leibniz_reference(A, build_B()) - leibniz_reference(build_B(), A)
+    assert cold._partials  # filled on first use, kept on the operator
+    warm = build_B()
+    other.commutator(warm)  # warm with another operator's rows
+    fresh = build_B()
+    assert fresh == cold and fresh._partials is None
+    calls = _derivative_calls(monkeypatch)
+    again = A.commutator(cold)
+    assert calls == []  # both operators' partials are kept from the first commutator
+    for B in (cold, warm, fresh):
+        got = A.commutator(B)
+        assert got == want and diffop_str(got) == diffop_str(want)
+    assert diffop_str(again) == diffop_str(want)
+    assert A.compose(cold) == A.compose(DiffOp(J, cold.terms))
+
+    # an m + 1 control builds its own operators, with their own partials
+    skew = dataclasses.replace(J, m=J.m + 1)
+    T = rep.semi_invariant_w_dF(skew)
+    pi = rep.pi_minus(skew, skew.basis_element(0), rep.critical_pair(skew)[0])
+    assert T._partials is None and pi._partials is None
+    got = pi.commutator(T)
+    assert T._partials is not cold._partials and pi._partials is not A._partials
+    assert diffop_str(got) == diffop_str(DiffOp(skew, pi.terms).commutator(DiffOp(skew, T.terms)))
+    assert not got.is_zero()
+
+    # the partials live on operators only: weyl keeps no module-level store
+    stores = [name for name, value in vars(weyl).items() if not name.startswith("__")
+              and isinstance(value, (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary))]
+    assert stores == []
