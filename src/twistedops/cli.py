@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import jordan, moyal, rep, verify
+from .ring import EXPONENT_LIMIT
 from .weyl import diffop_str, polyop_str
 
 RANK_LIMITS = {"sym": 4, "full": 4, "spin": 8}
@@ -97,8 +98,8 @@ def cmd_critical(args) -> int:
 
 def cmd_moyal(args) -> int:
     which = args.check
-    if args.max_degree < 0:
-        raise UsageError(f"--max-degree must be >= 0, got {args.max_degree}")
+    if not 0 <= 2 * args.max_degree < EXPONENT_LIMIT:  # products of degree-N monomials stay packable
+        raise UsageError(f"--max-degree must be in 0..{EXPONENT_LIMIT // 2 - 1}, got {args.max_degree}")
     payload: dict = {}
     if which in ("pairing", "all"):
         payload["pairing"] = moyal.pairing_table(args.max_degree)

@@ -24,6 +24,12 @@ is the Moyal product (Groenewold 1946, Moyal 1949), whose graded pieces
 supertrace is projection to the constant term; the pairing is the
 supertrace of the circle product.  Euler degrees are half the polynomial
 degrees (zeta and xi both carry 1/2).
+
+Composition, reordering and C_p run term by term on the packed keys,
+adding c * n / den into one dict with exact integers n, den: k! C(b1,k)
+C(a2,k) for composition, (+-1)^k k! C(a,k) C(b,k) / 2^k for reordering.
+Only :func:`dequantize` takes a WOp; every other entry point takes PolyZX
+values and raises TypeError on anything else.
 """
 
 from __future__ import annotations
@@ -32,17 +38,54 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Mapping
 
-from .ring import FIELD, FIELD_MASK, NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, ZPoly, scalar_str
+from .ring import (
+    FIELD, FIELD_MASK, NEG_INF, NotHomogeneousError, ONE, Scalar, ZERO, ZPoly,
+    _guards, _overflow, _reduced, _zpoly, scalar_str,
+)
 
 # fields of a packed key [a + b | a | b | 0] (see ring.pack): zeta or w to the a, xi or d to the b
 _A, _TOP = 2 * FIELD, 3 * FIELD
-_A_STEP = (1 << _A) + (1 << _TOP)     # one more zeta: the a field and the total
-_B_STEP = (1 << FIELD) + (1 << _TOP)  # one more xi
+_STEP = (1 << _A) + (1 << FIELD) + (2 << _TOP)  # one more zeta and xi: both fields and the total
+_GUARDS = _guards(2)
 
 
 def _ab(key: int) -> tuple[int, int]:
     """The exponents (a, b) of a packed two-variable key."""
     return (key >> _A) & FIELD_MASK, (key >> FIELD) & FIELD_MASK
+
+
+def _degree(f: "_ZX") -> int:
+    """The polynomial degree of a homogeneous f; -1 for zero."""
+    degs = {key >> _TOP for key in f.packed}
+    if len(degs) > 1:
+        raise NotHomogeneousError(f"polynomial degrees {sorted(degs)} mix")
+    return degs.pop() if degs else -1
+
+
+def _weights(a: int, b: int):
+    """k! C(a, k) C(b, k) for k = 0 .. min(a, b), each from the one before."""
+    n = 1
+    for k in range(min(a, b) + 1):
+        yield n
+        n = n * (a - k) * (b - k) // (k + 1)
+
+
+def _add(acc: dict, mono: int, c: Scalar, n: int, den: int) -> None:
+    """acc[mono] += c * n / den for ints n != 0 and den > 0; a sum that cancels leaves."""
+    v = _reduced(c.a * n, c.b * n, c.d * den)
+    old = acc.get(mono)
+    if old is not None:
+        v = old + v
+        if not (v.a or v.b):
+            del acc[mono]
+            return
+    acc[mono] = v
+
+
+def _require(cls: type, *values) -> None:
+    for v in values:
+        if not isinstance(v, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
 
 
 class _ZX(ZPoly):
@@ -106,27 +149,25 @@ class WOp(_ZX):
         """Composition: sum_k (1/k!) (d_d^k self)(d_w^k other), as symbols."""
         if type(other) is not WOp:
             return NotImplemented
-        out = WOp()
-        top = min(max((_ab(key)[1] for key in self.packed), default=0),
-                  max((_ab(key)[0] for key in other.packed), default=0))
-        for k in range(top + 1):
-            out = out + ZPoly.__mul__(_partial(self, k, 0, Fraction(1, factorial(k))),
-                                      _partial(other, 0, k))
-        return out
+        acc: dict = {}
+        for k1, c1 in self.packed.items():
+            b1 = (k1 >> FIELD) & FIELD_MASK
+            for k2, c2 in other.packed.items():
+                c, mono = c1 * c2, k1 + k2
+                if mono & _GUARDS:
+                    raise _overflow()
+                for n in _weights(b1, (k2 >> _A) & FIELD_MASK):
+                    _add(acc, mono, c, n, 1)
+                    mono -= _STEP
+        return _zpoly(2, acc, WOp)
 
     def apply_monomial(self, j: int) -> dict[int, Scalar]:
         """Image of w^j as a polynomial in w: exponent -> coefficient."""
         out: dict[int, Scalar] = {}
         for key, c in self.packed.items():
             a, b = _ab(key)
-            if b > j:
-                continue
-            e = a + j - b
-            s = out.get(e, ZERO) + c * Scalar(perm(j, b))
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            if b <= j:
+                _add(out, a + j - b, c, perm(j, b), 1)
         return out
 
     def __repr__(self) -> str:
@@ -155,12 +196,8 @@ class PolyZX(_ZX):
 
     def euler_degree(self):
         """Euler degree for homogeneous input; -inf for zero."""
-        degs = {key >> _TOP for key in self.packed}
-        if not degs:
-            return NEG_INF
-        if len(degs) > 1:
-            raise NotHomogeneousError(f"polynomial degrees {sorted(degs)} mix")
-        return Fraction(degs.pop(), 2)
+        deg = _degree(self)
+        return NEG_INF if deg < 0 else Fraction(deg, 2)
 
     def component(self, poly_degree: int) -> "PolyZX":
         return self._with({m: c for m, c in self.packed.items() if m >> _TOP == poly_degree})
@@ -179,40 +216,29 @@ def polyzx_str(p: PolyZX) -> str:
     return _terms_str(p, "zeta", "xi", "*") or "0"
 
 
-def _partial(f: _ZX, n_xi: int, n_zeta: int, weight: Fraction = Fraction(1)) -> _ZX:
-    """weight * d_xi^n_xi d_zeta^n_zeta f, in one pass over the terms.
-
-    On a WOp, zeta stands for w and xi for d.
-    """
-    step = n_zeta * _A_STEP + n_xi * _B_STEP
-    out = {}
-    for key, c in f.packed.items():
-        a, b = _ab(key)
-        if a >= n_zeta and b >= n_xi:
-            out[key - step] = c * Scalar(weight * (perm(a, n_zeta) * perm(b, n_xi)))
-    return f._with(out)
-
-
 # ---------------------------------------------------------------------------
 # Quantization map and its inverse
 # ---------------------------------------------------------------------------
 
-def _reorder(p: _ZX, half: Fraction, cls: type) -> _ZX:
-    """sum_k half^k/k! d_zeta^k d_xi^k p, as a value of type ``cls``."""
-    out = p.zero()
-    for k in range(max((min(_ab(key)) for key in p.packed), default=0) + 1):
-        out = out + _partial(p, k, k, half ** k / factorial(k))
-    return cls()._with(out.packed)
+def _reorder(p: _ZX, sign: int, cls: type) -> _ZX:
+    """sum_k (sign/2)^k/k! d_zeta^k d_xi^k p, as a value of type ``cls``."""
+    acc: dict = {}
+    for key, c in p.packed.items():
+        for k, n in enumerate(_weights(*_ab(key))):
+            _add(acc, key - k * _STEP, c, sign ** k * n, 1 << k)
+    return _zpoly(2, acc, cls)
 
 
 def symmetrize(p: PolyZX) -> WOp:
     """The quantization map: zeta^a xi^b -> sum_k (1/2)^k k! C(a,k) C(b,k) w^(a-k) d^(b-k)."""
-    return _reorder(p, Fraction(1, 2), WOp)
+    _require(PolyZX, p)
+    return _reorder(p, 1, WOp)
 
 
 def dequantize(A: WOp) -> PolyZX:
     """Inverse of :func:`symmetrize`: the same sum with -1/2 in place of 1/2."""
-    return _reorder(A, Fraction(-1, 2), PolyZX)
+    _require(WOp, A)
+    return _reorder(A, -1, PolyZX)
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +259,45 @@ def c_component(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
               (d_xi^(p-t) d_zeta^t phi) (d_zeta^(p-t) d_xi^t psi),
 
     which agrees with the matching component of :func:`circle` because
-    symmetrization carries composition to the Moyal product.
+    symmetrization carries composition to the Moyal product.  Every t
+    sends zeta^a1 xi^b1 and zeta^a2 xi^b2 to zeta^(a1+a2-p) xi^(b1+b2-p),
+    so a term pair adds one integer n over 2^p p! to one key.
     """
-    j = phi.euler_degree()
-    k = psi.euler_degree()
-    if j is NEG_INF or k is NEG_INF or not 0 <= p <= j + k:
+    _require(PolyZX, phi, psi)
+    d1, d2 = _degree(phi), _degree(psi)
+    if d1 < 0 or d2 < 0 or not 0 <= 2 * p <= d1 + d2:
         return PolyZX.zero()
-    out = PolyZX.zero()
-    for t in range(p + 1):
-        weight = Fraction((-1) ** t * comb(p, t), 2 ** p * factorial(p))
-        # both factors are PolyZX: ZPoly's operators skip the mixed-type guard
-        term = ZPoly.__mul__(_partial(phi, p - t, t, weight), _partial(psi, t, p - t))
-        out = ZPoly.__add__(out, term)
-    return out
+    return _bidifferential(phi, psi, p)
+
+
+def _bidifferential(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
+    """The bidifferential sum of :func:`c_component`, for any phi, psi and p >= 0."""
+    den, drop = factorial(p) << p, p * _STEP
+    signed = [(-1) ** t * comb(p, t) for t in range(p + 1)]
+    acc: dict = {}
+    for k1, c1 in phi.packed.items():
+        a1, b1 = _ab(k1)
+        for k2, c2 in psi.packed.items():
+            a2, b2 = _ab(k2)
+            n = sum(s * perm(b1, p - t) * perm(a1, t) * perm(a2, p - t) * perm(b2, t)
+                    for t, s in enumerate(signed))
+            if n:
+                mono = k1 + k2 - drop
+                if mono & _GUARDS:
+                    raise _overflow()
+                _add(acc, mono, c1 * c2, n, den)
+    return _zpoly(2, acc, PolyZX)
 
 
 def poisson(phi: PolyZX, psi: PolyZX) -> PolyZX:
     """{phi, psi} = d_xi phi d_zeta psi - d_zeta phi d_xi psi."""
+    _require(PolyZX, phi, psi)
     return phi.derivative(1) * psi.derivative(0) - phi.derivative(0) * psi.derivative(1)
 
 
 def supertrace(phi: PolyZX) -> Scalar:
     """Projection to the constant term."""
+    _require(PolyZX, phi)
     return phi.constant_term()
 
 
@@ -265,10 +308,8 @@ def pairing(phi: PolyZX, psi: PolyZX) -> Scalar:
 
 def parity(phi: PolyZX) -> int:
     """0 for integer Euler degree, 1 for half-integer (homogeneous input)."""
-    deg = phi.euler_degree()
-    if deg is NEG_INF:
-        return 0
-    return int(2 * deg) % 2
+    _require(PolyZX, phi)
+    return max(_degree(phi), 0) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +330,14 @@ def lambda_op(tag: str, psi: PolyZX) -> PolyZX:
 
     zeta2  -> (1/4) d^2/dxi^2,
     zetaxi -> -(1/4) d^2/dxi dzeta,
-    xi2    -> (1/4) d^2/dzeta^2.
+    xi2    -> (1/4) d^2/dzeta^2,
+
+    that is psi -> C_2(generator, psi), on homogeneous and mixed psi alike.
     """
-    quarter = Fraction(1, 4)
-    if tag == "zeta2":
-        return _partial(psi, 2, 0, quarter)
-    if tag == "zetaxi":
-        return _partial(psi, 1, 1, -quarter)
-    if tag == "xi2":
-        return _partial(psi, 0, 2, quarter)
-    raise ValueError(f"unknown generator tag {tag!r}; expected one of {LAMBDA_OP_TAGS}")
+    if tag not in GENERATORS:
+        raise ValueError(f"unknown generator tag {tag!r}; expected one of {LAMBDA_OP_TAGS}")
+    _require(PolyZX, psi)
+    return _bidifferential(GENERATORS[tag], psi, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,39 +351,22 @@ def pairing_table(max_power: int = 6) -> list[dict]:
         for q in range(max_power + 1):
             value = pairing(PolyZX.xi(p), PolyZX.zeta(q))
             expect = Scalar(Fraction(factorial(p), 2 ** p)) if p == q else ZERO
-            rows.append({
-                "p": p,
-                "q": q,
-                "Q": scalar_str(value),
-                "matches_closed_form": value == expect,
-            })
+            rows.append({"p": p, "q": q, "Q": scalar_str(value), "matches_closed_form": value == expect})
     return rows
 
 
 def component_table(max_degree: int = 4) -> list[dict]:
     """Graded components C_p for all monomial pairs up to a total degree."""
-    monos = [
-        (a, b)
-        for d in range(max_degree + 1)
-        for a in range(d + 1)
-        for b in [d - a]
-    ]
+    monos = [(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
     rows = []
     for a1, b1 in monos:
         for a2, b2 in monos:
             phi = PolyZX.monomial(a1, b1)
             psi = PolyZX.monomial(a2, b2)
-            j = Fraction(a1 + b1, 2)
-            k = Fraction(a2 + b2, 2)
-            pmax = int(2 * min(j, k))
             comps = {}
-            for p in range(pmax + 1):
+            for p in range(min(a1 + b1, a2 + b2) + 1):
                 c = c_component(phi, psi, p)
                 if not c.is_zero():
                     comps[p] = polyzx_str(c)
-            rows.append({
-                "phi": polyzx_str(phi),
-                "psi": polyzx_str(psi),
-                "components": comps,
-            })
+            rows.append({"phi": polyzx_str(phi), "psi": polyzx_str(psi), "components": comps})
     return rows

@@ -195,16 +195,17 @@ IUNIT = Scalar(0, 1)
 
 def scalar_str(s: Scalar) -> str:
     """Plain text form, e.g. ``-3/4``, ``2i``, ``1+1i``."""
+    a, b, d = s.a, s.b, s.d
 
-    def frac(f: Fraction) -> str:
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    def frac(n: int) -> str:  # n/d in lowest terms
+        g = gcd(n, d)
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
 
-    if not s.im:
-        return frac(s.re)
-    if not s.re:
-        return frac(s.im) + "i"
-    sign = "+" if s.im > 0 else "-"
-    return f"{frac(s.re)}{sign}{frac(abs(s.im))}i"
+    if not b:
+        return frac(a)
+    if not a:
+        return frac(b) + "i"
+    return f"{frac(a)}{'+' if b > 0 else '-'}{frac(abs(b))}i"
 
 
 def parse_scalar(text: str) -> Scalar:

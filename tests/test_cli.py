@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -167,6 +168,36 @@ def test_moyal_pairing_mismatch_exits_1(capsys, monkeypatch, fmt):
 def test_moyal_bad_table(capsys):
     code, _, err = run(capsys, "moyal", "--check", "bogus")
     assert code == 2
+
+
+# sha256 of the degree-7 tables as the Fraction-weighted lab printed them
+MOYAL_7_SHA256 = {
+    "text": "1ed02d284508cc148499dea05c5a89d11915a68979539e37d75c40a0371120d9",
+    "json": "8e50efb85a7ccff862e6bf299d50cf5e1b6c34be9749fd2dad6af9f54fec8cfc",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_moyal_degree_7_tables_are_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "moyal", "--max-degree", "7", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MOYAL_7_SHA256[fmt]
+
+
+@pytest.mark.parametrize("degree", ["16384", "99999"])
+def test_moyal_degree_past_the_packed_field_is_a_usage_error(capsys, degree):
+    # 2 * N must stay below ring.EXPONENT_LIMIT = 2^15; rejected before any table is built
+    code, out, err = run(capsys, "moyal", "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_moyal_largest_packable_degree_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli.moyal, "pairing_table", lambda max_degree: [])
+    monkeypatch.setattr(cli.moyal, "component_table", lambda max_degree: [])
+    code, _, err = run(capsys, "moyal", "--max-degree", "16383", "--format", "json")
+    assert code == 0 and err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import operator
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial, perm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistedops import moyal, rep
 from twistedops.moyal import (
@@ -24,7 +25,7 @@ from twistedops.moyal import (
     supertrace,
     symmetrize,
 )
-from twistedops.ring import NotHomogeneousError, Scalar, ONE, ZERO, ZPoly
+from twistedops.ring import FIELD, NotHomogeneousError, Scalar, ONE, ZERO, ZPoly
 
 
 def sc(x):
@@ -376,3 +377,139 @@ def test_symbols_and_operators_are_two_variable_zpolys():
         assert v.terms and all(len(m) == 3 and m[-1] == 0 for m in v.terms)
     assert len({PolyZX.one(), WOp.one(), PolyZX.one()}) == 2
     assert hash(PolyZX.monomial(1, 1)) == hash(PolyZX({(1, 1): ONE}))
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction-weighted partial-derivative
+# routines it replaced, kept here as references
+# ---------------------------------------------------------------------------
+
+_A_STEP = (1 << moyal._A) + (1 << moyal._TOP)  # one more zeta: the a field and the total
+_B_STEP = (1 << FIELD) + (1 << moyal._TOP)     # one more xi
+
+
+def ref_partial(f, n_xi, n_zeta, weight=Fraction(1)):
+    """weight * d_xi^n_xi d_zeta^n_zeta f (zeta stands for w, xi for d on a WOp)."""
+    step = n_zeta * _A_STEP + n_xi * _B_STEP
+    out = {}
+    for key, c in f.packed.items():
+        a, b = moyal._ab(key)
+        if a >= n_zeta and b >= n_xi:
+            out[key - step] = c * Scalar(weight * (perm(a, n_zeta) * perm(b, n_xi)))
+    return f._with(out)
+
+
+def ref_wop_mul(A, B):
+    out = WOp()
+    top = min(max((moyal._ab(key)[1] for key in A.packed), default=0),
+              max((moyal._ab(key)[0] for key in B.packed), default=0))
+    for k in range(top + 1):
+        out = out + ZPoly.__mul__(ref_partial(A, k, 0, Fraction(1, factorial(k))), ref_partial(B, 0, k))
+    return out
+
+
+def ref_reorder(p, half, cls):
+    out = p.zero()
+    for k in range(max((min(moyal._ab(key)) for key in p.packed), default=0) + 1):
+        out = out + ref_partial(p, k, k, half ** k / factorial(k))
+    return cls()._with(out.packed)
+
+
+def ref_c_component(phi, psi, p):
+    j, k = phi.euler_degree(), psi.euler_degree()
+    if j == float("-inf") or k == float("-inf") or not 0 <= p <= j + k:
+        return PolyZX.zero()
+    out = PolyZX.zero()
+    for t in range(p + 1):
+        weight = Fraction((-1) ** t * comb(p, t), 2 ** p * factorial(p))
+        out = ZPoly.__add__(out, ZPoly.__mul__(ref_partial(phi, p - t, t, weight), ref_partial(psi, t, p - t)))
+    return out
+
+
+def ref_lambda_op(tag, psi):
+    quarter = Fraction(1, 4)
+    n_xi, n_zeta, weight = {"zeta2": (2, 0, quarter), "zetaxi": (1, 1, -quarter), "xi2": (0, 2, quarter)}[tag]
+    return ref_partial(psi, n_xi, n_zeta, weight)
+
+
+# small Gaussian coefficients, so that sums into one key often cancel
+gaussians = st.builds(Scalar, st.fractions(-2, 2, max_denominator=3), st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]))
+
+
+@st.composite
+def zx_values(draw, cls, degree=None):
+    """A value of ``cls`` with 1..6 terms, all of the given degree unless it is None."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.integers(0, 6)) if degree is None else degree
+        a = draw(st.integers(0, d))
+        terms[(a, d - a)] = draw(gaussians)
+    return cls(terms)
+
+
+def assert_same(got, want):
+    assert type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_integer_kernel_matches_fraction_references(data):
+    d1, d2 = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    phi, psi = data.draw(zx_values(PolyZX, d1)), data.draw(zx_values(PolyZX, d2))
+    for p in range(-1, d1 + d2 + 2):
+        assert_same(c_component(phi, psi, p), ref_c_component(phi, psi, p))
+    A, B = data.draw(zx_values(WOp)), data.draw(zx_values(WOp))
+    mixed = data.draw(zx_values(PolyZX))
+    assert_same(A * B, ref_wop_mul(A, B))
+    for f in (phi, mixed):
+        assert_same(symmetrize(f), ref_reorder(f, Fraction(1, 2), WOp))
+        for tag in GENERATORS:
+            assert_same(lambda_op(tag, f), ref_lambda_op(tag, f))
+    for C in (A, B, A * B):
+        assert_same(dequantize(C), ref_reorder(C, Fraction(-1, 2), PolyZX))
+
+
+def test_integer_kernel_cancels_into_one_key():
+    # in C_1(f, f) the pairs (zeta, xi) and (xi, zeta) cancel on the constant; in
+    # C_1(f, g) they add up; dequantizing w d + 1/2 cancels the constant
+    f, g = PolyZX.zeta() + PolyZX.xi(), PolyZX.zeta() - PolyZX.xi()
+    assert c_component(f, f, 1).packed == {}
+    assert c_component(f, g, 1) == PolyZX.one() == ref_c_component(f, g, 1)
+    assert dequantize(WOp({(1, 1): ONE, (0, 0): sc("1/2")})).packed == PolyZX.monomial(1, 1).packed
+
+
+# ---------------------------------------------------------------------------
+# Symbols and operators are never read as one another
+# ---------------------------------------------------------------------------
+
+_SYMBOL, _OP, _PLAIN = PolyZX.monomial(1, 1), WOp.w() * WOp.d(), ZPoly.one(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: symmetrize(x),
+    lambda x: circle(x, x),
+    lambda x: circle(_SYMBOL, x),
+    lambda x: circle(x, _SYMBOL),
+    lambda x: c_component(x, x, 0),
+    lambda x: c_component(_SYMBOL, x, 1),
+    lambda x: poisson(x, x),
+    lambda x: poisson(_SYMBOL, x),
+    lambda x: pairing(x, x),
+    lambda x: pairing(_SYMBOL, x),
+    lambda x: supertrace(x),
+    lambda x: parity(x),
+    lambda x: lambda_op("zetaxi", x),
+], ids=["symmetrize", "circle", "circle-right", "circle-left", "c_component", "c_component-right",
+        "poisson", "poisson-right", "pairing", "pairing-right", "supertrace", "parity", "lambda_op"])
+@pytest.mark.parametrize("value", [_OP, _PLAIN], ids=["WOp", "ZPoly"])
+def test_symbol_entry_points_reject_non_symbols(call, value):
+    with pytest.raises(TypeError):
+        call(value)
+    call(_SYMBOL)  # the symbol itself is accepted
+
+
+@pytest.mark.parametrize("value", [_SYMBOL, _PLAIN], ids=["PolyZX", "ZPoly"])
+def test_dequantize_rejects_non_operators(value):
+    with pytest.raises(TypeError):
+        dequantize(value)
+    assert dequantize(_OP) == PolyZX({(1, 1): ONE, (0, 0): sc("-1/2")})
