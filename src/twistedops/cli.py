@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import jordan, moyal, rep, verify
-from .ring import EXPONENT_LIMIT
+from .ring import EXPONENT_LIMIT, RingError
 from .weyl import diffop_str, polyop_str
 
 RANK_LIMITS = {"sym": 4, "full": 4, "spin": 8}
@@ -85,7 +85,7 @@ def cmd_critical(args) -> int:
     J = _load_algebra(args.algebra, args.force)
     try:
         lo, hi = verify.critical_values(J)
-    except verify.VerifyError as exc:
+    except RingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_FAILURE
     if args.format == "json":

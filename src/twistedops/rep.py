@@ -25,11 +25,10 @@ extracted by exact linear algebra at a specialized rational twist.
 from __future__ import annotations
 
 import re
-import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jordan import DimensionMismatchError, JElem, JordanAlgebra
+from .jordan import DimensionMismatchError, JElem, JordanAlgebra, per_algebra
 from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 
@@ -88,35 +87,28 @@ def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
     return LambdaPoly.from_rational(lam)
 
 
-# per algebra, the twist-free second-order part of pi^(b_k) for every k;
-# the rows hold SuperFns over J.ring, not J, so an entry goes with its algebra
-_SECOND_ORDER_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
+@per_algebra
 def _second_order_rows(J: JordanAlgebra) -> tuple:
     """- sum_ij {b_k, b^j, q}_i d_i d_j as a ``{beta: SuperFn}`` row per k.
 
-    n^2 triples, built on first use; b_k o q and b^j o q are formed once.
+    n^2 triples, built once per algebra; b_k o q and b^j o q are formed once.
     """
-    rows = _SECOND_ORDER_ROWS.get(J)
-    if rows is None:
-        q = J.generic_elem()
-        n = J.n
-        duals = [J.dual_basis_element(j) for j in range(n)]
-        duals_q = [J.product(d, q) for d in duals]
-        rows = []
-        for k in range(n):
-            b = J.basis_element(k)
-            b_q = J.product(b, q)
-            second: dict[tuple, ZPoly] = {}
-            for j in range(n):
-                trip = J.triple(b, duals[j], q, ac=b_q, bc=duals_q[j])
-                for i, c in enumerate(trip.coords):
-                    idx = tuple(int(t == i) + int(t == j) for t in range(n))
-                    second[idx] = second.get(idx, ZPoly.zero(n)) - c
-            rows.append({idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()})
-        rows = _SECOND_ORDER_ROWS[J] = tuple(rows)
-    return rows
+    q = J.generic_elem()
+    n = J.n
+    duals = [J.dual_basis_element(j) for j in range(n)]
+    duals_q = [J.product(d, q) for d in duals]
+    rows = []
+    for k in range(n):
+        b = J.basis_element(k)
+        b_q = J.product(b, q)
+        second: dict[tuple, ZPoly] = {}
+        for j in range(n):
+            trip = J.triple(b, duals[j], q, ac=b_q, bc=duals_q[j])
+            for i, c in enumerate(trip.coords):
+                idx = tuple(int(t == i) + int(t == j) for t in range(n))
+                second[idx] = second.get(idx, ZPoly.zero(n)) - c
+        rows.append({idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()})
+    return tuple(rows)
 
 
 def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> DiffOp:

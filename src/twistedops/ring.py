@@ -1214,16 +1214,21 @@ def parse_term(term: str, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
     return coeff, tuple(zmono), odd, k, tuple(dmono)
 
 
-def parse_superfn(text: str, ctx: RingContext) -> SuperFn:
+def parse_terms(text: str, ctx: RingContext):
+    """Each term of ``text`` as (coefficient, derivative multi-index); ``0`` has none."""
     text = text.strip()
     if text == "0":
-        return SuperFn.zero(ctx)
-    total = SuperFn.zero(ctx)
+        return
     for term in _split_terms(text):
         coeff, zmono, odd, k, dmono = parse_term(term, ctx.n)
+        frac = LocFn(ctx, ZPoly.monomial(ctx.n, zmono, coeff), k)
+        yield (SuperFn.from_locfn(LocFn.zero(ctx), frac) if odd else SuperFn.from_locfn(frac)), dmono
+
+
+def parse_superfn(text: str, ctx: RingContext) -> SuperFn:
+    total = SuperFn.zero(ctx)
+    for fn, dmono in parse_terms(text, ctx):
         if any(dmono):
             raise ParseError("derivative factors are not allowed in a function")
-        frac = LocFn(ctx, ZPoly.monomial(ctx.n, zmono, coeff), k)
-        part = SuperFn.from_locfn(LocFn.zero(ctx), frac) if odd else SuperFn.from_locfn(frac)
-        total = total + part
+        total = total + fn
     return total

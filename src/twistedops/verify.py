@@ -14,17 +14,19 @@ multiplication operator w, and checks that it collapses to
 
 where l0, l0' are the two critical twists 1/2 -+ 1/(4m).  The roots of
 the extracted quadratic are then compared against that closed form.
+
+Every check is ``check(J[, twist or y]) -> CheckResult``; what several checks
+share, the quadratic and the w-conjugation witness, is found once per algebra.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 
 from . import jordan as _jordan
 from . import rep
-from .jordan import JordanAlgebra, PrimitiveIdempotentError
+from .jordan import JordanAlgebra, PrimitiveIdempotentError, per_algebra
 from .report import CheckResult, Report, timed_check
 from .ring import (
     HALF,
@@ -139,21 +141,24 @@ def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
     return groups[0][1] if groups else LambdaPoly()
 
 
-def check_double_commutator(J: JordanAlgebra) -> tuple[CheckResult, LambdaPoly | None]:
-    """Full structure of the double commutator, plus the extracted quadratic.
+@per_algebra
+def _canonical_quadratic(J: JordanAlgebra) -> LambdaPoly:
+    """The quadratic at the canonical idempotent, built once per algebra."""
+    return double_commutator_quadratic(J)
+
+
+def check_double_commutator(J: JordanAlgebra) -> CheckResult:
+    """Full structure of the double commutator at the canonical idempotent.
 
     A canonical idempotent that fails its guard fails the check, with the
-    guard's message as witness, and no quadratic is returned.
+    guard's message as witness.
     """
-    quad_holder: list[LambdaPoly] = []
-
     def body():
         lam0, lam0p = rep.critical_pair(J)
         try:
-            quad = double_commutator_quadratic(J)
+            quad = _canonical_quadratic(J)
         except (VerifyError, PrimitiveIdempotentError) as exc:
             return False, str(exc)
-        quad_holder.append(quad)
         m2 = Scalar(J.m * J.m)
         expect = LambdaPoly((
             -m2 * Scalar(lam0) * Scalar(lam0p),
@@ -163,20 +168,15 @@ def check_double_commutator(J: JordanAlgebra) -> tuple[CheckResult, LambdaPoly |
         if quad != expect:
             return False, f"quadratic {quad} differs from -m^2(L-l0)(L-l0')"
         return True, None
-
-    result = timed_check("double-commutator", body)
-    return result, (quad_holder[0] if quad_holder else None)
+    return timed_check("double-commutator", body)
 
 
-def critical_values(J: JordanAlgebra, quad: LambdaPoly | None = None) -> tuple[Scalar, Scalar]:
+def critical_values(J: JordanAlgebra) -> tuple[Scalar, Scalar]:
     """The two twists extracted from the double commutator quadratic.
 
     They must agree with 1/2 -+ 1/(4m); a mismatch raises VerifyError.
-    ``quad`` is the quadratic when already computed; else it is built.
     """
-    if quad is None:
-        quad = double_commutator_quadratic(J)
-    roots = quad.quadratic_roots()
+    roots = _canonical_quadratic(J).quadratic_roots()
     lam0, lam0p = rep.critical_pair(J)
     expect = (Scalar(lam0), Scalar(lam0p))
     if roots != expect:
@@ -184,11 +184,11 @@ def critical_values(J: JordanAlgebra, quad: LambdaPoly | None = None) -> tuple[S
     return roots
 
 
-def check_critical(J: JordanAlgebra, quad: LambdaPoly | None = None) -> CheckResult:
+def check_critical(J: JordanAlgebra) -> CheckResult:
     def body():
         try:
-            roots = critical_values(J, quad)
-        except (VerifyError, RingError) as exc:
+            roots = critical_values(J)
+        except RingError as exc:
             return False, str(exc)
         return True, f"{roots[0]}, {roots[1]}"
     return timed_check("critical-values", body)
@@ -206,18 +206,24 @@ def _w_conjugation_witness(J: JordanAlgebra) -> str | None:
     return None
 
 
-def check_w_conjugation(J: JordanAlgebra, conjugation=_w_conjugation_witness) -> CheckResult:
+@per_algebra
+def _conjugation_witness(J: JordanAlgebra) -> str | None:
+    """The witness of :func:`_w_conjugation_witness`, found once per algebra."""
+    return _w_conjugation_witness(J)
+
+
+def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
     """Conjugation by w carries the upper-twist family to the lower one.
 
-    ``conjugation(J)`` is the minus-side witness (None: it holds); a suite
-    run shares one memoised copy with every check that needs it.
+    The plus side is checked here; the minus-side witness is found once
+    per algebra and shared with the module and lowest-weight checks.
     """
     def body():
         for i in range(J.n):
             mult = rep.pi_plus(J, J.basis_element(i))
             if mult.conjugate_by_w() != mult:
                 return False, f"multiplication operator moved at x=b{i+1}"
-        witness = conjugation(J)
+        witness = _conjugation_witness(J)
         return witness is None, witness
     return timed_check("w-conjugation", body)
 
@@ -316,8 +322,7 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
     return timed_check("closure", body)
 
 
-def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST,
-                   conjugation=_w_conjugation_witness) -> CheckResult:
+def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST) -> CheckResult:
     """Stability of the module C[z] + wC[z] at the lower critical twist.
 
     (1) w pi_{l0'}^y w^{-1} = pi_{l0}^y for every basis y, hence for every
@@ -325,25 +330,25 @@ def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST,
     are polynomials free of L.  So pi_{l0} maps C[z] into the module, and
     pi_{l0}(wP) = w pi_{l0'}(P) puts wC[z] there too, in every degree.
     (3) pi_{l0}(1) = pi_{l0}(w) = 0.  (4) Criticality: at a generic twist
-    the same action produces denominators.  ``conjugation`` is as in
-    :func:`check_w_conjugation`.
+    the same action produces denominators.  Step (1) is the witness shared
+    with :func:`check_w_conjugation`.
     """
     def body():
-        witness = conjugation(J)
+        witness = _conjugation_witness(J)
         if witness is not None:
             return False, witness
         lam0, lam0p = rep.critical_pair(J)
-        for lam in (lam0, lam0p):
-            for i in range(J.n):
-                op = rep.pi_minus(J, J.basis_element(i), lam)
+        family = {lam: [rep.pi_minus(J, J.basis_element(i), lam) for i in range(J.n)]
+                  for lam in (lam0, lam0p)}
+        for lam, ops in family.items():
+            for i, op in enumerate(ops):
                 polynomial = all(c.is_polynomial() for c in op.terms.values())
                 if not polynomial or op.subst_lambda(LambdaPoly()) != op:
                     return False, f"pi^y at {lam} has a denominator or L at y=b{i+1}"
         ctx = J.ring
         w = SuperFn.w(ctx)
         one = SuperFn.one(ctx)
-        for i in range(J.n):
-            at0 = rep.pi_minus(J, J.basis_element(i), lam0)
+        for i, at0 in enumerate(family[lam0]):
             if not at0.apply(one).is_zero():
                 return False, f"pi(1) != 0 at y=b{i+1}"
             if not at0.apply(w).is_zero():
@@ -359,17 +364,16 @@ def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST,
     return timed_check("module-stability", body)
 
 
-def check_lowest_weight(J: JordanAlgebra, conjugation=_w_conjugation_witness) -> CheckResult:
+def check_lowest_weight(J: JordanAlgebra) -> CheckResult:
     """w.(norm-derivative op) at l0 and (norm-derivative op).w at l0' are
     annihilated by every minus-side commutator.
 
     Checked: w pi_{l0'}^y w^{-1} = pi_{l0}^y and [pi_{l0}^y, w dF] = 0 for
     every basis y, hence every y (pi^y is linear in y).  The upper vector
-    follows: [pi_{l0'}^y, dF w] = w^{-1} [pi_{l0}^y, w dF] w = 0.  For
-    ``conjugation`` see :func:`check_w_conjugation`.
+    follows: [pi_{l0'}^y, dF w] = w^{-1} [pi_{l0}^y, w dF] w = 0.
     """
     def body():
-        witness = conjugation(J)
+        witness = _conjugation_witness(J)
         if witness is not None:
             return False, witness
         lam0, _ = rep.critical_pair(J)
@@ -414,36 +418,28 @@ def _suite_selection(selection: str) -> list[str]:
     return [s for s in SUITE_ORDER if s in picked]
 
 
+def _guarded_idempotent_bracket(J: JordanAlgebra) -> CheckResult:
+    """The idempotent bracket, failed when the canonical idempotent fails its guard."""
+    try:
+        return check_idempotent_bracket(J)
+    except PrimitiveIdempotentError as exc:
+        return CheckResult("idempotent-bracket", "fail", str(exc))
+
+
 def run_suite(J: JordanAlgebra, selection: str = "all", seed: int = 0,
               lam_value: Fraction = GENERIC_TWIST) -> Report:
-    """Run the selected checks in a fixed order; the double-commutator
-    quadratic and the w-conjugation identity are computed at most once."""
-    conjugation = functools.cache(_w_conjugation_witness)
-    quad = None
-    checks: list[CheckResult] = []
-    for block in _suite_selection(selection):
-        if block == "jordan":
-            checks += _jordan.verify_jordan_calculus(J, random.Random(seed))
-        elif block == "brackets":
-            checks.append(check_w_bracket(J))
-            try:
-                checks.append(check_idempotent_bracket(J))
-            except PrimitiveIdempotentError as exc:
-                checks.append(CheckResult("idempotent-bracket", "fail", str(exc)))
-            result, quad = check_double_commutator(J)
-            checks.append(result)
-        elif block == "critical":
-            checks.append(check_critical(J, quad))
-        elif block == "innw":
-            checks.append(check_w_conjugation(J, conjugation))
-        elif block == "delta":
-            checks.append(check_delta_antimap(J))
-        elif block == "ft":
-            checks.append(check_fourier(J))
-        elif block == "closure":
-            checks.append(check_closure(J, lam_value))
-        elif block == "hmodule":
-            checks.append(check_h_module(J, lam_value, conjugation))
-        elif block == "lowest":
-            checks.append(check_lowest_weight(J, conjugation))
-    return Report(algebra=J.selector, suite=selection or "all", checks=tuple(checks))
+    """Run the checks of the selected blocks, in the fixed block order."""
+    blocks = {
+        "jordan": lambda: _jordan.verify_jordan_calculus(J, random.Random(seed)),
+        "brackets": lambda: [check_w_bracket(J), _guarded_idempotent_bracket(J),
+                             check_double_commutator(J)],
+        "critical": lambda: [check_critical(J)],
+        "innw": lambda: [check_w_conjugation(J)],
+        "delta": lambda: [check_delta_antimap(J)],
+        "ft": lambda: [check_fourier(J)],
+        "closure": lambda: [check_closure(J, lam_value)],
+        "hmodule": lambda: [check_h_module(J, lam_value)],
+        "lowest": lambda: [check_lowest_weight(J)],
+    }
+    checks = tuple(c for block in _suite_selection(selection) for c in blocks[block]())
+    return Report(algebra=J.selector, suite=selection or "all", checks=checks)

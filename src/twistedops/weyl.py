@@ -39,12 +39,11 @@ from .ring import (
     ZPoly,
     _zpoly,
     grade_components,
-    parse_term,
+    parse_terms,
     superfn_terms,
     z_degree,
     _coeff_groups,
     _mono_str,
-    _split_terms,
 )
 
 MultiIndex = tuple  # tuple[int, ...] of length n
@@ -429,14 +428,7 @@ def diffop_str(A: DiffOp) -> str:
 
 
 def parse_diffop(text: str, alg: JordanAlgebra) -> DiffOp:
-    text = text.strip()
-    if text == "0":
-        return DiffOp.zero(alg)
-    ctx = alg.ring
     out = DiffOp.zero(alg)
-    for termtext in _split_terms(text):
-        coeff, zmono, odd, k, dmono = parse_term(termtext, ctx.n)
-        frac = LocFn(ctx, ZPoly.monomial(ctx.n, zmono, coeff), k)
-        fn = SuperFn.from_locfn(LocFn.zero(ctx), frac) if odd else SuperFn.from_locfn(frac)
+    for fn, dmono in parse_terms(text, alg.ring):
         out = out + DiffOp(alg, {dmono: fn})
     return out

@@ -7,7 +7,9 @@ import time
 import pytest
 
 from twistedops import cli
+from twistedops.jordan import PrimitiveIdempotentError
 from twistedops.report import validate_report_dict
+from twistedops.ring import DegreeError, IrrationalRootError, Scalar
 
 
 def run(capsys, *argv):
@@ -129,6 +131,20 @@ def test_critical_json(capsys):
     code, out, _ = run(capsys, "critical", "--algebra", "spin:5", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"algebra": "spin:5", "critical": ["2/5", "3/5"]}
+
+
+@pytest.mark.parametrize("error", [DegreeError("quadratic has degree 1"),
+                                   IrrationalRootError("no rational roots", Scalar(2)),
+                                   PrimitiveIdempotentError("element is not idempotent")],
+                         ids=["degree", "irrational", "idempotent"])
+def test_critical_ring_error_exits_one(capsys, monkeypatch, error):
+    # any exact-ring failure of the extraction is a failed check, not a traceback
+    def fail(J):
+        raise error
+
+    monkeypatch.setattr(cli.verify, "critical_values", fail)
+    code, out, err = run(capsys, "critical", "--algebra", "sym:2")
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 # ---------------------------------------------------------------------------

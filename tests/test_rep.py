@@ -87,6 +87,19 @@ def test_pi_minus_rank_one(full1):
     assert op == want
 
 
+def test_pi_minus_takes_the_twist_as_a_lambda_poly(sym2):
+    # a LambdaPoly twist is used as given: a constant one equals the same
+    # value given as a Fraction, and L itself is the formal default
+    lam0, _ = rep.critical_pair(sym2)
+    y = sym2.idempotent_elem()
+    for value in (lam0, Fraction(-2, 9), 0):
+        as_poly = LambdaPoly.from_rational(value)
+        assert rep.pi_minus(sym2, y, as_poly) == rep.pi_minus(sym2, y, Fraction(value))
+    assert rep.pi_minus(sym2, y, LAMBDA) == rep.pi_minus(sym2, y)
+    shifted = LAMBDA + LambdaPoly.from_rational(1)
+    assert rep.pi_minus(sym2, y, shifted) == rep.pi_minus(sym2, y).subst_lambda(shifted)
+
+
 def test_pi_minus_kills_constants(sym2, spin4):
     for J in (sym2, spin4):
         for i in range(J.n):

@@ -1,9 +1,11 @@
 """The identity suite end to end, including negative controls."""
 
 import dataclasses
+import gc
 import inspect
 import itertools
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -91,8 +93,8 @@ def test_idempotent_bracket_guard(full2):
 # ---------------------------------------------------------------------------
 
 def test_double_commutator_rank_one(full1):
-    res, quad = verify.check_double_commutator(full1)
-    assert res.ok
+    assert verify.check_double_commutator(full1).ok
+    quad = verify.double_commutator_quadratic(full1)
     lam = LambdaPoly.lam()
     assert quad == -(lam * lam) + lam + LambdaPoly.from_rational(Fraction(-3, 16))
 
@@ -314,6 +316,37 @@ def test_run_suite_selection(sym2):
             [s for s in verify.SUITE_ORDER if s in (suite, "critical")], name
 
 
+def test_all_inside_a_comma_list_selects_every_block():
+    for selection in ("critical,all", "all, lowest", " ALL ,critical", "innw,All,innw"):
+        assert verify._suite_selection(selection) == list(verify.SUITE_ORDER), selection
+    with pytest.raises(ValueError):
+        verify._suite_selection("nonsense,all")
+
+
+def test_every_check_takes_only_the_algebra_and_a_plain_value():
+    # check(J[, lam_value | generic | y]) -> CheckResult: no callable and no
+    # precomputed intermediate is passed in, and nothing but a CheckResult comes out
+    checks = {name: fn for name, fn in vars(verify).items()
+              if name.startswith("check_") and inspect.isfunction(fn)}
+    assert set(checks) == {
+        "check_w_bracket", "check_idempotent_bracket", "check_double_commutator",
+        "check_critical", "check_w_conjugation", "check_delta_antimap", "check_fourier",
+        "check_closure", "check_h_module", "check_lowest_weight"}
+    J = from_selector("full:1")
+    for name, fn in checks.items():
+        sig = inspect.signature(fn)
+        first, *rest = sig.parameters.values()
+        assert first.name == "J" and len(rest) <= 1, name
+        for p in rest:
+            assert p.name in ("lam_value", "generic", "y"), name
+            assert p.default is None or isinstance(p.default, Fraction), name
+        assert sig.return_annotation == "CheckResult", name
+        assert isinstance(fn(J), verify.CheckResult), name
+    for name, fn in vars(verify).items():
+        if inspect.isfunction(fn) and fn.__module__ == verify.__name__:
+            assert not {"conjugation", "quad"} & set(inspect.signature(fn).parameters), name
+
+
 @pytest.mark.parametrize("defect", ["formal twist", "denominator"])
 def test_module_certificate_needs_polynomial_twist_free_coefficients(sym2, monkeypatch, defect):
     # step 2 on its own: with step 1 taken as given, a family whose
@@ -326,7 +359,8 @@ def test_module_certificate_needs_polynomial_twist_free_coefficients(sym2, monke
         return original(J, y, lam) + DiffOp.mult_w_inv(J)
 
     monkeypatch.setattr(rep, "pi_minus", altered)
-    res = verify.check_h_module(sym2, conjugation=lambda J: None)
+    monkeypatch.setattr(verify, "_conjugation_witness", lambda J: None)
+    res = verify.check_h_module(sym2)
     assert not res.ok
     assert res.witness.startswith("pi^y at 1/3 has a denominator or L at y=b1")
 
@@ -344,17 +378,46 @@ def count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("selection", ["brackets,critical", "critical"])
-def test_run_suite_builds_the_quadratic_once(sym2, monkeypatch, selection):
+def test_run_suite_builds_the_quadratic_once(monkeypatch, selection):
+    # once per algebra: across the suite, the standalone checks and a rerun
+    J = from_selector("sym:2")
     calls = count_calls(monkeypatch, "double_commutator_quadratic")
-    assert verify.run_suite(sym2, selection).overall == "pass"
-    assert len(calls) == 1
+    assert verify.run_suite(J, selection).overall == "pass"
+    assert verify.check_double_commutator(J).ok and verify.check_critical(J).ok
+    assert verify.critical_values(J) == tuple(map(Scalar, rep.critical_pair(J)))
+    assert verify.run_suite(J, "brackets,critical").overall == "pass"
+    assert calls == [(J,)]
+    # another algebra, even a copy of this one, gets its own
+    skew = dataclasses.replace(J, m=J.m + 1)
+    assert not verify.check_critical(skew).ok
+    assert calls == [(J,), (skew,)]
 
 
 @pytest.mark.parametrize("selection", ["innw,hmodule,lowest", "hmodule", "lowest"])
-def test_run_suite_checks_the_conjugation_once(sym2, monkeypatch, selection):
+def test_run_suite_checks_the_conjugation_once(monkeypatch, selection):
+    J = from_selector("sym:2")
     calls = count_calls(monkeypatch, "_w_conjugation_witness")
-    assert verify.run_suite(sym2, selection).overall == "pass"
-    assert len(calls) == 1
+    assert verify.run_suite(J, selection).overall == "pass"
+    for check in (verify.check_w_conjugation, verify.check_h_module, verify.check_lowest_weight):
+        assert check(J).ok
+    assert verify.run_suite(J, "innw,hmodule,lowest").overall == "pass"
+    assert calls == [(J,)]
+    skew = dataclasses.replace(J, m=J.m + 1)
+    assert not verify.check_h_module(skew).ok and not verify.check_lowest_weight(skew).ok
+    assert calls == [(J,), (skew,)]
+
+
+def test_the_shared_values_do_not_keep_their_algebra_alive():
+    # the memoised quadratic and witness are freed with the algebra,
+    # whether the checks pass or fail on it
+    J = from_selector("sym:2")
+    skew = dataclasses.replace(J, m=J.m + 1)
+    assert verify.run_suite(J, "brackets,critical,innw,hmodule,lowest").overall == "pass"
+    assert verify.run_suite(skew, "brackets,critical,innw,hmodule,lowest").overall == "fail"
+    gone = [weakref.ref(J), weakref.ref(skew)]
+    del J, skew
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
 
 
 def test_jordan_block_defaults_to_symbolic(monkeypatch):
