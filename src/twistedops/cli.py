@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv)
     pv.add_argument("--seed", type=int, default=0, help="picks the rational point at which a failing identity's residual is shown")
     pv.add_argument("--suite", default="all",
-                    help="comma list of: jordan, brackets, critical, innw, delta, ft, closure, hmodule, lowest (or 'all')")
+                    help=f"comma list of: {', '.join(verify.SUITE_ORDER)} (or 'all')")
     pv.add_argument("--lam", help="rational twist for span/witness computations (default 5/7)")
     pv.set_defaults(fn=cmd_verify)
 

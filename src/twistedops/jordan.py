@@ -647,7 +647,8 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
     In ``symbolic`` mode each identity is established exactly in the
     localized ring, for every pair of basis directions.  In ``points``
     mode the same identities are evaluated at ``count`` random invertible
-    rational points (used for the largest algebras).
+    rational points; the suite runs the symbolic mode, and the points
+    mode is kept as an independent cross-check.
     """
     if mode == "symbolic":
         return _derivative_identities_symbolic(J)

@@ -6,6 +6,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from .ring import RingError
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -67,9 +69,15 @@ class Report:
 
 
 def timed_check(name: str, fn) -> CheckResult:
-    """Run ``fn() -> (ok, witness)`` and wrap it with wall-clock timing."""
+    """Run ``fn() -> (ok, witness)`` and wrap it with wall-clock timing.
+
+    A ``RingError`` raised by ``fn`` fails the check, its message the witness.
+    """
     start = time.perf_counter()
-    ok, witness = fn()
+    try:
+        ok, witness = fn()
+    except RingError as exc:
+        ok, witness = False, str(exc)
     elapsed = int((time.perf_counter() - start) * 1000)
     if not ok and not witness:
         witness = "failed (no further detail)"

@@ -67,6 +67,11 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_unknown_suite_after_all(capsys):
+    code, out, err = run(capsys, "verify", "--algebra", "full:1", "--suite", "all,bogus")
+    assert (code, out, err) == (2, "", "error: unknown suite 'bogus'\n")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch, sym2):
     from test_jordan import corrupt_structure
     bad = corrupt_structure(sym2)

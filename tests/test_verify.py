@@ -1,5 +1,6 @@
 """The identity suite end to end, including negative controls."""
 
+import ast
 import dataclasses
 import gc
 import inspect
@@ -84,8 +85,11 @@ def test_idempotent_bracket_all(selector):
 
 
 def test_idempotent_bracket_guard(full2):
-    with pytest.raises(PrimitiveIdempotentError):
-        verify.check_idempotent_bracket(full2, full2.unit_elem())
+    # an element that fails the guard fails the check, with the guard's message
+    res = verify.check_idempotent_bracket(full2, full2.basis_element(1))
+    assert (res.status, res.witness) == ("fail", "element is not idempotent")
+    res = verify.check_idempotent_bracket(full2, full2.unit_elem())
+    assert (res.status, res.witness) == ("fail", "idempotent is not primitive (trace != 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def test_double_commutator_rank_one(full1):
 
 
 def test_double_commutator_divides_once(full2, monkeypatch):
-    # F involves no L, so one division by the factor covers every power of L
+    # c(L) is read off one leading coefficient, so nothing but F is divided
     divisors = []
     original = ZPoly.exact_div
 
@@ -111,7 +115,7 @@ def test_double_commutator_divides_once(full2, monkeypatch):
     monkeypatch.setattr(ZPoly, "exact_div", spy)
     quad = verify.double_commutator_quadratic(full2)
     assert quad.degree == 2
-    assert len([d for d in divisors if d != full2.ring.F]) == 1
+    assert divisors and all(d == full2.ring.F for d in divisors)
 
 
 def test_double_commutator_vanishes_at_critical(spin3):
@@ -149,6 +153,60 @@ def test_critical_values_every_builtin(selector):
     lo, hi = verify.critical_values(J)
     lam0, lam0p = rep.critical_pair(J)
     assert (lo, hi) == (Scalar(lam0), Scalar(lam0p))
+
+
+def is_z_free_multiple(J, op, y) -> bool:
+    """Reference: op is c(L) w tr(y o q^{-1})^2 with c free of z, by division."""
+    sq = J.tr_v_qinv(y) * J.tr_v_qinv(y)
+    if set(op.terms) - {(0,) * J.n}:
+        return False
+    coeff = op.terms.get((0,) * J.n)
+    if coeff is None:
+        return True
+    if not coeff.ev.is_zero() or coeff.od.k != sq.k:
+        return False
+    q = coeff.od.num.exact_div(sq.num)
+    return q is not None and not any(any(z) for z, _ in q.sorted_terms())
+
+
+DOUBLE_COMMUTATOR_DEFECTS = {
+    "a derivative term": lambda J: DiffOp.partial(J, 0).compose(DiffOp.partial(J, 0)),
+    "an even part": DiffOp.mult_w,
+    "a z-dependent odd part": lambda J: DiffOp.mult(
+        J, SuperFn.from_zpoly(J.ring, ZPoly.coord(J.n, 0))),
+}
+
+
+@pytest.mark.parametrize("defect", DOUBLE_COMMUTATOR_DEFECTS)
+def test_double_commutator_fails_with_its_residual(monkeypatch, capsys, defect):
+    # each shape the equation can fail in gives the same failure: a
+    # VerifyError whose message is the residual, a witness in both checks
+    # and an error line from the critical command
+    from twistedops import cli
+    from twistedops.weyl import parse_diffop
+    original = rep.pi_minus
+    extra = DOUBLE_COMMUTATOR_DEFECTS[defect]
+    monkeypatch.setattr(rep, "pi_minus", lambda J, y, lam=None: original(J, y, lam) + extra(J))
+    J = from_selector("full:1")  # a fresh algebra, so nothing is memoised for it
+    y = J.idempotent_elem()
+    p = rep.pi_minus(J, y)
+    D = p.commutator(p.commutator(DiffOp.mult_w(J)))
+    order0 = D.terms.get((0,))
+    assert {
+        "a derivative term": any(sum(beta) for beta in D.terms),
+        "an even part": set(D.terms) == {(0,)} and not order0.ev.is_zero(),
+        "a z-dependent odd part": set(D.terms) == {(0,)} and order0.ev.is_zero(),
+    }[defect] and not is_z_free_multiple(J, D, y)
+    with pytest.raises(verify.VerifyError) as info:
+        verify.double_commutator_quadratic(J)
+    message = str(info.value)
+    assert message.startswith("residual: ")
+    residual = parse_diffop(message[len("residual: "):], J)
+    assert not residual.is_zero() and is_z_free_multiple(J, D - residual, y)
+    for res in (verify.check_double_commutator(J), verify.check_critical(J)):
+        assert (res.status, res.witness) == ("fail", message)
+    assert cli.main(["critical", "--algebra", "full:1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_double_commutator_guard(full2):
@@ -319,8 +377,9 @@ def test_run_suite_selection(sym2):
 def test_all_inside_a_comma_list_selects_every_block():
     for selection in ("critical,all", "all, lowest", " ALL ,critical", "innw,All,innw"):
         assert verify._suite_selection(selection) == list(verify.SUITE_ORDER), selection
-    with pytest.raises(ValueError):
-        verify._suite_selection("nonsense,all")
+    for selection in ("nonsense,all", "all,nonsense"):
+        with pytest.raises(ValueError):
+            verify._suite_selection(selection)
 
 
 def test_every_check_takes_only_the_algebra_and_a_plain_value():
@@ -477,3 +536,27 @@ def test_failed_idempotent_guard_fails_the_bracket_checks(selection):
         assert verdicts[name] == ("fail", "element is not idempotent")
     assert [c.name for c in report.checks] == ["w-bracket"] + guarded
     assert validate_report_dict(json.loads(report.to_json())) == []
+
+
+@pytest.mark.parametrize("selector,commutative", [("spin:2", True), ("sym:2", False)])
+def test_no_check_raises(selector, commutative):
+    # on a corrupted algebra (the spin:2 copy fails its idempotent guard)
+    # every check, alone or in the suite, returns a result and every
+    # failure carries a witness
+    from test_jordan import corrupt_structure
+    bad = corrupt_structure(from_selector(selector), commutative=commutative)
+    alone = [fn(bad) for name, fn in vars(verify).items()
+             if name.startswith("check_") and inspect.isfunction(fn)]
+    report = verify.run_suite(bad, "all")
+    for res in alone + list(report.checks):
+        assert isinstance(res, verify.CheckResult)
+        assert res.ok or res.witness, res.name
+    assert report.overall == "fail"
+    assert validate_report_dict(json.loads(report.to_json())) == []
+
+
+def test_the_check_layer_has_no_try_statement():
+    # an exact-ring error fails a check in report.timed_check alone
+    for module in (verify, verify._jordan):
+        tree = ast.parse(inspect.getsource(module))
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), module.__name__
