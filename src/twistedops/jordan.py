@@ -361,14 +361,15 @@ def _norm_and_adjugate(J: JordanAlgebra) -> tuple[ZPoly, tuple]:
     k c_k = -sum_{i=1..k} c_(k-i) p_i, exact over Q.  F = (-1)^r c_r, and
     Cayley-Hamilton, sum_k c_k q^(r-k) = 0, gives q o adj q = F e with
     adj q = (-1)^(r-1) sum_{k<r} c_k q^(r-1-k).  p_k is read as
-    sum_i (q^(k-1))_i tr(b_i o q), so q^r is never formed.
+    sum_i (q^(k-1))_i tr(b_i o q), with tr(b_i o q) the Gram form
+    ``linear_form(b_i)``, so q^r is never formed.
     """
     n, r = J.n, J.r
     q = J.generic_elem()
     powers = [J.unit_elem(), q][:r]            # q^0 .. q^(r-1)
     while len(powers) < r:
         powers.append(J.product(q, powers[-1]))
-    forms = [J.trace_form(J.basis_element(i), q) for i in range(n)]
+    forms = [J.linear_form(J.basis_element(i)) for i in range(n)]
     traces = [sum((_entry_mul(x, f) for x, f in zip(p.coords, forms) if not x.is_zero()),
                   ZPoly.zero(n)) for p in powers]
     c = [ZPoly.one(n)]

@@ -365,7 +365,7 @@ def component_table(max_degree: int = 4) -> list[dict]:
             psi = PolyZX.monomial(a2, b2)
             comps = {}
             for p in range(min(a1 + b1, a2 + b2) + 1):
-                c = c_component(phi, psi, p)
+                c = _bidifferential(phi, psi, p)  # 0 <= 2p <= the total degree
                 if not c.is_zero():
                     comps[p] = polyzx_str(c)
             rows.append({"phi": polyzx_str(phi), "psi": polyzx_str(psi), "components": comps})

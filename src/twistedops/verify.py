@@ -184,7 +184,7 @@ def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
     """Conjugation by w carries the upper-twist family to the lower one.
 
     The plus side is checked here; the minus-side witness is found once
-    per algebra and shared with the module and lowest-weight checks.
+    per algebra and shared with the delta, module and lowest-weight checks.
     """
     def body():
         for i in range(J.n):
@@ -199,7 +199,9 @@ def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
 def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
     """The anti-automorphism with z -> -z, w -> i^r w sends the twisted
     family at L to minus the family at 1 - L; composed with conjugation
-    by w it fixes the critical family up to sign."""
+    by w it fixes the critical family up to sign: delta leaves L alone,
+    so beta(pi_{l0}) = -w pi_{1-l0} w^{-1} = -pi_{l0} by the w-conjugation
+    identity, whose witness fails this check too, and w fixes pi_plus."""
     def body():
         one_minus = LambdaPoly((ONE, -ONE))  # 1 - L
         for i in range(J.n):
@@ -209,14 +211,9 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
                 rhs = (-op).subst_lambda(one_minus)
                 if lhs != rhs:
                     return False, f"residual at b{i+1}: {diffop_str(lhs - rhs)}"
-        # beta = conjugation-by-w after the antimap, at the lower twist
-        lam0, _ = rep.critical_pair(J)
-        for i in range(J.n):
-            for op in (rep.pi_plus(J, J.basis_element(i)),
-                       rep.pi_minus(J, J.basis_element(i), lam0)):
-                b = op.delta_map().conjugate_by_w()
-                if b != -op:
-                    return False, f"beta does not negate the critical family at b{i+1}"
+        witness = _conjugation_witness(J)
+        if witness is not None:
+            return False, witness
         W = DiffOp.mult_w(J)
         bw = W.delta_map().conjugate_by_w()
         iw = IUNIT ** J.r
@@ -294,34 +291,27 @@ def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST) -> Check
     """Stability of the module C[z] + wC[z] at the lower critical twist.
 
     (1) w pi_{l0'}^y w^{-1} = pi_{l0}^y for every basis y, hence for every
-    y, as pi^y is linear in y.  (2) The coefficients of pi^y at l0 and l0'
-    are polynomials free of L.  So pi_{l0} maps C[z] into the module, and
-    pi_{l0}(wP) = w pi_{l0'}(P) puts wC[z] there too, in every degree.
-    (3) pi_{l0}(1) = pi_{l0}(w) = 0.  (4) Criticality: at a generic twist
-    the same action produces denominators.  Step (1) is the witness shared
-    with :func:`check_w_conjugation`.
+    y, as pi^y is linear in y.  (2) The coefficients of pi^y at l0 are
+    polynomials free of L, and so at l0', as pi_{l0'}^y = pi_{l0}^y - d^y.
+    So pi_{l0} maps C[z] into the module, and pi_{l0}(wP) = w pi_{l0'}(P)
+    puts wC[z] there too, in every degree.  (3) pi_{l0}(1) = 0 (pi^y has
+    no term of order 0) and pi_{l0}(w) = w pi_{l0'}(1) = 0.  (4) Criticality:
+    at a generic twist the same action produces denominators.  Step (1) is
+    the witness shared with :func:`check_w_conjugation`.
     """
     def body():
         witness = _conjugation_witness(J)
         if witness is not None:
             return False, witness
-        lam0, lam0p = rep.critical_pair(J)
-        family = {lam: [rep.pi_minus(J, J.basis_element(i), lam) for i in range(J.n)]
-                  for lam in (lam0, lam0p)}
-        for lam, ops in family.items():
-            for i, op in enumerate(ops):
-                polynomial = all(c.is_polynomial() for c in op.terms.values())
-                if not polynomial or op.subst_lambda(LambdaPoly()) != op:
-                    return False, f"pi^y at {lam} has a denominator or L at y=b{i+1}"
+        lam0, _ = rep.critical_pair(J)
+        for i in range(J.n):
+            op = rep.pi_minus(J, J.basis_element(i), lam0)
+            polynomial = all(c.is_polynomial() for c in op.terms.values())
+            if not polynomial or op.subst_lambda(LambdaPoly()) != op:
+                return False, f"pi^y at {lam0} has a denominator or L at y=b{i+1}"
+        # criticality witness at a generic twist
         ctx = J.ring
         w = SuperFn.w(ctx)
-        one = SuperFn.one(ctx)
-        for i, at0 in enumerate(family[lam0]):
-            if not at0.apply(one).is_zero():
-                return False, f"pi(1) != 0 at y=b{i+1}"
-            if not at0.apply(w).is_zero():
-                return False, f"pi(w) != 0 at y=b{i+1}"
-        # criticality witness at a generic twist
         for i in range(J.n):
             atg = rep.pi_minus(J, J.basis_element(i), generic)
             for mono in ((0,) * J.n, tuple(1 if k == 0 else 0 for k in range(J.n))):
@@ -336,20 +326,25 @@ def check_lowest_weight(J: JordanAlgebra) -> CheckResult:
     """w.(norm-derivative op) at l0 and (norm-derivative op).w at l0' are
     annihilated by every minus-side commutator.
 
-    Checked: w pi_{l0'}^y w^{-1} = pi_{l0}^y and [pi_{l0}^y, w dF] = 0 for
-    every basis y, hence every y (pi^y is linear in y).  The upper vector
-    follows: [pi_{l0'}^y, dF w] = w^{-1} [pi_{l0}^y, w dF] w = 0.
+    As pi_{l0'}^y = pi_{l0}^y - d^y, the w-conjugation identity gives
+    [pi_{l0}^y, w X] = w ([pi_{l0}^y, X] - d^y X) for every operator X.
+    Checked: the identity and, for every basis y (hence every y, as pi^y
+    is linear in y), [pi_{l0}^y, dF] = d^y dF, whose coefficients are
+    polynomials: no w and no power of F.  A failure shows w times the
+    residual, [pi_{l0}^y, w dF].  The upper vector follows:
+    [pi_{l0'}^y, dF w] = w^{-1} [pi_{l0}^y, w dF] w = 0.
     """
     def body():
         witness = _conjugation_witness(J)
         if witness is not None:
             return False, witness
         lam0, _ = rep.critical_pair(J)
-        T = rep.semi_invariant_w_dF(J)
+        dF = rep.norm_derivative_op(J)
         for i in range(J.n):
-            c = rep.pi_minus(J, J.basis_element(i), lam0).commutator(T)
-            if not c.is_zero():
-                return False, f"[pi^y, w dF] != 0 at y=b{i+1}: {diffop_str(c)}"
+            y = J.basis_element(i)
+            res = rep.pi_minus(J, y, lam0).commutator(dF) - DiffOp.directional(J, y).compose(dF)
+            if not res.is_zero():
+                return False, f"[pi^y, w dF] != 0 at y=b{i+1}: {diffop_str(DiffOp.mult_w(J).compose(res))}"
         return True, None
     return timed_check("lowest-weight", body)
 

@@ -1,10 +1,11 @@
 """Verdicts and witnesses of the identity suite, pinned.
 
-``tests/data/golden_verdicts.json`` holds, for full:2, sym:2 and spin:4,
-the check names, statuses and witnesses of ``verify --suite all --format
-json`` (elapsed times dropped), and the three negative controls the
-benchmark runs on the algebra with m off by one (``check_critical``,
-``check_h_module`` and ``check_lowest_weight`` on ``replace(J, m=J.m+1)``).
+``tests/data/golden_verdicts.json`` holds, for full:2, sym:2, spin:4 and
+the two benchmark algebras full:3 and spin:6, the check names, statuses
+and witnesses of ``verify --suite all --format json`` (elapsed times
+dropped), and the three negative controls the benchmark runs on the
+algebra with m off by one (``check_critical``, ``check_h_module`` and
+``check_lowest_weight`` on ``replace(J, m=J.m+1)``).
 A kernel change that keeps every identity exact keeps this file byte for
 byte.  Print the current verdicts with
 ``python tests/test_golden_verdicts.py``.
@@ -20,7 +21,7 @@ from pathlib import Path
 from twistedops import cli, jordan, verify
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
-SELECTORS = ("full:2", "sym:2", "spin:4")
+SELECTORS = ("full:2", "sym:2", "spin:4", "full:3", "spin:6")
 
 
 def _untimed(checks) -> list[dict]:

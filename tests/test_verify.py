@@ -15,7 +15,9 @@ from twistedops import rep, verify
 from twistedops.jordan import PrimitiveIdempotentError, from_selector
 from twistedops.report import validate_report_dict
 from twistedops.ring import LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE
-from twistedops.weyl import DiffOp
+from twistedops.weyl import DiffOp, diffop_str
+
+from test_jordan import corrupt_structure
 
 ALGEBRAS = ["full:1", "full:2", "sym:2", "spin:3", "spin:4", "spin:5"]
 
@@ -322,6 +324,78 @@ def upper_vector_direct_ok(J) -> bool:
                for i in range(J.n))
 
 
+def lower_vector_witness(J):
+    """The direct route: the first [pi^y at l0, w dF] != 0, printed as
+    check_lowest_weight prints it, or None."""
+    lam0, _ = rep.critical_pair(J)
+    T = rep.semi_invariant_w_dF(J)
+    for i in range(J.n):
+        c = rep.pi_minus(J, J.basis_element(i), lam0).commutator(T)
+        if not c.is_zero():
+            return f"[pi^y, w dF] != 0 at y=b{i+1}: {diffop_str(c)}"
+    return None
+
+
+def beta_negates_the_family(J) -> bool:
+    """The beta loop: w delta(op) w^{-1} = -op for pi_plus and pi_minus at l0."""
+    lam0, _ = rep.critical_pair(J)
+    ops = [op for i in range(J.n) for op in (rep.pi_plus(J, J.basis_element(i)),
+                                              rep.pi_minus(J, J.basis_element(i), lam0))]
+    return all(op.delta_map().conjugate_by_w() == -op for op in ops)
+
+
+def annihilates_one_and_w(J) -> bool:
+    """The apply route: pi^y at l0 sends 1 and w to 0 for every basis y."""
+    lam0, _ = rep.critical_pair(J)
+    fns = (SuperFn.one(J.ring), SuperFn.w(J.ring))
+    return all(rep.pi_minus(J, J.basis_element(i), lam0).apply(f).is_zero()
+               for i in range(J.n) for f in fns)
+
+
+CONTROLS = {
+    "algebra": lambda J: J,
+    "m+1": lambda J: dataclasses.replace(J, m=J.m + 1),
+    "corrupt": corrupt_structure,
+    "corrupt-noncommutative": lambda J: corrupt_structure(J, commutative=False),
+}
+
+
+@pytest.mark.parametrize("selector", ALGEBRAS)
+@pytest.mark.parametrize("control", CONTROLS)
+def test_derived_steps_agree_with_their_direct_routes(selector, control):
+    # lowest-weight, delta-antimap and module-stability derive these steps
+    # from the w-conjugation identity; each direct route gives the same
+    # verdict on the algebra and on controls that break the identity
+    J = CONTROLS[control](from_selector(selector))
+    want = control == "algebra"
+    assert verify.check_lowest_weight(J).ok == (lower_vector_witness(J) is None) == want
+    assert verify.check_delta_antimap(J).ok == beta_negates_the_family(J) == want
+    assert verify.check_h_module(J).ok == annihilates_one_and_w(J) == want
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4", "spin:5"])
+def test_lowest_weight_witness_is_the_direct_commutator(selector, monkeypatch):
+    # with a dF that is not semi-invariant the identity still holds, and
+    # [pi^y, w X] = w ([pi^y, X] - d^y X) for every X, so the check prints
+    # [pi^y, w dF] term for term
+    monkeypatch.setattr(rep, "norm_derivative_op", lambda J: DiffOp.partial(J, 0))
+    J = from_selector(selector)
+    want = lower_vector_witness(J)
+    assert want is not None and want.startswith("[pi^y, w dF] != 0 at y=b")
+    assert verify._conjugation_witness(J) is None
+    res = verify.check_lowest_weight(J)
+    assert (res.status, res.witness) == ("fail", want)
+
+
+@pytest.mark.parametrize("check", ["check_delta_antimap", "check_h_module", "check_lowest_weight"])
+def test_a_failed_conjugation_fails_the_derived_checks(sym2, monkeypatch, check):
+    # each check derives its remaining steps from the identity, so a failed
+    # identity fails it with the shared witness
+    monkeypatch.setattr(verify, "_conjugation_witness", lambda J: "residual at y=b1: stub")
+    res = getattr(verify, check)(sym2)
+    assert (res.status, res.witness) == ("fail", "residual at y=b1: stub")
+
+
 @pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
 @pytest.mark.parametrize("skew", [False, True])
 def test_conjugation_certificates_agree_with_direct_routes(selector, skew):
@@ -452,14 +526,16 @@ def test_run_suite_builds_the_quadratic_once(monkeypatch, selection):
     assert calls == [(J,), (skew,)]
 
 
-@pytest.mark.parametrize("selection", ["innw,hmodule,lowest", "hmodule", "lowest"])
+@pytest.mark.parametrize("selection", ["innw,hmodule,lowest", "innw,delta,hmodule,lowest", "delta",
+                                       "hmodule", "lowest"])
 def test_run_suite_checks_the_conjugation_once(monkeypatch, selection):
     J = from_selector("sym:2")
     calls = count_calls(monkeypatch, "_w_conjugation_witness")
     assert verify.run_suite(J, selection).overall == "pass"
-    for check in (verify.check_w_conjugation, verify.check_h_module, verify.check_lowest_weight):
+    for check in (verify.check_w_conjugation, verify.check_delta_antimap, verify.check_h_module,
+                  verify.check_lowest_weight):
         assert check(J).ok
-    assert verify.run_suite(J, "innw,hmodule,lowest").overall == "pass"
+    assert verify.run_suite(J, "innw,delta,hmodule,lowest").overall == "pass"
     assert calls == [(J,)]
     skew = dataclasses.replace(J, m=J.m + 1)
     assert not verify.check_h_module(skew).ok and not verify.check_lowest_weight(skew).ok
