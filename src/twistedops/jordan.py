@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import random
 import re
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property, wraps
+from functools import cache, cached_property
 
 from .report import CheckResult, timed_check
 from .ring import (
@@ -301,19 +300,6 @@ class JordanAlgebra:
 
     def __repr__(self) -> str:
         return f"JordanAlgebra({self.selector}, n={self.n}, r={self.r}, m={self.m})"
-
-
-def per_algebra(build):
-    """Memoise ``build(J)`` per algebra in a store that holds J weakly, so a
-    value must not reference J (``J.ring`` is fine); a raise stores nothing."""
-    store: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    @wraps(build)
-    def memo(J: JordanAlgebra):
-        if J not in store:
-            store[J] = build(J)
-        return store[J]
-    return memo
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jordan import DimensionMismatchError, JElem, JordanAlgebra, per_algebra
+from .jordan import DimensionMismatchError, JElem, JordanAlgebra
+from .report import per_algebra
 from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
 

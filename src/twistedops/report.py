@@ -1,10 +1,13 @@
-"""Structured verification outcomes and their JSON/text forms."""
+"""Structured verification outcomes and their JSON/text forms, and the
+per-algebra memo whose stored errors fail checks the same way."""
 
 from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .ring import RingError
 
@@ -82,6 +85,40 @@ def timed_check(name: str, fn) -> CheckResult:
     if not ok and not witness:
         witness = "failed (no further detail)"
     return CheckResult(name, "pass" if ok else "fail", witness, elapsed)
+
+
+def per_algebra(build):
+    """Memoise ``build(J)`` per Jordan algebra in a store that holds J
+    weakly, so a value must not reference J (``J.ring`` is fine).
+
+    A ``RingError`` raised by ``build`` is remembered too, and every later
+    call raises a copy of it, which :func:`timed_check` turns into a failed
+    check like the first.  The stored copy has no traceback, context or
+    cause, whose frames would reference J.  Copies are made without calling
+    ``__init__`` (args and attributes are copied), so an error with its
+    own constructor signature copies as well.
+    """
+    store: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def bare(exc: RingError) -> RingError:
+        copy = type(exc).__new__(type(exc), *exc.args)
+        copy.__dict__.update(exc.__dict__)
+        return copy
+
+    @wraps(build)
+    def memo(J):
+        try:
+            value = store[J]
+        except KeyError:
+            try:
+                value = store[J] = build(J)
+            except RingError as exc:
+                store[J] = bare(exc)
+                raise
+        if isinstance(value, RingError):  # a build returns no error, it raises one
+            raise bare(value)
+        return value
+    return memo
 
 
 REPORT_SCHEMA_KEYS = {"algebra", "suite", "checks", "overall"}

@@ -979,13 +979,19 @@ class SuperFn:
         return _superfn(self.ctx, self.ev.scale(c), self.od.scale(c))
 
     def derivative(self, i: int) -> "SuperFn":
-        """Partial derivative using the chain rule for w: w' = F'/(2F) * w."""
-        od = self.od
-        od_new = od.derivative(i)
-        if not od.is_zero():
-            chain = LocFn(self.ctx, od._num * self.ctx.dF(i), od._k + 1).scale(HALF)
-            od_new = od_new + chain
-        return _superfn(self.ctx, self.ev.derivative(i), od_new)
+        """Partial derivative using the chain rule for w: w' = F'/(2F) * w.
+
+        For an odd part p/F^k the quotient rule and the chain rule give
+        (p/F^k w)' = (p' F + (1/2 - k) p F'_i) w / F^(k+1): one LocFn from
+        two polynomial products.
+        """
+        ctx, od = self.ctx, self.od
+        p, k = od._num, od._k
+        if p.packed:
+            # 1/2 - k = (1 - 2k)/2, already in lowest terms
+            num = p.derivative(i) * ctx.F + (p * ctx.dF(i)).scale(_triple(1 - 2 * k, 0, 2))
+            od = LocFn(ctx, num, k + 1)
+        return _superfn(ctx, self.ev.derivative(i), od)
 
     def subst_lambda(self, value: LambdaPoly) -> "SuperFn":
         return _superfn(self.ctx, self.ev.subst_lambda(value), self.od.subst_lambda(value))

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from . import jordan as _jordan
 from . import rep
-from .jordan import JordanAlgebra, per_algebra
-from .report import CheckResult, Report, timed_check
+from .jordan import JordanAlgebra
+from .report import CheckResult, Report, per_algebra, timed_check
 from .ring import (
     HALF,
     IUNIT,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, prod
+from operator import add
 from typing import Mapping
 
 from .jordan import JordanAlgebra, JElem
@@ -88,16 +89,25 @@ def _leibniz(beta: MultiIndex) -> tuple:
 
 
 def _partial(cache: dict, idx: MultiIndex):
-    """d^idx of the function stored at the zero index of ``cache``.
+    """d^idx of the function stored at the zero index of ``cache``, or None
+    when that partial is zero.
 
     Each missing partial is one derivative of the partial with the first
-    nonzero exponent lowered by one; every result is kept in ``cache``.
+    nonzero exponent lowered by one; every result is kept in ``cache``,
+    a zero one as None, so no derivative is ever taken of a zero partial.
     """
-    val = cache.get(idx)
-    if val is None:
-        i = next(k for k, e in enumerate(idx) if e)
-        val = _partial(cache, idx[:i] + (idx[i] - 1,) + idx[i + 1:]).derivative(i)
-        cache[idx] = val
+    try:
+        return cache[idx]
+    except KeyError:
+        pass
+    i = next(k for k, e in enumerate(idx) if e)
+    lower = _partial(cache, idx[:i] + (idx[i] - 1,) + idx[i + 1:])
+    val = None
+    if lower is not None:
+        val = lower.derivative(i)
+        if val.is_zero():
+            val = None
+    cache[idx] = val
     return val
 
 
@@ -107,17 +117,24 @@ class _NormalOrdered:
     The coefficient type (``SuperFn`` or ``ZPoly``) only has to provide
     ``derivative``, ``*``, ``scale``, ``+``, ``-`` and ``is_zero``.
 
-    The private slot ``_partials`` is None until an operator is first
-    composed on the right of another; it then holds, per index gamma, the
-    partials d^delta c_gamma of this operator's own coefficients that
-    Leibniz rows have asked for (``{gamma: {delta: partial}}``).  Later
-    compositions and commutators with the same operator read them from
-    there.  The partials depend on the coefficients alone, the operator
-    is immutable, and the slot lives and dies with its operator, so a
-    fresh operator, even one equal to this one, starts with an empty slot.
+    Two private slots hold what compositions with this operator reuse;
+    each is None until first needed:
+
+    * ``_by_delta``, once the operator is composed on the left of another:
+      its Leibniz rows grouped by delta, a tuple of
+      ``(delta, ((c_beta, C(beta, delta), beta - delta), ...))`` over its
+      own terms, delta = 0 first.
+    * ``_partials``, once the operator is composed on the right of
+      another: per index gamma, the partials d^delta c_gamma of its own
+      coefficients that Leibniz rows have asked for
+      (``{gamma: {delta: partial or None}}``, None for a zero partial).
+
+    Both depend on the terms alone, the operator is immutable, and the
+    slots live and die with their operator, so a fresh operator, even
+    one equal to this one, starts with empty slots.
     """
 
-    __slots__ = ("alg", "terms", "_partials")
+    __slots__ = ("alg", "terms", "_by_delta", "_partials")
 
     def __init__(self, alg: JordanAlgebra, terms: Mapping | None = None):
         clean = {}
@@ -127,6 +144,7 @@ class _NormalOrdered:
                     clean[idx] = c
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_by_delta", None)
         object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -137,6 +155,7 @@ class _NormalOrdered:
         op = object.__new__(type(self))
         object.__setattr__(op, "alg", self.alg)
         object.__setattr__(op, "terms", terms)
+        object.__setattr__(op, "_by_delta", None)
         object.__setattr__(op, "_partials", None)
         return op
 
@@ -174,32 +193,48 @@ class _NormalOrdered:
         return not self.terms
 
     # -- composition ----------------------------------------------------------
+    def _delta_rows(self) -> tuple:
+        """The ``_by_delta`` index of this operator, built on first use."""
+        rows = self._by_delta
+        if rows is None:
+            groups: dict = {}
+            for beta, a in self.terms.items():
+                for delta, coeff, rest in _leibniz(beta):
+                    groups.setdefault(delta, []).append((a, coeff, rest))
+            rows = tuple((delta, tuple(group)) for delta, group in groups.items())
+            object.__setattr__(self, "_by_delta", rows)
+        return rows
+
     def _leibniz_sum(self, other, first: int) -> dict:
-        """The terms of self . other from row ``first`` on of each Leibniz table.
+        """The terms of self . other, from entry ``first`` of the delta index on.
 
         Leibniz rule: d^beta . b = sum_{delta <= beta} C(beta, delta)
-        (d^delta b) d^(beta - delta), with delta, the binomial and
-        beta - delta read from the cached per-beta table ``_leibniz`` and
-        d^delta b from the partials kept on ``other``.
+        (d^delta b) d^(beta - delta).  The loop runs gamma -> delta -> the
+        rows of self's ``_by_delta`` index for that delta, so each partial
+        d^delta b_gamma, kept on ``other``, is looked up once per
+        (gamma, delta), and a zero one skips all of its rows at once.
+        Entry 0 of the index is delta = 0, since every table of
+        ``_leibniz`` starts there.
         """
         cache = other._partials
         if cache is None:
             cache = {}
             object.__setattr__(other, "_partials", cache)
+        rows = self._delta_rows()[first:]
         out: dict = {}
         for gamma, b in other.terms.items():
             partials = cache.get(gamma)
             if partials is None:
                 partials = cache[gamma] = {(0,) * len(gamma): b}
-            for beta, a in self.terms.items():
-                for delta, coeff, rest in _leibniz(beta)[first:]:
-                    db = _partial(partials, delta)
-                    if db.is_zero():
-                        continue
+            for delta, group in rows:
+                db = _partial(partials, delta)
+                if db is None:
+                    continue
+                for a, coeff, rest in group:
                     term = a * db
                     if coeff is not None:
                         term = term.scale(coeff)
-                    idx = tuple(r + g for r, g in zip(rest, gamma))
+                    idx = tuple(map(add, rest, gamma))
                     acc = out.get(idx)
                     s = term if acc is None else acc + term
                     if s.is_zero():
@@ -216,10 +251,10 @@ class _NormalOrdered:
     def commutator(self, other):
         """[self, other] = self . other - other . self.
 
-        Row 0 of each Leibniz table is delta = 0, the term a_beta b_gamma
+        Entry 0 of the delta index is delta = 0, the terms a_beta b_gamma
         d^(beta + gamma).  The coefficient ring is commutative, so the
-        same term b_gamma a_beta d^(gamma + beta) comes out of
-        other . self and the two cancel exactly; only the rows with
+        same terms b_gamma a_beta d^(gamma + beta) come out of
+        other . self and the two cancel exactly; only the entries with
         delta != 0, where a derivative falls on a coefficient, are summed.
         """
         _check_alg(self.alg, other.alg)
@@ -280,9 +315,11 @@ class DiffOp(_NormalOrdered):
     def apply(self, f: SuperFn) -> SuperFn:
         """Apply the operator to a function of the cover ring."""
         out = SuperFn.zero(self.alg.ring)
-        partials = {(0,) * self.alg.n: f}
-        for beta, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])):
-            out = out + c * _partial(partials, beta)
+        partials = {(0,) * self.alg.n: None if f.is_zero() else f}
+        for beta, c in self.terms.items():
+            df = _partial(partials, beta)
+            if df is not None:
+                out = out + c * df
         return out
 
     # -- structural maps --------------------------------------------------------

@@ -431,6 +431,54 @@ def test_w_derivative_consistent_with_norm(ctx2x2):
         assert lhs == rhs
 
 
+def _three_product_derivative(f: SuperFn, i: int) -> SuperFn:
+    """(e + o w)' with the odd part as o' + o F'/(2F): LocFn.derivative forms
+    p' F and k p F', and the chain term forms p F' once more."""
+    ctx, od = f.ctx, f.od
+    od_new = od.derivative(i)
+    if not od.is_zero():
+        od_new = od_new + LocFn(ctx, od._num * ctx.dF(i), od._k + 1).scale(sc("1/2"))
+    return SuperFn(ctx, f.ev.derivative(i), od_new)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_odd_derivative_matches_three_product_route(ctx2x2, monkeypatch, k):
+    from twistedops import jordan
+    mul_calls = []
+    original_mul = ZPoly.__mul__
+
+    def spy(self, other):
+        mul_calls.append(1)
+        return original_mul(self, other)
+
+    for ctx in (ctx2x2, jordan.make_spin(3).ring):
+        n = ctx.n
+        z = [ZPoly.coord(n, i) for i in range(n)]
+        nums = [
+            ZPoly.one(n),
+            z[0] * z[-1] * ZPoly.monomial(n, (0,) * n, LAMBDA) - z[1].scale(sc(3)),
+            ctx.F * z[0],  # F cancels once when observed
+            ctx.dF(0) + ZPoly.monomial(n, (0,) * n, lc("1/2") + LAMBDA * LAMBDA),
+        ]
+        for p in nums:
+            odd = LocFn(ctx, p, k)
+            for even in (LocFn.zero(ctx), LocFn(ctx, z[-1] * z[-1], k)):
+                f = SuperFn(ctx, even, odd)
+                for i in range(n):
+                    ctx.dF(i)  # cached, so the spy sees the derivative's own products
+                    monkeypatch.setattr(ZPoly, "__mul__", spy)
+                    got = f.derivative(i)
+                    monkeypatch.setattr(ZPoly, "__mul__", original_mul)
+                    if even.is_zero():
+                        assert len(mul_calls) == 2  # p' F and p F'
+                    mul_calls.clear()
+                    want = _three_product_derivative(f, i)
+                    assert got == want
+                    assert superfn_str(got) == superfn_str(want)
+                    # the same unreduced fraction, so the same divisions follow
+                    assert (got.od._num, got.od._k) == (want.od._num, want.od._k)
+
+
 # ---------------------------------------------------------------------------
 # Euler grading
 # ---------------------------------------------------------------------------

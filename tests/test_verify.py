@@ -13,8 +13,8 @@ import pytest
 
 from twistedops import rep, verify
 from twistedops.jordan import PrimitiveIdempotentError, from_selector
-from twistedops.report import validate_report_dict
-from twistedops.ring import LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE
+from twistedops.report import per_algebra, validate_report_dict
+from twistedops.ring import IrrationalRootError, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE
 from twistedops.weyl import DiffOp, diffop_str
 
 from test_jordan import corrupt_structure
@@ -553,6 +553,53 @@ def test_the_shared_values_do_not_keep_their_algebra_alive():
     del J, skew
     gc.collect()
     assert [ref() for ref in gone] == [None, None]
+
+
+def test_a_failed_quadratic_is_built_once_and_its_error_reraised(monkeypatch):
+    # on a corrupted algebra the double commutator fails with a long
+    # residual; the failure is remembered, so both checks read one build
+    J = corrupt_structure(from_selector("full:2"))
+    with pytest.raises(verify.VerifyError) as direct:
+        verify.double_commutator_quadratic(J)
+    calls = count_calls(monkeypatch, "double_commutator_quadratic")
+    checks = {c.name: c for c in verify.run_suite(J, "brackets,critical").checks}
+    assert calls == [(J,)]
+    witness = str(direct.value)
+    assert witness.startswith("residual: ") and len(witness) == 4065
+    for name in ("double-commutator", "critical-values"):
+        assert not checks[name].ok and checks[name].witness == witness
+    with pytest.raises(verify.VerifyError) as again:
+        verify.critical_values(J)
+    assert str(again.value) == witness and calls == [(J,)]
+
+
+def test_per_algebra_reraises_a_copy_of_any_ring_error():
+    calls = []
+
+    @per_algebra
+    def build(J):
+        calls.append(J)
+        raise IrrationalRootError("no rational root", Scalar(5))
+
+    J = from_selector("sym:2")
+    raised = []
+    for _ in range(3):
+        with pytest.raises(IrrationalRootError, match="^no rational root$") as err:
+            build(J)
+        assert err.value.discriminant == Scalar(5)
+        raised.append(err.value)
+    assert calls == [J]
+    assert raised[1] is not raised[2]  # a fresh copy each time, never the stored one
+
+
+def test_a_remembered_failure_does_not_keep_its_algebra_alive():
+    J = corrupt_structure(from_selector("full:2"))
+    assert verify.run_suite(J, "brackets,critical").overall == "fail"
+    assert not verify.check_critical(J).ok  # the stored error, raised again
+    gone = weakref.ref(J)
+    del J
+    gc.collect()
+    assert gone() is None
 
 
 def test_jordan_block_defaults_to_symbolic(monkeypatch):

@@ -21,7 +21,16 @@ from twistedops.ring import (
     ONE,
     ParseError,
 )
-from twistedops.weyl import DiffOp, PolyOpPlus, _leibniz, _sub_indices, diffop_str, fourier, parse_diffop
+from twistedops.weyl import (
+    DiffOp,
+    PolyOpPlus,
+    _leibniz,
+    _sub_indices,
+    diffop_str,
+    fourier,
+    grlex_key,
+    parse_diffop,
+)
 
 
 def sc(x):
@@ -152,6 +161,67 @@ def test_compose_matches_leibniz_reference(spin3, polynomial, data):
     assert str(got) == str(want)
     for beta in list(A.terms) + list(B.terms):
         assert _leibniz(beta)[0] == ((0,) * len(beta), None, beta)
+
+
+def apply_reference(A, f):
+    """A applied to f term by term, lowest derivative order first, every
+    partial of f recomputed."""
+    out = SuperFn.zero(A.alg.ring)
+    for beta, c in sorted(A.terms.items(), key=lambda kv: grlex_key(kv[0])):
+        df = f
+        for i, e in enumerate(beta):
+            for _ in range(e):
+                df = df.derivative(i)
+        out = out + c * df
+    return out
+
+
+@st.composite
+def twisted_functions(draw, J):
+    """An even, odd or mixed SuperFn on J: monomials of degree at most one
+    per coordinate, coefficients up to L^2, denominators F^k, k = 0..2."""
+    parts = []
+    for odd in (False, True):
+        mono = tuple(draw(st.integers(0, 1)) for _ in range(J.n))
+        c = LambdaPoly([Scalar(draw(st.integers(-3, 3))) for _ in range(draw(st.integers(1, 3)))])
+        parts.append(mono_fn(J, mono, c, odd=odd, k=draw(st.integers(0, 2))))
+    keep = draw(st.sampled_from(["even", "odd", "both"]))
+    return {"even": parts[0], "odd": parts[1], "both": parts[0] + parts[1]}[keep]
+
+
+@st.composite
+def twisted_operators(draw, J):
+    """A DiffOp on J with one to three terms of derivative order at most 2."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        beta = [0] * J.n
+        for _ in range(draw(st.integers(0, 2))):
+            beta[draw(st.integers(0, J.n - 1))] += 1
+        terms[tuple(beta)] = draw(twisted_functions(J))
+    return DiffOp(J, terms)
+
+
+@pytest.mark.parametrize("algebra", ["full2", "spin3"])
+def test_delta_index_matches_row_by_row_references(request, algebra):
+    J = request.getfixturevalue(algebra)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def check(data):
+        A = data.draw(twisted_operators(J))
+        B = data.draw(twisted_operators(J))
+        f = data.draw(twisted_functions(J))
+        AB, BA = leibniz_reference(A, B), leibniz_reference(B, A)
+        for got, want in ((A.compose(B), AB), (A.commutator(B), AB - BA), (B.compose(A), BA)):
+            assert got == want
+            assert diffop_str(got) == diffop_str(want)
+        for op in (A, B, AB):
+            got, want = op.apply(f), apply_reference(op, f)
+            assert got == want
+            assert str(got) == str(want)
+        assert A.apply(SuperFn.zero(J.ring)).is_zero()
+
+    check()
 
 
 def test_apply_examples(full2, full1):
@@ -485,17 +555,25 @@ def test_commutator_same_with_cold_warm_or_fresh_partials(monkeypatch):
     other = rep.pi_minus(J, J.basis_element(1))
 
     cold = build_B()
-    assert cold._partials is None
+    assert cold._partials is None and cold._by_delta is None
+    assert A._by_delta is None
     want = A.commutator(cold)
     assert want == leibniz_reference(A, build_B()) - leibniz_reference(build_B(), A)
-    assert cold._partials  # filled on first use, kept on the operator
+    # filled on first use, kept on the operators: each side of a commutator
+    # stands once on the left (its delta index) and once on the right (its partials)
+    assert cold._partials and cold._by_delta and A._partials and A._by_delta
+    assert {delta for delta, _ in cold._by_delta} == {
+        delta for beta in cold.terms for delta, _, _ in _leibniz(beta)}
+    assert cold._by_delta[0][0] == (0,) * J.n
+    index = A._by_delta
     warm = build_B()
     other.commutator(warm)  # warm with another operator's rows
     fresh = build_B()
-    assert fresh == cold and fresh._partials is None
+    assert fresh == cold and fresh._partials is None and fresh._by_delta is None
     calls = _derivative_calls(monkeypatch)
     again = A.commutator(cold)
     assert calls == []  # both operators' partials are kept from the first commutator
+    assert A._by_delta is index  # and the index is built once
     for B in (cold, warm, fresh):
         got = A.commutator(B)
         assert got == want and diffop_str(got) == diffop_str(want)
@@ -507,8 +585,11 @@ def test_commutator_same_with_cold_warm_or_fresh_partials(monkeypatch):
     T = rep.semi_invariant_w_dF(skew)
     pi = rep.pi_minus(skew, skew.basis_element(0), rep.critical_pair(skew)[0])
     assert T._partials is None and pi._partials is None
+    assert T._by_delta is None and pi._by_delta is None
     got = pi.commutator(T)
     assert T._partials is not cold._partials and pi._partials is not A._partials
+    assert T._by_delta is not cold._by_delta and pi._by_delta is not A._by_delta
+    assert T._by_delta and pi._by_delta
     assert diffop_str(got) == diffop_str(DiffOp(skew, pi.terms).commutator(DiffOp(skew, T.terms)))
     assert not got.is_zero()
 
@@ -516,3 +597,25 @@ def test_commutator_same_with_cold_warm_or_fresh_partials(monkeypatch):
     stores = [name for name, value in vars(weyl).items() if not name.startswith("__")
               and isinstance(value, (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary))]
     assert stores == []
+
+
+def test_closure_takes_no_derivative_of_zero_and_a_repeat_takes_none(monkeypatch):
+    from twistedops import jordan, verify
+
+    J = jordan.make_full(2)
+    zero_seen = []
+    original = SuperFn.derivative
+
+    def spy(self, i):
+        zero_seen.append(self.is_zero())
+        return original(self, i)
+
+    monkeypatch.setattr(SuperFn, "derivative", spy)
+    assert verify.check_closure(J).ok
+    assert zero_seen and not any(zero_seen)  # a zero partial is remembered, never differentiated
+    P, M = rep.pi_plus(J, J.basis_element(1)), rep.pi_minus(J, J.basis_element(2))
+    zero_seen.clear()
+    first = P.commutator(M)
+    assert zero_seen and not any(zero_seen)
+    zero_seen.clear()
+    assert P.commutator(M) == first and zero_seen == []
