@@ -163,6 +163,12 @@ class JordanAlgebra:
     def zero_elem(self) -> JElem:
         return JElem((ZERO,) * self.n)
 
+    def _coords(self, a: JElem) -> tuple:
+        """The coordinates of ``a``, which must number n."""
+        if len(a) != self.n:
+            raise DimensionMismatchError(f"expected {self.n} coordinates, got {len(a)}")
+        return a.coords
+
     # -- products -----------------------------------------------------------
     @cached_property
     def _sparse_prod(self) -> tuple:
@@ -175,13 +181,11 @@ class JordanAlgebra:
         s * a_i * b_j is added in place, term by term.  A Scalar coordinate
         counts as a constant polynomial; when a and b have Scalar
         coordinates only, so does the result."""
-        if len(a) != self.n or len(b) != self.n:
-            raise DimensionMismatchError(f"expected {self.n} coordinates")
         table = self._sparse_prod
         guards = _guards(self.n)
         out = [{} for _ in range(self.n)]
-        right = [_packed_terms(bj) for bj in b.coords]
-        for i, ai in enumerate(a.coords):
+        right = [_packed_terms(bj) for bj in self._coords(b)]
+        for i, ai in enumerate(self._coords(a)):
             left = _packed_terms(ai)
             if not left:
                 continue
@@ -232,7 +236,7 @@ class JordanAlgebra:
 
     def trace(self, a: JElem):
         out = None
-        for ti, ai in zip(self.trace_vec, a.coords):
+        for ti, ai in zip(self.trace_vec, self._coords(a)):
             if not ti or ai.is_zero():
                 continue
             term = _entry_scale(Scalar(ti), ai)
@@ -249,14 +253,14 @@ class JordanAlgebra:
         return JElem(tuple(_entry_scale(s, x) for x in a.coords))
 
     def add_elem(self, a: JElem, b: JElem) -> JElem:
-        return JElem(tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return JElem(tuple(x + y for x, y in zip(self._coords(a), self._coords(b))))
 
     # -- norm, adjugate, inverse ---------------------------------------------
     def norm_at(self, q: JElem) -> Scalar:
-        return self.normF.evaluate(list(q.coords))
+        return self.normF.evaluate(list(self._coords(q)))
 
     def adjugate_at(self, q: JElem) -> JElem:
-        point = list(q.coords)
+        point = list(self._coords(q))
         return JElem(tuple(p.evaluate(point) for p in self.adjugate))
 
     def inverse_at(self, q: JElem) -> JElem:
@@ -275,9 +279,10 @@ class JordanAlgebra:
     def linear_form(self, x: JElem) -> ZPoly:
         """The function q -> tr(x o q) as a polynomial in z."""
         out = ZPoly.zero(self.n)
+        coords = self._coords(x)
         for k in range(self.n):
             c = ZERO
-            for i, xi in enumerate(x.coords):
+            for i, xi in enumerate(coords):
                 g = self.gram[i][k]
                 if g and not xi.is_zero():
                     c = c + xi * Scalar(g)
@@ -291,8 +296,6 @@ class JordanAlgebra:
 
     # -- guards ---------------------------------------------------------------
     def check_primitive_idempotent(self, y: JElem) -> None:
-        if len(y) != self.n:
-            raise DimensionMismatchError(f"expected {self.n} coordinates")
         if self.product(y, y) != y:
             raise PrimitiveIdempotentError("element is not idempotent")
         if self.trace(y) != ONE:
@@ -466,26 +469,24 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
         for i in range(J.n):
             for j in range(i + 1, J.n):
                 if J.prod[i][j] != J.prod[j][i]:
-                    return False, f"b{i+1} o b{j+1} != b{j+1} o b{i+1}"
-        return True, None
+                    raise JordanError(f"b{i+1} o b{j+1} != b{j+1} o b{i+1}")
 
     def unit_law():
         e = J.unit_elem()
         for i in range(J.n):
             b = J.basis_element(i)
             if J.product(e, b) != b:
-                return False, f"e o {J.labels[i]} != {J.labels[i]}"
-        return True, None
+                raise JordanError(f"e o {J.labels[i]} != {J.labels[i]}")
 
     def unit_trace():
         t = J.trace(J.unit_elem())
-        ok = t == Scalar(J.r)
-        return ok, None if ok else f"tr(e) = {t}, expected {J.r}"
+        if t != Scalar(J.r):
+            raise JordanError(f"tr(e) = {t}, expected {J.r}")
 
     def norm_at_unit():
         v = J.normF.evaluate([Scalar(c) for c in J.unit])
-        ok = v == ONE
-        return ok, None if ok else f"F(e) = {v}"
+        if v != ONE:
+            raise JordanError(f"F(e) = {v}")
 
     def adjugate_identity():
         q = J.generic_elem()
@@ -493,19 +494,18 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
         for k in range(J.n):
             want = J.normF.scale(Scalar(J.unit[k])) if J.unit[k] else ZPoly.zero(J.n)
             if lhs.coords[k] != want:
-                return False, f"(q o adj q) coordinate {k+1} != F * e"
-        return True, None
+                raise JordanError(f"(q o adj q) coordinate {k+1} != F * e")
 
     def ratio():
-        ok = Fraction(J.n, J.r) == J.m
-        return ok, None if ok else f"n/r = {Fraction(J.n, J.r)} != m = {J.m}"
+        if Fraction(J.n, J.r) != J.m:
+            raise JordanError(f"n/r = {Fraction(J.n, J.r)} != m = {J.m}")
 
     def completeness():
         acc = J.zero_elem()
         for i in range(J.n):
             acc = J.add_elem(acc, J.product(J.basis_element(i), J.dual_basis_element(i)))
-        ok = acc == J.scale_elem(J.m, J.unit_elem())
-        return ok, None if ok else f"sum b_i o b^i = {acc}, expected m*e"
+        if acc != J.scale_elem(J.m, J.unit_elem()):
+            raise JordanError(f"sum b_i o b^i = {acc}, expected m*e")
 
     def trace_normalization():
         # Tr(L_x) = m * tr(x) for every basis x
@@ -514,8 +514,7 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
             for j in range(J.n):
                 total += J.prod[i][j][j]
             if total != J.m * J.trace_vec[i]:
-                return False, f"Tr(L_{J.labels[i]}) = {total} != m*tr"
-        return True, None
+                raise JordanError(f"Tr(L_{J.labels[i]}) = {total} != m*tr")
 
     return [timed_check(name, fn) for name, fn in (
         ("product-commutative", commutative),
@@ -555,15 +554,15 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
     adj = J.adjugate_elem()
     basis = [J.basis_element(i) for i in range(J.n)]
 
-    def mismatch(lhs: JElem, rhs: JElem) -> str | None:
-        """None when lhs == rhs, else the first residual coordinate at a point."""
+    def require_equal(lhs: JElem, rhs: JElem, claim: str) -> None:
+        """Raise JordanError, ``claim`` and the first residual coordinate at a
+        point, unless lhs == rhs."""
         for k, (x, y) in enumerate(zip(lhs.coords, rhs.coords)):
             if x != y:
                 d = x - y
                 z = random_point(J, rng, invertible=False)
-                return (f"residual coordinate {k+1} has {len(d.packed)} terms, "
-                        f"value {d.evaluate(list(z.coords))} at z={z}")
-        return None
+                raise JordanError(f"{claim}: residual coordinate {k+1} has {len(d.packed)} terms, "
+                                  f"value {d.evaluate(list(z.coords))} at z={z}")
 
     def times_F(a: JElem) -> JElem:
         return JElem(tuple(_entry_mul(J.normF, c) for c in a.coords))
@@ -571,10 +570,8 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
     def power_associativity():
         q2 = J.product(q, q)
         for i, b in enumerate(basis):
-            bad = mismatch(J.product(q2, J.product(q, b)), J.product(q, J.product(q2, b)))
-            if bad:
-                return False, f"q^2 o (q o b) != q o (q^2 o b) at b={J.labels[i]}: {bad}"
-        return True, None
+            require_equal(J.product(q2, J.product(q, b)), J.product(q, J.product(q2, b)),
+                          f"q^2 o (q o b) != q o (q^2 o b) at b={J.labels[i]}")
 
     def projection_at_idempotent():
         y = J.idempotent_elem()
@@ -583,24 +580,18 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
             t = J.trace_form(x, y)
             rhs = JElem(tuple(c * t for c in y.coords))
             if lhs != rhs:
-                return False, f"{{y,{J.labels[i]},y}} != tr(x o y) y"
-        return True, None
+                raise JordanError(f"{{y,{J.labels[i]},y}} != tr(x o y) y")
 
     def inverse_triple():
         for i, b in enumerate(basis):
-            bad = mismatch(J.triple(b, q, adj), times_F(b))
-            if bad:
-                return False, f"{{b,q,adj q}} != F b at b={J.labels[i]}: {bad}"
-        return True, None
+            require_equal(J.triple(b, q, adj), times_F(b), f"{{b,q,adj q}} != F b at b={J.labels[i]}")
 
     def shift_identity():
         adj2 = J.product(adj, adj)
         for i, v in enumerate(basis):
-            lhs = J.triple(J.triple(adj, v, adj, ac=adj2), q, v)
-            bad = mismatch(lhs, times_F(J.product(adj, J.product(v, v))))
-            if bad:
-                return False, f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}: {bad}"
-        return True, None
+            require_equal(J.triple(J.triple(adj, v, adj, ac=adj2), q, v),
+                          times_F(J.product(adj, J.product(v, v))),
+                          f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}")
 
     def fundamental_identity():
         U = [J.triple(q, b, q) for b in basis]
@@ -612,11 +603,8 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
                 for t, Ut in zip(J.triple(b, q, c).coords, U):
                     if not t.is_zero():
                         lhs = [x + t * y for x, y in zip(lhs, Ut.coords)]
-                bad = mismatch(JElem(lhs), J.triple(U[i], c, q, ac=Uq[i], bc=bq[j]))
-                if bad:
-                    return False, (f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at "
-                                   f"b={J.labels[i]}, c={J.labels[j]}: {bad}")
-        return True, None
+                require_equal(JElem(lhs), J.triple(U[i], c, q, ac=Uq[i], bc=bq[j]),
+                              f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}")
 
     return [timed_check(name, fn) for name, fn in (
         ("power-associativity", power_associativity),
@@ -663,24 +651,21 @@ def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
         # d_i F = tr(b_i o adj q), as polynomials
         for i in range(J.n):
             if ctx.dF(i) != J.trace(J.product(J.basis_element(i), adj)):
-                return False, f"dF/dz{i+1} != tr(b{i+1} o adj q)"
-        return True, None
+                raise JordanError(f"dF/dz{i+1} != tr(b{i+1} o adj q)")
 
     def sqrt_derivative():
         # d_i w = (1/2) tr(b_i o q^-1) w, as SuperFn
         for i in range(J.n):
             rhs = SuperFn.from_locfn(LocFn.zero(ctx), tr_qinv[i].scale(Scalar(Fraction(1, 2))))
             if wfn.derivative(i) != rhs:
-                return False, f"d_{i+1} w != (1/2) tr(b{i+1} q^-1) w"
-        return True, None
+                raise JordanError(f"d_{i+1} w != (1/2) tr(b{i+1} q^-1) w")
 
     def inverse_derivative():
         # d_i tr(b_j o q^-1) = -tr(b_j o {q^-1, b_i, q^-1})
         for i in range(J.n):
             for j in range(J.n):
                 if tr_qinv[j].derivative(i) != -LocFn(ctx, tr_triple(i, j), 2):
-                    return False, f"d_{i+1} tr(b{j+1} q^-1) mismatch"
-        return True, None
+                    raise JordanError(f"d_{i+1} tr(b{j+1} q^-1) mismatch")
 
     def sqrt_second_derivative():
         # d_i d_j w = [ (1/4) tr(b_i q^-1) tr(b_j q^-1) - (1/2) tr(b_j {q^-1,b_i,q^-1}) ] w
@@ -692,8 +677,7 @@ def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
                     - LocFn(ctx, tr_triple(i, j), 2).scale(Scalar(Fraction(1, 2)))
                 )
                 if lhs != SuperFn.from_locfn(LocFn.zero(ctx), rhs_cof):
-                    return False, f"d_{i+1} d_{j+1} w mismatch"
-        return True, None
+                    raise JordanError(f"d_{i+1} d_{j+1} w mismatch")
 
     return [timed_check(name, fn) for name, fn in (
         ("norm-derivative", norm_derivative),
@@ -726,7 +710,7 @@ def _derivative_identities_points(J: JordanAlgebra, rng: random.Random, count: i
             for i in range(J.n):
                 # norm derivative
                 if dF[i].evaluate(point) != f * tq[i]:
-                    return False, f"norm-derivative at q={q}, i={i+1}"
+                    raise JordanError(f"norm-derivative at q={q}, i={i+1}")
                 trip = J.triple(qinv, J.basis_element(i), qinv)
                 for j in range(J.n):
                     tvt = J.trace_form(J.basis_element(j), trip)
@@ -734,13 +718,12 @@ def _derivative_identities_points(J: JordanAlgebra, rng: random.Random, count: i
                     lhs = (d_tr_adj[j][i].evaluate(point) * f
                            - tr_adj[j].evaluate(point) * dF[i].evaluate(point)) * finv * finv
                     if lhs != -tvt:
-                        return False, f"inverse-derivative at q={q}, ({i+1},{j+1})"
+                        raise JordanError(f"inverse-derivative at q={q}, ({i+1},{j+1})")
                     # second derivative cofactor of w
                     lhs2 = half * ddF[i][j].evaluate(point) * finv - quarter * dF[i].evaluate(point) * dF[j].evaluate(point) * finv * finv
                     rhs2 = quarter * tq[i] * tq[j] - half * tvt
                     if lhs2 != rhs2:
-                        return False, f"sqrt-second-derivative at q={q}, ({i+1},{j+1})"
-        return True, None
+                        raise JordanError(f"sqrt-second-derivative at q={q}, ({i+1},{j+1})")
 
     return [timed_check("derivative-identities-at-points", at_points)]
 

@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jordan import DimensionMismatchError, JElem, JordanAlgebra
+from .jordan import JElem, JordanAlgebra
 from .report import per_algebra
 from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
 from .weyl import DiffOp, PolyOpPlus, fourier
@@ -122,8 +122,6 @@ def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None =
     per algebra.  ``lam`` defaults to the formal parameter; pass an int,
     a Fraction or a LambdaPoly to specialize.
     """
-    if len(y) != J.n:
-        raise DimensionMismatchError(f"expected {J.n} coordinates")
     op = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
     for row, yk in zip(_second_order_rows(J), y.coords):
         if not yk.is_zero():
@@ -144,7 +142,7 @@ def pi_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> DiffOp:
 
 def eta_plus(J: JordanAlgebra, x: JElem) -> PolyOpPlus:
     """The constant field -d^x."""
-    return PolyOpPlus(J, {_unit(J.n, i): ZPoly.const(J.n, -xi) for i, xi in enumerate(x.coords)})
+    return PolyOpPlus(J, {_unit(J.n, i): ZPoly.const(J.n, -xi) for i, xi in enumerate(J._coords(x))})
 
 
 def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> PolyOpPlus:

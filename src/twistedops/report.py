@@ -72,19 +72,18 @@ class Report:
 
 
 def timed_check(name: str, fn) -> CheckResult:
-    """Run ``fn() -> (ok, witness)`` and wrap it with wall-clock timing.
+    """Run ``fn()`` and wrap it with wall-clock timing.
 
-    A ``RingError`` raised by ``fn`` fails the check, its message the witness.
+    A ``RingError`` raised by ``fn`` is the one way the check fails, its
+    message the witness; otherwise ``fn``'s return value (None or a
+    string such as ``"dimension 17"``) is the pass detail.
     """
     start = time.perf_counter()
     try:
-        ok, witness = fn()
+        detail, status = fn(), "pass"
     except RingError as exc:
-        ok, witness = False, str(exc)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    if not ok and not witness:
-        witness = "failed (no further detail)"
-    return CheckResult(name, "pass" if ok else "fail", witness, elapsed)
+        detail, status = str(exc) or "failed (no further detail)", "fail"
+    return CheckResult(name, status, detail, int((time.perf_counter() - start) * 1000))
 
 
 def per_algebra(build):
@@ -92,11 +91,11 @@ def per_algebra(build):
     weakly, so a value must not reference J (``J.ring`` is fine).
 
     A ``RingError`` raised by ``build`` is remembered too, and every later
-    call raises a copy of it, which :func:`timed_check` turns into a failed
-    check like the first.  The stored copy has no traceback, context or
-    cause, whose frames would reference J.  Copies are made without calling
-    ``__init__`` (args and attributes are copied), so an error with its
-    own constructor signature copies as well.
+    call raises a copy of it, so every check that reads the value fails in
+    :func:`timed_check` with the same witness.  The stored copy has no
+    traceback, context or cause, whose frames would reference J.  Copies
+    are made without calling ``__init__`` (args and attributes are
+    copied), so an error with its own constructor signature copies as well.
     """
     store: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -125,23 +124,34 @@ REPORT_SCHEMA_KEYS = {"algebra", "suite", "checks", "overall"}
 CHECK_SCHEMA_KEYS = {"name", "status", "witness", "elapsed_ms"}
 
 
-def validate_report_dict(data: dict) -> list[str]:
-    """Return a list of schema violations (empty when valid)."""
+def validate_report_dict(data) -> list[str]:
+    """Return a list of schema violations (empty when valid); any decoded
+    JSON value is read without raising."""
+    if not isinstance(data, dict):
+        return [f"report must be an object, got {type(data).__name__}"]
     problems = []
     if set(data) != REPORT_SCHEMA_KEYS:
         problems.append(f"top-level keys {sorted(data)}")
-    if data.get("overall") not in ("pass", "fail"):
-        problems.append("overall must be pass|fail")
-    for c in data.get("checks", []):
-        if set(c) != CHECK_SCHEMA_KEYS:
-            problems.append(f"check keys {sorted(c)}")
+    checks = data.get("checks", [])
+    if not isinstance(checks, list):
+        problems.append("checks must be a list")
+        checks = []
+    failed = False
+    for c in checks:
+        if not isinstance(c, dict) or set(c) != CHECK_SCHEMA_KEYS:
+            problems.append(f"check keys {sorted(c) if isinstance(c, dict) else c!r}")
             continue
         if c["status"] not in ("pass", "fail"):
             problems.append(f"bad status {c['status']!r}")
-        if not isinstance(c["elapsed_ms"], int):
+        if type(c["elapsed_ms"]) is not int:
             problems.append("elapsed_ms must be int")
         if c["witness"] is not None and not isinstance(c["witness"], str):
             problems.append("witness must be str or null")
+        failed = failed or c["status"] != "pass"
         if c["status"] == "fail" and not c["witness"]:
             problems.append(f"failed check {c['name']!r} lacks a witness")
+    if data.get("overall") not in ("pass", "fail"):
+        problems.append("overall must be pass|fail")
+    elif data["overall"] != ("fail" if failed else "pass"):
+        problems.append(f"overall {data['overall']!r} disagrees with the checks")
     return problems

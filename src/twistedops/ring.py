@@ -672,6 +672,9 @@ def parse_lambda(text: str) -> LambdaPoly:
         if "L" in chunk:
             if "*" in chunk:
                 cpart, lpart = chunk.rsplit("*", 1)
+                if not cpart.lstrip().startswith("(") and re.search(r"[0-9.][+-]", cpart):
+                    # 1+1i*L would read (1+1i)*L, but 1 + 1i*L reads 1 + i*L
+                    raise ParseError(f"complex coefficient needs parentheses in {chunk!r}")
                 c = parse_scalar(cpart)
             else:
                 lpart, c = chunk, ONE

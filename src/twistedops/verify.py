@@ -17,8 +17,10 @@ equality, and compares c(L) with
 where l0, l0' are the two critical twists 1/2 -+ 1/(4m).
 
 Every check is ``check(J[, twist or y]) -> CheckResult``; what several checks
-share, the quadratic and the w-conjugation witness, is found once per algebra.
-No check raises: an exact-ring error fails the check, its message the witness.
+share, the quadratic and the w-conjugation identity, is found once per algebra.
+A check body raises a ``RingError`` (``VerifyError`` here) at the first
+equation that fails, and ``report.timed_check`` turns it into the failed
+result, its message the witness; no public check raises.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ def check_w_bracket(J: JordanAlgebra) -> CheckResult:
         for i in range(J.n):
             lhs, rhs = w_bracket_sides(J, i)
             if lhs != rhs:
-                return False, f"residual at y=b{i+1}: {diffop_str(lhs - rhs)}"
-        return True, None
+                raise VerifyError(f"residual at y=b{i+1}: {diffop_str(lhs - rhs)}")
     return timed_check("w-bracket", body)
 
 
@@ -90,8 +91,7 @@ def check_idempotent_bracket(J: JordanAlgebra, y=None) -> CheckResult:
         lhs = rep.pi_minus(J, y).commutator(dy)
         rhs = dy.compose(dy)
         if lhs != rhs:
-            return False, f"residual: {diffop_str(lhs - rhs)}"
-        return True, None
+            raise VerifyError(f"residual: {diffop_str(lhs - rhs)}")
     return timed_check("idempotent-bracket", body)
 
 
@@ -137,8 +137,7 @@ def check_double_commutator(J: JordanAlgebra) -> CheckResult:
             -m2,
         ))
         if quad != expect:
-            return False, f"quadratic {quad} differs from -m^2(L-l0)(L-l0')"
-        return True, None
+            raise VerifyError(f"quadratic {quad} differs from -m^2(L-l0)(L-l0')")
     return timed_check("double-commutator", body)
 
 
@@ -158,41 +157,41 @@ def critical_values(J: JordanAlgebra) -> tuple[Scalar, Scalar]:
 def check_critical(J: JordanAlgebra) -> CheckResult:
     def body():
         roots = critical_values(J)
-        return True, f"{roots[0]}, {roots[1]}"
+        return f"{roots[0]}, {roots[1]}"
     return timed_check("critical-values", body)
 
 
-def _w_conjugation_witness(J: JordanAlgebra) -> str | None:
-    """Residual of w pi_{l0'}^y w^{-1} = pi_{l0}^y at the first failing basis y."""
+def _w_conjugation_witness(J: JordanAlgebra) -> None:
+    """w pi_{l0'}^y w^{-1} = pi_{l0}^y for every basis y; VerifyError
+    carries the residual at the first failing y."""
     lam0, lam0p = rep.critical_pair(J)
     for i in range(J.n):
         y = J.basis_element(i)
         got = rep.pi_minus(J, y, lam0p).conjugate_by_w()
         lower = rep.pi_minus(J, y, lam0)
         if got != lower:
-            return f"residual at y=b{i+1}: {diffop_str(got - lower)}"
-    return None
+            raise VerifyError(f"residual at y=b{i+1}: {diffop_str(got - lower)}")
 
 
 @per_algebra
-def _conjugation_witness(J: JordanAlgebra) -> str | None:
-    """The witness of :func:`_w_conjugation_witness`, found once per algebra."""
+def _conjugation_witness(J: JordanAlgebra) -> None:
+    """:func:`_w_conjugation_witness`, checked once per algebra; a failure
+    is remembered and raised again on every later call."""
     return _w_conjugation_witness(J)
 
 
 def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
     """Conjugation by w carries the upper-twist family to the lower one.
 
-    The plus side is checked here; the minus-side witness is found once
-    per algebra and shared with the delta, module and lowest-weight checks.
+    The plus side is checked here; the minus side is checked once per
+    algebra and shared with the delta, module and lowest-weight checks.
     """
     def body():
         for i in range(J.n):
             mult = rep.pi_plus(J, J.basis_element(i))
             if mult.conjugate_by_w() != mult:
-                return False, f"multiplication operator moved at x=b{i+1}"
-        witness = _conjugation_witness(J)
-        return witness is None, witness
+                raise VerifyError(f"multiplication operator moved at x=b{i+1}")
+        _conjugation_witness(J)
     return timed_check("w-conjugation", body)
 
 
@@ -201,7 +200,7 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
     family at L to minus the family at 1 - L; composed with conjugation
     by w it fixes the critical family up to sign: delta leaves L alone,
     so beta(pi_{l0}) = -w pi_{1-l0} w^{-1} = -pi_{l0} by the w-conjugation
-    identity, whose witness fails this check too, and w fixes pi_plus."""
+    identity, whose failure fails this check too, and w fixes pi_plus."""
     def body():
         one_minus = LambdaPoly((ONE, -ONE))  # 1 - L
         for i in range(J.n):
@@ -210,19 +209,16 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
                 lhs = op.delta_map()
                 rhs = (-op).subst_lambda(one_minus)
                 if lhs != rhs:
-                    return False, f"residual at b{i+1}: {diffop_str(lhs - rhs)}"
-        witness = _conjugation_witness(J)
-        if witness is not None:
-            return False, witness
+                    raise VerifyError(f"residual at b{i+1}: {diffop_str(lhs - rhs)}")
+        _conjugation_witness(J)
         W = DiffOp.mult_w(J)
         bw = W.delta_map().conjugate_by_w()
         iw = IUNIT ** J.r
         if bw != W.scale(iw):
-            return False, "beta(w) != i^r w"
+            raise VerifyError("beta(w) != i^r w")
         bbw = bw.delta_map().conjugate_by_w()
         if bbw != W.scale(Scalar(-1) ** J.r):
-            return False, "beta^2(w) != (-1)^r w"
-        return True, None
+            raise VerifyError("beta^2(w) != (-1)^r w")
     return timed_check("delta-antimap", body)
 
 
@@ -237,12 +233,11 @@ def check_fourier(J: JordanAlgebra) -> CheckResult:
             x = J.basis_element(i)
             lhs = fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
             if lhs != rep.pi_plus(J, x):
-                return False, f"plus side differs at b{i+1}"
+                raise VerifyError(f"plus side differs at b{i+1}")
             lhs = fourier(rep.eta_minus(J, x).scale(Scalar(-1)))
             rhs = rep.pi_minus(J, x)
             if lhs != rhs:
-                return False, f"minus side residual at b{i+1}: {diffop_str(lhs - rhs)}"
-        return True, None
+                raise VerifyError(f"minus side residual at b{i+1}: {diffop_str(lhs - rhs)}")
     return timed_check("fourier-consistency", body)
 
 
@@ -264,13 +259,13 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
         for i in range(J.n):
             for j in range(i + 1, J.n):
                 if not plus[i].commutator(plus[j]).is_zero():
-                    return False, f"[b{i+1}+, b{j+1}+] != 0"
+                    raise VerifyError(f"[b{i+1}+, b{j+1}+] != 0")
                 if not minus_formal[i].commutator(minus_formal[j]).is_zero():
-                    return False, f"[b{i+1}-, b{j+1}-] != 0"
+                    raise VerifyError(f"[b{i+1}-, b{j+1}-] != 0")
         ops, dim = rep.k_span(J, lam_value)
         want = rep.expected_k_dimension(J)
         if dim != want:
-            return False, f"span dimension {dim}, expected {want}"
+            raise VerifyError(f"span dimension {dim}, expected {want}")
         plus_span = rep.SpanBasis()
         for op in plus:
             plus_span.add(op)
@@ -280,10 +275,10 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
         for K in ops:
             for i in range(J.n):
                 if not plus_span.contains(K.commutator(plus[i])):
-                    return False, f"[K, b{i+1}+] leaves the plus wing"
+                    raise VerifyError(f"[K, b{i+1}+] leaves the plus wing")
                 if not minus_span.contains(K.commutator(minus[i])):
-                    return False, f"[K, b{i+1}-] leaves the minus wing"
-        return True, f"dimension {dim}"
+                    raise VerifyError(f"[K, b{i+1}-] leaves the minus wing")
+        return f"dimension {dim}"
     return timed_check("closure", body)
 
 
@@ -297,18 +292,16 @@ def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST) -> Check
     puts wC[z] there too, in every degree.  (3) pi_{l0}(1) = 0 (pi^y has
     no term of order 0) and pi_{l0}(w) = w pi_{l0'}(1) = 0.  (4) Criticality:
     at a generic twist the same action produces denominators.  Step (1) is
-    the witness shared with :func:`check_w_conjugation`.
+    the identity shared with :func:`check_w_conjugation`.
     """
     def body():
-        witness = _conjugation_witness(J)
-        if witness is not None:
-            return False, witness
+        _conjugation_witness(J)
         lam0, _ = rep.critical_pair(J)
         for i in range(J.n):
             op = rep.pi_minus(J, J.basis_element(i), lam0)
             polynomial = all(c.is_polynomial() for c in op.terms.values())
             if not polynomial or op.subst_lambda(LambdaPoly()) != op:
-                return False, f"pi^y at {lam0} has a denominator or L at y=b{i+1}"
+                raise VerifyError(f"pi^y at {lam0} has a denominator or L at y=b{i+1}")
         # criticality witness at a generic twist
         ctx = J.ring
         w = SuperFn.w(ctx)
@@ -317,8 +310,8 @@ def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST) -> Check
             for mono in ((0,) * J.n, tuple(1 if k == 0 else 0 for k in range(J.n))):
                 h = w * SuperFn.from_zpoly(ctx, ZPoly.monomial(J.n, mono))
                 if not rep.act_on_H(atg, h)[1]:
-                    return True, None
-        return False, f"no denominator appeared at generic twist {generic}"
+                    return
+        raise VerifyError(f"no denominator appeared at generic twist {generic}")
     return timed_check("module-stability", body)
 
 
@@ -335,17 +328,14 @@ def check_lowest_weight(J: JordanAlgebra) -> CheckResult:
     [pi_{l0'}^y, dF w] = w^{-1} [pi_{l0}^y, w dF] w = 0.
     """
     def body():
-        witness = _conjugation_witness(J)
-        if witness is not None:
-            return False, witness
+        _conjugation_witness(J)
         lam0, _ = rep.critical_pair(J)
         dF = rep.norm_derivative_op(J)
         for i in range(J.n):
             y = J.basis_element(i)
             res = rep.pi_minus(J, y, lam0).commutator(dF) - DiffOp.directional(J, y).compose(dF)
             if not res.is_zero():
-                return False, f"[pi^y, w dF] != 0 at y=b{i+1}: {diffop_str(DiffOp.mult_w(J).compose(res))}"
-        return True, None
+                raise VerifyError(f"[pi^y, w dF] != 0 at y=b{i+1}: {diffop_str(DiffOp.mult_w(J).compose(res))}")
     return timed_check("lowest-weight", body)
 
 

@@ -305,7 +305,7 @@ class DiffOp(_NormalOrdered):
     def directional(alg: JordanAlgebra, y: JElem) -> "DiffOp":
         """The derivative along y: sum_i y_i d_i."""
         terms = {}
-        for i, c in enumerate(y.coords):
+        for i, c in enumerate(alg._coords(y)):
             if c.is_zero():
                 continue
             idx = tuple(1 if j == i else 0 for j in range(alg.n))

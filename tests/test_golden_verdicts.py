@@ -9,6 +9,12 @@ algebra with m off by one (``check_critical``, ``check_h_module`` and
 A kernel change that keeps every identity exact keeps this file byte for
 byte.  Print the current verdicts with
 ``python tests/test_golden_verdicts.py``.
+
+``tests/data/golden_corrupted.json`` holds the same for
+``run_suite(J, "all")`` on structure-corrupted copies of sym:2 (with a
+commutative and with a non-commutative defect) and spin:2: every check
+fails there, so it pins every failure witness of the suite.  Print it
+with ``python tests/test_golden_verdicts.py corrupted``.
 """
 
 import contextlib
@@ -20,8 +26,12 @@ from pathlib import Path
 
 from twistedops import cli, jordan, verify
 
+from test_jordan import corrupt_structure
+
 GOLDEN = Path(__file__).parent / "data" / "golden_verdicts.json"
+GOLDEN_CORRUPTED = Path(__file__).parent / "data" / "golden_corrupted.json"
 SELECTORS = ("full:2", "sym:2", "spin:4", "full:3", "spin:6")
+CORRUPTED = (("sym:2", True), ("sym:2", False), ("spin:2", True))
 
 
 def _untimed(checks) -> list[dict]:
@@ -47,13 +57,28 @@ def golden_verdicts() -> dict:
     return out
 
 
-def golden_json() -> str:
-    return json.dumps(golden_verdicts(), indent=1) + "\n"
+def corrupted_verdicts() -> dict:
+    out = {}
+    for selector, commutative in CORRUPTED:
+        bad = corrupt_structure(jordan.from_selector(selector), commutative=commutative)
+        report = verify.run_suite(bad, "all")
+        key = f"{selector} {'commutative' if commutative else 'non-commutative'}"
+        out[key] = {"suite": _untimed(dataclasses.asdict(c) for c in report.checks),
+                    "overall": report.overall}
+    return out
+
+
+def golden_json(verdicts=golden_verdicts) -> str:
+    return json.dumps(verdicts(), indent=1) + "\n"
 
 
 def test_verdicts_and_witnesses_match_golden_file():
     assert golden_json() == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_failure_witnesses_on_corrupted_algebras_match_golden_file():
+    assert golden_json(corrupted_verdicts) == GOLDEN_CORRUPTED.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
-    sys.stdout.write(golden_json())
+    sys.stdout.write(golden_json(corrupted_verdicts if sys.argv[1:] == ["corrupted"] else golden_verdicts))

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from twistedops import jordan
+from twistedops import jordan, rep
 from twistedops.jordan import (
+    DimensionMismatchError,
     JElem,
     NotInvertibleError,
     PrimitiveIdempotentError,
@@ -21,6 +22,7 @@ from twistedops.jordan import (
     verify_jordan_calculus,
 )
 from twistedops.ring import LocFn, Scalar, ZPoly, ONE, ZERO
+from twistedops.weyl import DiffOp
 
 
 def sc(x):
@@ -169,6 +171,31 @@ def test_unit_self_inverse(sym2):
 def test_singular_point_raises(full2):
     with pytest.raises(NotInvertibleError):
         full2.inverse_at(elem(1, 0, 0, 0))
+
+
+WRONG_LENGTH_ENTRIES = {
+    "product-left": lambda J, a: J.product(a, J.unit_elem()),
+    "product-right": lambda J, a: J.product(J.unit_elem(), a),
+    "add_elem": lambda J, a: J.add_elem(J.unit_elem(), a),
+    "trace": lambda J, a: J.trace(a),
+    "linear_form": lambda J, a: J.linear_form(a),
+    "norm_at": lambda J, a: J.norm_at(a),
+    "adjugate_at": lambda J, a: J.adjugate_at(a),
+    "inverse_at": lambda J, a: J.inverse_at(a),
+    "check_primitive_idempotent": lambda J, a: J.check_primitive_idempotent(a),
+    "directional": DiffOp.directional,
+    "pi_minus": rep.pi_minus,
+    "eta_plus": rep.eta_plus,
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_LENGTH_ENTRIES)
+@pytest.mark.parametrize("length", [1, 4])
+def test_wrong_length_elements_are_refused(sym2, entry, length):
+    # sym:2 has 3 coordinates: an extra coordinate is never read as a
+    # term, and a missing one never reads as zero or an IndexError
+    with pytest.raises(DimensionMismatchError, match=f"expected 3 coordinates, got {length}"):
+        WRONG_LENGTH_ENTRIES[entry](sym2, elem(*range(1, length + 1)))
 
 
 def _to_sympy(p, zs):

@@ -944,3 +944,23 @@ def test_largest_exponent_round_trips_through_text():
     for text in (f"L^{EXPONENT_LIMIT}", "L^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_lambda(text)
+
+
+def test_a_complex_coefficient_of_a_power_of_L_needs_parentheses():
+    from twistedops.ring import ParseError, lambda_str, parse_lambda
+    # unparenthesised, 1+1i*L would read (1+1i)*L and 1 + 1i*L reads 1 + i*L
+    one_plus_i = Scalar(1, 1)
+    assert parse_lambda("(1+1i)*L") == LambdaPoly((ZERO, one_plus_i))
+    assert parse_lambda("1 + 1i*L") == LambdaPoly((ONE, IUNIT))
+    for p in (LambdaPoly((ZERO, one_plus_i)), LambdaPoly((one_plus_i, ZERO, Scalar(Fraction(1, 2), -1)))):
+        assert parse_lambda(lambda_str(p)) == p
+    for text in ("1+1i*L", "1-1/2i*L^2", "2 + -1+1i*L", "1+0i*L"):
+        with pytest.raises(ParseError, match="needs parentheses"):
+            parse_lambda(text)
+    # the same inside an operator's L-group
+    ctx = RingContext(1, ZPoly.coord(1, 0), 1)
+    want = SuperFn.from_zpoly(ctx, ZPoly.monomial(1, (1,), LambdaPoly((ONE, IUNIT))))
+    assert parse_superfn("(1)(1 + 1i*L)*z1", ctx) == want
+    assert parse_superfn(superfn_str(want), ctx) == want
+    with pytest.raises(ParseError, match="needs parentheses"):
+        parse_superfn("(1)(1+1i*L)*z1", ctx)

@@ -391,7 +391,10 @@ def test_lowest_weight_witness_is_the_direct_commutator(selector, monkeypatch):
 def test_a_failed_conjugation_fails_the_derived_checks(sym2, monkeypatch, check):
     # each check derives its remaining steps from the identity, so a failed
     # identity fails it with the shared witness
-    monkeypatch.setattr(verify, "_conjugation_witness", lambda J: "residual at y=b1: stub")
+    def failed(J):
+        raise verify.VerifyError("residual at y=b1: stub")
+
+    monkeypatch.setattr(verify, "_conjugation_witness", failed)
     res = getattr(verify, check)(sym2)
     assert (res.status, res.witness) == ("fail", "residual at y=b1: stub")
 
@@ -425,6 +428,29 @@ def test_run_suite_rank_one(full1):
     data = json.loads(report.to_json())
     assert validate_report_dict(data) == []
     assert data["algebra"] == "full:1"
+
+
+def _report_with(**changes):
+    check = {"name": "closure", "status": "pass", "witness": None, "elapsed_ms": 3}
+    data = {"algebra": "sym:2", "suite": "all", "checks": [check], "overall": "pass"}
+    for key, value in changes.items():
+        (check if key in check else data)[key] = value
+    return data
+
+
+@pytest.mark.parametrize("data, problem", [
+    ([], "report must be an object, got list"),
+    (None, "report must be an object, got NoneType"),
+    (_report_with(checks=[1]), "check keys 1"),
+    (_report_with(checks=None), "checks must be a list"),
+    (_report_with(checks={"closure": {}}), "checks must be a list"),
+    (_report_with(overall="fail"), "overall 'fail' disagrees with the checks"),
+    (_report_with(status="fail", witness="residual"), "overall 'pass' disagrees with the checks"),
+    (_report_with(elapsed_ms=True), "elapsed_ms must be int"),
+])
+def test_report_validation_reports_malformed_json_and_never_raises(data, problem):
+    assert validate_report_dict(_report_with()) == []
+    assert problem in validate_report_dict(data)
 
 
 def test_run_suite_selection(sym2):
@@ -679,7 +705,14 @@ def test_no_check_raises(selector, commutative):
 
 
 def test_the_check_layer_has_no_try_statement():
-    # an exact-ring error fails a check in report.timed_check alone
+    # a raised exact-ring error is the one way a check fails, and
+    # report.timed_check alone catches it: no try, and no (ok, witness) return
+    def bool_pair(node):
+        return (isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+                and node.value.elts and isinstance(node.value.elts[0], ast.Constant)
+                and isinstance(node.value.elts[0].value, bool))
+
     for module in (verify, verify._jordan):
         tree = ast.parse(inspect.getsource(module))
         assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), module.__name__
+        assert not any(bool_pair(node) for node in ast.walk(tree)), module.__name__
