@@ -74,7 +74,7 @@ class JElem:
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(coords))
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("JElem is immutable")
 
     @staticmethod
@@ -176,26 +176,23 @@ class JordanAlgebra:
         return tuple(tuple(tuple((k, Scalar(c)) for k, c in enumerate(cell) if c)
                            for cell in row) for row in self.prod)
 
-    def product(self, a: JElem, b: JElem) -> JElem:
-        """a o b, each output coordinate one packed dict into which every
-        s * a_i * b_j is added in place, term by term.  A Scalar coordinate
-        counts as a constant polynomial; when a and b have Scalar
-        coordinates only, so does the result."""
+    def _accumulate(self, out: list, left: list, right: list) -> list:
+        """Add every s * x_i * y_j of x o y, term by term, into ``out``, one
+        packed dict per coordinate, dropping a sum that cancels; ``left``
+        and ``right`` hold the (packed monomial, coefficient) pairs of each
+        coordinate of x and of y.  Returns ``out``."""
         table = self._sparse_prod
         guards = _guards(self.n)
-        out = [{} for _ in range(self.n)]
-        right = [_packed_terms(bj) for bj in self._coords(b)]
-        for i, ai in enumerate(self._coords(a)):
-            left = _packed_terms(ai)
-            if not left:
+        for i, left_i in enumerate(left):
+            if not left_i:
                 continue
             row = table[i]
-            for j, bj in enumerate(right):
+            for j, right_j in enumerate(right):
                 cell = row[j]
-                if not (cell and bj):
+                if not (cell and right_j):
                     continue
-                for ma, ca in left:
-                    for mb, cb in bj:
+                for ma, ca in left_i:
+                    for mb, cb in right_j:
                         mono = ma + mb
                         if mono & guards:
                             raise _overflow()
@@ -210,16 +207,26 @@ class JordanAlgebra:
                                     del acc[mono]
                                     continue
                             acc[mono] = v
-        if not any(isinstance(x, ZPoly) for x in a.coords + b.coords):
-            return JElem(x.get(0, ZERO) for x in out)
-        return JElem(_zpoly(self.n, x) for x in out)
+        return out
 
-    def _zero_like(self, *elems: JElem):
-        for e in elems:
-            for c in e.coords:
-                if isinstance(c, ZPoly):
-                    return ZPoly.zero(self.n)
-        return ZERO
+    def _terms(self, a: JElem) -> list:
+        return [_packed_terms(x) for x in self._coords(a)]
+
+    def _elem(self, out: list, *inputs: JElem) -> JElem:
+        """The element with the packed coordinates ``out``: Scalar
+        coordinates when every input has Scalar coordinates only, ZPoly
+        ones otherwise."""
+        if any(isinstance(x, ZPoly) for e in inputs for x in e.coords):
+            return JElem(_zpoly(self.n, x) for x in out)
+        return JElem(x.get(0, ZERO) for x in out)
+
+    def product(self, a: JElem, b: JElem) -> JElem:
+        """a o b, each output coordinate one packed dict into which every
+        s * a_i * b_j is added in place, term by term.  A Scalar coordinate
+        counts as a constant polynomial; when a and b have Scalar
+        coordinates only, so does the result."""
+        out = self._accumulate([{} for _ in range(self.n)], self._terms(a), self._terms(b))
+        return self._elem(out, a, b)
 
     def triple(self, a: JElem, b: JElem, c: JElem, ac: JElem | None = None,
                bc: JElem | None = None) -> JElem:
@@ -227,12 +234,30 @@ class JordanAlgebra:
 
         Outer slots a, c are symmetric; for matrix kinds this is
         (abc + cba)/2 in ordinary matrix notation.  ``ac`` and ``bc``
-        are a o c and b o c when the caller has them already.
+        are a o c and b o c when the caller has them already.  The three
+        outer products are added term by term into one packed dict per
+        coordinate, the last with its left factor negated; no product is
+        reordered, so a non-commutative structure still fails.
         """
-        ab_c = self.product(self.product(a, b), c)
-        a_bc = self.product(a, self.product(b, c) if bc is None else bc)
-        ac_b = self.product(self.product(a, c) if ac is None else ac, b)
-        return JElem(tuple(x + y - z for x, y, z in zip(ab_c.coords, a_bc.coords, ac_b.coords)))
+        n = self.n
+        ta, tb, tc = self._terms(a), self._terms(b), self._terms(c)
+
+        def inner(x: list, y: list) -> list:
+            return [tuple(d.items()) for d in self._accumulate([{} for _ in range(n)], x, y)]
+
+        tbc = inner(tb, tc) if bc is None else self._terms(bc)
+        tac = inner(ta, tc) if ac is None else self._terms(ac)
+        out = self._accumulate([{} for _ in range(n)], inner(ta, tb), tc)
+        self._accumulate(out, ta, tbc)
+        self._accumulate(out, [tuple((m, -v) for m, v in x) for x in tac], tb)
+        return self._elem(out, a, b, c, *(x for x in (ac, bc) if x is not None))
+
+    def _zero_like(self, *elems: JElem):
+        for e in elems:
+            for c in e.coords:
+                if isinstance(c, ZPoly):
+                    return ZPoly.zero(self.n)
+        return ZERO
 
     def trace(self, a: JElem):
         out = None

@@ -73,7 +73,13 @@ class ParseError(RingError):
 # Scalars: the field Q(i)
 # ---------------------------------------------------------------------------
 
-class Scalar:
+class _ScalarSlots:
+    """The slots of a Scalar, open to plain stores; see :func:`_triple`."""
+
+    __slots__ = ("a", "b", "d")
+
+
+class Scalar(_ScalarSlots):
     """A Gaussian rational ``(a + b*i) / d`` held as three ints.
 
     ``d > 0`` and ``gcd(a, b, d) == 1``, so every value has exactly one
@@ -81,7 +87,7 @@ class Scalar:
     Fractions; ``re`` and ``im`` read the parts back as Fractions.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ()
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         for x in (re, im):
@@ -94,7 +100,7 @@ class Scalar:
         _set_b(self, s * (d // t))
         _set_d(self, d)
 
-    def __setattr__(self, name, value):  # pragma: no cover - safety net
+    def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a Fraction.")
@@ -169,16 +175,20 @@ class Scalar:
         return scalar_str(self)
 
 
-_new_scalar = object.__new__
+# A private factory fills the slots of a bare ``_...Slots`` object with
+# plain stores, then retypes it to the public class, whose __setattr__
+# raises: that skips one descriptor call per slot on every value built.
+_new = object.__new__
 _set_a, _set_b, _set_d = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
 
 
 def _triple(a: int, b: int, d: int) -> Scalar:
     """The Scalar (a + b*i)/d; the triple must already be normalised."""
-    s = _new_scalar(Scalar)
-    _set_a(s, a)
-    _set_b(s, b)
-    _set_d(s, d)
+    s = _new(_ScalarSlots)
+    s.a = a
+    s.b = b
+    s.d = d
+    s.__class__ = Scalar
     return s
 
 
@@ -234,10 +244,17 @@ def parse_scalar(text: str) -> Scalar:
     return Scalar(_parse_fraction(text))
 
 
+# a signed decimal integer or fraction: the only forms scalar_str prints
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_fraction(text: str) -> Fraction:
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
@@ -311,7 +328,13 @@ def z_degree(n: int, key: int) -> int:
     return (key >> (FIELD * (n + 1))) - (key & FIELD_MASK)
 
 
-class ZPoly:
+class _ZPolySlots:
+    """The slots of a ZPoly, open to plain stores; see :func:`_zpoly`."""
+
+    __slots__ = ("n", "packed")
+
+
+class ZPoly(_ZPolySlots):
     """Sparse polynomial in z1..zn and the twist L with Scalar coefficients.
 
     ``packed`` maps packed monomial keys (see :func:`pack`: total degree,
@@ -327,13 +350,13 @@ class ZPoly:
     access, so code in this package reads ``packed``.
     """
 
-    __slots__ = ("n", "packed")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar] | None = None):
         _set_n(self, n)
         _set_packed(self, {pack(n, mono): c for mono, c in (terms or {}).items() if not c.is_zero()})
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("ZPoly is immutable")
 
     @property
@@ -540,10 +563,12 @@ _LSTEP = _total_unit(0) + 1
 
 
 def _zpoly(n: int, packed: dict, cls: type = ZPoly) -> ZPoly:
-    """The ZPoly (or ``cls`` value) with already-pruned packed terms."""
-    p = object.__new__(cls)
-    _set_n(p, n)
-    _set_packed(p, packed)
+    """The ZPoly (or ``cls`` value, a subclass without slots of its own)
+    with already-pruned packed terms."""
+    p = _new(_ZPolySlots)
+    p.n = n
+    p.packed = packed
+    p.__class__ = cls
     return p
 
 
@@ -705,7 +730,7 @@ class RingContext:
         object.__setattr__(self, "_fpow", {0: ZPoly.one(n), 1: F})
         object.__setattr__(self, "_dF", {})
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("RingContext is immutable")
 
     def F_pow(self, k: int) -> ZPoly:
@@ -761,7 +786,7 @@ class LocFn:
         _set_k(self, k)
         _set_reduced(self, None if k else (num, 0))
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("LocFn is immutable")
 
     def _reduce(self) -> tuple[ZPoly, int]:
@@ -892,10 +917,16 @@ _set_ctx, _set_num, _set_k, _set_reduced = (
 # SuperFn: even + odd * w with w^2 = F
 # ---------------------------------------------------------------------------
 
-class SuperFn:
-    """Element ``even + odd*w`` of the ring extended by the root w of F."""
+class _SuperFnSlots:
+    """The slots of a SuperFn, open to plain stores; see :func:`_superfn`."""
 
     __slots__ = ("ctx", "ev", "od")
+
+
+class SuperFn(_SuperFnSlots):
+    """Element ``even + odd*w`` of the ring extended by the root w of F."""
+
+    __slots__ = ()
 
     def __init__(self, ctx: RingContext, ev: LocFn, od: LocFn):
         _check_ctx(ctx, ev.ctx)
@@ -904,7 +935,7 @@ class SuperFn:
         _set_ev(self, ev)
         _set_od(self, od)
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError("SuperFn is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -1023,10 +1054,11 @@ _set_fctx, _set_ev, _set_od = SuperFn.ctx.__set__, SuperFn.ev.__set__, SuperFn.o
 
 def _superfn(ctx: RingContext, ev: LocFn, od: LocFn) -> SuperFn:
     """The SuperFn ``ev + od*w``; both parts must already be over ``ctx``."""
-    f = object.__new__(SuperFn)
-    _set_fctx(f, ctx)
-    _set_ev(f, ev)
-    _set_od(f, od)
+    f = _new(_SuperFnSlots)
+    f.ctx = ctx
+    f.ev = ev
+    f.od = od
+    f.__class__ = SuperFn
     return f
 
 

@@ -111,7 +111,13 @@ def _partial(cache: dict, idx: MultiIndex):
     return val
 
 
-class _NormalOrdered:
+class _OperatorSlots:
+    """The slots of an operator, open to plain stores; see ``_with``."""
+
+    __slots__ = ("alg", "terms", "_by_delta", "_partials")
+
+
+class _NormalOrdered(_OperatorSlots):
     """Finite sum  sum_beta c_beta * d^beta  with coefficients to the left.
 
     The coefficient type (``SuperFn`` or ``ZPoly``) only has to provide
@@ -134,7 +140,7 @@ class _NormalOrdered:
     one equal to this one, starts with empty slots.
     """
 
-    __slots__ = ("alg", "terms", "_by_delta", "_partials")
+    __slots__ = ()
 
     def __init__(self, alg: JordanAlgebra, terms: Mapping | None = None):
         clean = {}
@@ -147,16 +153,18 @@ class _NormalOrdered:
         object.__setattr__(self, "_by_delta", None)
         object.__setattr__(self, "_partials", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover
+    def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _with(self, terms: dict):
-        """An operator over the same algebra with already-pruned terms."""
-        op = object.__new__(type(self))
-        object.__setattr__(op, "alg", self.alg)
-        object.__setattr__(op, "terms", terms)
-        object.__setattr__(op, "_by_delta", None)
-        object.__setattr__(op, "_partials", None)
+        """An operator of the same type and algebra with already-pruned
+        terms, filled with plain stores and then retyped."""
+        op = object.__new__(_OperatorSlots)
+        op.alg = self.alg
+        op.terms = terms
+        op._by_delta = None
+        op._partials = None
+        op.__class__ = type(self)
         return op
 
     @classmethod

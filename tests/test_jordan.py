@@ -379,6 +379,33 @@ def test_noncommutative_corruption_fails_the_triple_identities(selector):
         assert f"={bad.labels[0]}" in results[name].witness, results[name].witness
 
 
+def reference_triple(J, a: JElem, b: JElem, c: JElem) -> list:
+    """(a o b) o c + a o (b o c) - (a o c) o b from three whole products,
+    coordinate by coordinate, constants as polynomials."""
+    ab_c, a_bc, ac_b = (lifted(J, J.product(x, y)) for x, y in (
+        (J.product(a, b), c), (a, J.product(b, c)), (J.product(a, c), b)))
+    return [x + y - z for x, y, z in zip(ab_c, a_bc, ac_b)]
+
+
+@pytest.mark.parametrize("corruption", [None, "commutative", "non-commutative"])
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_triple_matches_the_three_product_reference(selector, corruption):
+    # a non-commutative copy fails if the fused triple reorders a product
+    J = from_selector(selector)
+    if corruption:
+        J = corrupt_structure(J, commutative=corruption == "commutative")
+    point = JElem(Scalar(Fraction(i + 1, 3), i % 2) for i in range(J.n))
+    args = [J.generic_elem(), J.adjugate_elem(), point, J.basis_element(J.n - 1)]
+    for a, b, c in itertools.product(args, repeat=3):
+        want = reference_triple(J, a, b, c)
+        kind = ZPoly if any(isinstance(x, ZPoly) for e in (a, b, c) for x in e.coords) else Scalar
+        ac, bc = J.product(a, c), J.product(b, c)
+        for given in ({}, {"ac": ac}, {"bc": bc}, {"ac": ac, "bc": bc}):
+            got = J.triple(a, b, c, **given)
+            assert lifted(J, got) == want, (a, b, c, given)
+            assert all(type(x) is kind for x in got.coords)
+
+
 def test_primitive_idempotent_guard(full2):
     with pytest.raises(PrimitiveIdempotentError):
         full2.check_primitive_idempotent(full2.unit_elem())  # trace is 2, not 1

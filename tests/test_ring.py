@@ -131,6 +131,24 @@ def test_scalar_matches_fraction_pair_reference(a, b, c, d, k):
         assert kernel(s ** k) == want
 
 
+@given(scalar_parts, scalar_parts)
+@settings(max_examples=200, deadline=None)
+def test_parse_scalar_reads_back_every_printed_form(a, b):
+    from twistedops.ring import parse_scalar
+    s = Scalar(a, b)
+    assert parse_scalar(str(s)) == s
+    assert parse_scalar(f"({s})") == s
+
+
+@pytest.mark.parametrize("text", ["(1e-3)", "(1_0)", "(1.5)", "(1e3i)", "1e3", "0x10", "1/0",
+                                  "+ 2", "1/-2", "\u0663", "nan", "inf", "1/2/3", "1+2", "ii"])
+def test_parse_scalar_takes_decimal_integers_and_fractions_only(text):
+    from twistedops.ring import ParseError, parse_scalar
+    # Fraction would read the first four as 1/1000, 10, 3/2 and 1000i
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
 @pytest.mark.parametrize("bad", [1.5, "1", None, 1j])
 def test_scalar_rejects_non_rationals(bad):
     with pytest.raises(TypeError):
