@@ -115,6 +115,10 @@ def _entry_scale(s: Scalar, x):
     return x.scale(s) if isinstance(x, ZPoly) else x * s
 
 
+def _has_zpoly(elems) -> bool:
+    return any(isinstance(x, ZPoly) for e in elems for x in e.coords)
+
+
 def _packed_terms(x) -> tuple:
     """The (packed monomial, coefficient) pairs of a coordinate entry."""
     if isinstance(x, ZPoly):
@@ -216,7 +220,7 @@ class JordanAlgebra:
         """The element with the packed coordinates ``out``: Scalar
         coordinates when every input has Scalar coordinates only, ZPoly
         ones otherwise."""
-        if any(isinstance(x, ZPoly) for e in inputs for x in e.coords):
+        if _has_zpoly(inputs):
             return JElem(_zpoly(self.n, x) for x in out)
         return JElem(x.get(0, ZERO) for x in out)
 
@@ -252,13 +256,6 @@ class JordanAlgebra:
         self._accumulate(out, [tuple((m, -v) for m, v in x) for x in tac], tb)
         return self._elem(out, a, b, c, *(x for x in (ac, bc) if x is not None))
 
-    def _zero_like(self, *elems: JElem):
-        for e in elems:
-            for c in e.coords:
-                if isinstance(c, ZPoly):
-                    return ZPoly.zero(self.n)
-        return ZERO
-
     def trace(self, a: JElem):
         out = None
         for ti, ai in zip(self.trace_vec, self._coords(a)):
@@ -267,7 +264,7 @@ class JordanAlgebra:
             term = _entry_scale(Scalar(ti), ai)
             out = term if out is None else out + term
         if out is None:
-            return self._zero_like(a)
+            return ZPoly.zero(self.n) if _has_zpoly((a,)) else ZERO
         return out
 
     def trace_form(self, a: JElem, b: JElem):
