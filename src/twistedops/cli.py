@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import jordan, moyal, rep, verify
-from .ring import EXPONENT_LIMIT, RingError
+from .ring import EXPONENT_LIMIT, ParseError, RingError, _parse_fraction
 from .weyl import diffop_str, polyop_str
 
 RANK_LIMITS = {"sym": 4, "full": 4, "spin": 8}
@@ -46,8 +46,8 @@ def _load_algebra(selector: str, force: bool = False) -> jordan.JordanAlgebra:
 
 def _parse_twist(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _parse_fraction(text)
+    except ParseError:
         raise UsageError(f"bad twist value {text!r}; expected a rational like 5/7")
 
 

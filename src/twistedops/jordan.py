@@ -74,8 +74,10 @@ class JElem:
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(coords))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("JElem is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def from_rationals(values) -> "JElem":
@@ -657,12 +659,13 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
 def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
     ctx = J.ring
     adj = J.adjugate_elem()
+    adj2 = J.product(adj, adj)
     tr_qinv = [J.tr_v_qinv(J.basis_element(i)) for i in range(J.n)]
     wfn = SuperFn.w(ctx)
 
     @cache
     def sandwich(i: int) -> JElem:
-        return J.triple(adj, J.basis_element(i), adj)
+        return J.triple(adj, J.basis_element(i), adj, ac=adj2)
 
     @cache
     def tr_triple(i: int, j: int) -> ZPoly:

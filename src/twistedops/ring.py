@@ -100,8 +100,10 @@ class Scalar(_ScalarSlots):
         _set_b(self, s * (d // t))
         _set_d(self, d)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
 
     re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a Fraction.")
     im = property(lambda self: Fraction(self.b, self.d), doc="The imaginary part, a Fraction.")
@@ -356,8 +358,10 @@ class ZPoly(_ZPolySlots):
         _set_n(self, n)
         _set_packed(self, {pack(n, mono): c for mono, c in (terms or {}).items() if not c.is_zero()})
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("ZPoly is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def terms(self) -> Mapping[tuple, Scalar]:
@@ -730,8 +734,10 @@ class RingContext:
         object.__setattr__(self, "_fpow", {0: ZPoly.one(n), 1: F})
         object.__setattr__(self, "_dF", {})
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("RingContext is immutable")
+
+    __delattr__ = __setattr__
 
     def F_pow(self, k: int) -> ZPoly:
         cache = self._fpow
@@ -786,8 +792,10 @@ class LocFn:
         _set_k(self, k)
         _set_reduced(self, None if k else (num, 0))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("LocFn is immutable")
+
+    __delattr__ = __setattr__
 
     def _reduce(self) -> tuple[ZPoly, int]:
         """The pair with F cancelled as often as it divides the numerator."""
@@ -935,8 +943,10 @@ class SuperFn(_SuperFnSlots):
         _set_ev(self, ev)
         _set_od(self, od)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("SuperFn is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
     @staticmethod

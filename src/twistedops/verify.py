@@ -7,10 +7,21 @@ the generic element; the seed only picks the rational point at which a
 failing product identity's residual is shown.
 
 The central computation takes the canonical primitive idempotent y and
-the double commutator D of the twisted operator of y with the
-multiplication operator w.  It reads c(L) off the leading z-monomial of
-tr(y o q^{-1})^2, confirms D = c(L) w tr(y o q^{-1})^2 as one operator
-equality, and compares c(L) with
+the double commutator [pi^y, [pi^y, w]] of the twisted operator of y with
+the multiplication operator w, which equals c(L) w t^2 with
+t = tr(y o q^{-1}).  It never forms that second-order commutator: with f
+the multiplication by d^y w = (1/2) w t, it confirms three first-order
+operator equalities,
+
+    (a) [pi^y, w] + w d^y = g(L) f,
+    (b) [pi^y, d^y] = (d^y)^2,
+    (c) f d^y - [pi^y, f] = e(L) w t^2,
+
+g and e read off the leading z-monomial of t and t^2.  The Leibniz rule
+for commutators gives [pi^y, w d^y] = g f d^y from (a) and (b), hence
+[pi^y, [pi^y, w]] = g [pi^y, f] - g f d^y = -g e w t^2 by (c).  Only when
+one of them fails is the double commutator formed, for its residual.
+c(L) = -g e is compared with
 
     - m^2 (L - l0) (L - l0')
 
@@ -95,24 +106,55 @@ def check_idempotent_bracket(J: JordanAlgebra, y=None) -> CheckResult:
     return timed_check("idempotent-bracket", body)
 
 
-def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
-    """The c(L) of [pi^y, [pi^y, w]] = c(L) w tr(y o q^{-1})^2.
+def _odd_multiple(J: JordanAlgebra, op: DiffOp, unit: LocFn) -> tuple[LambdaPoly, DiffOp]:
+    """The c(L) of op = c(L) w unit, read off the leading z-monomial of
+    ``unit`` (a nonzero constant there), and the operator c(L) w unit.
 
-    c(L) is read off the leading z-monomial of tr(y o q^{-1})^2, a nonzero
-    constant there; the whole equation is then confirmed as one operator
-    equality.  When it does not hold, VerifyError carries the residual.
+    op has that form iff it equals the returned operator.
+    """
+    odd = op.terms.get((0,) * J.n, SuperFn.zero(J.ring)).od
+    c = LambdaPoly()
+    for zmono, lead in unit.num.sorted_terms()[:1]:  # none when unit is zero
+        c = dict(odd.num.sorted_terms()).get(zmono, c).scale(lead.coeffs[0].inv())
+    return c, DiffOp.mult(J, SuperFn.from_locfn(LocFn.zero(J.ring), unit.scale(c)))
+
+
+def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
+    """The c(L) of [pi^y, [pi^y, w]] = c(L) w t^2, with t = tr(y o q^{-1}).
+
+    The second commutator is not formed.  With f the multiplication by
+    d^y w = (1/2) w t, three first-order equations are checked exactly,
+    g(L) and e(L) read off the leading z-monomial of t and of t^2:
+
+        (a) [pi^y, w] + w d^y = g(L) f,
+        (b) [pi^y, d^y] = (d^y)^2,
+        (c) f d^y - [pi^y, f] = e(L) w t^2.
+
+    By [A, BC] = [A, B] C + B [A, C], (a) and (b) give
+    [pi^y, w d^y] = (g f - w d^y) d^y + w (d^y)^2 = g f d^y, so
+    [pi^y, [pi^y, w]] = g [pi^y, f] - g f d^y = -g e w t^2 and c = -g e.
+
+    When one of (a)-(c) fails, the double commutator D is formed and
+    confirmed as D = c(L) w t^2, c(L) read off the leading z-monomial of
+    t^2; VerifyError carries the residual when that fails too.
     """
     y = y if y is not None else J.idempotent_elem()
     J.check_primitive_idempotent(y)
     p = rep.pi_minus(J, y)
-    D = p.commutator(p.commutator(DiffOp.mult_w(J)))
-    factor = J.tr_v_qinv(y)
-    sq = factor * factor
-    odd = D.terms.get((0,) * J.n, SuperFn.zero(J.ring)).od
-    quad = LambdaPoly()
-    for zmono, lead in sq.num.sorted_terms()[:1]:  # none when the factor is zero
-        quad = dict(odd.num.sorted_terms()).get(zmono, quad).scale(lead.coeffs[0].inv())
-    rhs = DiffOp.mult(J, SuperFn.from_locfn(LocFn.zero(J.ring), sq.scale(quad)))
+    W = DiffOp.mult_w(J)
+    dy = DiffOp.directional(J, y)
+    t = J.tr_v_qinv(y)
+    half_t, sq = t.scale(HALF), t * t  # (d^y w)/w and t^2
+    bracket = p.commutator(W) + W.compose(dy)
+    g, gf = _odd_multiple(J, bracket, half_t)
+    if bracket == gf and p.commutator(dy) == dy.compose(dy):
+        f = DiffOp.mult(J, SuperFn.from_locfn(LocFn.zero(J.ring), half_t))
+        lowered = f.compose(dy) - p.commutator(f)
+        e, ewt2 = _odd_multiple(J, lowered, sq)
+        if lowered == ewt2:
+            return -(g * e)
+    D = p.commutator(p.commutator(W))
+    quad, rhs = _odd_multiple(J, D, sq)
     if D != rhs:
         raise VerifyError(f"residual: {diffop_str(D - rhs)}")
     return quad

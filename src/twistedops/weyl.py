@@ -28,6 +28,7 @@ from operator import add
 from typing import Mapping
 
 from .jordan import JordanAlgebra, JElem
+from .report import per_algebra
 from .ring import (
     ContextMismatchError,
     IUNIT,
@@ -153,8 +154,10 @@ class _NormalOrdered(_OperatorSlots):
         object.__setattr__(self, "_by_delta", None)
         object.__setattr__(self, "_partials", None)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def _with(self, terms: dict):
         """An operator of the same type and algebra with already-pruned
@@ -410,6 +413,12 @@ class PolyOpPlus(_NormalOrdered):
         return polyop_str(self)
 
 
+@per_algebra
+def _basis_forms(alg: JordanAlgebra) -> tuple:
+    """The linear forms tr(b_i o q) of the basis, built once per algebra."""
+    return tuple(alg.linear_form(alg.basis_element(i)) for i in range(alg.n))
+
+
 def fourier(A: PolyOpPlus) -> DiffOp:
     """Algebraic Fourier transform: the anti-isomorphism onto z-operators.
 
@@ -422,8 +431,7 @@ def fourier(A: PolyOpPlus) -> DiffOp:
     alg = A.alg
     n = alg.n
     out = DiffOp.zero(alg)
-    # linear forms tr(b_i o q) and dual-direction derivatives
-    ell = [alg.linear_form(alg.basis_element(i)) for i in range(n)]
+    ell = _basis_forms(alg)
     for beta, coeff in A.terms.items():
         # multiplication part: product over i of ell_i^beta_i
         mult_poly = ZPoly.one(n)

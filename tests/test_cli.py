@@ -98,6 +98,13 @@ def test_verify_critical_sym4_within_limit(capsys):
     assert "2/5, 3/5" in out
 
 
+def test_critical_sym5_forced(capsys):
+    # rank 5 is past the limit; the quadratic comes from first-order equations,
+    # where forming the double commutator took about two minutes
+    code, out, _ = run(capsys, "critical", "--algebra", "sym:5", "--force")
+    assert (code, out) == (0, "5/12, 7/12\n")
+
+
 def test_verify_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--algebra", "full:1", "--suite", "critical",
@@ -236,6 +243,24 @@ def test_show_specialized(capsys):
                        "--lam", "1/4")
     assert code == 0
     assert out.strip() == "(-1)*z1 * d1^2 + (-1/2) * d1"
+
+
+@pytest.mark.parametrize("command", ["show", "verify"])
+@pytest.mark.parametrize("lam", ["1_0", "1e-3", "1.5", "1/0"])
+def test_twist_is_read_as_a_plain_rational(capsys, command, lam):
+    # --lam takes the forms the printer writes, signed integers and
+    # fractions, and nothing Fraction() alone would also accept
+    extra = ("--op", "p-:1") if command == "show" else ("--suite", "critical")
+    code, out, err = run(capsys, command, "--algebra", "full:1", *extra, "--lam", lam)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad twist value {lam!r}; expected a rational like 5/7\n"
+
+
+def test_twist_accepts_a_signed_fraction(capsys):
+    code, out, _ = run(capsys, "show", "--algebra", "full:1", "--op", "p-:1", "--lam", "5/7")
+    assert (code, out.strip()) == (0, "(-1)*z1 * d1^2 + (-10/7) * d1")
+    code, out, _ = run(capsys, "show", "--algebra", "full:1", "--op", "p-:1", "--lam=-1/2")
+    assert (code, out.strip()) == (0, "(-1)*z1 * d1^2 + (1) * d1")
 
 
 def test_show_eta(capsys):

@@ -1,4 +1,5 @@
-"""Every value type is immutable, however it was built.
+"""Every value type is immutable, however it was built: no slot can be
+assigned or deleted.
 
 Arithmetic builds its results through private factories that fill the
 slots with plain stores and then retype the object to the public class.
@@ -77,4 +78,7 @@ def test_values_are_immutable_and_equal_to_their_public_twin(name):
         for attr in _slot_names(v) | {"extra"}:
             with pytest.raises(AttributeError):
                 setattr(v, attr, None)
+            with pytest.raises(AttributeError, match="is immutable$"):
+                delattr(v, attr)
     assert built == public  # nothing above changed either value
+    assert all(str(v) for v in (public, built))  # and both still print

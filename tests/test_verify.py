@@ -216,6 +216,76 @@ def test_double_commutator_guard(full2):
         verify.double_commutator_quadratic(full2, full2.basis_element(1))
 
 
+def direct_double_commutator_quadratic(J, y=None):
+    """Reference: form [pi^y, [pi^y, w]] and confirm it is c(L) w t^2, c(L)
+    read off the leading z-monomial of t^2, t = tr(y o q^{-1})."""
+    y = y if y is not None else J.idempotent_elem()
+    J.check_primitive_idempotent(y)
+    p = rep.pi_minus(J, y)
+    D = p.commutator(p.commutator(DiffOp.mult_w(J)))
+    factor = J.tr_v_qinv(y)
+    sq = factor * factor
+    odd = D.terms.get((0,) * J.n, SuperFn.zero(J.ring)).od
+    quad = LambdaPoly()
+    for zmono, lead in sq.num.sorted_terms()[:1]:
+        quad = dict(odd.num.sorted_terms()).get(zmono, quad).scale(lead.coeffs[0].inv())
+    rhs = DiffOp.mult(J, SuperFn.from_locfn(LocFn.zero(J.ring), sq.scale(quad)))
+    if D != rhs:
+        raise verify.VerifyError(f"residual: {diffop_str(D - rhs)}")
+    return quad
+
+
+def quadratic_or_error(route, J):
+    try:
+        return "quadratic", route(J)
+    except verify.VerifyError as exc:
+        return "error", str(exc)
+
+
+DERIVED_ROUTE_ALGEBRAS = ["sym:2", "sym:3", "sym:4", "full:2", "full:3", "full:4",
+                          "spin:3", "spin:4", "spin:6"]
+VARIANTS = {
+    "algebra": lambda J: J,
+    "m+1": lambda J: dataclasses.replace(J, m=J.m + 1),
+    "corrupt": corrupt_structure,
+    "corrupt-noncommutative": lambda J: corrupt_structure(J, commutative=False),
+}
+
+
+@pytest.mark.parametrize("selector,variant", [
+    # a corrupted rank-4 copy forms the double commutator in 5-15 s on each
+    # route, so rank 4 is compared on the algebra and its m+1 copy
+    (s, v) for s in DERIVED_ROUTE_ALGEBRAS for v in VARIANTS
+    if not (s.endswith(":4") and v.startswith("corrupt"))])
+def test_derived_double_commutator_agrees_with_the_direct_route(selector, variant):
+    # the same quadratic, or the same residual text, as forming the double commutator
+    J = VARIANTS[variant](from_selector(selector))
+    derived = quadratic_or_error(verify.double_commutator_quadratic, J)
+    assert derived == quadratic_or_error(direct_double_commutator_quadratic, J)
+    assert derived[0] == ("error" if variant.startswith("corrupt") else "quadratic")
+
+
+def test_a_passing_quadratic_brackets_pi_only_with_d_y_and_functions(monkeypatch):
+    # [pi^y, X] is formed for X = w, d^y and f = d^y w, never for a first-order
+    # X other than d^y, so no second-order double commutator is built
+    J = from_selector("full:3")
+    p = rep.pi_minus(J, J.idempotent_elem())
+    dy = DiffOp.directional(J, J.idempotent_elem())
+    want = direct_double_commutator_quadratic(J)
+    brackets = []
+    original = DiffOp.commutator
+
+    def spy(self, other):
+        brackets.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(DiffOp, "commutator", spy)
+    assert verify.double_commutator_quadratic(J) == want
+    assert len(brackets) == 3
+    for left, right in brackets:
+        assert left == p and (right == dy or right.order() == 0)
+
+
 def test_perturbed_ratio_shifts_roots(sym2):
     # with the dimension ratio deliberately wrong, the extracted roots
     # no longer match the closed form

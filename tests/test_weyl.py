@@ -290,6 +290,30 @@ def test_fourier_anti_multiplicative(sym2):
         assert fourier(A.compose(B)) == fourier(B).compose(fourier(A))
 
 
+def test_fourier_builds_the_basis_forms_once_per_algebra(monkeypatch):
+    # the n forms tr(b_i o q) are built on the first transform and read
+    # back on every later one; the stored forms do not keep J alive
+    import gc
+    import weakref
+
+    from twistedops import jordan
+    J = jordan.make_sym(2)
+    ops = [rep.eta_plus(J, J.basis_element(i)) for i in range(J.n)]
+    calls = []
+    original = jordan.JordanAlgebra.linear_form
+    monkeypatch.setattr(jordan.JordanAlgebra, "linear_form",
+                        lambda self, x: calls.append(x) or original(self, x))
+    images = [fourier(A) for A in ops]
+    assert len(calls) == J.n
+    assert [fourier(A) for A in ops] == images and len(calls) == J.n
+    assert images == [rep.pi_plus(J, J.basis_element(i)).scale(Scalar(-1)) for i in range(J.n)]
+    assert len(calls) == 2 * J.n  # pi_plus builds its own form
+    gone = weakref.ref(J)
+    del J, ops, images
+    gc.collect()
+    assert gone() is None
+
+
 # ---------------------------------------------------------------------------
 # The sign anti-automorphism and conjugation by w
 # ---------------------------------------------------------------------------
