@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,10 @@ from .ring import EXPONENT_LIMIT, ParseError, RingError, _parse_fraction
 from .weyl import diffop_str, polyop_str
 
 RANK_LIMITS = {"sym": 4, "full": 4, "spin": 8}
+
+# argparse's own pattern for a negative number takes integers and decimals
+# only, so "--lam -1/2" would read "-1/2" as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -184,12 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write to a file instead of stdout")
 
+    def twist(p, text):
+        p.add_argument("--lam", help=text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+
     pv = sub.add_parser("verify", help="run a verification suite")
     common(pv)
     pv.add_argument("--seed", type=int, default=0, help="picks the rational point at which a failing identity's residual is shown")
     pv.add_argument("--suite", default="all",
                     help=f"comma list of: {', '.join(verify.SUITE_ORDER)} (or 'all')")
-    pv.add_argument("--lam", help="rational twist for span/witness computations (default 5/7)")
+    twist(pv, "rational twist for span/witness computations (default 5/7)")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("critical", help="print the two critical twist values")
@@ -205,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("show", help="print one operator in canonical text form")
     common(ps, formats=False)
     ps.add_argument("--op", required=True, help="p+:<i> | p-:<j> | idem | eta:<same>")
-    ps.add_argument("--lam", help="specialize the twist to a rational value")
+    twist(ps, "specialize the twist to a rational value")
     ps.set_defaults(fn=cmd_show)
 
     pa = sub.add_parser("algebras", help="list the built-in algebras")

@@ -19,6 +19,15 @@ follows by Cayley-Hamilton.  q lives in the polynomial ring of
 :mod:`twistedops.ring`; the product identities are checked exactly at q,
 and the derivative identities relating F, w = sqrt(F), traces and triple
 products symbolically or at random rational points.
+
+Products and triples run on integers.  The structure constants are
+scaled once per algebra to ints over the lcm D of their denominators
+(2 for sym and full, 1 for spin).  An element is read once into integer
+numerators over one element-wide denominator, real and imaginary parts
+as separate term lists, and keeps that form in a private slot; a result
+carries the form it was built from, its content gcd divided out, so q,
+adj q and every product or triple feed later products without being read
+again.  Each output coordinate is turned back into reduced Scalars once.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd, lcm
 
 from .report import CheckResult, timed_check
 from .ring import (
@@ -41,7 +51,9 @@ from .ring import (
     RingError,
     _POSINT,
     _guards,
+    _new,
     _overflow,
+    _reduced,
     _zpoly,
 )
 
@@ -66,13 +78,26 @@ class DimensionMismatchError(JordanError):
 # Elements
 # ---------------------------------------------------------------------------
 
-class JElem:
-    """Coordinate vector of length n, over Scalar (points) or ZPoly."""
+class _JElemSlots:
+    """The slots of a JElem, open to plain stores; see :func:`_jelem`."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_num")
+
+
+class JElem(_JElemSlots):
+    """Coordinate vector of length n, over Scalar (points) or ZPoly.
+
+    The private slot ``_num`` holds the integer form that products and
+    triples read (see :func:`_read`), None until first needed; a product
+    or triple result carries the form it was built from.  ``==``,
+    ``hash`` and ``repr`` read ``coords`` alone.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(coords))
+        _set_coords(self, tuple(coords))
+        _set_form(self, None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("JElem is immutable")
@@ -102,6 +127,19 @@ class JElem:
         return f"JElem({', '.join(map(str, self.coords))})"
 
 
+_set_coords, _set_form = JElem.coords.__set__, JElem._num.__set__
+
+
+def _jelem(coords: tuple, form: tuple) -> JElem:
+    """The JElem with ``coords`` and the integer form they were built from,
+    filled with plain stores and then retyped."""
+    e = _new(_JElemSlots)
+    e.coords = coords
+    e._num = form
+    e.__class__ = JElem
+    return e
+
+
 def _entry_mul(a, b):
     """Product of two coordinate entries (Scalar or ZPoly, mixed allowed)."""
     if isinstance(a, ZPoly):
@@ -121,11 +159,55 @@ def _has_zpoly(elems) -> bool:
     return any(isinstance(x, ZPoly) for e in elems for x in e.coords)
 
 
-def _packed_terms(x) -> tuple:
-    """The (packed monomial, coefficient) pairs of a coordinate entry."""
-    if isinstance(x, ZPoly):
-        return tuple(x.packed.items())
-    return () if x.is_zero() else ((0, x),)
+# The integer form of an element is a tuple (den, re, im, poly): the
+# coordinates are re + i*im over the one positive denominator den, re and
+# im hold per coordinate a list of (packed monomial, nonzero int) pairs,
+# im is None when every coordinate is real, and poly says whether some
+# coordinate is a ZPoly (a Scalar counts as a constant polynomial).
+
+def _read(coords: tuple) -> tuple:
+    """The integer form of a coordinate vector, over the lcm of its
+    coefficients' denominators."""
+    terms = [x.packed.items() if isinstance(x, ZPoly) else ((0, x),) for x in coords]
+    den = lcm(*[c.d for t in terms for _, c in t])
+    re = [[(m, c.a * (den // c.d)) for m, c in t if c.a] for t in terms]
+    im = None
+    if any(c.b for t in terms for _, c in t):
+        im = [[(m, c.b * (den // c.d)) for m, c in t if c.b] for t in terms]
+    return den, re, im, any(isinstance(x, ZPoly) for x in coords)
+
+
+def _collect(den: int, re: list, im: list, poly: bool) -> tuple:
+    """The integer form of the numerator dicts ``re`` and ``im`` (one per
+    coordinate) over ``den``, zero terms dropped and the content gcd of
+    numerators and denominator divided out."""
+    re = [[t for t in d.items() if t[1]] for d in re]
+    im = [[t for t in d.items() if t[1]] for d in im]
+    if not any(im):
+        im = None
+    if den > 1:
+        g = gcd(den, *[v for ts in re for _, v in ts], *[v for ts in im or () for _, v in ts])
+        if g > 1:
+            den //= g
+            re = [[(m, v // g) for m, v in ts] for ts in re]
+            if im:
+                im = [[(m, v // g) for m, v in ts] for ts in im]
+    return den, re, im, poly
+
+
+def _scaled(terms: list, s: int) -> list:
+    return terms if s == 1 else [[(m, v * s) for m, v in t] for t in terms]
+
+
+def _coordinate(den: int, re: list, im: list) -> dict:
+    """The packed ``{monomial: Scalar}`` of one coordinate, each
+    coefficient reduced once."""
+    if not im:
+        return {m: _reduced(a, 0, den) for m, a in re}
+    nums = {m: [a, 0] for m, a in re}
+    for m, b in im:
+        nums.setdefault(m, [0, 0])[1] = b
+    return {m: _reduced(a, b, den) for m, (a, b) in nums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +246,12 @@ class JordanAlgebra:
         return JElem(tuple(Scalar(c) for c in self.idempotent))
 
     def generic_elem(self) -> JElem:
+        """q = sum_i z_i b_i, one element per algebra, so its integer form
+        is read once."""
+        return self._generic
+
+    @cached_property
+    def _generic(self) -> JElem:
         return JElem(tuple(ZPoly.coord(self.n, i) for i in range(self.n)))
 
     def zero_elem(self) -> JElem:
@@ -177,62 +265,91 @@ class JordanAlgebra:
 
     # -- products -----------------------------------------------------------
     @cached_property
-    def _sparse_prod(self) -> tuple:
-        """``(k, Scalar(c_ijk))`` for the nonzero c_ijk, per (i, j)."""
-        return tuple(tuple(tuple((k, Scalar(c)) for k, c in enumerate(cell) if c)
-                           for cell in row) for row in self.prod)
+    def _table(self) -> tuple:
+        """``(D, cells)``: the lcm D of the structure constants' denominators,
+        and per (i, j) the ``(k, D * c_ijk)`` pairs of the nonzero c_ijk,
+        all ints; derived from ``prod`` once per algebra."""
+        den = lcm(*(c.denominator for row in self.prod for cell in row for c in cell))
+        return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
+                                      for k, c in enumerate(cell) if c) for cell in row)
+                          for row in self.prod)
 
-    def _accumulate(self, out: list, left: list, right: list) -> list:
-        """Add every s * x_i * y_j of x o y, term by term, into ``out``, one
-        packed dict per coordinate, dropping a sum that cancels; ``left``
-        and ``right`` hold the (packed monomial, coefficient) pairs of each
-        coordinate of x and of y.  Returns ``out``."""
-        table = self._sparse_prod
+    def _form(self, a: JElem) -> tuple:
+        """The integer form of ``a``, read on first use and kept on ``a``;
+        the length guard runs on every call."""
+        coords = self._coords(a)
+        form = a._num
+        if form is None:
+            form = _read(coords)
+            _set_form(a, form)
+        return form
+
+    def _bilinear(self, out: list, left: list, right: list) -> None:
+        """Add every D c_ijk x y, x a term of left_i and y of right_j, into
+        ``out[k]``, one dict from packed monomial to int per coordinate;
+        ``left`` and ``right`` hold the (monomial, int) terms of each
+        coordinate.  The left factor always stands on the left, so a
+        non-commutative structure is not symmetrised."""
+        cells = self._table[1]
         guards = _guards(self.n)
         for i, left_i in enumerate(left):
             if not left_i:
                 continue
-            row = table[i]
+            row = cells[i]
             for j, right_j in enumerate(right):
                 cell = row[j]
                 if not (cell and right_j):
                     continue
                 for ma, ca in left_i:
-                    for mb, cb in right_j:
-                        mono = ma + mb
-                        if mono & guards:
-                            raise _overflow()
-                        cab = ca * cb
-                        for k, s in cell:
-                            acc = out[k]
-                            v = cab * s
-                            old = acc.get(mono)
-                            if old is not None:
-                                v = old + v
-                                if not (v.a or v.b):
-                                    del acc[mono]
-                                    continue
-                            acc[mono] = v
-        return out
+                    for k, s in cell:
+                        acc = out[k]
+                        get = acc.get
+                        cs = ca * s
+                        for mb, cb in right_j:
+                            mono = ma + mb
+                            if mono & guards:
+                                raise _overflow()
+                            acc[mono] = get(mono, 0) + cs * cb
 
-    def _terms(self, a: JElem) -> list:
-        return [_packed_terms(x) for x in self._coords(a)]
+    def _combine(self, pairs: tuple, signs: tuple = (1,)) -> tuple:
+        """The integer form of the sum of sign_t * x_t o y_t over the pairs
+        (x_t, y_t) of integer forms, summed into one set of numerator
+        dicts over the lcm of the products' denominators.  Each product is
+        scaled up to it through its left factor; an imaginary part costs
+        its two extra bilinear sums, and none is formed for a real one."""
+        dens = [x[0] * y[0] for x, y in pairs]
+        den = lcm(*dens)
+        re, im = [{} for _ in range(self.n)], [{} for _ in range(self.n)]
+        for (x, y), d, sign in zip(pairs, dens, signs):
+            s = sign * (den // d)
+            _, xre, xim, _ = x
+            _, yre, yim, _ = y
+            xre = _scaled(xre, s)
+            self._bilinear(re, xre, yre)
+            if yim is not None:
+                self._bilinear(im, xre, yim)
+            if xim is not None:
+                self._bilinear(im, _scaled(xim, s), yre)
+                if yim is not None:
+                    self._bilinear(re, _scaled(xim, -s), yim)
+        poly = any(x[3] or y[3] for x, y in pairs)
+        return _collect(self._table[0] * den, re, im, poly)
 
-    def _elem(self, out: list, *inputs: JElem) -> JElem:
-        """The element with the packed coordinates ``out``: Scalar
-        coordinates when every input has Scalar coordinates only, ZPoly
-        ones otherwise."""
-        if _has_zpoly(inputs):
-            return JElem(_zpoly(self.n, x) for x in out)
-        return JElem(x.get(0, ZERO) for x in out)
+    def _result(self, form: tuple) -> JElem:
+        """The element of an integer form: Scalar coordinates when no input
+        had a ZPoly one, ZPoly ones otherwise; it keeps the form."""
+        den, re, im, poly = form
+        coords = [_coordinate(den, r, i) for r, i in zip(re, im or [[]] * self.n)]
+        if poly:
+            return _jelem(tuple(_zpoly(self.n, x) for x in coords), form)
+        return _jelem(tuple(x.get(0, ZERO) for x in coords), form)
 
     def product(self, a: JElem, b: JElem) -> JElem:
-        """a o b, each output coordinate one packed dict into which every
-        s * a_i * b_j is added in place, term by term.  A Scalar coordinate
+        """a o b, summed over the integer forms of a and b with the integer
+        structure constants, over one denominator.  A Scalar coordinate
         counts as a constant polynomial; when a and b have Scalar
         coordinates only, so does the result."""
-        out = self._accumulate([{} for _ in range(self.n)], self._terms(a), self._terms(b))
-        return self._elem(out, a, b)
+        return self._result(self._combine(((self._form(a), self._form(b)),)))
 
     def triple(self, a: JElem, b: JElem, c: JElem, ac: JElem | None = None,
                bc: JElem | None = None) -> JElem:
@@ -241,22 +358,15 @@ class JordanAlgebra:
         Outer slots a, c are symmetric; for matrix kinds this is
         (abc + cba)/2 in ordinary matrix notation.  ``ac`` and ``bc``
         are a o c and b o c when the caller has them already.  The three
-        outer products are added term by term into one packed dict per
-        coordinate, the last with its left factor negated; no product is
-        reordered, so a non-commutative structure still fails.
+        outer products are summed into one set of numerator dicts, the
+        last negated; no product is reordered, so a non-commutative
+        structure still fails.
         """
-        n = self.n
-        ta, tb, tc = self._terms(a), self._terms(b), self._terms(c)
-
-        def inner(x: list, y: list) -> list:
-            return [tuple(d.items()) for d in self._accumulate([{} for _ in range(n)], x, y)]
-
-        tbc = inner(tb, tc) if bc is None else self._terms(bc)
-        tac = inner(ta, tc) if ac is None else self._terms(ac)
-        out = self._accumulate([{} for _ in range(n)], inner(ta, tb), tc)
-        self._accumulate(out, ta, tbc)
-        self._accumulate(out, [tuple((m, -v) for m, v in x) for x in tac], tb)
-        return self._elem(out, a, b, c, *(x for x in (ac, bc) if x is not None))
+        fa, fb, fc = self._form(a), self._form(b), self._form(c)
+        fbc = self._combine(((fb, fc),)) if bc is None else self._form(bc)
+        fac = self._combine(((fa, fc),)) if ac is None else self._form(ac)
+        fab = self._combine(((fa, fb),))
+        return self._result(self._combine(((fab, fc), (fa, fbc), (fac, fb)), (1, 1, -1)))
 
     def trace(self, a: JElem):
         out = None
@@ -296,7 +406,12 @@ class JordanAlgebra:
         return JElem(tuple(x * finv for x in adj.coords))
 
     def adjugate_elem(self) -> JElem:
-        """adj(q) at the generic point, with ZPoly coordinates."""
+        """adj(q) at the generic point, with ZPoly coordinates; one element
+        per algebra, so its integer form is read once."""
+        return self._adjugate
+
+    @cached_property
+    def _adjugate(self) -> JElem:
         return JElem(self.adjugate)
 
     # -- linear forms ---------------------------------------------------------

@@ -31,7 +31,8 @@ from typing import NamedTuple
 from .jordan import JElem, JordanAlgebra
 from .report import per_algebra
 from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
-from .weyl import DiffOp, PolyOpPlus, fourier
+from . import weyl
+from .weyl import DiffOp, PolyOpPlus
 
 # default rational twist used for span/rank computations; any value off
 # the critical set works, this one is documented and overridable
@@ -271,7 +272,7 @@ def norm_derivative_op(J: JordanAlgebra) -> DiffOp:
     """The constant-coefficient operator obtained from F by replacing the
     i-th coordinate with the derivative along the i-th dual basis vector:
     the Fourier image of multiplication by F."""
-    return fourier(PolyOpPlus.mult(J, J.normF))
+    return weyl.fourier(PolyOpPlus.mult(J, J.normF))
 
 
 def semi_invariant_w_dF(J: JordanAlgebra) -> DiffOp:

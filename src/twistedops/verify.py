@@ -40,7 +40,7 @@ import random
 from fractions import Fraction
 
 from . import jordan as _jordan
-from . import rep
+from . import rep, weyl
 from .jordan import JordanAlgebra
 from .report import CheckResult, Report, per_algebra, timed_check
 from .ring import (
@@ -55,7 +55,7 @@ from .ring import (
     SuperFn,
     ZPoly,
 )
-from .weyl import DiffOp, diffop_str, fourier
+from .weyl import DiffOp, diffop_str
 from .rep import GENERIC_TWIST
 
 
@@ -273,10 +273,10 @@ def check_fourier(J: JordanAlgebra) -> CheckResult:
     def body():
         for i in range(J.n):
             x = J.basis_element(i)
-            lhs = fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
+            lhs = weyl.fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
             if lhs != rep.pi_plus(J, x):
                 raise VerifyError(f"plus side differs at b{i+1}")
-            lhs = fourier(rep.eta_minus(J, x).scale(Scalar(-1)))
+            lhs = weyl.fourier(rep.eta_minus(J, x).scale(Scalar(-1)))
             rhs = rep.pi_minus(J, x)
             if lhs != rhs:
                 raise VerifyError(f"minus side residual at b{i+1}: {diffop_str(lhs - rhs)}")

@@ -23,7 +23,7 @@ coefficients (derivatives count zero).
 from __future__ import annotations
 
 from functools import cache
-from math import comb, prod
+from math import comb, inf, prod
 from operator import add
 from typing import Mapping
 
@@ -112,6 +112,18 @@ def _partial(cache: dict, idx: MultiIndex):
     return val
 
 
+def _degree_bound(c) -> float:
+    """The z-degree of ``c`` when it is a polynomial: a ZPoly, or a SuperFn
+    with no w and no F in its denominator; every partial of higher order
+    is zero.  Infinity for any other coefficient."""
+    if isinstance(c, SuperFn):
+        if c.od._num.packed or c.ev._k:
+            return inf
+        c = c.ev._num
+    n = c.n
+    return max((z_degree(n, key) for key in c.packed), default=0)
+
+
 class _OperatorSlots:
     """The slots of an operator, open to plain stores; see ``_with``."""
 
@@ -132,9 +144,10 @@ class _NormalOrdered(_OperatorSlots):
       ``(delta, ((c_beta, C(beta, delta), beta - delta), ...))`` over its
       own terms, delta = 0 first.
     * ``_partials``, once the operator is composed on the right of
-      another: per index gamma, the partials d^delta c_gamma of its own
-      coefficients that Leibniz rows have asked for
-      (``{gamma: {delta: partial or None}}``, None for a zero partial).
+      another: per index gamma, the degree bound of c_gamma and the
+      partials d^delta c_gamma of its own coefficients that Leibniz rows
+      have asked for (``{gamma: (bound, {delta: partial or None})}``,
+      None for a zero partial).
 
     Both depend on the terms alone, the operator is immutable, and the
     slots live and die with their operator, so a fresh operator, even
@@ -223,7 +236,9 @@ class _NormalOrdered(_OperatorSlots):
         (d^delta b) d^(beta - delta).  The loop runs gamma -> delta -> the
         rows of self's ``_by_delta`` index for that delta, so each partial
         d^delta b_gamma, kept on ``other``, is looked up once per
-        (gamma, delta), and a zero one skips all of its rows at once.
+        (gamma, delta), and a zero one skips all of its rows at once.  A
+        delta of order above the degree bound of b_gamma (see
+        :func:`_degree_bound`) is skipped without a lookup.
         Entry 0 of the index is delta = 0, since every table of
         ``_leibniz`` starts there.
         """
@@ -232,12 +247,16 @@ class _NormalOrdered(_OperatorSlots):
             cache = {}
             object.__setattr__(other, "_partials", cache)
         rows = self._delta_rows()[first:]
+        sizes = [sum(delta) for delta, _ in rows]
         out: dict = {}
         for gamma, b in other.terms.items():
-            partials = cache.get(gamma)
-            if partials is None:
-                partials = cache[gamma] = {(0,) * len(gamma): b}
-            for delta, group in rows:
+            entry = cache.get(gamma)
+            if entry is None:
+                entry = cache[gamma] = (_degree_bound(b), {(0,) * len(gamma): b})
+            bound, partials = entry
+            for (delta, group), size in zip(rows, sizes):
+                if size > bound:
+                    continue
                 db = _partial(partials, delta)
                 if db is None:
                     continue

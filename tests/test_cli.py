@@ -263,6 +263,35 @@ def test_twist_accepts_a_signed_fraction(capsys):
     assert (code, out.strip()) == (0, "(-1)*z1 * d1^2 + (1) * d1")
 
 
+@pytest.mark.parametrize("argv", [
+    ("show", "--algebra", "full:2", "--op", "p-:1"),
+    ("verify", "--algebra", "full:1", "--suite", "closure,critical", "--format", "json"),
+])
+def test_negative_twist_as_a_separate_argument(capsys, argv):
+    # "--lam -1/2" is the twist -1/2, exactly as "--lam=-1/2"
+    def drop_times(text):
+        if argv[0] == "show":
+            return text
+        report = json.loads(text)
+        report["checks"] = [{k: v for k, v in c.items() if k != "elapsed_ms"} for c in report["checks"]]
+        return report
+
+    code, joined, _ = run(capsys, *argv, "--lam=-1/2")
+    assert code == 0 and joined
+    code, split, err = run(capsys, *argv, "--lam", "-1/2")
+    assert (code, err) == (0, "")
+    assert drop_times(split) == drop_times(joined)
+
+
+@pytest.mark.parametrize("command", ["show", "verify"])
+@pytest.mark.parametrize("after", ["-x", "--force"])
+def test_an_option_after_lam_is_no_twist(capsys, command, after):
+    extra = ("--op", "p-:1") if command == "show" else ("--suite", "critical")
+    code, out, err = run(capsys, command, "--algebra", "full:1", *extra, "--lam", after)
+    assert (code, out) == (2, "")
+    assert "argument --lam: expected one argument" in err
+
+
 def test_show_eta(capsys):
     code, out, _ = run(capsys, "show", "--algebra", "full:1", "--op", "eta:p-:1")
     assert code == 0

@@ -21,7 +21,7 @@ from twistedops.jordan import (
     validate_structure,
     verify_jordan_calculus,
 )
-from twistedops.ring import LocFn, Scalar, ZPoly, ONE, ZERO
+from twistedops.ring import EXPONENT_LIMIT, DegreeError, LambdaPoly, LocFn, Scalar, ZPoly, ONE, ZERO
 from twistedops.weyl import DiffOp
 
 
@@ -404,6 +404,148 @@ def test_triple_matches_the_three_product_reference(selector, corruption):
             got = J.triple(a, b, c, **given)
             assert lifted(J, got) == want, (a, b, c, given)
             assert all(type(x) is kind for x in got.coords)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel: numerators over one denominator, kept on the element
+# ---------------------------------------------------------------------------
+
+def scalar_triple(J, a: JElem, b: JElem, c: JElem) -> list:
+    """(a o b) o c + a o (b o c) - (a o c) o b, every product summed from
+    the Fraction constants by ``reference_product``."""
+    P = lambda x, y: JElem(reference_product(J, x, y))
+    ab_c, a_bc, ac_b = (reference_product(J, x, y) for x, y in (
+        (P(a, b), c), (a, P(b, c)), (P(a, c), b)))
+    return [x + y - z for x, y, z in zip(ab_c, a_bc, ac_b)]
+
+
+def _has_zpoly(*elems) -> bool:
+    return any(isinstance(x, ZPoly) for e in elems for x in e.coords)
+
+
+def kernel_inputs(J) -> list:
+    """Gaussian points with nonzero imaginary parts, a fractional real
+    point, a mixed Scalar/ZPoly element with Gaussian and L terms, q,
+    adj q and a basis element."""
+    n = J.n
+    z = [ZPoly.coord(n, i) for i in range(n)]
+    gauss = JElem(Scalar(Fraction(i + 1, 3), Fraction(1 - i, 2)) for i in range(n))
+    imaginary = JElem(Scalar(0, Fraction(i % 3 - 1, 5)) for i in range(n))
+    fractional = JElem(Scalar(Fraction(2 * i - 3, i + 2)) for i in range(n))
+    mixed = JElem(
+        (z[i].scale(Scalar(Fraction(1, 2), 1)) + z[(i + 1) % n] * z[i].scale(Scalar(0, -3))
+         + ZPoly.const(n, LambdaPoly([ZERO, Scalar(Fraction(1, 7))])))
+        if i % 2 else Scalar(Fraction(-i, 4), Fraction(1, 3))
+        for i in range(n))
+    return [gauss, imaginary, fractional, mixed, J.generic_elem(), J.adjugate_elem(),
+            J.basis_element(n - 1)]
+
+
+KERNEL_ALGEBRAS = [(sel, corruption) for sel in ("sym:2", "full:2", "spin:4")
+                   for corruption in (None, "commutative", "non-commutative")]
+
+
+def kernel_algebra(selector, corruption):
+    J = from_selector(selector)
+    if corruption:
+        J = corrupt_structure(J, commutative=corruption == "commutative")
+    return J
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_integer_product_matches_the_scalar_reference(selector, corruption):
+    J = kernel_algebra(selector, corruption)
+    args = kernel_inputs(J)
+    for a, b in itertools.product(args, repeat=2):
+        got = J.product(a, b)
+        assert lifted(J, got) == reference_product(J, a, b), (a, b)
+        kind = ZPoly if _has_zpoly(a, b) else Scalar
+        assert all(type(x) is kind for x in got.coords)
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_integer_triple_matches_both_references(selector, corruption):
+    J = kernel_algebra(selector, corruption)
+    args = kernel_inputs(J)
+    picks = [args[0], args[1], args[2], args[3], args[5]]
+    for a, b, c in itertools.product(picks, repeat=3):
+        want = reference_triple(J, a, b, c)
+        assert want == scalar_triple(J, a, b, c)
+        ac, bc = J.product(a, c), J.product(b, c)
+        for given in ({}, {"ac": ac}, {"bc": bc}, {"ac": ac, "bc": bc}):
+            got = J.triple(a, b, c, **given)
+            assert lifted(J, got) == want, (a, b, c, given)
+            kind = ZPoly if _has_zpoly(a, b, c) else Scalar
+            assert all(type(x) is kind for x in got.coords)
+
+
+def test_one_element_gives_the_same_results_across_calls_and_algebras(sym2, spin3):
+    # sym:2 and spin:3 both have 3 coordinates; the integer form of an
+    # element depends on its coordinates alone
+    x = JElem((Scalar(Fraction(1, 2), 1), Scalar(Fraction(-2, 3)), Scalar(0, Fraction(3, 4))))
+    y = JElem((Scalar(5), Scalar(Fraction(1, 6), -1), Scalar(Fraction(7, 5))))
+    fresh = lambda e: JElem(e.coords)
+    first = [(J, J.product(x, y), J.triple(x, y, x), J.triple(y, x, y)) for J in (sym2, spin3)]
+    for _ in range(2):
+        for J, xy, xyx, yxy in first:
+            assert J.product(x, y) == xy == J.product(fresh(x), fresh(y))
+            assert J.triple(x, y, x) == xyx == J.triple(fresh(x), fresh(y), fresh(x))
+            assert J.triple(y, x, y) == yxy == J.triple(fresh(y), fresh(x), fresh(y))
+    assert first[0][1] != first[1][1]
+
+
+def test_wrong_length_is_refused_after_the_form_is_cached(full2, sym2):
+    x = elem(1, 2, 3, 4)
+    full2.product(x, x)  # reads and keeps x's integer form
+    assert x._num is not None
+    for call in (lambda: sym2.product(x, sym2.unit_elem()), lambda: sym2.product(sym2.unit_elem(), x),
+                 lambda: sym2.triple(x, sym2.unit_elem(), sym2.unit_elem()),
+                 lambda: sym2.triple(sym2.unit_elem(), x, sym2.unit_elem()),
+                 lambda: sym2.triple(sym2.unit_elem(), sym2.unit_elem(), x),
+                 lambda: sym2.triple(*[sym2.unit_elem()] * 3, ac=x),
+                 lambda: sym2.triple(*[sym2.unit_elem()] * 3, bc=x)):
+        with pytest.raises(DimensionMismatchError, match="expected 3 coordinates, got 4"):
+            call()
+
+
+def test_equality_and_hash_ignore_the_cached_form(full2):
+    q = full2.generic_elem()
+    a, b = elem(1, Fraction(1, 2), 3, 4), elem(1, Fraction(1, 2), 3, 4)
+    full2.product(a, q)
+    assert a._num is not None and b._num is None
+    assert a == b and hash(a) == hash(b)
+    r = full2.product(q, q)
+    plain = JElem(r.coords)
+    assert r._num is not None and plain._num is None
+    assert r == plain and hash(r) == hash(plain) and repr(r) == repr(plain)
+    with pytest.raises(AttributeError):
+        r._num = None
+
+
+def test_results_keep_their_form_and_q_is_read_once(monkeypatch, full2):
+    reads = []
+    original = jordan._read
+    monkeypatch.setattr(jordan, "_read", lambda coords: reads.append(coords) or original(coords))
+    J = jordan.make_full(2)
+    q, adj = J.generic_elem(), J.adjugate_elem()
+    assert J.generic_elem() is q and J.adjugate_elem() is adj
+    q2 = J.product(q, q)
+    sandwich = J.triple(adj, q2, adj)
+    J.product(sandwich, J.triple(q2, q, q2, ac=J.product(q2, q2)))
+    assert len(reads) == 2  # q and adj q; every result carried its own form
+    assert q2._num[0] == 1  # q o q is (2 z1^2 + 2 z2 z3, ...)/2: the content 2 is divided out
+    assert q2 == full2.product(full2.generic_elem(), full2.generic_elem())
+
+
+def test_overflowing_exponent_raises_degree_error(full2):
+    top = JElem([ZPoly.monomial(4, (EXPONENT_LIMIT - 1, 0, 0, 0))] + [ZERO] * 3)
+    q = full2.generic_elem()
+    assert full2.product(top, full2.unit_elem()).coords[0] == top.coords[0]  # form now cached
+    for call in (lambda: full2.product(top, q), lambda: full2.product(q, top),
+                 lambda: full2.triple(top, q, full2.unit_elem()),
+                 lambda: full2.triple(full2.unit_elem(), top, q)):
+        with pytest.raises(DegreeError):
+            call()
 
 
 def test_primitive_idempotent_guard(full2):

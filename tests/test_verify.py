@@ -338,6 +338,20 @@ def test_fourier_block(selector):
     assert verify.check_fourier(from_selector(selector)).ok
 
 
+def test_fourier_is_called_through_the_weyl_module(monkeypatch):
+    # a wrapper put on twistedops.weyl.fourier sees every call
+    from twistedops import weyl
+
+    calls = []
+    original = weyl.fourier
+    monkeypatch.setattr(weyl, "fourier", lambda op: calls.append(op) or original(op))
+    J = from_selector("full:2")
+    assert verify.check_fourier(J).ok
+    assert len(calls) == 2 * J.n
+    rep.norm_derivative_op(J)
+    assert len(calls) == 2 * J.n + 1
+
+
 @pytest.mark.parametrize("selector", ALGEBRAS)
 def test_closure_block(selector):
     assert verify.check_closure(from_selector(selector)).ok

@@ -643,3 +643,43 @@ def test_closure_takes_no_derivative_of_zero_and_a_repeat_takes_none(monkeypatch
     assert zero_seen and not any(zero_seen)
     zero_seen.clear()
     assert P.commutator(M) == first and zero_seen == []
+
+
+def test_partials_past_the_degree_of_a_polynomial_coefficient_are_skipped(monkeypatch):
+    import math
+
+    from twistedops import jordan, verify, weyl
+
+    J = jordan.make_full(2)
+    z = lambda *mono: ZPoly.monomial(4, mono)
+    polynomial = DiffOp(J, {(2, 0, 0, 1): SuperFn.from_zpoly(J.ring, z(1, 0, 0, 0) * z(0, 1, 0, 0)),
+                            (1, 1, 0, 0): SuperFn.from_zpoly(J.ring, z(0, 0, 0, 1).scale(Scalar(0, 2)))})
+    with_w = DiffOp(J, {(1, 0, 1, 0): mono_fn(J, (1, 0, 0, 1), odd=True),
+                        (0, 0, 0, 2): mono_fn(J, (0, 2, 0, 0))})
+    with_f_inverse = DiffOp(J, {(0, 2, 0, 0): mono_fn(J, (1, 0, 0, 0), k=1),
+                                (1, 0, 0, 0): mono_fn(J, (0, 0, 1, 0), odd=True, k=2)})
+    ops = [polynomial, with_w, with_f_inverse, rep.pi_minus(J, J.basis_element(1)),
+           rep.semi_invariant_w_dF(J), DiffOp.mult_w_inv(J).compose(DiffOp.partial(J, 3))]
+    for A in ops:
+        for B in ops:
+            AB, BA = leibniz_reference(A, B), leibniz_reference(B, A)
+            assert A.compose(B) == AB and diffop_str(A.compose(B)) == diffop_str(AB)
+            assert A.commutator(B) == AB - BA and diffop_str(A.commutator(B)) == diffop_str(AB - BA)
+    etas = [rep.eta_minus(J, J.basis_element(1)), rep.eta_plus(J, J.basis_element(2)),
+            rep.eta_minus(J, J.idempotent_elem())]
+    for A in etas:
+        for B in etas:
+            assert A.compose(B) == leibniz_reference(A, B)
+
+    # on full:3 the bound takes derivatives that reading each zero partial
+    # off its lowered chain would take
+    def closure_derivatives():
+        calls = _derivative_calls(monkeypatch)
+        assert verify.check_closure(jordan.make_full(3)).ok
+        monkeypatch.undo()
+        return len(calls)
+
+    bounded = closure_derivatives()
+    monkeypatch.setattr(weyl, "_degree_bound", lambda c: math.inf)
+    unbounded = closure_derivatives()
+    assert bounded < unbounded
