@@ -28,6 +28,10 @@ as separate term lists, and keeps that form in a private slot; a result
 carries the form it was built from, its content gcd divided out, so q,
 adj q and every product or triple feed later products without being read
 again.  Each output coordinate is turned back into reduced Scalars once.
+A trace tr(a o b) is read off the two forms with the trace table
+T_jk = tr(b_j o b_k), itself derived from the structure constants, and the
+product identities compare both sides as forms, which are canonical up to
+the order of their terms.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 
-from .report import CheckResult, timed_check
+from .report import CheckResult, per_algebra, timed_check
 from .ring import (
     LocFn,
     RingContext,
@@ -55,6 +59,7 @@ from .ring import (
     _overflow,
     _reduced,
     _zpoly,
+    pack,
 )
 
 
@@ -266,13 +271,27 @@ class JordanAlgebra:
     # -- products -----------------------------------------------------------
     @cached_property
     def _table(self) -> tuple:
-        """``(D, cells)``: the lcm D of the structure constants' denominators,
-        and per (i, j) the ``(k, D * c_ijk)`` pairs of the nonzero c_ijk,
-        all ints; derived from ``prod`` once per algebra."""
+        """``(D, cells, n)``: the lcm D of the structure constants'
+        denominators, and per (i, j) the ``(k, D * c_ijk)`` pairs of the
+        nonzero c_ijk, all ints, into n output coordinates; derived from
+        ``prod`` once per algebra."""
         den = lcm(*(c.denominator for row in self.prod for cell in row for c in cell))
         return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
                                       for k, c in enumerate(cell) if c) for cell in row)
-                          for row in self.prod)
+                          for row in self.prod), self.n
+
+    @cached_property
+    def _trace_table(self) -> tuple:
+        """``(D, cells, 1)``: T_jk = sum_l tr(b_l) c_jkl = tr(b_j o b_k) as
+        ints over the lcm D of their denominators, the pair ``(0, D * T_jk)``
+        per nonzero T_jk, into one output coordinate.  Derived from ``prod``
+        on each instance, as ``_table`` is, and not from ``gram``, which a
+        copy with replaced constants keeps."""
+        T = [[sum((c * t for c, t in zip(cell, self.trace_vec) if c and t), Fraction(0))
+              for cell in row] for row in self.prod]
+        den = lcm(*(t.denominator for row in T for t in row))
+        return den, tuple(tuple(((0, t.numerator * (den // t.denominator)),) if t else ()
+                                for t in row) for row in T), 1
 
     def _form(self, a: JElem) -> tuple:
         """The integer form of ``a``, read on first use and kept on ``a``;
@@ -284,13 +303,12 @@ class JordanAlgebra:
             _set_form(a, form)
         return form
 
-    def _bilinear(self, out: list, left: list, right: list) -> None:
-        """Add every D c_ijk x y, x a term of left_i and y of right_j, into
-        ``out[k]``, one dict from packed monomial to int per coordinate;
-        ``left`` and ``right`` hold the (monomial, int) terms of each
-        coordinate.  The left factor always stands on the left, so a
+    def _bilinear(self, out: list, left: list, right: list, cells: tuple) -> None:
+        """Add every s x y, x a term of left_i, y of right_j and (k, s) in
+        ``cells[i][j]``, into ``out[k]``, one dict from packed monomial to int
+        per coordinate; ``left`` and ``right`` hold the (monomial, int) terms
+        of each coordinate.  The left factor always stands on the left, so a
         non-commutative structure is not symmetrised."""
-        cells = self._table[1]
         guards = _guards(self.n)
         for i, left_i in enumerate(left):
             if not left_i:
@@ -311,29 +329,44 @@ class JordanAlgebra:
                                 raise _overflow()
                             acc[mono] = get(mono, 0) + cs * cb
 
-    def _combine(self, pairs: tuple, signs: tuple = (1,)) -> tuple:
+    def _combine(self, pairs: tuple, signs: tuple = (1,), table: tuple | None = None) -> tuple:
         """The integer form of the sum of sign_t * x_t o y_t over the pairs
         (x_t, y_t) of integer forms, summed into one set of numerator
-        dicts over the lcm of the products' denominators.  Each product is
+        dicts over the lcm of the products' denominators.  ``table`` is the
+        bilinear map, the product ``_table`` by default.  Each product is
         scaled up to it through its left factor; an imaginary part costs
         its two extra bilinear sums, and none is formed for a real one."""
+        tden, cells, width = table or self._table
         dens = [x[0] * y[0] for x, y in pairs]
         den = lcm(*dens)
-        re, im = [{} for _ in range(self.n)], [{} for _ in range(self.n)]
+        re, im = [{} for _ in range(width)], [{} for _ in range(width)]
         for (x, y), d, sign in zip(pairs, dens, signs):
             s = sign * (den // d)
             _, xre, xim, _ = x
             _, yre, yim, _ = y
             xre = _scaled(xre, s)
-            self._bilinear(re, xre, yre)
+            self._bilinear(re, xre, yre, cells)
             if yim is not None:
-                self._bilinear(im, xre, yim)
+                self._bilinear(im, xre, yim, cells)
             if xim is not None:
-                self._bilinear(im, _scaled(xim, s), yre)
+                self._bilinear(im, _scaled(xim, s), yre, cells)
                 if yim is not None:
-                    self._bilinear(re, _scaled(xim, -s), yim)
+                    self._bilinear(re, _scaled(xim, -s), yim, cells)
         poly = any(x[3] or y[3] for x, y in pairs)
-        return _collect(self._table[0] * den, re, im, poly)
+        return _collect(tden * den, re, im, poly)
+
+    @cached_property
+    def _scalar_table(self) -> tuple:
+        """``(1, cells, n)``: one coordinate times an element, the table of
+        :meth:`_weighted`."""
+        return 1, (tuple(((k, 1),) for k in range(self.n)),), self.n
+
+    def _weighted(self, w: tuple, forms: tuple) -> tuple:
+        """The integer form of sum_t w_t x_t: ``w`` is the integer form of one
+        coordinate per form x_t in ``forms``."""
+        den, re, im, poly = w
+        pairs = tuple(((den, [re[t]], im and [im[t]], poly), x) for t, x in enumerate(forms))
+        return self._combine(pairs, (1,) * len(pairs), self._scalar_table)
 
     def _result(self, form: tuple) -> JElem:
         """The element of an integer form: Scalar coordinates when no input
@@ -344,12 +377,31 @@ class JordanAlgebra:
             return _jelem(tuple(_zpoly(self.n, x) for x in coords), form)
         return _jelem(tuple(x.get(0, ZERO) for x in coords), form)
 
+    def _product_form(self, fa: tuple, fb: tuple) -> tuple:
+        return self._combine(((fa, fb),))
+
+    def _triple_form(self, fa: tuple, fb: tuple, fc: tuple, fac: tuple | None = None,
+                     fbc: tuple | None = None, fab: tuple | None = None) -> tuple:
+        """The integer form of {a,b,c} from the forms of a, b, c and, when
+        the caller has them, of a o c, b o c and a o b."""
+        fbc = self._product_form(fb, fc) if fbc is None else fbc
+        fac = self._product_form(fa, fc) if fac is None else fac
+        fab = self._product_form(fa, fb) if fab is None else fab
+        return self._combine(((fab, fc), (fa, fbc), (fac, fb)), (1, 1, -1))
+
+    def _trace_of(self, fa: tuple, fb: tuple):
+        """tr(a o b) = sum_jk a_j b_k T_jk from the integer forms of a and b:
+        a ZPoly when either has a ZPoly coordinate, a Scalar otherwise."""
+        den, re, im, poly = self._combine(((fa, fb),), table=self._trace_table)
+        value = _coordinate(den, re[0], im[0] if im else [])
+        return _zpoly(self.n, value) if poly else value.get(0, ZERO)
+
     def product(self, a: JElem, b: JElem) -> JElem:
         """a o b, summed over the integer forms of a and b with the integer
         structure constants, over one denominator.  A Scalar coordinate
         counts as a constant polynomial; when a and b have Scalar
         coordinates only, so does the result."""
-        return self._result(self._combine(((self._form(a), self._form(b)),)))
+        return self._result(self._product_form(self._form(a), self._form(b)))
 
     def triple(self, a: JElem, b: JElem, c: JElem, ac: JElem | None = None,
                bc: JElem | None = None) -> JElem:
@@ -362,11 +414,9 @@ class JordanAlgebra:
         last negated; no product is reordered, so a non-commutative
         structure still fails.
         """
-        fa, fb, fc = self._form(a), self._form(b), self._form(c)
-        fbc = self._combine(((fb, fc),)) if bc is None else self._form(bc)
-        fac = self._combine(((fa, fc),)) if ac is None else self._form(ac)
-        fab = self._combine(((fa, fb),))
-        return self._result(self._combine(((fab, fc), (fa, fbc), (fac, fb)), (1, 1, -1)))
+        return self._result(self._triple_form(
+            self._form(a), self._form(b), self._form(c),
+            None if ac is None else self._form(ac), None if bc is None else self._form(bc)))
 
     def trace(self, a: JElem):
         out = None
@@ -380,11 +430,13 @@ class JordanAlgebra:
         return out
 
     def trace_form(self, a: JElem, b: JElem):
-        return self.trace(self.product(a, b))
+        """tr(a o b), read off the integer forms of a and b with the trace
+        table; the same value and type as ``trace(product(a, b))``."""
+        return self._trace_of(self._form(a), self._form(b))
 
     def scale_elem(self, c: Fraction, a: JElem) -> JElem:
         s = Scalar(c)
-        return JElem(tuple(_entry_scale(s, x) for x in a.coords))
+        return JElem(tuple(_entry_scale(s, x) for x in self._coords(a)))
 
     def add_elem(self, a: JElem, b: JElem) -> JElem:
         return JElem(tuple(x + y for x, y in zip(self._coords(a), self._coords(b))))
@@ -417,21 +469,20 @@ class JordanAlgebra:
     # -- linear forms ---------------------------------------------------------
     def linear_form(self, x: JElem) -> ZPoly:
         """The function q -> tr(x o q) as a polynomial in z."""
-        out = ZPoly.zero(self.n)
         coords = self._coords(x)
+        packed = {}
         for k in range(self.n):
             c = ZERO
-            for i, xi in enumerate(coords):
-                g = self.gram[i][k]
-                if g and not xi.is_zero():
-                    c = c + xi * Scalar(g)
+            for xi, row in zip(coords, self.gram):
+                if row[k] and not xi.is_zero():
+                    c = c + xi * Scalar(row[k])
             if not c.is_zero():
-                out = out + ZPoly.monomial(self.n, tuple(1 if j == k else 0 for j in range(self.n)), c)
-        return out
+                packed[pack(self.n, tuple(int(j == k) for j in range(self.n + 1)))] = c
+        return _zpoly(self.n, packed)
 
     def tr_v_qinv(self, v: JElem) -> LocFn:
         """The function q -> tr(v o q^{-1}) = tr(v o adj q) / F."""
-        return LocFn(self.ring, self.trace(self.product(v, self.adjugate_elem())), 1)
+        return LocFn(self.ring, self.trace_form(v, self.adjugate_elem()), 1)
 
     # -- guards ---------------------------------------------------------------
     def check_primitive_idempotent(self, y: JElem) -> None:
@@ -675,46 +726,75 @@ def random_point(J: JordanAlgebra, rng: random.Random, invertible: bool = True) 
             return q
 
 
+def _same(f: tuple, g: tuple) -> bool:
+    """Whether two integer forms hold the same coordinates of the same type.
+    A form is canonical up to the order of its terms: the content gcd is
+    divided out, no term is zero and im is None exactly when every
+    imaginary part is zero."""
+    if f[0] != g[0] or f[3] != g[3] or (f[2] is None) != (g[2] is None):
+        return False
+    return all(dict(x) == dict(y) for x, y in zip(f[1] + (f[2] or []), g[1] + (g[2] or [])))
+
+
+@per_algebra
+def _sandwiches(J: JordanAlgebra) -> tuple:
+    """The integer forms of {adj q, b_i, adj q}, i = 1..n, with adj q o adj q
+    formed once: one table per algebra, read by the triple shift and the
+    derivative identities."""
+    adj = J._form(J.adjugate_elem())
+    adj2 = J._product_form(adj, adj)
+    return tuple(J._triple_form(adj, J._form(J.basis_element(i)), adj, fac=adj2) for i in range(J.n))
+
+
 def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
     """Product identities, exact at the generic element q = sum z_i b_i.
 
     q fills one slot and the basis the others: q^2 o (q o b) = q o (q^2 o b);
     {b, q, adj q} = F b (the inverse triple times F); {{adj q, v, adj q}, q,
-    v} = F adj q o (v o v) (the triple shift times F^2); the fundamental
+    v} = F adj q o (v o v) (the triple shift times F^2), the sandwich
+    {adj q, v, adj q} read off the per-algebra table; the fundamental
     identity {q, {b, q, c}, q} = {{q, b, q}, c, q}, with U_q b_k = {q, b_k, q}
-    formed once and extended linearly.  adj q o adj q, U_q b_k o q and b_k o q
-    are formed once; no product is reordered, so a non-commutative structure
-    still fails.  The shift is quadratic in v: the polarised set b_i + b_j
-    would cover every v, but takes 15 s on sym:4, so only the basis v is
-    checked.  ``rng`` only picks the rational point at which a failing
-    identity's residual is shown.
+    formed once and extended linearly.  Both sides of every identity stay
+    integer forms and are compared as such; a side is turned into
+    coordinates only when the forms differ, to show the residual.  q o q,
+    q o adj q, U_q b_k o q, b_k o q and q o b_k are formed once; no product
+    is reordered, so a non-commutative structure still fails.  The shift
+    is quadratic in v: the polarised set b_i + b_j would cover every v,
+    but takes 15 s on sym:4, so only the basis v is checked.  ``rng`` only
+    picks the rational point at which a failing identity's residual is
+    shown.
     """
-    q = J.generic_elem()
-    adj = J.adjugate_elem()
-    basis = [J.basis_element(i) for i in range(J.n)]
+    fq = J._form(J.generic_elem())
+    fadj = J._form(J.adjugate_elem())
+    fF = _read((J.normF,))
+    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
+    prod, trip = J._product_form, J._triple_form
 
-    def require_equal(lhs: JElem, rhs: JElem, claim: str) -> None:
+    def require_equal(lhs: tuple, rhs: tuple, claim: str) -> None:
         """Raise JordanError, ``claim`` and the first residual coordinate at a
-        point, unless lhs == rhs."""
-        for k, (x, y) in enumerate(zip(lhs.coords, rhs.coords)):
+        point, unless the integer forms lhs and rhs agree."""
+        if _same(lhs, rhs):
+            return
+        for k, (x, y) in enumerate(zip(J._result(lhs).coords, J._result(rhs).coords)):
             if x != y:
                 d = x - y
                 z = random_point(J, rng, invertible=False)
                 raise JordanError(f"{claim}: residual coordinate {k+1} has {len(d.packed)} terms, "
                                   f"value {d.evaluate(list(z.coords))} at z={z}")
 
-    def times_F(a: JElem) -> JElem:
-        return JElem(tuple(_entry_mul(J.normF, c) for c in a.coords))
+    def times_F(f: tuple) -> tuple:
+        return J._weighted(fF, (f,))
 
     def power_associativity():
-        q2 = J.product(q, q)
+        q2 = prod(fq, fq)
         for i, b in enumerate(basis):
-            require_equal(J.product(q2, J.product(q, b)), J.product(q, J.product(q2, b)),
+            require_equal(prod(q2, prod(fq, b)), prod(fq, prod(q2, b)),
                           f"q^2 o (q o b) != q o (q^2 o b) at b={J.labels[i]}")
 
     def projection_at_idempotent():
         y = J.idempotent_elem()
-        for i, x in enumerate(basis):
+        for i in range(J.n):
+            x = J.basis_element(i)
             lhs = J.triple(y, x, y)
             t = J.trace_form(x, y)
             rhs = JElem(tuple(c * t for c in y.coords))
@@ -722,27 +802,25 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
                 raise JordanError(f"{{y,{J.labels[i]},y}} != tr(x o y) y")
 
     def inverse_triple():
+        q_adj = prod(fq, fadj)
         for i, b in enumerate(basis):
-            require_equal(J.triple(b, q, adj), times_F(b), f"{{b,q,adj q}} != F b at b={J.labels[i]}")
+            require_equal(trip(b, fq, fadj, fbc=q_adj), times_F(b), f"{{b,q,adj q}} != F b at b={J.labels[i]}")
 
     def shift_identity():
-        adj2 = J.product(adj, adj)
-        for i, v in enumerate(basis):
-            require_equal(J.triple(J.triple(adj, v, adj, ac=adj2), q, v),
-                          times_F(J.product(adj, J.product(v, v))),
+        for i, (v, sandwich) in enumerate(zip(basis, _sandwiches(J))):
+            require_equal(trip(sandwich, fq, v), times_F(prod(fadj, prod(v, v))),
                           f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}")
 
     def fundamental_identity():
-        U = [J.triple(q, b, q) for b in basis]
-        Uq = [J.product(u, q) for u in U]
-        bq = [J.product(b, q) for b in basis]
+        q2 = prod(fq, fq)
+        U = [trip(fq, b, fq, fac=q2) for b in basis]
+        Uq = [prod(u, fq) for u in U]
+        bq = [prod(b, fq) for b in basis]
+        qb = [prod(fq, b) for b in basis]
         for i, b in enumerate(basis):
             for j, c in enumerate(basis):
-                lhs = [ZPoly.zero(J.n)] * J.n
-                for t, Ut in zip(J.triple(b, q, c).coords, U):
-                    if not t.is_zero():
-                        lhs = [x + t * y for x, y in zip(lhs, Ut.coords)]
-                require_equal(JElem(lhs), J.triple(U[i], c, q, ac=Uq[i], bc=bq[j]),
+                require_equal(J._weighted(trip(b, fq, c, fbc=qb[j], fab=bq[i]), U),
+                              trip(U[i], c, fq, fac=Uq[i], fbc=bq[j]),
                               f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}")
 
     return [timed_check(name, fn) for name, fn in (
@@ -772,25 +850,24 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
 
 
 def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
+    """The four identities in the localized ring.  Every trace is read off
+    integer forms with the trace table, tr(b_j o {q^-1, b_i, q^-1}) off the
+    per-algebra sandwich table, so no product is formed per (i, j) pair."""
     ctx = J.ring
     adj = J.adjugate_elem()
-    adj2 = J.product(adj, adj)
+    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
     tr_qinv = [J.tr_v_qinv(J.basis_element(i)) for i in range(J.n)]
     wfn = SuperFn.w(ctx)
 
     @cache
-    def sandwich(i: int) -> JElem:
-        return J.triple(adj, J.basis_element(i), adj, ac=adj2)
-
-    @cache
     def tr_triple(i: int, j: int) -> ZPoly:
         """tr(b_j o {adj q, b_i, adj q}) = F^2 tr(b_j o {q^-1, b_i, q^-1})."""
-        return J.trace(J.product(J.basis_element(j), sandwich(i)))
+        return J._trace_of(basis[j], _sandwiches(J)[i])
 
     def norm_derivative():
         # d_i F = tr(b_i o adj q), as polynomials
         for i in range(J.n):
-            if ctx.dF(i) != J.trace(J.product(J.basis_element(i), adj)):
+            if ctx.dF(i) != J.trace_form(J.basis_element(i), adj):
                 raise JordanError(f"dF/dz{i+1} != tr(b{i+1} o adj q)")
 
     def sqrt_derivative():
@@ -831,10 +908,7 @@ def _derivative_identities_points(J: JordanAlgebra, rng: random.Random, count: i
     ctx = J.ring
     dF = [ctx.dF(i) for i in range(J.n)]
     ddF = [[dF[i].derivative(j) for j in range(J.n)] for i in range(J.n)]
-    tr_adj = [
-        J.trace(J.product(J.basis_element(i), J.adjugate_elem()))
-        for i in range(J.n)
-    ]
+    tr_adj = [J.trace_form(J.basis_element(i), J.adjugate_elem()) for i in range(J.n)]
     d_tr_adj = [[p.derivative(i) for i in range(J.n)] for p in tr_adj]
     half = Scalar(Fraction(1, 2))
     quarter = Scalar(Fraction(1, 4))

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from .jordan import JElem, JordanAlgebra
+from .jordan import JElem, JordanAlgebra, _coordinate
 from .report import per_algebra
-from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
+from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO, _zpoly
 from . import weyl
 from .weyl import DiffOp, PolyOpPlus
 
@@ -93,23 +94,33 @@ def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
 def _second_order_rows(J: JordanAlgebra) -> tuple:
     """- sum_ij {b_k, b^j, q}_i d_i d_j as a ``{beta: SuperFn}`` row per k.
 
-    n^2 triples, built once per algebra; b_k o q and b^j o q are formed once.
+    n^2 triples, built once per algebra as integer forms (see
+    :meth:`JordanAlgebra._combine`); b_k o q and b^j o q are formed once.
+    A row sums the numerators of its n triples per index beta = e_i + e_j
+    over one denominator, so each coefficient becomes a ZPoly once.
     """
-    q = J.generic_elem()
+    fq = J._form(J.generic_elem())
     n = J.n
-    duals = [J.dual_basis_element(j) for j in range(n)]
-    duals_q = [J.product(d, q) for d in duals]
+    duals = [J._form(J.dual_basis_element(j)) for j in range(n)]
+    duals_q = [J._product_form(d, fq) for d in duals]
+    index = [[tuple(int(t == i) + int(t == j) for t in range(n)) for i in range(n)] for j in range(n)]
     rows = []
     for k in range(n):
-        b = J.basis_element(k)
-        b_q = J.product(b, q)
-        second: dict[tuple, ZPoly] = {}
-        for j in range(n):
-            trip = J.triple(b, duals[j], q, ac=b_q, bc=duals_q[j])
-            for i, c in enumerate(trip.coords):
-                idx = tuple(int(t == i) + int(t == j) for t in range(n))
-                second[idx] = second.get(idx, ZPoly.zero(n)) - c
-        rows.append({idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()})
+        b = J._form(J.basis_element(k))
+        b_q = J._product_form(b, fq)
+        trips = [J._triple_form(b, duals[j], fq, fac=b_q, fbc=duals_q[j]) for j in range(n)]
+        den = lcm(*(t[0] for t in trips))
+        sums: dict[tuple, tuple] = {}
+        for j, (d, real, imag, _) in enumerate(trips):
+            s = -(den // d)
+            for i in range(n):
+                acc_re, acc_im = sums.setdefault(index[j][i], ({}, {}))
+                for acc, part in ((acc_re, real), (acc_im, imag)):
+                    for m, v in part[i] if part else ():
+                        acc[m] = acc.get(m, 0) + v * s
+        rows.append({idx: SuperFn.from_zpoly(J.ring, _zpoly(n, _coordinate(
+            den, [t for t in real.items() if t[1]], [t for t in imag.items() if t[1]])))
+            for idx, (real, imag) in sums.items()})
     return tuple(rows)
 
 

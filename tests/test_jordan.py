@@ -1,6 +1,7 @@
 """Algebra families: structure data, products, norm calculus."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -566,3 +567,178 @@ def test_passing_checks_carry_no_witness(selector):
     )
     assert results and all(c.ok for c in results)
     assert all(c.witness is None for c in results)
+
+
+# ---------------------------------------------------------------------------
+# Traces, the sandwich table and the identities on integer forms
+# ---------------------------------------------------------------------------
+
+def trace_form_mismatches(J) -> list:
+    """The input pairs on which ``trace_form`` differs from the trace of the
+    product in value or type; the inputs mix Scalar, Gaussian, ZPoly and
+    mixed coordinates."""
+    args = kernel_inputs(J)
+    bad = []
+    for a, b in itertools.product(args, repeat=2):
+        want, got = J.trace(J.product(a, b)), J.trace_form(a, b)
+        if got != want or type(got) is not (ZPoly if _has_zpoly(a, b) else Scalar):
+            bad.append((a, b))
+    return bad
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_trace_form_matches_the_trace_of_the_product(selector, corruption):
+    assert trace_form_mismatches(kernel_algebra(selector, corruption)) == []
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_a_trace_table_read_off_the_gram_matrix_fails(selector, corruption):
+    # a corrupted copy keeps the Gram matrix of the algebra it came from, so
+    # a trace table built from it disagrees with its structure constants
+    J = kernel_algebra(selector, corruption)
+    G = [[Fraction(g) for g in row] for row in J.gram]
+    den = math.lcm(*(g.denominator for row in G for g in row))
+    J.__dict__["_trace_table"] = (den, tuple(tuple(((0, g.numerator * (den // g.denominator)),) if g else ()
+                                                   for g in row) for row in G), 1)
+    assert bool(trace_form_mismatches(J)) == (corruption is not None)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_scale_elem_and_trace_form_refuse_wrong_lengths(full2, length):
+    x = elem(*range(1, length + 1))
+    for call in (lambda: full2.scale_elem(Fraction(2), x), lambda: full2.trace_form(x, full2.unit_elem()),
+                 lambda: full2.trace_form(full2.unit_elem(), x), lambda: full2.tr_v_qinv(x)):
+        with pytest.raises(DimensionMismatchError, match=f"expected 4 coordinates, got {length}"):
+            call()
+
+
+def spy(monkeypatch, cls, name) -> list:
+    """Record the arguments of every call to ``cls.name``."""
+    calls, original = [], getattr(cls, name)
+
+    def recorded(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+def test_derivative_identities_form_no_product_per_pair(monkeypatch):
+    J = from_selector("full:3")
+    products = spy(monkeypatch, jordan.JordanAlgebra, "product")
+    triples = spy(monkeypatch, jordan.JordanAlgebra, "triple")
+    assert all(c.ok for c in derivative_identities(J))
+    assert len(products) < J.n and len(triples) < J.n
+
+
+def test_a_jordan_suite_builds_each_sandwich_once(monkeypatch):
+    from twistedops import verify
+    J = from_selector("full:3")
+    adj = J._form(J.adjugate_elem())
+    triples = spy(monkeypatch, jordan.JordanAlgebra, "_triple_form")
+    assert verify.run_suite(J, "jordan").overall == "pass"
+    middles = [J._result(args[1]) for args in triples if args[0] is adj and args[2] is adj]
+    assert middles == [J.basis_element(i) for i in range(J.n)]
+
+
+def scalar_route_point_identities(J) -> dict:
+    """(status, witness) of the four product identities, both sides summed
+    as coordinates: the elements of ``product`` and ``triple``, and the left
+    side of the fundamental identity as n ZPoly products per pair."""
+    q, adj = J.generic_elem(), J.adjugate_elem()
+    basis = [J.basis_element(i) for i in range(J.n)]
+    times_F = lambda a: JElem(tuple(jordan._entry_mul(J.normF, c) for c in a.coords))
+
+    def first_residual(lhs: list, rhs: list, claim: str):
+        for k, (x, y) in enumerate(zip(lhs, rhs)):
+            if x != y:
+                d = x - y
+                z = jordan.random_point(J, random.Random(0), invertible=False)
+                return (f"{claim}: residual coordinate {k+1} has {len(d.packed)} terms, "
+                        f"value {d.evaluate(list(z.coords))} at z={z}")
+
+    def power_associativity():
+        q2 = J.product(q, q)
+        for i, b in enumerate(basis):
+            yield (J.product(q2, J.product(q, b)).coords, J.product(q, J.product(q2, b)).coords,
+                   f"q^2 o (q o b) != q o (q^2 o b) at b={J.labels[i]}")
+
+    def inverse_triple():
+        for i, b in enumerate(basis):
+            yield J.triple(b, q, adj).coords, times_F(b).coords, f"{{b,q,adj q}} != F b at b={J.labels[i]}"
+
+    def shift_identity():
+        adj2 = J.product(adj, adj)
+        for i, v in enumerate(basis):
+            yield (J.triple(J.triple(adj, v, adj, ac=adj2), q, v).coords,
+                   times_F(J.product(adj, J.product(v, v))).coords,
+                   f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}")
+
+    def fundamental_identity():
+        U = [J.triple(q, b, q) for b in basis]
+        Uq = [J.product(u, q) for u in U]
+        bq = [J.product(b, q) for b in basis]
+        for i, b in enumerate(basis):
+            for j, c in enumerate(basis):
+                lhs = [ZPoly.zero(J.n)] * J.n
+                for t, Ut in zip(J.triple(b, q, c).coords, U):
+                    if not t.is_zero():
+                        lhs = [x + t * y for x, y in zip(lhs, Ut.coords)]
+                yield (lhs, J.triple(U[i], c, q, ac=Uq[i], bc=bq[j]).coords,
+                       f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}")
+
+    out = {}
+    for name, sides in (("power-associativity", power_associativity), ("inverse-triple", inverse_triple),
+                        ("triple-shift", shift_identity), ("triple-fundamental", fundamental_identity)):
+        witness = next(filter(None, (first_residual(*s) for s in sides())), None)
+        out[name] = ("fail" if witness else "pass", witness)
+    return out
+
+
+ROUTE_ALGEBRAS = [(sel, corruption) for sel in ("sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6")
+                  for corruption in (None, "commutative", "non-commutative")]
+
+
+@pytest.mark.parametrize("selector, corruption", ROUTE_ALGEBRAS)
+def test_identities_on_forms_agree_with_the_scalar_route(monkeypatch, selector, corruption):
+    # every residual is shown at the same point, whatever ran before it
+    original = jordan.random_point
+    monkeypatch.setattr(jordan, "random_point", lambda J, rng, invertible=True:
+                        original(J, random.Random(0), invertible))
+    J = kernel_algebra(selector, corruption)
+    want = scalar_route_point_identities(J)
+    got = {c.name: (c.status, c.witness) for c in point_identities(J, random.Random(1)) if c.name in want}
+    assert got == want
+    assert (want["triple-fundamental"][0] == "pass") == (corruption is None)
+
+
+def test_forms_are_the_same_only_with_equal_coordinates_of_equal_type(full2):
+    same = lambda x, y: jordan._same(jordan._read(x.coords), jordan._read(y.coords))
+    n = full2.n
+    z = [ZPoly.coord(n, i) for i in range(n)]
+    p = JElem((z[0] + z[1].scale(sc("1/2")), z[2] * z[3], ZPoly.zero(n), ZPoly.const(n, sc(3))))
+    reordered = JElem((z[1].scale(sc("1/2")) + z[0], z[3] * z[2], ZPoly.zero(n), ZPoly.const(n, sc(3))))
+    assert list(p[0].packed) != list(reordered[0].packed) and same(p, reordered)
+    assert same(full2.product(p, p), JElem(full2.product(p, p).coords))
+    real, lifted_real = elem(1, 2, 0, 4), JElem(ZPoly.const(n, sc(c)) for c in (1, 2, 0, 4))
+    gaussian = JElem((Scalar(1), Scalar(2), Scalar(0, 1), Scalar(4)))
+    assert same(real, elem(1, 2, 0, 4)) and same(lifted_real, JElem(lifted_real.coords))
+    for x, y in ((real, lifted_real), (real, gaussian), (gaussian, real), (real, elem(2, 4, 0, 8)),
+                 (real, elem(Fraction(1, 2), 1, 0, 2)),
+                 (real, elem(1, 2, 0, 5)), (p, JElem(p.coords[:3] + (ZPoly.const(n, sc(4)),)))):
+        assert not same(x, y), (x, y)
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_weighted_sum_matches_the_coordinate_sum(selector):
+    # sum_t w_t x_t, the left side of the fundamental identity, with
+    # Gaussian, fractional and mixed weights and elements
+    J = from_selector(selector)
+    args = kernel_inputs(J)
+    xs = args[:J.n]
+    for w in args:
+        got = J._result(J._weighted(J._form(w), tuple(J._form(x) for x in xs)))
+        want = [sum((wt * xk for wt, xk in zip(lifted(J, w), column)), ZPoly.zero(J.n))
+                for column in zip(*(lifted(J, x) for x in xs))]
+        assert lifted(J, got) == want, w
+        assert all(type(c) is (ZPoly if _has_zpoly(w, *xs) else Scalar) for c in got.coords)

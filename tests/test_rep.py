@@ -403,3 +403,32 @@ def test_semi_invariants_annihilated(selector):
 def test_idempotent_guard_used(full2):
     with pytest.raises(PrimitiveIdempotentError):
         full2.check_primitive_idempotent(full2.unit_elem())
+
+
+def zpoly_accumulated_rows(J) -> tuple:
+    """The rows of ``rep._second_order_rows`` summed as ZPolys: each
+    coordinate of each triple {b_k, b^j, q} subtracted from its entry."""
+    q, n = J.generic_elem(), J.n
+    duals = [J.dual_basis_element(j) for j in range(n)]
+    rows = []
+    for k in range(n):
+        b = J.basis_element(k)
+        second = {}
+        for j in range(n):
+            trip = J.triple(b, duals[j], q, ac=J.product(b, q), bc=J.product(duals[j], q))
+            for i, c in enumerate(trip.coords):
+                idx = tuple(int(t == i) + int(t == j) for t in range(n))
+                second[idx] = second.get(idx, ZPoly.zero(n)) - c
+        rows.append({idx: SuperFn.from_zpoly(J.ring, c) for idx, c in second.items()})
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("corruption", [None, "commutative", "non-commutative"])
+@pytest.mark.parametrize("selector", ["sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6"])
+def test_second_order_rows_match_the_zpoly_accumulation(selector, corruption):
+    J = from_selector(selector)
+    if corruption:
+        J = corrupt_structure(J, commutative=corruption == "commutative")
+    rows, want = rep._second_order_rows(J), zpoly_accumulated_rows(J)
+    assert rows == want
+    assert [list(row) for row in rows] == [list(row) for row in want]
