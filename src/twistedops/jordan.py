@@ -31,7 +31,10 @@ again.  Each output coordinate is turned back into reduced Scalars once.
 A trace tr(a o b) is read off the two forms with the trace table
 T_jk = tr(b_j o b_k), itself derived from the structure constants, and the
 product identities compare both sides as forms, which are canonical up to
-the order of their terms.
+the order of their terms.  Traces tr(a), scalings, sums and adj q are
+weighted sums of forms through the same kernel, so every element
+operation has one type rule: a ZPoly input coordinate makes every output
+coordinate a ZPoly, and Scalar inputs give Scalar outputs.
 """
 
 from __future__ import annotations
@@ -145,25 +148,6 @@ def _jelem(coords: tuple, form: tuple) -> JElem:
     return e
 
 
-def _entry_mul(a, b):
-    """Product of two coordinate entries (Scalar or ZPoly, mixed allowed)."""
-    if isinstance(a, ZPoly):
-        if isinstance(b, ZPoly):
-            return a * b
-        return a.scale(b)
-    if isinstance(b, ZPoly):
-        return b.scale(a)
-    return a * b
-
-
-def _entry_scale(s: Scalar, x):
-    return x.scale(s) if isinstance(x, ZPoly) else x * s
-
-
-def _has_zpoly(elems) -> bool:
-    return any(isinstance(x, ZPoly) for e in elems for x in e.coords)
-
-
 # The integer form of an element is a tuple (den, re, im, poly): the
 # coordinates are re + i*im over the one positive denominator den, re and
 # im hold per coordinate a list of (packed monomial, nonzero int) pairs,
@@ -213,6 +197,13 @@ def _coordinate(den: int, re: list, im: list) -> dict:
     for m, b in im:
         nums.setdefault(m, [0, 0])[1] = b
     return {m: _reduced(a, b, den) for m, (a, b) in nums.items()}
+
+
+@cache
+def _scalar_table(width: int) -> tuple:
+    """``(1, cells, width)``: one coordinate times a ``width``-coordinate
+    element, the table of :meth:`JordanAlgebra._weighted`."""
+    return 1, (tuple(((k, 1),) for k in range(width)),), width
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +346,18 @@ class JordanAlgebra:
         poly = any(x[3] or y[3] for x, y in pairs)
         return _collect(tden * den, re, im, poly)
 
-    @cached_property
-    def _scalar_table(self) -> tuple:
-        """``(1, cells, n)``: one coordinate times an element, the table of
-        :meth:`_weighted`."""
-        return 1, (tuple(((k, 1),) for k in range(self.n)),), self.n
-
     def _weighted(self, w: tuple, forms: tuple) -> tuple:
         """The integer form of sum_t w_t x_t: ``w`` is the integer form of one
-        coordinate per form x_t in ``forms``."""
+        coordinate per form x_t in ``forms``, which share one width."""
         den, re, im, poly = w
         pairs = tuple(((den, [re[t]], im and [im[t]], poly), x) for t, x in enumerate(forms))
-        return self._combine(pairs, (1,) * len(pairs), self._scalar_table)
+        return self._combine(pairs, (1,) * len(pairs), _scalar_table(len(forms[0][1])))
 
     def _result(self, form: tuple) -> JElem:
-        """The element of an integer form: Scalar coordinates when no input
-        had a ZPoly one, ZPoly ones otherwise; it keeps the form."""
+        """The element of an integer form, as wide as it: ZPoly coordinates
+        when some input had one, Scalar ones otherwise; it keeps the form."""
         den, re, im, poly = form
-        coords = [_coordinate(den, r, i) for r, i in zip(re, im or [[]] * self.n)]
+        coords = [_coordinate(den, r, i) for r, i in zip(re, im or [[]] * len(re))]
         if poly:
             return _jelem(tuple(_zpoly(self.n, x) for x in coords), form)
         return _jelem(tuple(x.get(0, ZERO) for x in coords), form)
@@ -392,9 +377,7 @@ class JordanAlgebra:
     def _trace_of(self, fa: tuple, fb: tuple):
         """tr(a o b) = sum_jk a_j b_k T_jk from the integer forms of a and b:
         a ZPoly when either has a ZPoly coordinate, a Scalar otherwise."""
-        den, re, im, poly = self._combine(((fa, fb),), table=self._trace_table)
-        value = _coordinate(den, re[0], im[0] if im else [])
-        return _zpoly(self.n, value) if poly else value.get(0, ZERO)
+        return self._result(self._combine(((fa, fb),), table=self._trace_table)).coords[0]
 
     def product(self, a: JElem, b: JElem) -> JElem:
         """a o b, summed over the integer forms of a and b with the integer
@@ -403,31 +386,21 @@ class JordanAlgebra:
         coordinates only, so does the result."""
         return self._result(self._product_form(self._form(a), self._form(b)))
 
-    def triple(self, a: JElem, b: JElem, c: JElem, ac: JElem | None = None,
-               bc: JElem | None = None) -> JElem:
+    def triple(self, a: JElem, b: JElem, c: JElem) -> JElem:
         """Triple product {a,b,c} = (a o b) o c + a o (b o c) - (a o c) o b.
 
         Outer slots a, c are symmetric; for matrix kinds this is
-        (abc + cba)/2 in ordinary matrix notation.  ``ac`` and ``bc``
-        are a o c and b o c when the caller has them already.  The three
-        outer products are summed into one set of numerator dicts, the
-        last negated; no product is reordered, so a non-commutative
-        structure still fails.
+        (abc + cba)/2 in ordinary matrix notation.  The three outer
+        products are summed into one set of numerator dicts, the last
+        negated; no product is reordered, so a non-commutative structure
+        still fails.
         """
-        return self._result(self._triple_form(
-            self._form(a), self._form(b), self._form(c),
-            None if ac is None else self._form(ac), None if bc is None else self._form(bc)))
+        return self._result(self._triple_form(self._form(a), self._form(b), self._form(c)))
 
     def trace(self, a: JElem):
-        out = None
-        for ti, ai in zip(self.trace_vec, self._coords(a)):
-            if not ti or ai.is_zero():
-                continue
-            term = _entry_scale(Scalar(ti), ai)
-            out = term if out is None else out + term
-        if out is None:
-            return ZPoly.zero(self.n) if _has_zpoly((a,)) else ZERO
-        return out
+        """tr(a) = sum_t a_t tr(b_t), weighted against the trace vector."""
+        traces = tuple(_read((Scalar(t),)) for t in self.trace_vec)
+        return self._result(self._weighted(self._form(a), traces)).coords[0]
 
     def trace_form(self, a: JElem, b: JElem):
         """tr(a o b), read off the integer forms of a and b with the trace
@@ -435,11 +408,10 @@ class JordanAlgebra:
         return self._trace_of(self._form(a), self._form(b))
 
     def scale_elem(self, c: Fraction, a: JElem) -> JElem:
-        s = Scalar(c)
-        return JElem(tuple(_entry_scale(s, x) for x in self._coords(a)))
+        return self._result(self._weighted(_read((Scalar(c),)), (self._form(a),)))
 
     def add_elem(self, a: JElem, b: JElem) -> JElem:
-        return JElem(tuple(x + y for x, y in zip(self._coords(a), self._coords(b))))
+        return self._result(self._weighted(_read((ONE, ONE)), (self._form(a), self._form(b))))
 
     # -- norm, adjugate, inverse ---------------------------------------------
     def norm_at(self, q: JElem) -> Scalar:
@@ -539,29 +511,23 @@ def _norm_and_adjugate(J: JordanAlgebra) -> tuple[ZPoly, tuple]:
     t^r + c_1 t^(r-1) + ... + c_r, by Newton's identities
     k c_k = -sum_{i=1..k} c_(k-i) p_i, exact over Q.  F = (-1)^r c_r, and
     Cayley-Hamilton, sum_k c_k q^(r-k) = 0, gives q o adj q = F e with
-    adj q = (-1)^(r-1) sum_{k<r} c_k q^(r-1-k).  p_k is read as
-    sum_i (q^(k-1))_i tr(b_i o q), with tr(b_i o q) the Gram form
-    ``linear_form(b_i)``, so q^r is never formed.
+    adj q = (-1)^(r-1) sum_{k<r} c_k q^(r-1-k), one weighted sum of the
+    integer forms of q^(r-1) .. q^0.  p_k is read as the trace form
+    tr(q^(k-1) o q), so q^r is never formed.
     """
     n, r = J.n, J.r
     q = J.generic_elem()
     powers = [J.unit_elem(), q][:r]            # q^0 .. q^(r-1)
     while len(powers) < r:
         powers.append(J.product(q, powers[-1]))
-    forms = [J.linear_form(J.basis_element(i)) for i in range(n)]
-    traces = [sum((_entry_mul(x, f) for x, f in zip(p.coords, forms) if not x.is_zero()),
-                  ZPoly.zero(n)) for p in powers]
+    traces = [J.trace_form(p, q) for p in powers]
     c = [ZPoly.one(n)]
     for k in range(1, r + 1):
         acc = sum((c[k - i] * traces[i - 1] for i in range(1, k + 1)), ZPoly.zero(n))
         c.append(acc.scale(Scalar(Fraction(-1, k))))
-    adj = [ZPoly.zero(n)] * n
-    for k in range(r):
-        for j, x in enumerate(powers[r - 1 - k].coords):
-            if not x.is_zero():
-                adj[j] = adj[j] + _entry_mul(c[k], x)
     sign = Scalar((-1) ** (r - 1))
-    return c[r].scale(-sign), tuple(a.scale(sign) for a in adj)
+    adj = J._weighted(_read(tuple(x.scale(sign) for x in c[:r])), tuple(map(J._form, reversed(powers))))
+    return c[r].scale(-sign), J._result(adj).coords
 
 
 def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec, idempotent) -> JordanAlgebra:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from .jordan import JElem, JordanAlgebra, _coordinate
+from .jordan import JElem, JordanAlgebra
 from .report import per_algebra
-from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO, _zpoly
+from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
 from . import weyl
 from .weyl import DiffOp, PolyOpPlus
 
@@ -96,31 +95,26 @@ def _second_order_rows(J: JordanAlgebra) -> tuple:
 
     n^2 triples, built once per algebra as integer forms (see
     :meth:`JordanAlgebra._combine`); b_k o q and b^j o q are formed once.
-    A row sums the numerators of its n triples per index beta = e_i + e_j
-    over one denominator, so each coefficient becomes a ZPoly once.
+    A row is one sum of the pairs (e_j, {b_k, b^j, q}) over a table that
+    sends cell (j, i) to the slot of beta = e_i + e_j, slots in first-seen
+    order, so each coefficient becomes a ZPoly once.
     """
     fq = J._form(J.generic_elem())
     n = J.n
+    slots: dict[tuple, int] = {}
+    beta = lambda i, j: tuple(int(t == i) + int(t == j) for t in range(n))
+    cells = tuple(tuple(((slots.setdefault(beta(i, j), len(slots)), 1),) for i in range(n)) for j in range(n))
+    table = (1, cells, len(slots))
+    units = [J._form(J.basis_element(j)) for j in range(n)]
     duals = [J._form(J.dual_basis_element(j)) for j in range(n)]
     duals_q = [J._product_form(d, fq) for d in duals]
-    index = [[tuple(int(t == i) + int(t == j) for t in range(n)) for i in range(n)] for j in range(n)]
     rows = []
-    for k in range(n):
-        b = J._form(J.basis_element(k))
+    for b in units:
         b_q = J._product_form(b, fq)
-        trips = [J._triple_form(b, duals[j], fq, fac=b_q, fbc=duals_q[j]) for j in range(n)]
-        den = lcm(*(t[0] for t in trips))
-        sums: dict[tuple, tuple] = {}
-        for j, (d, real, imag, _) in enumerate(trips):
-            s = -(den // d)
-            for i in range(n):
-                acc_re, acc_im = sums.setdefault(index[j][i], ({}, {}))
-                for acc, part in ((acc_re, real), (acc_im, imag)):
-                    for m, v in part[i] if part else ():
-                        acc[m] = acc.get(m, 0) + v * s
-        rows.append({idx: SuperFn.from_zpoly(J.ring, _zpoly(n, _coordinate(
-            den, [t for t in real.items() if t[1]], [t for t in imag.items() if t[1]])))
-            for idx, (real, imag) in sums.items()})
+        pairs = tuple((e, J._triple_form(b, d, fq, fac=b_q, fbc=d_q))
+                      for e, d, d_q in zip(units, duals, duals_q))
+        coeffs = J._result(J._combine(pairs, (-1,) * n, table)).coords
+        rows.append({beta: SuperFn.from_zpoly(J.ring, c) for beta, c in zip(slots, coeffs)})
     return tuple(rows)
 
 

@@ -773,8 +773,10 @@ def _check_ctx(a: RingContext, b: RingContext) -> None:
 class LocFn:
     """Localized function ``num / F^k``; arithmetic never divides by F.
 
-    ``num``, ``k``, equality, hashing and printing use the reduced
-    (minimal-k) pair, which :meth:`_reduce` computes once, on first use.
+    ``num``, ``k``, hashing and printing use the reduced (minimal-k) pair,
+    which :meth:`_reduce` computes once, on first use.  ``==`` reduces only
+    fractions over different F-powers: over one power two fractions are
+    equal exactly when their numerators are.
 
     A zero fraction keeps the zero numerator it was given and has k = 0.
     Arithmetic skips zero operands: a sum with zero is the other operand,
@@ -902,11 +904,11 @@ class LocFn:
 
     # -- comparison ----------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LocFn)
-            and self.ctx.compatible(other.ctx)
-            and self._reduce() == other._reduce()
-        )
+        if not (isinstance(other, LocFn) and self.ctx.compatible(other.ctx)):
+            return False
+        if self._k == other._k:
+            return self._num == other._num
+        return self._reduce() == other._reduce()
 
     def __hash__(self) -> int:
         return hash((self.k, self.num))

@@ -400,11 +400,9 @@ def test_triple_matches_the_three_product_reference(selector, corruption):
     for a, b, c in itertools.product(args, repeat=3):
         want = reference_triple(J, a, b, c)
         kind = ZPoly if any(isinstance(x, ZPoly) for e in (a, b, c) for x in e.coords) else Scalar
-        ac, bc = J.product(a, c), J.product(b, c)
-        for given in ({}, {"ac": ac}, {"bc": bc}, {"ac": ac, "bc": bc}):
-            got = J.triple(a, b, c, **given)
-            assert lifted(J, got) == want, (a, b, c, given)
-            assert all(type(x) is kind for x in got.coords)
+        got = J.triple(a, b, c)
+        assert lifted(J, got) == want, (a, b, c)
+        assert all(type(x) is kind for x in got.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +470,9 @@ def test_integer_triple_matches_both_references(selector, corruption):
     for a, b, c in itertools.product(picks, repeat=3):
         want = reference_triple(J, a, b, c)
         assert want == scalar_triple(J, a, b, c)
-        ac, bc = J.product(a, c), J.product(b, c)
-        for given in ({}, {"ac": ac}, {"bc": bc}, {"ac": ac, "bc": bc}):
-            got = J.triple(a, b, c, **given)
-            assert lifted(J, got) == want, (a, b, c, given)
-            kind = ZPoly if _has_zpoly(a, b, c) else Scalar
-            assert all(type(x) is kind for x in got.coords)
+        got = J.triple(a, b, c)
+        assert lifted(J, got) == want, (a, b, c)
+        assert all(type(x) is (ZPoly if _has_zpoly(a, b, c) else Scalar) for x in got.coords)
 
 
 def test_one_element_gives_the_same_results_across_calls_and_algebras(sym2, spin3):
@@ -502,9 +497,7 @@ def test_wrong_length_is_refused_after_the_form_is_cached(full2, sym2):
     for call in (lambda: sym2.product(x, sym2.unit_elem()), lambda: sym2.product(sym2.unit_elem(), x),
                  lambda: sym2.triple(x, sym2.unit_elem(), sym2.unit_elem()),
                  lambda: sym2.triple(sym2.unit_elem(), x, sym2.unit_elem()),
-                 lambda: sym2.triple(sym2.unit_elem(), sym2.unit_elem(), x),
-                 lambda: sym2.triple(*[sym2.unit_elem()] * 3, ac=x),
-                 lambda: sym2.triple(*[sym2.unit_elem()] * 3, bc=x)):
+                 lambda: sym2.triple(sym2.unit_elem(), sym2.unit_elem(), x)):
         with pytest.raises(DimensionMismatchError, match="expected 3 coordinates, got 4"):
             call()
 
@@ -524,15 +517,15 @@ def test_equality_and_hash_ignore_the_cached_form(full2):
 
 
 def test_results_keep_their_form_and_q_is_read_once(monkeypatch, full2):
+    J = jordan.make_full(2)  # construction reads through the kernel too
     reads = []
     original = jordan._read
     monkeypatch.setattr(jordan, "_read", lambda coords: reads.append(coords) or original(coords))
-    J = jordan.make_full(2)
     q, adj = J.generic_elem(), J.adjugate_elem()
     assert J.generic_elem() is q and J.adjugate_elem() is adj
     q2 = J.product(q, q)
     sandwich = J.triple(adj, q2, adj)
-    J.product(sandwich, J.triple(q2, q, q2, ac=J.product(q2, q2)))
+    J.product(sandwich, J.triple(q2, q, q2))
     assert len(reads) == 2  # q and adj q; every result carried its own form
     assert q2._num[0] == 1  # q o q is (2 z1^2 + 2 z2 z3, ...)/2: the content 2 is divided out
     assert q2 == full2.product(full2.generic_elem(), full2.generic_elem())
@@ -647,7 +640,7 @@ def scalar_route_point_identities(J) -> dict:
     side of the fundamental identity as n ZPoly products per pair."""
     q, adj = J.generic_elem(), J.adjugate_elem()
     basis = [J.basis_element(i) for i in range(J.n)]
-    times_F = lambda a: JElem(tuple(jordan._entry_mul(J.normF, c) for c in a.coords))
+    times_F = lambda a: JElem(tuple(entry_mul(J.normF, c) for c in a.coords))
 
     def first_residual(lhs: list, rhs: list, claim: str):
         for k, (x, y) in enumerate(zip(lhs, rhs)):
@@ -668,23 +661,20 @@ def scalar_route_point_identities(J) -> dict:
             yield J.triple(b, q, adj).coords, times_F(b).coords, f"{{b,q,adj q}} != F b at b={J.labels[i]}"
 
     def shift_identity():
-        adj2 = J.product(adj, adj)
         for i, v in enumerate(basis):
-            yield (J.triple(J.triple(adj, v, adj, ac=adj2), q, v).coords,
+            yield (J.triple(J.triple(adj, v, adj), q, v).coords,
                    times_F(J.product(adj, J.product(v, v))).coords,
                    f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}")
 
     def fundamental_identity():
         U = [J.triple(q, b, q) for b in basis]
-        Uq = [J.product(u, q) for u in U]
-        bq = [J.product(b, q) for b in basis]
         for i, b in enumerate(basis):
             for j, c in enumerate(basis):
                 lhs = [ZPoly.zero(J.n)] * J.n
                 for t, Ut in zip(J.triple(b, q, c).coords, U):
                     if not t.is_zero():
                         lhs = [x + t * y for x, y in zip(lhs, Ut.coords)]
-                yield (lhs, J.triple(U[i], c, q, ac=Uq[i], bc=bq[j]).coords,
+                yield (lhs, J.triple(U[i], c, q).coords,
                        f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}")
 
     out = {}
@@ -742,3 +732,116 @@ def test_weighted_sum_matches_the_coordinate_sum(selector):
                 for column in zip(*(lifted(J, x) for x in xs))]
         assert lifted(J, got) == want, w
         assert all(type(c) is (ZPoly if _has_zpoly(w, *xs) else Scalar) for c in got.coords)
+
+
+# ---------------------------------------------------------------------------
+# Traces, scalings, sums and the norm: weighted sums of integer forms
+# ---------------------------------------------------------------------------
+
+def entry_mul(a, b):
+    """Product of two coordinate entries (Scalar or ZPoly, mixed allowed)."""
+    if isinstance(a, ZPoly):
+        return a * b if isinstance(b, ZPoly) else a.scale(b)
+    return b.scale(a) if isinstance(b, ZPoly) else a * b
+
+
+def reference_trace(J, a: JElem):
+    """sum_t tr(b_t) a_t, coordinate by coordinate; defined on elements whose
+    coordinates are all Scalar or all ZPoly."""
+    out = None
+    for ti, ai in zip(J.trace_vec, a.coords):
+        if ti and not ai.is_zero():
+            term = entry_mul(Scalar(ti), ai)
+            out = term if out is None else out + term
+    if out is None:
+        return ZPoly.zero(J.n) if _has_zpoly(a) else ZERO
+    return out
+
+
+def reference_scale(c: Fraction, a: JElem) -> JElem:
+    return JElem(tuple(entry_mul(Scalar(c), x) for x in a.coords))
+
+
+def reference_add(a: JElem, b: JElem) -> JElem:
+    return JElem(tuple(x + y for x, y in zip(a.coords, b.coords)))
+
+
+def reference_norm_and_adjugate(J) -> tuple:
+    """F and adj q with p_k = sum_i (q^(k-1))_i tr(b_i o q), tr(b_i o q) the
+    Gram form ``linear_form(b_i)``, and adj q summed coordinate by
+    coordinate."""
+    n, r = J.n, J.r
+    q = J.generic_elem()
+    powers = [J.unit_elem(), q][:r]
+    while len(powers) < r:
+        powers.append(J.product(q, powers[-1]))
+    forms = [J.linear_form(J.basis_element(i)) for i in range(n)]
+    traces = [sum((entry_mul(x, f) for x, f in zip(p.coords, forms) if not x.is_zero()), ZPoly.zero(n))
+              for p in powers]
+    c = [ZPoly.one(n)]
+    for k in range(1, r + 1):
+        acc = sum((c[k - i] * traces[i - 1] for i in range(1, k + 1)), ZPoly.zero(n))
+        c.append(acc.scale(Scalar(Fraction(-1, k))))
+    adj = [ZPoly.zero(n)] * n
+    for k in range(r):
+        for j, x in enumerate(powers[r - 1 - k].coords):
+            if not x.is_zero():
+                adj[j] = adj[j] + entry_mul(c[k], x)
+    sign = Scalar((-1) ** (r - 1))
+    return c[r].scale(-sign), tuple(a.scale(sign) for a in adj)
+
+
+def uniform_inputs(J) -> list:
+    """Elements whose coordinates are all Scalar or all ZPoly: the inputs of
+    ``kernel_inputs`` but the mixed one, that one lifted to ZPolys (Gaussian
+    and L terms), and both zeros."""
+    args = kernel_inputs(J)
+    return args[:3] + [JElem(lifted(J, args[3]))] + args[4:] + [J.zero_elem(), JElem([ZPoly.zero(J.n)] * J.n)]
+
+
+SCALINGS = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_trace_scale_and_add_match_the_coordinate_references(selector, corruption):
+    J = kernel_algebra(selector, corruption)
+    same = lambda got, want: got == want and type(got) is type(want)
+    args = uniform_inputs(J)
+    for a in args:
+        assert same(J.trace(a), reference_trace(J, a)), a
+        for c in SCALINGS:
+            got, want = J.scale_elem(c, a), reference_scale(c, a)
+            assert all(map(same, got.coords, want.coords)), (c, a)
+        for b in args:
+            if _has_zpoly(a) == _has_zpoly(b):
+                got, want = J.add_elem(a, b), reference_add(a, b)
+                assert all(map(same, got.coords, want.coords)), (a, b)
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_element_sums_take_mixed_coordinates(selector, corruption):
+    # one type rule for every element operation: ZPoly coordinates out when
+    # any input coordinate is a ZPoly; the values are the coordinate sums
+    J = kernel_algebra(selector, corruption)
+    args = kernel_inputs(J)
+    for a in args:
+        kind = ZPoly if _has_zpoly(a) else Scalar
+        got = J.trace(a)
+        want = sum((x.scale(Scalar(t)) for x, t in zip(lifted(J, a), J.trace_vec)), ZPoly.zero(J.n))
+        assert type(got) is kind and (got if kind is ZPoly else ZPoly.const(J.n, got)) == want, a
+        scaled = J.scale_elem(Fraction(-3, 2), a)
+        assert lifted(J, scaled) == [x.scale(Scalar(Fraction(-3, 2))) for x in lifted(J, a)], a
+        assert all(type(x) is kind for x in scaled.coords)
+        for b in args:
+            total = J.add_elem(a, b)
+            assert lifted(J, total) == [x + y for x, y in zip(lifted(J, a), lifted(J, b))], (a, b)
+            assert all(type(x) is (ZPoly if _has_zpoly(a, b) else Scalar) for x in total.coords)
+
+
+def test_norm_and_adjugate_match_the_gram_form_reference():
+    for selector in ([f"sym:{r}" for r in range(1, 5)] + [f"full:{r}" for r in range(1, 5)]
+                     + [f"spin:{p}" for p in range(2, 9)]):
+        J = from_selector(selector)
+        F, adj = reference_norm_and_adjugate(J)
+        assert J.normF == F and J.adjugate == adj, selector
+        assert all(type(x) is ZPoly for x in J.adjugate), selector

@@ -415,7 +415,7 @@ def zpoly_accumulated_rows(J) -> tuple:
         b = J.basis_element(k)
         second = {}
         for j in range(n):
-            trip = J.triple(b, duals[j], q, ac=J.product(b, q), bc=J.product(duals[j], q))
+            trip = J.triple(b, duals[j], q)
             for i, c in enumerate(trip.coords):
                 idx = tuple(int(t == i) + int(t == j) for t in range(n))
                 second[idx] = second.get(idx, ZPoly.zero(n)) - c

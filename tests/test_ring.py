@@ -324,6 +324,19 @@ def test_locfn_reduces_only_when_observed(ctx2x2, div_calls):
     assert [x.k for x in built[:3]] == [1, 1, 2]
 
 
+def test_locfn_equality_over_one_power_compares_numerators(ctx2x2, div_calls):
+    # p / F^k == p' / F^k exactly when p == p', so neither side is reduced
+    F = ctx2x2.F
+    z = [ZPoly.coord(4, i) for i in range(4)]
+    assert LocFn(ctx2x2, z[0] * F, 2) == LocFn(ctx2x2, F * z[0], 2)
+    assert LocFn(ctx2x2, z[0] * F, 2) != LocFn(ctx2x2, z[1] * F, 2)
+    assert LocFn(ctx2x2, z[0], 1) != LocFn(ctx2x2, z[0] + ZPoly.one(4), 1)
+    assert div_calls == []
+    # over different powers both sides are reduced first: F p / F^2 == p / F
+    assert LocFn(ctx2x2, z[0] * F, 2) == LocFn(ctx2x2, z[0], 1)
+    assert LocFn(ctx2x2, z[0] * F, 2) != LocFn(ctx2x2, z[1], 1)
+    assert div_calls
+
 def test_locfn_evaluates_reduced_form_on_the_norm_zero_set(ctx1):
     z = ZPoly.coord(1, 0)
     # z (z + 1) / z is z + 1, finite at z = 0 although the stored F-power is 1
