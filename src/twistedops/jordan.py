@@ -29,7 +29,8 @@ carries the form it was built from, its content gcd divided out, so q,
 adj q and every product or triple feed later products without being read
 again.  Each output coordinate is turned back into reduced Scalars once.
 A trace tr(a o b) is read off the two forms with the trace table
-T_jk = tr(b_j o b_k), itself derived from the structure constants, and the
+T_jk = tr(b_j o b_k), itself derived from the structure constants, a
+linear form tr(x o q) with the Gram table in the same way, and the
 product identities compare both sides as forms, which are canonical up to
 the order of their terms.  Traces tr(a), scalings, sums and adj q are
 weighted sums of forms through the same kernel, so every element
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
@@ -62,7 +63,6 @@ from .ring import (
     _overflow,
     _reduced,
     _zpoly,
-    pack,
 )
 
 
@@ -199,11 +199,20 @@ def _coordinate(den: int, re: list, im: list) -> dict:
     return {m: _reduced(a, b, den) for m, (a, b) in nums.items()}
 
 
+def _int_table(rows, width: int) -> tuple:
+    """``(D, cells, width)``: the lcm D of the denominators of a table of
+    rational cells, each ``width`` entries long, and per cell the
+    ``(k, D * entry_k)`` pairs of its nonzero entries, all ints."""
+    den = lcm(*(c.denominator for row in rows for cell in row for c in cell))
+    return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(cell) if c)
+                            for cell in row) for row in rows), width
+
+
 @cache
 def _scalar_table(width: int) -> tuple:
-    """``(1, cells, width)``: one coordinate times a ``width``-coordinate
-    element, the table of :meth:`JordanAlgebra._weighted`."""
-    return 1, (tuple(((k, 1),) for k in range(width)),), width
+    """One coordinate times a ``width``-coordinate element, the table of
+    :meth:`JordanAlgebra._weighted`."""
+    return _int_table(([[int(j == k) for j in range(width)] for k in range(width)],), width)
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +271,25 @@ class JordanAlgebra:
     # -- products -----------------------------------------------------------
     @cached_property
     def _table(self) -> tuple:
-        """``(D, cells, n)``: the lcm D of the structure constants'
-        denominators, and per (i, j) the ``(k, D * c_ijk)`` pairs of the
-        nonzero c_ijk, all ints, into n output coordinates; derived from
-        ``prod`` once per algebra."""
-        den = lcm(*(c.denominator for row in self.prod for cell in row for c in cell))
-        return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
-                                      for k, c in enumerate(cell) if c) for cell in row)
-                          for row in self.prod), self.n
+        """The structure constants c_ijk as an integer table into n output
+        coordinates, derived from ``prod`` once per algebra."""
+        return _int_table(self.prod, self.n)
 
     @cached_property
     def _trace_table(self) -> tuple:
-        """``(D, cells, 1)``: T_jk = sum_l tr(b_l) c_jkl = tr(b_j o b_k) as
-        ints over the lcm D of their denominators, the pair ``(0, D * T_jk)``
-        per nonzero T_jk, into one output coordinate.  Derived from ``prod``
-        on each instance, as ``_table`` is, and not from ``gram``, which a
-        copy with replaced constants keeps."""
-        T = [[sum((c * t for c, t in zip(cell, self.trace_vec) if c and t), Fraction(0))
-              for cell in row] for row in self.prod]
-        den = lcm(*(t.denominator for row in T for t in row))
-        return den, tuple(tuple(((0, t.numerator * (den // t.denominator)),) if t else ()
-                                for t in row) for row in T), 1
+        """T_jk = sum_l tr(b_l) c_jkl = tr(b_j o b_k) as an integer table
+        into one output coordinate.  Derived from ``prod`` on each instance,
+        as ``_table`` is, and not from ``gram``, which a copy with replaced
+        constants keeps."""
+        return _int_table([[(sum((c * t for c, t in zip(cell, self.trace_vec) if c and t), Fraction(0)),)
+                            for cell in row] for row in self.prod], 1)
+
+    @cached_property
+    def _gram_table(self) -> tuple:
+        """The Gram matrix as an integer table into one output coordinate:
+        a copy with replaced constants keeps it, and with it the linear
+        forms of pi+ and of the Fourier transform."""
+        return _int_table([[(g,) for g in row] for row in self.gram], 1)
 
     def _form(self, a: JElem) -> tuple:
         """The integer form of ``a``, read on first use and kept on ``a``;
@@ -374,10 +381,11 @@ class JordanAlgebra:
         fab = self._product_form(fa, fb) if fab is None else fab
         return self._combine(((fab, fc), (fa, fbc), (fac, fb)), (1, 1, -1))
 
-    def _trace_of(self, fa: tuple, fb: tuple):
-        """tr(a o b) = sum_jk a_j b_k T_jk from the integer forms of a and b:
-        a ZPoly when either has a ZPoly coordinate, a Scalar otherwise."""
-        return self._result(self._combine(((fa, fb),), table=self._trace_table)).coords[0]
+    def _trace_of(self, fa: tuple, fb: tuple, table: tuple | None = None):
+        """tr(a o b) = sum_jk a_j b_k T_jk from the integer forms of a and b,
+        T the trace table unless ``table`` is given: a ZPoly when either has
+        a ZPoly coordinate, a Scalar otherwise."""
+        return self._result(self._combine(((fa, fb),), table=table or self._trace_table)).coords[0]
 
     def product(self, a: JElem, b: JElem) -> JElem:
         """a o b, summed over the integer forms of a and b with the integer
@@ -440,17 +448,9 @@ class JordanAlgebra:
 
     # -- linear forms ---------------------------------------------------------
     def linear_form(self, x: JElem) -> ZPoly:
-        """The function q -> tr(x o q) as a polynomial in z."""
-        coords = self._coords(x)
-        packed = {}
-        for k in range(self.n):
-            c = ZERO
-            for xi, row in zip(coords, self.gram):
-                if row[k] and not xi.is_zero():
-                    c = c + xi * Scalar(row[k])
-            if not c.is_zero():
-                packed[pack(self.n, tuple(int(j == k) for j in range(self.n + 1)))] = c
-        return _zpoly(self.n, packed)
+        """The function q -> tr(x o q) as a polynomial in z, read off the
+        integer forms of x and q with the Gram table."""
+        return self._trace_of(self._form(x), self._form(self.generic_elem()), self._gram_table)
 
     def tr_v_qinv(self, v: JElem) -> LocFn:
         """The function q -> tr(v o q^{-1}) = tr(v o adj q) / F."""
@@ -486,21 +486,14 @@ def _gauss_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _mat_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i, k), va in a.items():
-        for (k2, j), vb in b.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), Fraction(0)) + va * vb
-    return {k: v for k, v in out.items() if v}
-
-
 def _mat_jordan(a: dict, b: dict) -> dict:
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
-    out = dict(ab)
-    for k, v in ba.items():
-        out[k] = out.get(k, Fraction(0)) + v
+    """(ab + ba)/2 of two sparse matrices ``{(row, col): Fraction}``."""
+    out: dict = {}
+    for x, y in ((a, b), (b, a)):
+        for (i, k), vx in x.items():
+            for (k2, j), vy in y.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), Fraction(0)) + vx * vy
     return {k: v / 2 for k, v in out.items() if v}
 
 
@@ -531,6 +524,8 @@ def _norm_and_adjugate(J: JordanAlgebra) -> tuple[ZPoly, tuple]:
 
 
 def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec, idempotent) -> JordanAlgebra:
+    """The algebra of the structure data; F, adj q and the ring are set on the
+    instance they were derived on, which keeps its tables and the form of q."""
     gram = [[sum((c * trace_vec[k] for k, c in enumerate(cell) if c and trace_vec[k]), Fraction(0))
              for cell in row] for row in prod]
     to_t = lambda rows: tuple(tuple(row) for row in rows)
@@ -552,7 +547,9 @@ def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec, idempotent
         ring=None,
     )
     normF, adjugate = _norm_and_adjugate(J)
-    return replace(J, normF=normF, adjugate=adjugate, ring=RingContext(n, normF, r))
+    for name, value in (("normF", normF), ("adjugate", adjugate), ("ring", RingContext(n, normF, r))):
+        object.__setattr__(J, name, value)
+    return J
 
 
 def _matrix_family(kind: str, r: int, pairs: list[tuple[int, int]]) -> JordanAlgebra:

@@ -191,13 +191,15 @@ def _op_vector(op: DiffOp, columns: dict) -> dict:
 
 
 class SpanBasis:
-    """Exact row-reduced span of operator coefficient vectors."""
+    """Exact row-reduced span of operator coefficient vectors, ``ops`` first."""
 
-    def __init__(self):
+    def __init__(self, ops=()):
         self.columns: dict = {}
         self.rows: list[dict] = []   # reduced rows, pivot -> 1
         self.pivots: list[int] = []
         self.members: list[DiffOp] = []
+        for op in ops:
+            self.add(op)
 
     def _reduce(self, vec: dict) -> dict:
         for pivot, row in zip(self.pivots, self.rows):
@@ -235,12 +237,9 @@ class SpanBasis:
 
 def k_span(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> tuple[list[DiffOp], int]:
     """Basis and dimension of span{[pi^{b_i}, pi^{b_j}]} at a rational twist."""
-    basis = SpanBasis()
     minus_ops = [pi_minus(J, J.basis_element(j), lam_value) for j in range(J.n)]
     plus_ops = [pi_plus(J, J.basis_element(i)) for i in range(J.n)]
-    for i in range(J.n):
-        for j in range(J.n):
-            basis.add(plus_ops[i].commutator(minus_ops[j]))
+    basis = SpanBasis(p.commutator(m) for p in plus_ops for m in minus_ops)
     return basis.members, basis.dimension
 
 

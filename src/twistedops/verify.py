@@ -308,12 +308,7 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
         want = rep.expected_k_dimension(J)
         if dim != want:
             raise VerifyError(f"span dimension {dim}, expected {want}")
-        plus_span = rep.SpanBasis()
-        for op in plus:
-            plus_span.add(op)
-        minus_span = rep.SpanBasis()
-        for op in minus:
-            minus_span.add(op)
+        plus_span, minus_span = rep.SpanBasis(plus), rep.SpanBasis(minus)
         for K in ops:
             for i in range(J.n):
                 if not plus_span.contains(K.commutator(plus[i])):

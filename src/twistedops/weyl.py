@@ -451,6 +451,7 @@ def fourier(A: PolyOpPlus) -> DiffOp:
     n = alg.n
     out = DiffOp.zero(alg)
     ell = _basis_forms(alg)
+    dual_d = cache(lambda i: DiffOp.directional(alg, alg.dual_basis_element(i)))
     for beta, coeff in A.terms.items():
         # multiplication part: product over i of ell_i^beta_i
         mult_poly = ZPoly.one(n)
@@ -463,9 +464,8 @@ def fourier(A: PolyOpPlus) -> DiffOp:
             for i, e in enumerate(alpha):
                 if not e:
                     continue
-                di = DiffOp.directional(alg, alg.dual_basis_element(i))
                 for _ in range(e):
-                    dop = dop.compose(di)
+                    dop = dop.compose(dual_d(i))
             piece = dop.scale(lam_coeff)
             piece = DiffOp.mult(alg, SuperFn.from_zpoly(alg.ring, mult_poly)).compose(piece)
             out = out + piece

@@ -1,5 +1,6 @@
 """Algebra families: structure data, products, norm calculus."""
 
+import functools
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from twistedops.jordan import (
     validate_structure,
     verify_jordan_calculus,
 )
-from twistedops.ring import EXPONENT_LIMIT, DegreeError, LambdaPoly, LocFn, Scalar, ZPoly, ONE, ZERO
+from twistedops.ring import EXPONENT_LIMIT, DegreeError, LambdaPoly, LocFn, Scalar, ZPoly, ONE, ZERO, _zpoly, pack
 from twistedops.weyl import DiffOp
 
 
@@ -526,9 +527,28 @@ def test_results_keep_their_form_and_q_is_read_once(monkeypatch, full2):
     q2 = J.product(q, q)
     sandwich = J.triple(adj, q2, adj)
     J.product(sandwich, J.triple(q2, q, q2))
-    assert len(reads) == 2  # q and adj q; every result carried its own form
+    assert len(reads) == 1  # adj q; q's form is kept from construction, every result carried its own
     assert q2._num[0] == 1  # q o q is (2 z1^2 + 2 z2 z3, ...)/2: the content 2 is divided out
     assert q2 == full2.product(full2.generic_elem(), full2.generic_elem())
+
+
+def test_construction_reads_q_once_and_builds_each_table_once(monkeypatch):
+    # F and adj q are derived on the algebra that is returned, so the form
+    # of q and the tables built on the way stay with it
+    reads, builds = [], []
+    original = jordan._read
+    monkeypatch.setattr(jordan, "_read", lambda coords: reads.append(coords) or original(coords))
+    for name in ("_table", "_trace_table"):
+        prop = functools.cached_property(lambda self, f=getattr(jordan.JordanAlgebra, name).func, name=name:
+                                         builds.append(name) or f(self))
+        prop.__set_name__(jordan.JordanAlgebra, name)
+        monkeypatch.setattr(jordan.JordanAlgebra, name, prop)
+    J = jordan.make_full(2)
+    q = J.generic_elem()
+    J.product(q, q)
+    J.trace_form(q, q)
+    assert [c for c in reads if c == q.coords] == [q.coords]
+    assert sorted(builds) == ["_table", "_trace_table"]
 
 
 def test_overflowing_exponent_raises_degree_error(full2):
@@ -845,3 +865,45 @@ def test_norm_and_adjugate_match_the_gram_form_reference():
         F, adj = reference_norm_and_adjugate(J)
         assert J.normF == F and J.adjugate == adj, selector
         assert all(type(x) is ZPoly for x in J.adjugate), selector
+
+
+# ---------------------------------------------------------------------------
+# Linear forms: the Gram table through the integer kernel
+# ---------------------------------------------------------------------------
+
+def reference_linear_form(J, x: JElem) -> ZPoly:
+    """sum_k (sum_i x_i G_ik) z_k summed coordinate by coordinate, G the Gram
+    matrix; defined on elements with Scalar coordinates."""
+    packed = {}
+    for k in range(J.n):
+        c = ZERO
+        for xi, row in zip(x.coords, J.gram):
+            if row[k] and not xi.is_zero():
+                c = c + xi * Scalar(row[k])
+        if not c.is_zero():
+            packed[pack(J.n, tuple(int(j == k) for j in range(J.n + 1)))] = c
+    return _zpoly(J.n, packed)
+
+
+@pytest.mark.parametrize("selector, corruption", KERNEL_ALGEBRAS)
+def test_linear_form_matches_the_gram_reference(selector, corruption):
+    # a corrupted copy keeps the Gram matrix, so its linear forms stay the
+    # original's; on a clean algebra they are the trace forms tr(x o q)
+    J = kernel_algebra(selector, corruption)
+    args = kernel_inputs(J)
+    scalars = (args[:3] + [J.zero_elem(), J.unit_elem(), J.idempotent_elem()]
+               + [J.basis_element(i) for i in range(J.n)] + [J.dual_basis_element(i) for i in range(J.n)])
+    for x in scalars:
+        got, want = J.linear_form(x), reference_linear_form(J, x)
+        assert got == want and type(got) is type(want), x
+    if corruption is None:
+        for x in args:
+            got = J.linear_form(x)
+            assert got == J.trace_form(x, J.generic_elem()) and type(got) is ZPoly, x
+
+
+def test_linear_forms_of_polynomial_elements(full2):
+    # tr(q o q) = tr(q^2) for the generic 2 x 2 matrix, and tr(q o adj q) = 2F
+    z = [ZPoly.coord(4, i) for i in range(4)]
+    assert full2.linear_form(full2.generic_elem()) == z[0] * z[0] + (z[1] * z[2]).scale(sc(2)) + z[3] * z[3]
+    assert full2.linear_form(full2.adjugate_elem()) == full2.normF.scale(sc(2))
