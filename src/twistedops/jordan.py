@@ -49,6 +49,7 @@ from math import gcd, lcm
 
 from .report import CheckResult, per_algebra, timed_check
 from .ring import (
+    Frozen,
     LocFn,
     RingContext,
     Scalar,
@@ -92,7 +93,7 @@ class _JElemSlots:
     __slots__ = ("coords", "_num")
 
 
-class JElem(_JElemSlots):
+class JElem(_JElemSlots, Frozen):
     """Coordinate vector of length n, over Scalar (points) or ZPoly.
 
     The private slot ``_num`` holds the integer form that products and
@@ -106,11 +107,6 @@ class JElem(_JElemSlots):
     def __init__(self, coords):
         _set_coords(self, tuple(coords))
         _set_form(self, None)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("JElem is immutable")
-
-    __delattr__ = __setattr__
 
     @staticmethod
     def from_rationals(values) -> "JElem":
@@ -208,6 +204,11 @@ def _int_table(rows, width: int) -> tuple:
                             for cell in row) for row in rows), width
 
 
+def _trace_matrix(prod, trace_vec) -> list:
+    """T_jk = sum_l tr(b_l) c_jkl = tr(b_j o b_k), from the structure constants."""
+    return [[sum((c * t for c, t in zip(cell, trace_vec) if c and t), Fraction(0)) for cell in row] for row in prod]
+
+
 @cache
 def _scalar_table(width: int) -> tuple:
     """One coordinate times a ``width``-coordinate element, the table of
@@ -250,13 +251,10 @@ class JordanAlgebra:
     def idempotent_elem(self) -> JElem:
         return JElem(tuple(Scalar(c) for c in self.idempotent))
 
+    @per_algebra
     def generic_elem(self) -> JElem:
         """q = sum_i z_i b_i, one element per algebra, so its integer form
         is read once."""
-        return self._generic
-
-    @cached_property
-    def _generic(self) -> JElem:
         return JElem(tuple(ZPoly.coord(self.n, i) for i in range(self.n)))
 
     def zero_elem(self) -> JElem:
@@ -277,18 +275,18 @@ class JordanAlgebra:
 
     @cached_property
     def _trace_table(self) -> tuple:
-        """T_jk = sum_l tr(b_l) c_jkl = tr(b_j o b_k) as an integer table
-        into one output coordinate.  Derived from ``prod`` on each instance,
-        as ``_table`` is, and not from ``gram``, which a copy with replaced
+        """The trace matrix T_jk = tr(b_j o b_k) as an integer table into
+        one output coordinate.  Derived from ``prod`` on each instance, as
+        ``_table`` is, and not from ``gram``, which a copy with replaced
         constants keeps."""
-        return _int_table([[(sum((c * t for c, t in zip(cell, self.trace_vec) if c and t), Fraction(0)),)
-                            for cell in row] for row in self.prod], 1)
+        return _int_table([[(t,) for t in row] for row in _trace_matrix(self.prod, self.trace_vec)], 1)
 
     @cached_property
     def _gram_table(self) -> tuple:
         """The Gram matrix as an integer table into one output coordinate:
         a copy with replaced constants keeps it, and with it the linear
-        forms of pi+ and of the Fourier transform."""
+        forms of pi+ and of the Fourier transform.  On the algebra
+        :func:`_finish` returns it is ``_trace_table`` itself."""
         return _int_table([[(g,) for g in row] for row in self.gram], 1)
 
     def _form(self, a: JElem) -> tuple:
@@ -437,13 +435,10 @@ class JordanAlgebra:
         adj = self.adjugate_at(q)
         return JElem(tuple(x * finv for x in adj.coords))
 
+    @per_algebra
     def adjugate_elem(self) -> JElem:
         """adj(q) at the generic point, with ZPoly coordinates; one element
         per algebra, so its integer form is read once."""
-        return self._adjugate
-
-    @cached_property
-    def _adjugate(self) -> JElem:
         return JElem(self.adjugate)
 
     # -- linear forms ---------------------------------------------------------
@@ -526,8 +521,7 @@ def _norm_and_adjugate(J: JordanAlgebra) -> tuple[ZPoly, tuple]:
 def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec, idempotent) -> JordanAlgebra:
     """The algebra of the structure data; F, adj q and the ring are set on the
     instance they were derived on, which keeps its tables and the form of q."""
-    gram = [[sum((c * trace_vec[k] for k, c in enumerate(cell) if c and trace_vec[k]), Fraction(0))
-             for cell in row] for row in prod]
+    gram = _trace_matrix(prod, trace_vec)
     to_t = lambda rows: tuple(tuple(row) for row in rows)
     J = JordanAlgebra(
         kind=kind,
@@ -547,8 +541,7 @@ def _finish(kind: str, r: int, n: int, labels, prod, unit, trace_vec, idempotent
         ring=None,
     )
     normF, adjugate = _norm_and_adjugate(J)
-    for name, value in (("normF", normF), ("adjugate", adjugate), ("ring", RingContext(n, normF, r))):
-        object.__setattr__(J, name, value)
+    J.__dict__.update(normF=normF, adjugate=adjugate, ring=RingContext(n, normF, r), _gram_table=J._trace_table)
     return J
 
 

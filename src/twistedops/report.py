@@ -1,11 +1,11 @@
 """Structured verification outcomes and their JSON/text forms, and the
-per-algebra memo whose stored errors fail checks the same way."""
+per-algebra memo, kept on the algebra itself, whose stored errors fail
+checks the same way."""
 
 from __future__ import annotations
 
 import json
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -87,18 +87,17 @@ def timed_check(name: str, fn) -> CheckResult:
 
 
 def per_algebra(build):
-    """Memoise ``build(J)`` per Jordan algebra in a store that holds J
-    weakly, so a value must not reference J (``J.ring`` is fine).
+    """Memoise ``build(J)`` in the dict ``J._memos`` on the algebra itself,
+    keyed by ``build``, so the value may reference J and is freed with it;
+    a ``dataclasses.replace`` copy starts with no memos.
 
     A ``RingError`` raised by ``build`` is remembered too, and every later
     call raises a copy of it, so every check that reads the value fails in
     :func:`timed_check` with the same witness.  The stored copy has no
-    traceback, context or cause, whose frames would reference J.  Copies
+    traceback, context or cause, and each raise gets a fresh copy.  Copies
     are made without calling ``__init__`` (args and attributes are
     copied), so an error with its own constructor signature copies as well.
     """
-    store: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
     def bare(exc: RingError) -> RingError:
         copy = type(exc).__new__(type(exc), *exc.args)
         copy.__dict__.update(exc.__dict__)
@@ -106,14 +105,14 @@ def per_algebra(build):
 
     @wraps(build)
     def memo(J):
-        try:
-            value = store[J]
-        except KeyError:
+        memos = J.__dict__.setdefault("_memos", {})
+        if build not in memos:
             try:
-                value = store[J] = build(J)
+                memos[build] = build(J)
             except RingError as exc:
-                store[J] = bare(exc)
+                memos[build] = bare(exc)
                 raise
+        value = memos[build]
         if isinstance(value, RingError):  # a build returns no error, it raises one
             raise bare(value)
         return value

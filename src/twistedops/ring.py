@@ -22,7 +22,7 @@ ints in lowest terms.  On top of it sit
 
 Everything is exact: no floats anywhere, a fraction is reduced to the
 minimal power of F once, when first observed (see :class:`LocFn`), and
-all values are immutable after construction.
+all values are immutable after construction (see :class:`Frozen`).
 """
 
 from __future__ import annotations
@@ -69,6 +69,17 @@ class ParseError(RingError):
     """Malformed textual representation."""
 
 
+class Frozen:
+    """Base of every value type: assigning or deleting any attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # Scalars: the field Q(i)
 # ---------------------------------------------------------------------------
@@ -79,7 +90,7 @@ class _ScalarSlots:
     __slots__ = ("a", "b", "d")
 
 
-class Scalar(_ScalarSlots):
+class Scalar(_ScalarSlots, Frozen):
     """A Gaussian rational ``(a + b*i) / d`` held as three ints.
 
     ``d > 0`` and ``gcd(a, b, d) == 1``, so every value has exactly one
@@ -99,11 +110,6 @@ class Scalar(_ScalarSlots):
         _set_a(self, p * (d // q))
         _set_b(self, s * (d // t))
         _set_d(self, d)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Scalar is immutable")
-
-    __delattr__ = __setattr__
 
     re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a Fraction.")
     im = property(lambda self: Fraction(self.b, self.d), doc="The imaginary part, a Fraction.")
@@ -178,8 +184,9 @@ class Scalar(_ScalarSlots):
 
 
 # A private factory fills the slots of a bare ``_...Slots`` object with
-# plain stores, then retypes it to the public class, whose __setattr__
-# raises: that skips one descriptor call per slot on every value built.
+# plain stores, then retypes it to the public class, which adds only the
+# Frozen guard to that layout: that skips one descriptor call per slot on
+# every value built.
 _new = object.__new__
 _set_a, _set_b, _set_d = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
 
@@ -336,7 +343,7 @@ class _ZPolySlots:
     __slots__ = ("n", "packed")
 
 
-class ZPoly(_ZPolySlots):
+class ZPoly(_ZPolySlots, Frozen):
     """Sparse polynomial in z1..zn and the twist L with Scalar coefficients.
 
     ``packed`` maps packed monomial keys (see :func:`pack`: total degree,
@@ -357,11 +364,6 @@ class ZPoly(_ZPolySlots):
     def __init__(self, n: int, terms: Mapping[tuple, Scalar] | None = None):
         _set_n(self, n)
         _set_packed(self, {pack(n, mono): c for mono, c in (terms or {}).items() if not c.is_zero()})
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("ZPoly is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def terms(self) -> Mapping[tuple, Scalar]:
@@ -405,15 +407,7 @@ class ZPoly(_ZPolySlots):
     def __add__(self, other: "ZPoly") -> "ZPoly":
         if self.n != other.n:
             raise ContextMismatchError("coordinate counts differ")
-        out = dict(self.packed)
-        for mono, c in other.packed.items():
-            acc = out.get(mono)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return self._with(out)
+        return self._with(_merged(self.packed, other.packed))
 
     def __neg__(self) -> "ZPoly":
         return self._with({m: -c for m, c in self.packed.items()})
@@ -564,6 +558,20 @@ class ZPoly(_ZPolySlots):
 _set_n, _set_packed = ZPoly.n.__set__, ZPoly.packed.__set__
 # the key of L^k in a LambdaPoly: k in the total and in the L field
 _LSTEP = _total_unit(0) + 1
+
+
+def _merged(a: dict, b: dict) -> dict:
+    """The sparse sum of two maps to nonzero coefficients, keys in the order
+    of ``a`` and then of ``b``'s new ones; a key whose sum cancels is dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        acc = out.get(key)
+        s = c if acc is None else acc + c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
 
 
 def _zpoly(n: int, packed: dict, cls: type = ZPoly) -> ZPoly:
@@ -722,7 +730,7 @@ def parse_lambda(text: str) -> LambdaPoly:
 # RingContext: fixes the norm polynomial F and the grading data
 # ---------------------------------------------------------------------------
 
-class RingContext:
+class RingContext(Frozen):
     """Shared data for localized fractions: coordinates, F, and its degree."""
 
     __slots__ = ("n", "F", "r", "_fpow", "_dF")
@@ -733,11 +741,6 @@ class RingContext:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_fpow", {0: ZPoly.one(n), 1: F})
         object.__setattr__(self, "_dF", {})
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("RingContext is immutable")
-
-    __delattr__ = __setattr__
 
     def F_pow(self, k: int) -> ZPoly:
         cache = self._fpow
@@ -770,7 +773,7 @@ def _check_ctx(a: RingContext, b: RingContext) -> None:
 # LocFn: fractions p / F^k, reduced when first observed
 # ---------------------------------------------------------------------------
 
-class LocFn:
+class LocFn(Frozen):
     """Localized function ``num / F^k``; arithmetic never divides by F.
 
     ``num``, ``k``, hashing and printing use the reduced (minimal-k) pair,
@@ -793,11 +796,6 @@ class LocFn:
         _set_num(self, num)
         _set_k(self, k)
         _set_reduced(self, None if k else (num, 0))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("LocFn is immutable")
-
-    __delattr__ = __setattr__
 
     def _reduce(self) -> tuple[ZPoly, int]:
         """The pair with F cancelled as often as it divides the numerator."""
@@ -933,7 +931,7 @@ class _SuperFnSlots:
     __slots__ = ("ctx", "ev", "od")
 
 
-class SuperFn(_SuperFnSlots):
+class SuperFn(_SuperFnSlots, Frozen):
     """Element ``even + odd*w`` of the ring extended by the root w of F."""
 
     __slots__ = ()
@@ -944,11 +942,6 @@ class SuperFn(_SuperFnSlots):
         _set_fctx(self, ctx)
         _set_ev(self, ev)
         _set_od(self, od)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("SuperFn is immutable")
-
-    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
     @staticmethod

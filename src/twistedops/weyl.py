@@ -31,6 +31,7 @@ from .jordan import JordanAlgebra, JElem
 from .report import per_algebra
 from .ring import (
     ContextMismatchError,
+    Frozen,
     IUNIT,
     LambdaPoly,
     LocFn,
@@ -39,6 +40,7 @@ from .ring import (
     Scalar,
     SuperFn,
     ZPoly,
+    _merged,
     _zpoly,
     grade_components,
     parse_terms,
@@ -130,7 +132,7 @@ class _OperatorSlots:
     __slots__ = ("alg", "terms", "_by_delta", "_partials")
 
 
-class _NormalOrdered(_OperatorSlots):
+class _NormalOrdered(_OperatorSlots, Frozen):
     """Finite sum  sum_beta c_beta * d^beta  with coefficients to the left.
 
     The coefficient type (``SuperFn`` or ``ZPoly``) only has to provide
@@ -167,11 +169,6 @@ class _NormalOrdered(_OperatorSlots):
         object.__setattr__(self, "_by_delta", None)
         object.__setattr__(self, "_partials", None)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
     def _with(self, terms: dict):
         """An operator of the same type and algebra with already-pruned
         terms, filled with plain stores and then retyped."""
@@ -194,15 +191,7 @@ class _NormalOrdered(_OperatorSlots):
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
         _check_alg(self.alg, other.alg)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc = out.get(idx)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return self._with(out)
+        return self._with(_merged(self.terms, other.terms))
 
     def __neg__(self):
         return self._with({idx: -c for idx, c in self.terms.items()})

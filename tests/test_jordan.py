@@ -616,6 +616,18 @@ def test_a_trace_table_read_off_the_gram_matrix_fails(selector, corruption):
     assert bool(trace_form_mismatches(J)) == (corruption is not None)
 
 
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_a_built_algebra_reads_traces_and_linear_forms_off_one_table(selector):
+    # tr(b_j o b_k) is the Gram matrix, so the two tables are one; a
+    # corrupted copy keeps the old Gram matrix and builds both anew
+    J = from_selector(selector)
+    assert J._gram_table is J._trace_table
+    for commutative in (True, False):
+        bad = corrupt_structure(J, commutative=commutative)
+        assert bad._gram_table != bad._trace_table
+        assert bad._gram_table == J._gram_table
+
+
 @pytest.mark.parametrize("length", [3, 5])
 def test_scale_elem_and_trace_form_refuse_wrong_lengths(full2, length):
     x = elem(*range(1, length + 1))

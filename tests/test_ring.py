@@ -22,6 +22,7 @@ from twistedops.ring import (
     IUNIT,
     ONE,
     ZERO,
+    _merged,
     grade,
     parse_superfn,
     superfn_str,
@@ -241,6 +242,17 @@ def ctx2x2():
     z = [ZPoly.coord(n, i) for i in range(n)]
     F = z[0] * z[3] - z[1] * z[2]
     return RingContext(n, F, 2)
+
+
+def test_sparse_sum_keeps_key_order_and_drops_cancelled_keys():
+    # closure's span columns, and with them its witnesses, follow this order
+    a = {3: sc(1), 1: sc(2), 2: sc(-1)}
+    b = {5: sc(4), 2: sc(1), 1: sc(1), 0: sc(7)}
+    out = _merged(a, b)
+    assert list(out.items()) == [(3, sc(1)), (1, sc(3)), (5, sc(4)), (0, sc(7))]
+    assert a == {3: sc(1), 1: sc(2), 2: sc(-1)}  # the inputs are left as they were
+    x, y = ZPoly(1, {(1, 0): sc(1), (0, 0): sc(2)}), ZPoly(1, {(2, 0): sc(1), (1, 0): sc(-1)})
+    assert list((x + y).packed) == list(_merged(x.packed, y.packed))
 
 
 def test_zpoly_exact_division(ctx2x2):

@@ -7,10 +7,13 @@ Each case below pairs a value from the public constructor with an equal
 one returned by arithmetic, so both construction paths are covered.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twistedops
 from twistedops import jordan
 from twistedops.jordan import JElem
 from twistedops.moyal import PolyZX, WOp, dequantize, symmetrize
@@ -76,9 +79,28 @@ def test_values_are_immutable_and_equal_to_their_public_twin(name):
         assert str(built) == str(public) and repr(built) == repr(public)
     for v in (public, built):
         for attr in _slot_names(v) | {"extra"}:
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
                 setattr(v, attr, None)
-            with pytest.raises(AttributeError, match="is immutable$"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
                 delattr(v, attr)
     assert built == public  # nothing above changed either value
     assert all(str(v) for v in (public, built))  # and both still print
+
+
+def test_one_guard_and_no_weak_store_in_the_package():
+    # every value type inherits ring.Frozen, and per-algebra memos live on
+    # their algebra, so no module copies the guard or keeps a weak-key store
+    setters, weak = [], []
+    for path in sorted(Path(twistedops.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                names += [t.id for a in node.body if isinstance(a, ast.Assign) for t in a.targets
+                          if isinstance(t, ast.Name)]
+                if "__setattr__" in names:
+                    setters.append(f"{path.stem}.{node.name}")
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            weak += [f"{path.stem}: {m}" for m in modules if m.split(".")[0] == "weakref"]
+    assert setters == ["ring.Frozen"]
+    assert weak == []

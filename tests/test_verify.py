@@ -712,6 +712,36 @@ def test_a_remembered_failure_does_not_keep_its_algebra_alive():
     assert gone() is None
 
 
+def test_a_memo_that_references_its_algebra_is_freed_with_it():
+    # memos live on their algebra, so a value may hold J, as every operator does
+    @per_algebra
+    def operators(J):
+        return [rep.pi_plus(J, J.basis_element(i)) for i in range(J.n)]
+
+    J = from_selector("sym:2")
+    ops = operators(J)
+    assert operators(J) is ops and all(op.alg is J for op in ops)
+    gone = weakref.ref(J)
+    del J, ops
+    gc.collect()
+    assert gone() is None
+
+
+def test_memos_are_keyed_by_their_build_not_its_name():
+    def memo_of(tag):
+        @per_algebra
+        def build(J):
+            return tag
+        return build
+
+    first, second = memo_of("first"), memo_of("second")
+    J = from_selector("sym:2")
+    assert (first(J), second(J), first(J)) == ("first", "second", "first")
+    assert "_memos" in dir(J)
+    copy = dataclasses.replace(J)
+    assert "_memos" not in vars(copy) and second(copy) == "second"
+
+
 def test_jordan_block_defaults_to_symbolic(monkeypatch):
     seen = []
 
