@@ -470,7 +470,9 @@ def _gauss_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(mat)
     aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise JordanError(f"singular matrix: no pivot in column {col + 1}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]

@@ -91,7 +91,7 @@ def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
 
 @per_algebra
 def _second_order_rows(J: JordanAlgebra) -> tuple:
-    """- sum_ij {b_k, b^j, q}_i d_i d_j as a ``{beta: SuperFn}`` row per k.
+    """- sum_ij {b_k, b^j, q}_i d_i d_j as one ``DiffOp`` row per k.
 
     n^2 triples, built once per algebra as integer forms (see
     :meth:`JordanAlgebra._combine`); b_k o q and b^j o q are formed once.
@@ -114,7 +114,7 @@ def _second_order_rows(J: JordanAlgebra) -> tuple:
         pairs = tuple((e, J._triple_form(b, d, fq, fac=b_q, fbc=d_q))
                       for e, d, d_q in zip(units, duals, duals_q))
         coeffs = J._result(J._combine(pairs, (-1,) * n, table)).coords
-        rows.append({beta: SuperFn.from_zpoly(J.ring, c) for beta, c in zip(slots, coeffs)})
+        rows.append(DiffOp(J, {beta: SuperFn.from_zpoly(J.ring, c) for beta, c in zip(slots, coeffs)}))
     return tuple(rows)
 
 
@@ -131,8 +131,7 @@ def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None =
     op = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
     for row, yk in zip(_second_order_rows(J), y.coords):
         if not yk.is_zero():
-            part = DiffOp(J, row)
-            op = op + (part if yk == ONE else part.scale(yk))
+            op = op + (row if yk == ONE else row.scale(yk))
     return op
 
 

@@ -1149,72 +1149,32 @@ def superfn_str(f: SuperFn) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _split_terms(text: str) -> list[str]:
-    """Split a sum on ' + ' at paren depth zero; every term must be non-empty."""
-    parts, depth, start = [], 0, 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(" + ", i):
-            parts.append(text[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    parts = [p.strip() for p in parts]
-    if not all(parts):
-        raise ParseError(f"empty term in {text!r}")
-    return parts
+# a group's content: balanced and nested at most once, the most that
+# parse_scalar and parse_lambda accept
+_GROUP = r"[^()]* (?: \( [^()]* \) [^()]* )*"
+# a z- or d-factor's index and optional exponent
+_INDEX_EXP = rf"{_POSINT} (?: \^{_POSINT} )?"
+
+# The term grammar of README ("Guarantees and conventions"), one element a
+# line; whitespace may pad every '*' and '/'.
+_TERM = re.compile(rf"""
+    \( (?P<scalar> {_GROUP} ) \)                         # (scalar)
+    (?: \( (?P<lpoly> {_GROUP} ) \) )?                   # optional (Lpoly), as in (1)(1 + (1+1i)*L)
+    (?P<z> (?: \s*\*\s* z {_INDEX_EXP} )* )              # z-factors
+    (?P<w> \s*\*\s* w )?                                 # optional * w
+    (?P<F> \s*/\s* F (?: \^ (?P<k> {_POSINT} ) )? )?     # optional / F^k
+    (?P<d> (?: \s*\*\s* d {_INDEX_EXP} )* )              # d-factors
+""", re.VERBOSE)
+
+# one z- or d-factor of a matched term: its index and exponent
+_FACTOR = re.compile(rf"([zd])({_POSINT})(?:\^({_POSINT}))?")
+
+# the separator of a sum: " + ", padded with more whitespace on either side
+_PLUS = re.compile(r"\s* \+ \s*")
 
 
-def _group_end(text: str) -> int:
-    """Index just past the parenthesised group that opens ``text``."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise ParseError(f"unclosed group in {text!r}")
-
-
-def _lead_groups(token: str) -> tuple[LambdaPoly, str]:
-    """Parse the leading coefficient groups ``(scalar)`` and ``(Lpoly)``."""
-    if not token.startswith("("):
-        raise ParseError(f"term must open with a coefficient group: {token!r}")
-    end = _group_end(token)
-    scalar = parse_scalar(token[1:end - 1])
-    rest = token[end:]
-    coeff = LambdaPoly.const(scalar)
-    if rest.startswith("("):
-        end = _group_end(rest)
-        coeff = parse_lambda(rest[1:end - 1]).scale(scalar)
-        rest = rest[end:]
-    return coeff, rest.strip()
-
-
-# one factor after the coefficient groups, with the operator before it
-_FACTOR = re.compile(
-    rf"\s*(?P<op>[*/])\s*(?:(?P<var>[zd])(?P<index>{_POSINT})(?:\^(?P<exp>{_POSINT}))?"
-    rf"|(?P<w>w)|(?P<F>F)(?:\^(?P<k>{_POSINT}))?)"
-)
-
-
-def parse_term(term: str, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
-    """Parse one textual term.
-
-    The grammar, with optional whitespace around ``*`` and ``/``::
-
-        term   := groups {"*" z-factor} ["*" "w"] ["/" "F" ["^" k]] {"*" d-factor}
-        groups := "(" scalar ")" ["(" Lpoly ")"]
-        factor := ("z" | "d") index ["^" k]
+def parse_term(m: re.Match, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
+    """The values of one term matched by ``_TERM``.
 
     Indices, exponents and k are positive decimal integers below
     EXPONENT_LIMIT; so must be each exponent summed over repeated
@@ -1223,41 +1183,19 @@ def parse_term(term: str, n: int) -> tuple[LambdaPoly, tuple, bool, int, tuple]:
 
     Returns (coefficient, z-monomial, odd?, denominator power, d-monomial).
     """
-    coeff, rest = _lead_groups(term.strip())
-    zmono = [0] * n
-    dmono = [0] * n
-    odd = False
-    k = 0
-    stage = 0  # 0: z-factors, 1: after w, 2: after the F-power, 3: d-factors
-    pos = 0
-    while pos < len(rest):
-        m = _FACTOR.match(rest, pos)
-        if m is None:
-            raise ParseError(f"unexpected text {rest[pos:]!r} in term {term!r}")
-        pos = m.end()
-        if m["op"] == "/":
-            if not m["F"] or stage >= 2:
-                raise ParseError(f"misplaced denominator in term {term!r}")
-            k, stage = _exponent(m["k"] or "1", term), 2
-        elif m["w"]:
-            if stage >= 1:
-                raise ParseError(f"misplaced w in term {term!r}")
-            odd, stage = True, 1
-        elif m["var"]:
-            idx = _exponent(m["index"], term) - 1
-            if idx >= n:
-                raise ParseError(f"index out of range in {m['var']}{m['index']}")
-            if m["var"] == "z":
-                if stage > 0:
-                    raise ParseError(f"misplaced z-factor in term {term!r}")
-                mono = zmono
-            else:
-                mono, stage = dmono, 3
-            mono[idx] = _bounded(mono[idx] + _exponent(m["exp"] or "1", term), term)
-        else:
-            raise ParseError(f"F may only appear as a denominator in term {term!r}")
-    _bounded(sum(zmono) + max(coeff.degree, 0), term)
-    return coeff, tuple(zmono), odd, k, tuple(dmono)
+    term = m[0]
+    scalar = parse_scalar(m["scalar"])
+    coeff = LambdaPoly.const(scalar) if m["lpoly"] is None else parse_lambda(m["lpoly"]).scale(scalar)
+    monos = {"z": [0] * n, "d": [0] * n}
+    for var, index, exp in _FACTOR.findall(m["z"] + m["d"]):
+        idx = _exponent(index, term) - 1
+        if idx >= n:
+            raise ParseError(f"index out of range in {var}{index}")
+        mono = monos[var]
+        mono[idx] = _bounded(mono[idx] + _exponent(exp or "1", term), term)
+    k = _exponent(m["k"] or "1", term) if m["F"] else 0
+    _bounded(sum(monos["z"]) + max(coeff.degree, 0), term)
+    return coeff, tuple(monos["z"]), bool(m["w"]), k, tuple(monos["d"])
 
 
 def parse_terms(text: str, ctx: RingContext):
@@ -1265,10 +1203,19 @@ def parse_terms(text: str, ctx: RingContext):
     text = text.strip()
     if text == "0":
         return
-    for term in _split_terms(text):
-        coeff, zmono, odd, k, dmono = parse_term(term, ctx.n)
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        end = m.end() if m else pos
+        sep = _PLUS.match(text, end)
+        if m is None or (sep is None and end < len(text)):
+            raise ParseError(f"cannot parse the text from offset {end}: {text[end:end + 60]!r}")
+        coeff, zmono, odd, k, dmono = parse_term(m, ctx.n)
         frac = LocFn(ctx, ZPoly.monomial(ctx.n, zmono, coeff), k)
         yield (SuperFn.from_locfn(LocFn.zero(ctx), frac) if odd else SuperFn.from_locfn(frac)), dmono
+        if sep is None:
+            return
+        pos = sep.end()
 
 
 def parse_superfn(text: str, ctx: RingContext) -> SuperFn:

@@ -919,3 +919,34 @@ def test_linear_forms_of_polynomial_elements(full2):
     z = [ZPoly.coord(4, i) for i in range(4)]
     assert full2.linear_form(full2.generic_elem()) == z[0] * z[0] + (z[1] * z[2]).scale(sc(2)) + z[3] * z[3]
     assert full2.linear_form(full2.adjugate_elem()) == full2.normF.scale(sc(2))
+
+
+# ---------------------------------------------------------------------------
+# Failure branches and the elimination route of the Gram inverse
+# ---------------------------------------------------------------------------
+
+def test_gauss_inverse_refuses_a_singular_matrix():
+    with pytest.raises(jordan.JordanError, match="singular"):
+        jordan._gauss_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def test_gauss_inverse_of_a_dense_matrix():
+    # every built-in Gram matrix has one nonzero entry per row, so only
+    # a dense matrix runs the elimination
+    a = [[Fraction(x) for x in row] for row in ([2, 1, 1], [1, 3, 2], [1, 0, 0])]
+    inv = jordan._gauss_inverse(a)
+    assert [[sum(a[i][k] * inv[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == \
+        [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("selector", ["full:2", "spin:4"])
+def test_a_wrong_dimension_ratio_fails_its_check(selector):
+    import dataclasses
+    J = from_selector(selector)
+    failed = {c.name: c.witness for c in validate_structure(dataclasses.replace(J, m=J.m + 1)) if not c.ok}
+    assert failed["dimension-ratio"] == "n/r = 2 != m = 3"
+
+
+def test_derivative_identities_refuse_an_unknown_mode(sym2):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        derivative_identities(sym2, mode="bogus")

@@ -430,5 +430,5 @@ def test_second_order_rows_match_the_zpoly_accumulation(selector, corruption):
     if corruption:
         J = corrupt_structure(J, commutative=corruption == "commutative")
     rows, want = rep._second_order_rows(J), zpoly_accumulated_rows(J)
-    assert rows == want
-    assert [list(row) for row in rows] == [list(row) for row in want]
+    assert rows == tuple(DiffOp(J, row) for row in want)
+    assert [list(row.terms) for row in rows] == [[beta for beta, c in row.items() if not c.is_zero()] for row in want]

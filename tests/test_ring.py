@@ -1007,3 +1007,36 @@ def test_a_complex_coefficient_of_a_power_of_L_needs_parentheses():
     assert parse_superfn(superfn_str(want), ctx) == want
     with pytest.raises(ParseError, match="needs parentheses"):
         parse_superfn("(1)(1+1i*L)*z1", ctx)
+
+
+# ---------------------------------------------------------------------------
+# Failure branches of the ring layer
+# ---------------------------------------------------------------------------
+
+def test_zpoly_refuses_a_zero_divisor_mixed_counts_and_bad_indices():
+    from twistedops.ring import ContextMismatchError, pack
+    p, q = ZPoly.coord(2, 0), ZPoly.coord(3, 0)
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(ZPoly.zero(2))
+    with pytest.raises(ContextMismatchError):
+        p + q
+    with pytest.raises(ContextMismatchError):
+        p * q
+    with pytest.raises(IndexError):
+        p.derivative(3)
+    with pytest.raises(ValueError):
+        pack(2, (1, 0))
+
+
+def test_text_that_is_no_scalar_or_function_raises_parse_error(ctx2x2):
+    from twistedops.ring import ParseError, parse_scalar
+    with pytest.raises(ParseError, match="empty scalar"):
+        parse_scalar("( )")
+    with pytest.raises(ParseError, match="derivative factors"):
+        parse_superfn("(1) * d1", ctx2x2)
+
+
+def test_a_complex_discriminant_is_irrational():
+    with pytest.raises(IrrationalRootError) as err:
+        LambdaPoly((IUNIT, ZERO, ONE)).quadratic_roots()
+    assert err.value.discriminant == Scalar(0, -4)

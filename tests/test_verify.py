@@ -830,3 +830,23 @@ def test_the_check_layer_has_no_try_statement():
         tree = ast.parse(inspect.getsource(module))
         assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), module.__name__
         assert not any(bool_pair(node) for node in ast.walk(tree)), module.__name__
+
+
+@pytest.mark.parametrize("selector", ["full:2", "spin:4"])
+def test_module_stability_fails_when_the_generic_twist_is_critical(selector):
+    J = from_selector(selector)
+    lam0, _ = rep.critical_pair(J)
+    result = verify.check_h_module(J, lam0)
+    assert not result.ok
+    assert result.witness == "no denominator appeared at generic twist 3/8"
+
+
+@pytest.mark.parametrize("data, problem", [
+    (_report_with(extra=1), "top-level keys ['algebra', 'checks', 'extra', 'overall', 'suite']"),
+    (_report_with(status="skipped"), "bad status 'skipped'"),
+    (_report_with(witness=3), "witness must be str or null"),
+    (_report_with(status="fail", overall="fail"), "failed check 'closure' lacks a witness"),
+    (_report_with(overall="maybe"), "overall must be pass|fail"),
+])
+def test_report_validation_reports_each_bad_field(data, problem):
+    assert problem in validate_report_dict(data)
