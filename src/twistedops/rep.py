@@ -15,11 +15,13 @@ coefficient of d_i d_j is the i-th coordinate of {y, b^j, q}.  On the
 opposite patch the same generators act by vector fields: -d^x for x on the
 plus side, and for y the quadratic field p -> {p, y, p} plus the function
 2 m L tr(y o p).  The algebraic Fourier transform carries one family onto
-the other, which the test suite checks exactly.
+the other, which the identity suite checks exactly.
 
 The remaining symmetry directions are not written down from a formula:
 they are generated as commutators [pi^x, pi^y] and their span is
-extracted by exact linear algebra at a specialized rational twist.
+extracted by exact linear algebra at a specialized rational twist.  The
+span reads ``SuperFn`` and ``ZPoly`` coefficients alike, so the same
+commutators may be taken between the vector fields instead.
 """
 
 from __future__ import annotations
@@ -150,12 +152,34 @@ def eta_plus(J: JordanAlgebra, x: JElem) -> PolyOpPlus:
     return PolyOpPlus(J, {_unit(J.n, i): ZPoly.const(J.n, -xi) for i, xi in enumerate(J._coords(x))})
 
 
+@per_algebra
+def _quadratic_rows(J: JordanAlgebra) -> tuple:
+    """The fields p -> {p, b_k, p}, one ``PolyOpPlus`` row per k, built
+    once per algebra as integer forms with p o p formed once."""
+    n = J.n
+    p = J._form(J.generic_elem())
+    pp = J._product_form(p, p)
+    rows = []
+    for k in range(n):
+        field = J._result(J._triple_form(p, J._form(J.basis_element(k)), p, fac=pp))
+        rows.append(PolyOpPlus(J, {_unit(n, i): c for i, c in enumerate(field.coords)}))
+    return tuple(rows)
+
+
 def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> PolyOpPlus:
-    """Quadratic field p -> {p, y, p} plus the function 2 m L tr(y o p)."""
-    p = J.generic_elem()
-    terms = {_unit(J.n, k): c for k, c in enumerate(J.triple(p, y, p).coords)}
-    terms[(0,) * J.n] = J.linear_form(y).scale(_twist(lam).scale(Scalar(2 * J.m)))
-    return PolyOpPlus(J, terms)
+    """Quadratic field p -> {p, y, p} plus the function 2 m L tr(y o p).
+
+    The field is linear in y, so it is sum_k y_k row_k with the fields of
+    the basis elements b_k, built once per algebra.  A coordinate y_k may
+    be a ZPoly, as in J.triple; it multiplies the row's coefficients.
+    """
+    op = PolyOpPlus.mult(J, J.linear_form(y).scale(_twist(lam).scale(Scalar(2 * J.m))))
+    for row, yk in zip(_quadratic_rows(J), y.coords):
+        if isinstance(yk, ZPoly):
+            op = op + PolyOpPlus(J, {beta: c * yk for beta, c in row.terms.items()})
+        elif not yk.is_zero():
+            op = op + (row if yk == ONE else row.scale(yk))
+    return op
 
 
 def eta_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> PolyOpPlus:
@@ -168,19 +192,30 @@ def eta_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> PolyOpPlus:
 # Generated symmetry span at a specialized twist
 # ---------------------------------------------------------------------------
 
-def _op_vector(op: DiffOp, columns: dict) -> dict:
+def _polynomial_parts(c: SuperFn | ZPoly):
+    """The (part, polynomial) pairs of a coefficient: a ZPoly is its own
+    even part; a SuperFn's two parts must have no power of F."""
+    if isinstance(c, ZPoly):
+        yield "ev", c
+        return
+    for part_tag, loc in (("ev", c.ev), ("od", c.od)):
+        if loc.k != 0:
+            raise ValueError("span computation expects polynomial coefficients")
+        yield part_tag, loc.num
+
+
+def _op_vector(op: DiffOp | PolyOpPlus, columns: dict) -> dict:
     """Flatten an operator into rational coordinates for rank computations.
 
-    Coefficients must be polynomial and twist-free (specialize first).
+    Coefficients must be polynomial and twist-free (specialize first):
+    ``SuperFn`` ones on the z-side, ``ZPoly`` ones on the u-side.
     ``columns`` assigns stable integer ids to (multi-index, packed
     z-monomial, part) triples across calls.
     """
     vec = {}
     for beta, c in op.terms.items():
-        for part_tag, loc in (("ev", c.ev), ("od", c.od)):
-            if loc.k != 0:
-                raise ValueError("span computation expects polynomial coefficients")
-            for mono, s in loc.num.packed.items():
+        for part_tag, num in _polynomial_parts(c):
+            for mono, s in num.packed.items():
                 if mono & FIELD_MASK:  # the lowest field is the power of L
                     raise DegreeError("not a constant in L")
                 key = (beta, mono, part_tag)
@@ -190,13 +225,14 @@ def _op_vector(op: DiffOp, columns: dict) -> dict:
 
 
 class SpanBasis:
-    """Exact row-reduced span of operator coefficient vectors, ``ops`` first."""
+    """Exact row-reduced span of operator coefficient vectors, ``ops`` first;
+    the operators are all ``DiffOp`` or all ``PolyOpPlus``."""
 
     def __init__(self, ops=()):
         self.columns: dict = {}
         self.rows: list[dict] = []   # reduced rows, pivot -> 1
         self.pivots: list[int] = []
-        self.members: list[DiffOp] = []
+        self.members: list = []
         for op in ops:
             self.add(op)
 
@@ -213,10 +249,10 @@ class SpanBasis:
                     vec[col] = acc
         return {k: v for k, v in vec.items() if not v.is_zero()}
 
-    def contains(self, op: DiffOp) -> bool:
+    def contains(self, op: DiffOp | PolyOpPlus) -> bool:
         return not self._reduce(_op_vector(op, self.columns))
 
-    def add(self, op: DiffOp) -> bool:
+    def add(self, op: DiffOp | PolyOpPlus) -> bool:
         """Insert op; returns True when it enlarged the span."""
         vec = self._reduce(_op_vector(op, self.columns))
         if not vec:

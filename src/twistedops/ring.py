@@ -563,7 +563,11 @@ _LSTEP = _total_unit(0) + 1
 def _merged(a: dict, b: dict) -> dict:
     """The sparse sum of two maps to nonzero coefficients, keys in the order
     of ``a`` and then of ``b``'s new ones; a key whose sum cancels is dropped."""
-    out = dict(a)
+    return _merge_into(dict(a), b)
+
+
+def _merge_into(out: dict, b: dict) -> dict:
+    """:func:`_merged` in place: add ``b`` into ``out`` and return it."""
     for key, c in b.items():
         acc = out.get(key)
         s = c if acc is None else acc + c
@@ -1218,10 +1222,49 @@ def parse_terms(text: str, ctx: RingContext):
         pos = sep.end()
 
 
+def _add_fraction(ctx: RingContext, acc: list, f: LocFn) -> None:
+    """Add ``f`` into the running sum ``acc`` = [numerator map, k] in place.
+
+    The result is that of LocFn ``+``, numerator and power alike: a term
+    over the running power of F merges into the numerator without a copy,
+    and the side over the lower power is lifted by F as ``+`` lifts it.
+    """
+    p = f._num.packed
+    if not p:
+        return
+    num, k = acc
+    if not num:
+        acc[:] = dict(p), f._k
+    elif f._k == k:
+        _merge_into(num, p)
+    elif f._k > k:
+        acc[:] = _merged(p, (_zpoly(ctx.n, num) * ctx.F_pow(f._k - k)).packed), f._k
+    else:
+        _merge_into(num, (f._num * ctx.F_pow(k - f._k)).packed)
+
+
+def sum_terms(terms, ctx: RingContext) -> dict:
+    """The (function, derivative multi-index) pairs of ``terms``, as
+    :func:`parse_terms` yields them, summed per multi-index.
+
+    Each sum is the value, and the fraction, that adding the index's
+    terms in order with ``+`` gives; a zero sum stays in the map.  The
+    even and odd parts of each index are running sums updated in place
+    (:func:`_add_fraction`), so a long sum takes time linear in its terms.
+    """
+    parts: dict = {}
+    for fn, idx in terms:
+        ev, od = parts.setdefault(idx, ([{}, 0], [{}, 0]))
+        _add_fraction(ctx, ev, fn.ev)
+        _add_fraction(ctx, od, fn.od)
+    return {idx: SuperFn(ctx, *(LocFn(ctx, _zpoly(ctx.n, num), k) for num, k in acc))
+            for idx, acc in parts.items()}
+
+
 def parse_superfn(text: str, ctx: RingContext) -> SuperFn:
-    total = SuperFn.zero(ctx)
-    for fn, dmono in parse_terms(text, ctx):
-        if any(dmono):
-            raise ParseError("derivative factors are not allowed in a function")
-        total = total + fn
-    return total
+    def functions():
+        for fn, dmono in parse_terms(text, ctx):
+            if any(dmono):
+                raise ParseError("derivative factors are not allowed in a function")
+            yield fn, dmono
+    return sum_terms(functions(), ctx).get((0,) * ctx.n, SuperFn.zero(ctx))

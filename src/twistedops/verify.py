@@ -264,23 +264,30 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
     return timed_check("delta-antimap", body)
 
 
+@per_algebra
+def _fourier_link(J: JordanAlgebra) -> None:
+    """fourier(-eta^x) = pi^x for every basis generator, at formal twist,
+    checked once per algebra; VerifyError carries the first mismatch."""
+    for i in range(J.n):
+        x = J.basis_element(i)
+        lhs = weyl.fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
+        if lhs != rep.pi_plus(J, x):
+            raise VerifyError(f"plus side differs at b{i+1}")
+        lhs = weyl.fourier(rep.eta_minus(J, x).scale(Scalar(-1)))
+        rhs = rep.pi_minus(J, x)
+        if lhs != rhs:
+            raise VerifyError(f"minus side residual at b{i+1}: {diffop_str(lhs - rhs)}")
+
+
 def check_fourier(J: JordanAlgebra) -> CheckResult:
     """fourier(-eta^x) = pi^x for every basis generator, at formal twist.
 
     A real cross-check: pi^y is built from {y, b^j, q} and eta^y from
-    {p, y, p}, two different Jordan expressions.
+    {p, y, p}, two different Jordan expressions.  The link is formed once
+    per algebra and shared with :func:`check_closure`, which works with
+    the eta family whenever it holds.
     """
-    def body():
-        for i in range(J.n):
-            x = J.basis_element(i)
-            lhs = weyl.fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
-            if lhs != rep.pi_plus(J, x):
-                raise VerifyError(f"plus side differs at b{i+1}")
-            lhs = weyl.fourier(rep.eta_minus(J, x).scale(Scalar(-1)))
-            rhs = rep.pi_minus(J, x)
-            if lhs != rhs:
-                raise VerifyError(f"minus side residual at b{i+1}: {diffop_str(lhs - rhs)}")
-    return timed_check("fourier-consistency", body)
+    return timed_check("fourier-consistency", lambda: _fourier_link(J))
 
 
 def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> CheckResult:
@@ -292,11 +299,26 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
     for every K in it.  [K, K'] needs no check: for K' = [P_c, M_d],
     Jacobi gives [K, K'] = [[K, P_c], M_d] + [P_c, [K, M_d]], and both
     terms lie in span{[P_i, M_j]}, the K-span by construction.
+
+    Route: when the Fourier link of :func:`check_fourier` holds, every
+    bracket is taken on the u-side, with eta_plus(b_a) and eta_minus(b_b)
+    in place of P_a and M_b.  There they are first-order fields with
+    polynomial coefficients, where M_b is second order with ``SuperFn``
+    ones, so the brackets are much cheaper.  fourier is a linear
+    anti-isomorphism, P_a = fourier(-eta_plus(b_a)) and, substituting the
+    twist on both sides of the link, M_b = fourier(-eta_minus(b_b)) at
+    ``lam_value`` too; so [P_a, M_b] = -fourier([eta_plus(b_a),
+    eta_minus(b_b)]), and the dimensions, the span members and the first
+    failing pair or (K, i) correspond one to one, with the same witness.
+    When the link fails, the brackets are taken on the z-side.
     """
     def body():
-        plus = [rep.pi_plus(J, J.basis_element(i)) for i in range(J.n)]
-        minus = [rep.pi_minus(J, J.basis_element(i), lam_value) for i in range(J.n)]
-        minus_formal = [rep.pi_minus(J, J.basis_element(i)) for i in range(J.n)]
+        u_side = check_fourier(J).ok
+        plus_of, minus_of = (rep.eta_plus, rep.eta_minus) if u_side else (rep.pi_plus, rep.pi_minus)
+        basis = [J.basis_element(i) for i in range(J.n)]
+        plus = [plus_of(J, b) for b in basis]
+        minus = [minus_of(J, b, lam_value) for b in basis]
+        minus_formal = [minus_of(J, b) for b in basis]
         # the two wings are abelian (exact, formal twist)
         for i in range(J.n):
             for j in range(i + 1, J.n):
@@ -304,7 +326,11 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
                     raise VerifyError(f"[b{i+1}+, b{j+1}+] != 0")
                 if not minus_formal[i].commutator(minus_formal[j]).is_zero():
                     raise VerifyError(f"[b{i+1}-, b{j+1}-] != 0")
-        ops, dim = rep.k_span(J, lam_value)
+        if u_side:
+            span = rep.SpanBasis(P.commutator(M) for P in plus for M in minus)
+            ops, dim = span.members, span.dimension
+        else:
+            ops, dim = rep.k_span(J, lam_value)
         want = rep.expected_k_dimension(J)
         if dim != want:
             raise VerifyError(f"span dimension {dim}, expected {want}")

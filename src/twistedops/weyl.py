@@ -44,6 +44,7 @@ from .ring import (
     _zpoly,
     grade_components,
     parse_terms,
+    sum_terms,
     superfn_terms,
     z_degree,
     _coeff_groups,
@@ -489,7 +490,4 @@ def diffop_str(A: DiffOp) -> str:
 
 
 def parse_diffop(text: str, alg: JordanAlgebra) -> DiffOp:
-    out = DiffOp.zero(alg)
-    for fn, dmono in parse_terms(text, alg.ring):
-        out = out + DiffOp(alg, {dmono: fn})
-    return out
+    return DiffOp(alg, sum_terms(parse_terms(text, alg.ring), alg.ring))

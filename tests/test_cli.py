@@ -28,6 +28,15 @@ def test_verify_all_rank_one(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("selector", ["full:2", "spin:4"])
+def test_verify_closure_alone_reports_one_check(capsys, selector):
+    # closure forms the Fourier link it routes on, but reports only itself
+    code, out, _ = run(capsys, "verify", "--algebra", selector, "--suite", "closure", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and not validate_report_dict(report)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [("closure", "pass")]
+
+
 def test_verify_critical_text(capsys):
     code, out, _ = run(capsys, "verify", "--algebra", "sym:2", "--suite", "critical",
                        "--format", "text")

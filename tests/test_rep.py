@@ -9,7 +9,7 @@ import pytest
 
 from twistedops import rep
 from twistedops.jordan import JElem, PrimitiveIdempotentError, from_selector
-from twistedops.ring import LAMBDA, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE, ZERO
+from twistedops.ring import LAMBDA, DegreeError, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE, ZERO
 from twistedops.weyl import DiffOp, PolyOpPlus, fourier
 
 from test_jordan import corrupt_structure
@@ -246,6 +246,20 @@ def test_eta_rank_one(full1):
     assert eta_m == want
 
 
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_eta_minus_of_an_element_with_polynomial_coordinates(selector):
+    # the rows are summed with ZPoly weights as J.triple sums them
+    J = from_selector(selector)
+    n = J.n
+    z = lambda i: ZPoly.coord(n, i)
+    y = JElem(((z(0).scale(sc(2)) + z(n - 1).scale(sc(-3)), Scalar(0, 1)) + (ZERO,) * (n - 3) + (z(1) * z(1),)))
+    p = J.generic_elem()
+    for lam in (None, rep.GENERIC_TWIST):
+        terms = {tuple(int(t == k) for t in range(n)): c for k, c in enumerate(J.triple(p, y, p).coords)}
+        terms[(0,) * n] = J.linear_form(y).scale(_twist(lam).scale(Scalar(2 * J.m)))
+        assert rep.eta_minus(J, y, lam) == PolyOpPlus(J, terms)
+
+
 def test_eta_minus_vector_part_at_unit(sym2, spin3):
     # the quadratic field evaluated at the unit returns the generator itself
     for J in (sym2, spin3):
@@ -294,6 +308,32 @@ def test_k_span_rank_one(full1):
         (0,): mono_fn(full1, (0,), Scalar(2 * twist)),
     })
     assert ops[0] == want
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4", "sym:3"])
+def test_span_of_u_side_operators_matches_their_fourier_images(selector):
+    # ZPoly coefficients are read as SuperFn ones are: the eta commutators,
+    # with dependent combinations appended, enlarge the span exactly when
+    # their images under fourier do
+    J = from_selector(selector)
+    plus = [rep.eta_plus(J, J.basis_element(i)) for i in range(J.n)]
+    minus = [rep.eta_minus(J, J.basis_element(i), rep.GENERIC_TWIST) for i in range(J.n)]
+    ops = [P.commutator(M) for P in plus for M in minus]
+    ops += [ops[0] + ops[-1], ops[1].scale(sc(3)) - ops[2], ops[3].scale(Scalar(0, 1))]
+    u_side, z_side = rep.SpanBasis(), rep.SpanBasis()
+    assert [u_side.add(op) for op in ops] == [z_side.add(fourier(op)) for op in ops]
+    assert u_side.dimension == z_side.dimension == rep.expected_k_dimension(J)
+    assert all(u_side.contains(op) for op in ops)
+    assert not u_side.contains(plus[0]) and not z_side.contains(fourier(plus[0]))
+
+
+def test_span_refuses_a_twist_dependent_coefficient_on_either_side(sym2):
+    y = sym2.basis_element(0)
+    for op in (rep.eta_minus(sym2, y), rep.pi_minus(sym2, y)):
+        with pytest.raises(DegreeError):
+            rep.SpanBasis([op])
+    for op in (rep.eta_minus(sym2, y, 0), rep.pi_minus(sym2, y, 0)):
+        assert rep.SpanBasis([op]).dimension == 1
 
 
 @pytest.mark.parametrize("selector,expected", [

@@ -289,3 +289,107 @@ def test_a_long_malformed_term_fails_fast(full2):
     with pytest.raises(ParseError, match=re.escape("'*x'")):
         parse_diffop("(1)" + "*z1" * 30000 + "*x", full2)
     assert time.perf_counter() - start < 10
+
+
+# ---------------------------------------------------------------------------
+# Sums: the terms of each derivative index are summed once
+# ---------------------------------------------------------------------------
+
+def _parse_diffop_by_addition(text, alg):
+    """Reference: each term added to the whole running sum, in order."""
+    from twistedops.weyl import DiffOp
+
+    out = DiffOp.zero(alg)
+    for fn, dmono in ring.parse_terms(text, alg.ring):
+        out = out + DiffOp(alg, {dmono: fn})
+    return out
+
+
+def _parse_superfn_by_addition(text, ctx):
+    total = SuperFn.zero(ctx)
+    for fn, dmono in ring.parse_terms(text, ctx):
+        if any(dmono):
+            raise ParseError("derivative factors are not allowed in a function")
+        total = total + fn
+    return total
+
+
+def _fractions(fn):
+    """The stored fractions of both parts: numerator and power of F, unreduced."""
+    return [(part._num, part._k) for part in (fn.ev, fn.od)]
+
+
+def _summed(parse, text, arg):
+    """The value, its text and its stored fractions, or the error raised."""
+    try:
+        value = parse(text, arg)
+    except ring.RingError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, SuperFn):
+        return value, str(value), _fractions(value)
+    return value, diffop_str(value), {d: _fractions(c) for d, c in value.terms.items()}
+
+
+# terms that repeat, cancel, change the power of F and now and then carry a
+# d-factor, a malformed factor or an exponent whose lift by F overflows
+_sum_term = st.tuples(
+    st.sampled_from(["(1)", "(-1)", "(2)", "(-1/2)", "(1/2)", "(1)(L)", "(-1)(L)", "(1+1i)", "(0)"]),
+    st.sampled_from(["", "*z1", "*z1", "*z2^2", "*z1*z4", "*z3^3"] * 3 + ["*z1^32766", "*z4^32767"]),
+    st.sampled_from(["", "", " * w"]),
+    st.sampled_from(["", "", " / F", " / F^2", " / F^3"]),
+    st.sampled_from(["", "", "", " * d1", " * d2^2", " * d1*d3"] * 3 + ["*x"]),
+).map("".join)
+_long_sums = st.lists(_sum_term, min_size=1, max_size=14).map(" + ".join)
+
+
+@given(text=_long_sums)
+@settings(max_examples=400, deadline=None)
+def test_sums_per_index_match_adding_each_term(full2, text):
+    # same value, text and stored fraction as adding term by term, and the
+    # same first error: ParseError, or DegreeError where a lift overflows
+    assert _summed(parse_diffop, text, full2) == _summed(_parse_diffop_by_addition, text, full2), text
+    ctx = full2.ring
+    assert _summed(ring.parse_superfn, text, ctx) == _summed(_parse_superfn_by_addition, text, ctx), text
+
+
+def test_a_lift_that_overflows_raises_as_adding_each_term_does(full2):
+    # z1^32766 F has degree 32768: a z1^32766 cancelled before the / F term
+    # arrives is never lifted, one still in the running sum is, in either order
+    ctx = full2.ring
+    quiet = "(1)*z1^32766 + (-1)*z1^32766 + (1) / F"
+    assert ring.parse_superfn(quiet, ctx) == _parse_superfn_by_addition(quiet, ctx) != SuperFn.zero(ctx)
+    for loud in ("(1)*z1^32766 + (1) / F", "(1) / F + (1)*z1^32766 + (-1)*z1^32766"):
+        for parse in (ring.parse_superfn, _parse_superfn_by_addition):
+            with pytest.raises(ring.DegreeError):
+                parse(loud, ctx)
+
+
+def _count_additions(monkeypatch):
+    from twistedops.weyl import DiffOp
+
+    calls = []
+    for cls in (DiffOp, SuperFn):
+        original = cls.__add__
+        monkeypatch.setattr(cls, "__add__", lambda a, b, original=original: calls.append(a) or original(a, b))
+    return calls
+
+
+def test_a_long_sum_over_one_index_adds_once_per_index(monkeypatch, full2):
+    # 20,000 terms over one d-monomial, even and odd, a few of them
+    # repeated: at most one operator or SuperFn addition per index
+    text = " + ".join(
+        f"({i % 5 + 1})*z1^{i % 100 + 1}*z2^{i // 100 % 190 + 1}" + (" * w" if i % 3 else "") + " * d2"
+        for i in range(20000)
+    )
+    calls = _count_additions(monkeypatch)
+    start = time.perf_counter()
+    op = parse_diffop(text, full2)
+    assert len(calls) <= 1
+    again = parse_diffop(diffop_str(op), full2)
+    assert time.perf_counter() - start < 10
+    assert len(calls) <= 2 and set(op.terms) == {(0, 1, 0, 0)}
+    assert again == op and diffop_str(again) == diffop_str(op)
+    function = text.replace(" * d2", "")
+    calls.clear()
+    fn = ring.parse_superfn(function, full2.ring)
+    assert len(calls) <= 1 and fn == op.terms[(0, 1, 0, 0)]

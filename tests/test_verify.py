@@ -375,6 +375,81 @@ def test_closure_agrees_with_the_kk_loop(selector):
         assert with_loop == ok, (selector, lam)
 
 
+def z_side_closure(J, lam_value=rep.GENERIC_TWIST) -> verify.CheckResult:
+    """Reference: the closure body that brackets the z-side operators
+    pi_plus and pi_minus, as it was before the u-side route."""
+    def body():
+        plus = [rep.pi_plus(J, J.basis_element(i)) for i in range(J.n)]
+        minus = [rep.pi_minus(J, J.basis_element(i), lam_value) for i in range(J.n)]
+        minus_formal = [rep.pi_minus(J, J.basis_element(i)) for i in range(J.n)]
+        for i in range(J.n):
+            for j in range(i + 1, J.n):
+                if not plus[i].commutator(plus[j]).is_zero():
+                    raise verify.VerifyError(f"[b{i+1}+, b{j+1}+] != 0")
+                if not minus_formal[i].commutator(minus_formal[j]).is_zero():
+                    raise verify.VerifyError(f"[b{i+1}-, b{j+1}-] != 0")
+        ops, dim = rep.k_span(J, lam_value)
+        want = rep.expected_k_dimension(J)
+        if dim != want:
+            raise verify.VerifyError(f"span dimension {dim}, expected {want}")
+        plus_span, minus_span = rep.SpanBasis(plus), rep.SpanBasis(minus)
+        for K in ops:
+            for i in range(J.n):
+                if not plus_span.contains(K.commutator(plus[i])):
+                    raise verify.VerifyError(f"[K, b{i+1}+] leaves the plus wing")
+                if not minus_span.contains(K.commutator(minus[i])):
+                    raise verify.VerifyError(f"[K, b{i+1}-] leaves the minus wing")
+        return f"dimension {dim}"
+    return verify.timed_check("closure", body)
+
+
+def untimed(result: verify.CheckResult) -> tuple:
+    return result.name, result.status, result.witness
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4", "sym:3", "spin:6", "full:3"])
+def test_closure_on_the_u_side_matches_the_z_side(monkeypatch, selector):
+    # the link holds on a clean algebra, so closure brackets the eta
+    # fields and never spans the pi operators; the result is the z-side one
+    J = from_selector(selector)
+    assert verify.check_fourier(J).ok
+    for lam in (rep.GENERIC_TWIST, Fraction(0), Fraction(1, 2), *rep.critical_pair(J)):
+        want = untimed(z_side_closure(J, lam))
+        k_spans = count_calls(monkeypatch, "k_span", rep)
+        etas = count_calls(monkeypatch, "eta_minus", rep)
+        assert untimed(verify.check_closure(J, lam)) == want, lam
+        assert want[1] == "pass" and not k_spans and etas, lam
+        monkeypatch.undo()
+
+
+def test_the_u_side_route_reports_the_z_side_dimension_failure(monkeypatch):
+    for selector, witness in (("sym:3", "span dimension 9, expected 10"),
+                              ("full:2", "span dimension 7, expected 8"),
+                              ("spin:4", "span dimension 7, expected 8")):
+        J = from_selector(selector)
+        expected = rep.expected_k_dimension
+        monkeypatch.setattr(rep, "expected_k_dimension", lambda J: expected(J) + 1)
+        k_spans = count_calls(monkeypatch, "k_span", rep)
+        assert untimed(verify.check_closure(J)) == ("closure", "fail", witness)
+        assert verify.check_fourier(J).ok and not k_spans
+        assert untimed(z_side_closure(J)) == ("closure", "fail", witness)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("selector,commutative", [("sym:2", True), ("sym:2", False), ("spin:2", True),
+                                                  ("full:2", True)])
+def test_closure_on_a_corrupted_copy_takes_the_z_side(monkeypatch, selector, commutative):
+    # the link fails, so closure brackets the pi operators and builds no eta
+    # field; the minus wing is not abelian, the z-side witness
+    J = corrupt_structure(from_selector(selector), commutative=commutative)
+    assert not verify.check_fourier(J).ok
+    etas = count_calls(monkeypatch, "eta_minus", rep)
+    pis = count_calls(monkeypatch, "pi_minus", rep)
+    result = verify.check_closure(J)
+    assert etas == [] and len(pis) == 2 * J.n
+    assert untimed(result) == untimed(z_side_closure(J)) == ("closure", "fail", "[b1-, b2-] != 0")
+
+
 @pytest.mark.parametrize("selector", ALGEBRAS)
 def test_module_block(selector):
     assert verify.check_h_module(from_selector(selector)).ok
@@ -608,15 +683,15 @@ def test_module_certificate_needs_polynomial_twist_free_coefficients(sym2, monke
     assert res.witness.startswith("pi^y at 1/3 has a denominator or L at y=b1")
 
 
-def count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name, module=verify):
     calls = []
-    original = getattr(verify, name)
+    original = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 

@@ -290,6 +290,42 @@ def test_fourier_anti_multiplicative(sym2):
         assert fourier(A.compose(B)) == fourier(B).compose(fourier(A))
 
 
+def random_polyop(J, rng):
+    """A u-side operator of order at most 2: a few terms, each coefficient a
+    few monomials of degree at most 2 with Gaussian rational scalars, some
+    of them times 1 + L or L^2."""
+    n = J.n
+    multi = lambda top: tuple(rng.choice([i for i in range(n)] * 2 + [None]) for _ in range(top))
+    index = lambda picks: tuple(sum(1 for p in picks if p == k) for k in range(n))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        coeff = ZPoly.zero(n)
+        for _ in range(rng.randint(1, 3)):
+            c = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-2, 2)))
+            twist = rng.choice([None, LambdaPoly((ONE, ONE)), LambdaPoly((Scalar(0), Scalar(0), ONE))])
+            coeff = coeff + ZPoly.monomial(n, index(multi(2)), c if twist is None else twist.scale(c))
+        beta = index(multi(2))
+        terms[beta] = terms.get(beta, ZPoly.zero(n)) + coeff
+    return PolyOpPlus(J, terms)
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_fourier_is_a_linear_anti_homomorphism(selector):
+    # the lemma the u-side closure route rests on: brackets, spans and
+    # containments carry over to the z-side through fourier
+    from twistedops.jordan import from_selector
+
+    J = from_selector(selector)
+    rng = random.Random(sum(map(ord, selector)))
+    for _ in range(8):
+        A, B = random_polyop(J, rng), random_polyop(J, rng)
+        assert max(sum(beta) for beta in A.terms) <= 2
+        FA, FB = fourier(A), fourier(B)
+        assert fourier(A.compose(B)) == FB.compose(FA)
+        assert fourier(A + B) == FA + FB
+        assert fourier(A.commutator(B)) == FB.commutator(FA)
+
+
 def test_fourier_builds_the_basis_forms_once_per_algebra(monkeypatch):
     # the n forms tr(b_i o q) are built on the first transform and read
     # back on every later one; the stored forms do not keep J alive
@@ -628,15 +664,24 @@ def test_closure_takes_no_derivative_of_zero_and_a_repeat_takes_none(monkeypatch
 
     J = jordan.make_full(2)
     zero_seen = []
-    original = SuperFn.derivative
 
-    def spy(self, i):
-        zero_seen.append(self.is_zero())
-        return original(self, i)
+    def spy_on(cls):
+        original = cls.derivative
 
-    monkeypatch.setattr(SuperFn, "derivative", spy)
+        def spy(self, i):
+            zero_seen.append(self.is_zero())
+            return original(self, i)
+
+        monkeypatch.setattr(cls, "derivative", spy)
+
+    # the Fourier link holds, so closure brackets the u-side fields, whose
+    # coefficients are ZPolys
+    assert verify.check_fourier(J).ok
+    spy_on(ZPoly)
     assert verify.check_closure(J).ok
     assert zero_seen and not any(zero_seen)  # a zero partial is remembered, never differentiated
+    monkeypatch.undo()
+    spy_on(SuperFn)
     P, M = rep.pi_plus(J, J.basis_element(1)), rep.pi_minus(J, J.basis_element(2))
     zero_seen.clear()
     first = P.commutator(M)
