@@ -270,17 +270,32 @@ def c_component(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
     return _bidifferential(phi, psi, p)
 
 
+def _moyal_weight(a1: int, b1: int, a2: int, b2: int, p: int) -> int:
+    """The weight sum_t (-1)^t C(p,t) (b1)_(p-t) (a1)_t (a2)_(p-t) (b2)_t of zeta^a1 xi^b1, zeta^a2 xi^b2 in C_p.
+
+    Only t in [max(0, p-b1, p-a2), min(p, a1, b2)] has no vanishing factor; each term there
+    is the one before times -(p-t)(a1-t)(b2-t) / ((t+1)(b1-p+t+1)(a2-p+t+1)), exactly.
+    """
+    first, last = max(0, p - b1, p - a2), min(p, a1, b2)
+    if first > last:
+        return 0
+    term = ((-1) ** first * comb(p, first)
+            * perm(b1, p - first) * perm(a1, first) * perm(a2, p - first) * perm(b2, first))
+    n = term
+    for t in range(first, last):
+        term = -term * (p - t) * (a1 - t) * (b2 - t) // ((t + 1) * (b1 - p + t + 1) * (a2 - p + t + 1))
+        n += term
+    return n
+
+
 def _bidifferential(phi: PolyZX, psi: PolyZX, p: int) -> PolyZX:
     """The bidifferential sum of :func:`c_component`, for any phi, psi and p >= 0."""
     den, drop = factorial(p) << p, p * _STEP
-    signed = [(-1) ** t * comb(p, t) for t in range(p + 1)]
     acc: dict = {}
     for k1, c1 in phi.packed.items():
         a1, b1 = _ab(k1)
         for k2, c2 in psi.packed.items():
-            a2, b2 = _ab(k2)
-            n = sum(s * perm(b1, p - t) * perm(a1, t) * perm(a2, p - t) * perm(b2, t)
-                    for t, s in enumerate(signed))
+            n = _moyal_weight(a1, b1, *_ab(k2), p)
             if n:
                 mono = k1 + k2 - drop
                 if mono & _GUARDS:
@@ -356,17 +371,16 @@ def pairing_table(max_power: int = 6) -> list[dict]:
 
 
 def component_table(max_degree: int = 4) -> list[dict]:
-    """Graded components C_p for all monomial pairs up to a total degree."""
-    monos = [(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
+    """Graded components C_p for all monomial pairs up to a total degree; each monomial and its text built once."""
+    monos = [PolyZX.monomial(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
+    entries = [(m, m.poly_degree(), polyzx_str(m)) for m in monos]
     rows = []
-    for a1, b1 in monos:
-        for a2, b2 in monos:
-            phi = PolyZX.monomial(a1, b1)
-            psi = PolyZX.monomial(a2, b2)
+    for phi, d1, phi_text in entries:
+        for psi, d2, psi_text in entries:
             comps = {}
-            for p in range(min(a1 + b1, a2 + b2) + 1):
+            for p in range(min(d1, d2) + 1):
                 c = _bidifferential(phi, psi, p)  # 0 <= 2p <= the total degree
                 if not c.is_zero():
                     comps[p] = polyzx_str(c)
-            rows.append({"phi": polyzx_str(phi), "psi": polyzx_str(psi), "components": comps})
+            rows.append({"phi": phi_text, "psi": psi_text, "components": comps})
     return rows

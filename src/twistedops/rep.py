@@ -128,11 +128,15 @@ def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None =
     factor 2.  The second-order part is linear in y, so it is
     sum_k y_k row_k with the rows of the basis elements b_k, built once
     per algebra.  ``lam`` defaults to the formal parameter; pass an int,
-    a Fraction or a LambdaPoly to specialize.
+    a Fraction or a LambdaPoly to specialize.  A coordinate y_k may be a
+    ZPoly, as in J.triple; it multiplies the row's coefficients.
     """
     op = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
     for row, yk in zip(_second_order_rows(J), y.coords):
-        if not yk.is_zero():
+        if isinstance(yk, ZPoly):
+            fk = SuperFn.from_zpoly(J.ring, yk)
+            op = op + DiffOp(J, {beta: c * fk for beta, c in row.terms.items()})
+        elif not yk.is_zero():
             op = op + (row if yk == ONE else row.scale(yk))
     return op
 

@@ -393,10 +393,12 @@ class ZPoly(_ZPolySlots, Frozen):
 
     @staticmethod
     def monomial(n: int, mono: tuple, c: Scalar | LambdaPoly = ONE) -> "ZPoly":
-        """``c * z^mono``; a LambdaPoly ``c`` spreads over the powers of L."""
+        """``c * z^mono``; a LambdaPoly ``c`` spreads over the powers of L, a ZPoly in z raises TypeError."""
         mono = tuple(mono)
         if isinstance(c, Scalar):
             return ZPoly(n, {mono + (0,): c})
+        if not isinstance(c, ZPoly) or c.n:
+            raise TypeError(f"expected a Scalar or LambdaPoly coefficient, got {type(c).__name__}")
         return ZPoly(n, {mono + (key & FIELD_MASK,): v for key, v in c.packed.items()})
 
     # -- predicates --------------------------------------------------------

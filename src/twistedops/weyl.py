@@ -323,13 +323,13 @@ class DiffOp(_NormalOrdered):
 
     @staticmethod
     def directional(alg: JordanAlgebra, y: JElem) -> "DiffOp":
-        """The derivative along y: sum_i y_i d_i."""
+        """The derivative along y: sum_i y_i d_i; a coordinate y_i may be a ZPoly."""
         terms = {}
         for i, c in enumerate(alg._coords(y)):
             if c.is_zero():
                 continue
             idx = tuple(1 if j == i else 0 for j in range(alg.n))
-            terms[idx] = SuperFn.const(alg.ring, c)
+            terms[idx] = (SuperFn.from_zpoly if isinstance(c, ZPoly) else SuperFn.const)(alg.ring, c)
         return DiffOp(alg, terms)
 
     def apply(self, f: SuperFn) -> SuperFn:

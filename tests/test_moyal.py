@@ -469,6 +469,48 @@ def test_integer_kernel_matches_fraction_references(data):
         assert_same(dequantize(C), ref_reorder(C, Fraction(-1, 2), PolyZX))
 
 
+@given(*[st.integers(0, 12)] * 5)
+@settings(max_examples=400, deadline=None)
+def test_moyal_weight_matches_the_direct_sum(a1, b1, a2, b2, p):
+    # every t, including those where a falling factorial is 0: an empty range
+    # gives 0, and a range may start above t = 0
+    direct = sum((-1) ** t * comb(p, t) * perm(b1, p - t) * perm(a1, t) * perm(a2, p - t) * perm(b2, t)
+                 for t in range(p + 1))
+    assert moyal._moyal_weight(a1, b1, a2, b2, p) == direct
+
+
+def test_moyal_weight_edge_ranges():
+    assert moyal._moyal_weight(0, 0, 0, 0, 0) == 1
+    assert moyal._moyal_weight(0, 5, 5, 0, 3) == perm(5, 3) ** 2  # t = 0 only
+    assert moyal._moyal_weight(1, 0, 0, 1, 1) == -1                # t = 1 only
+    assert moyal._moyal_weight(0, 0, 3, 3, 1) == 0                 # no t survives
+
+
+def ref_component_table(max_degree):
+    """The per-pair table: fresh monomials and their text for every pair."""
+    monos = [(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
+    rows = []
+    for a1, b1 in monos:
+        for a2, b2 in monos:
+            phi = PolyZX.monomial(a1, b1)
+            psi = PolyZX.monomial(a2, b2)
+            comps = {}
+            for p in range(min(a1 + b1, a2 + b2) + 1):
+                c = moyal._bidifferential(phi, psi, p)
+                if not c.is_zero():
+                    comps[p] = moyal.polyzx_str(c)
+            rows.append({"phi": moyal.polyzx_str(phi), "psi": moyal.polyzx_str(psi), "components": comps})
+    return rows
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+def test_component_table_matches_the_per_pair_table(max_degree):
+    got, want = moyal.component_table(max_degree), ref_component_table(max_degree)
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert row == ref
+
+
 def test_integer_kernel_cancels_into_one_key():
     # in C_1(f, f) the pairs (zeta, xi) and (xi, zeta) cancel on the constant; in
     # C_1(f, g) they add up; dequantizing w d + 1/2 cancels the constant

@@ -260,6 +260,19 @@ def test_eta_minus_of_an_element_with_polynomial_coordinates(selector):
         assert rep.eta_minus(J, y, lam) == PolyOpPlus(J, terms)
 
 
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_pi_minus_of_the_generic_element_is_linear_in_its_coordinates(selector):
+    # pi^q = sum_k z_k pi^(b_k): each ZPoly coordinate multiplies its row and its d_k
+    J = from_selector(selector)
+    n = J.n
+    for lam in (None, rep.GENERIC_TWIST):
+        want = DiffOp.zero(J)
+        for k in range(n):
+            z_k = DiffOp.mult(J, SuperFn.from_zpoly(J.ring, ZPoly.coord(n, k)))
+            want = want + z_k.compose(rep.pi_minus(J, J.basis_element(k), lam))
+        assert rep.pi_minus(J, J.generic_elem(), lam) == want
+
+
 def test_eta_minus_vector_part_at_unit(sym2, spin3):
     # the quadratic field evaluated at the unit returns the generator itself
     for J in (sym2, spin3):

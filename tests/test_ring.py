@@ -225,6 +225,18 @@ def test_zpoly_twist_is_the_last_variable():
     assert grade(SuperFn.from_zpoly(ctx, f * f)) == 2  # L has Euler degree 0
 
 
+def test_zpoly_coefficient_in_z_is_refused():
+    # only the L field of its keys would be read: the coordinate z_1 became the constant 1
+    z = ZPoly.coord(3, 0)
+    ctx = RingContext(3, z, 1)
+    for call in (lambda: ZPoly.monomial(3, (0, 0, 0), z), lambda: ZPoly.const(3, z),
+                 lambda: ZPoly.one(3).scale(z), lambda: SuperFn.one(ctx).scale(z)):
+        with pytest.raises(TypeError):
+            call()
+    assert ZPoly.monomial(3, (1, 0, 0), LAMBDA) == z * ZPoly.const(3, LAMBDA)
+    assert ZPoly.const(3, ZPoly(0, {(2,): ONE})) == ZPoly.const(3, LAMBDA * LAMBDA)
+
+
 # ---------------------------------------------------------------------------
 # Sparse polynomials and localized fractions
 # ---------------------------------------------------------------------------
