@@ -99,7 +99,8 @@ def _second_order_rows(J: JordanAlgebra) -> tuple:
     :meth:`JordanAlgebra._combine`); b_k o q and b^j o q are formed once.
     A row is one sum of the pairs (e_j, {b_k, b^j, q}) over a table that
     sends cell (j, i) to the slot of beta = e_i + e_j, slots in first-seen
-    order, so each coefficient becomes a ZPoly once.
+    order, so each coefficient becomes a ZPoly once, and a nonzero one a
+    SuperFn once.
     """
     fq = J._form(J.generic_elem())
     n = J.n
@@ -116,7 +117,8 @@ def _second_order_rows(J: JordanAlgebra) -> tuple:
         pairs = tuple((e, J._triple_form(b, d, fq, fac=b_q, fbc=d_q))
                       for e, d, d_q in zip(units, duals, duals_q))
         coeffs = J._result(J._combine(pairs, (-1,) * n, table)).coords
-        rows.append(DiffOp(J, {beta: SuperFn.from_zpoly(J.ring, c) for beta, c in zip(slots, coeffs)}))
+        rows.append(DiffOp(J, {beta: SuperFn.from_zpoly(J.ring, c)
+                               for beta, c in zip(slots, coeffs) if not c.is_zero()}))
     return tuple(rows)
 
 

@@ -22,15 +22,17 @@ coefficients (derivatives count zero).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from math import comb, inf, prod
-from operator import add
+from operator import add, or_
 from typing import Mapping
 
 from .jordan import JordanAlgebra, JElem
 from .report import per_algebra
 from .ring import (
     ContextMismatchError,
+    FIELD,
+    FIELD_MASK,
     Frozen,
     IUNIT,
     LambdaPoly,
@@ -115,16 +117,33 @@ def _partial(cache: dict, idx: MultiIndex):
     return val
 
 
-def _degree_bound(c) -> float:
-    """The z-degree of ``c`` when it is a polynomial: a ZPoly, or a SuperFn
-    with no w and no F in its denominator; every partial of higher order
-    is zero.  Infinity for any other coefficient."""
+def _polynomial(c) -> ZPoly | None:
+    """``c`` as a ZPoly when it is a polynomial: a ZPoly, or a SuperFn with
+    no w and no F in its denominator.  None for any other coefficient."""
     if isinstance(c, SuperFn):
-        if c.od._num.packed or c.ev._k:
-            return inf
-        c = c.ev._num
-    n = c.n
-    return max((z_degree(n, key) for key in c.packed), default=0)
+        return None if c.od._num.packed or c.ev._k else c.ev._num
+    return c
+
+
+def _degree_bound(c) -> float:
+    """The z-degree of ``c`` when it is a polynomial; every partial of
+    higher order is zero.  Infinity for any other coefficient."""
+    p = _polynomial(c)
+    if p is None:
+        return inf
+    return max((z_degree(p.n, key) for key in p.packed), default=0)
+
+
+def _support(c) -> int:
+    """The bit set of the z-variables that ``c`` involves, bit i for z_(i+1),
+    when it is a polynomial: the fields of the OR of its packed keys.  A
+    partial along any other variable is zero.  Every bit (-1) for any
+    other coefficient, since w and F involve them all."""
+    p = _polynomial(c)
+    if p is None:
+        return -1
+    n, keys = p.n, reduce(or_, p.packed, 0)
+    return sum(1 << i for i in range(n) if keys >> (FIELD * (n - i)) & FIELD_MASK)
 
 
 class _OperatorSlots:
@@ -144,13 +163,15 @@ class _NormalOrdered(_OperatorSlots, Frozen):
 
     * ``_by_delta``, once the operator is composed on the left of another:
       its Leibniz rows grouped by delta, a tuple of
-      ``(delta, ((c_beta, C(beta, delta), beta - delta), ...))`` over its
-      own terms, delta = 0 first.
+      ``(delta, (order, bits, ((c_beta, C(beta, delta), beta - delta), ...)))``
+      over its own terms, delta = 0 first, where ``order`` is |delta| and
+      ``bits`` the bit set of the variables delta differentiates.
     * ``_partials``, once the operator is composed on the right of
-      another: per index gamma, the degree bound of c_gamma and the
+      another: per index gamma, the degree bound and the support of
+      c_gamma (see :func:`_degree_bound` and :func:`_support`) and the
       partials d^delta c_gamma of its own coefficients that Leibniz rows
-      have asked for (``{gamma: (bound, {delta: partial or None})}``,
-      None for a zero partial).
+      have asked for (``{gamma: (bound, support, {delta: partial or
+      None})}``, None for a zero partial).
 
     Both depend on the terms alone, the operator is immutable, and the
     slots live and die with their operator, so a fresh operator, even
@@ -215,7 +236,8 @@ class _NormalOrdered(_OperatorSlots, Frozen):
             for beta, a in self.terms.items():
                 for delta, coeff, rest in _leibniz(beta):
                     groups.setdefault(delta, []).append((a, coeff, rest))
-            rows = tuple((delta, tuple(group)) for delta, group in groups.items())
+            rows = tuple((delta, (sum(delta), sum(1 << i for i, e in enumerate(delta) if e), tuple(group)))
+                         for delta, group in groups.items())
             object.__setattr__(self, "_by_delta", rows)
         return rows
 
@@ -227,8 +249,9 @@ class _NormalOrdered(_OperatorSlots, Frozen):
         rows of self's ``_by_delta`` index for that delta, so each partial
         d^delta b_gamma, kept on ``other``, is looked up once per
         (gamma, delta), and a zero one skips all of its rows at once.  A
-        delta of order above the degree bound of b_gamma (see
-        :func:`_degree_bound`) is skipped without a lookup.
+        delta of order above the degree bound of b_gamma, or along a
+        variable outside its support (see :func:`_degree_bound` and
+        :func:`_support`), is skipped without a lookup.
         Entry 0 of the index is delta = 0, since every table of
         ``_leibniz`` starts there.
         """
@@ -237,15 +260,15 @@ class _NormalOrdered(_OperatorSlots, Frozen):
             cache = {}
             object.__setattr__(other, "_partials", cache)
         rows = self._delta_rows()[first:]
-        sizes = [sum(delta) for delta, _ in rows]
         out: dict = {}
         for gamma, b in other.terms.items():
             entry = cache.get(gamma)
             if entry is None:
-                entry = cache[gamma] = (_degree_bound(b), {(0,) * len(gamma): b})
-            bound, partials = entry
-            for (delta, group), size in zip(rows, sizes):
-                if size > bound:
+                entry = cache[gamma] = (_degree_bound(b), _support(b), {(0,) * len(gamma): b})
+            bound, support, partials = entry
+            absent = ~support
+            for delta, (order, bits, group) in rows:
+                if order > bound or bits & absent:
                     continue
                 db = _partial(partials, delta)
                 if db is None:
@@ -309,11 +332,17 @@ class DiffOp(_NormalOrdered):
         return DiffOp(alg, {(0,) * alg.n: SuperFn.one(alg.ring)})
 
     @staticmethod
+    @per_algebra
     def mult_w(alg: JordanAlgebra) -> "DiffOp":
+        """Multiplication by w.  Each algebra has one (see
+        :func:`~twistedops.report.per_algebra`), so its partials d^delta w
+        are derived once for the life of the algebra."""
         return DiffOp.mult(alg, SuperFn.w(alg.ring))
 
     @staticmethod
+    @per_algebra
     def mult_w_inv(alg: JordanAlgebra) -> "DiffOp":
+        """Multiplication by w^-1 = w/F, one per algebra like :meth:`mult_w`."""
         return DiffOp.mult(alg, SuperFn.w_inv(alg.ring))
 
     @staticmethod

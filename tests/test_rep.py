@@ -485,3 +485,20 @@ def test_second_order_rows_match_the_zpoly_accumulation(selector, corruption):
     rows, want = rep._second_order_rows(J), zpoly_accumulated_rows(J)
     assert rows == tuple(DiffOp(J, row) for row in want)
     assert [list(row.terms) for row in rows] == [[beta for beta, c in row.items() if not c.is_zero()] for row in want]
+
+
+def test_second_order_rows_build_a_superfn_for_each_nonzero_entry_only(monkeypatch):
+    J = from_selector("full:3")
+    built = []
+    original = SuperFn.from_zpoly
+
+    def spy(ctx, p):
+        built.append(p)
+        return original(ctx, p)
+
+    monkeypatch.setattr(SuperFn, "from_zpoly", staticmethod(spy))
+    rows = rep._second_order_rows(J)
+    monkeypatch.undo()
+    assert len(built) == sum(len(row.terms) for row in rows) == 81
+    assert not any(p.is_zero() for p in built)
+    assert rows == tuple(DiffOp(J, row) for row in zpoly_accumulated_rows(J))

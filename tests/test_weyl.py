@@ -716,15 +716,137 @@ def test_partials_past_the_degree_of_a_polynomial_coefficient_are_skipped(monkey
         for B in etas:
             assert A.compose(B) == leibniz_reference(A, B)
 
-    # on full:3 the bound takes derivatives that reading each zero partial
-    # off its lowered chain would take
-    def closure_derivatives():
+    # on full:3's z-side k-span the bound takes derivatives that reading
+    # each zero partial off its lowered chain would take: a second-order
+    # row of pi^y meets the linear form of pi^x, which involves every
+    # variable, so the support skip leaves those partials to the bound
+    def span_derivatives():
         calls = _derivative_calls(monkeypatch)
+        assert rep.k_span(jordan.make_full(3))[1] == 17
+        monkeypatch.undo()
+        return len(calls)
+
+    bounded = span_derivatives()
+    monkeypatch.setattr(weyl, "_degree_bound", lambda c: math.inf)
+    unbounded = span_derivatives()
+    assert bounded < unbounded
+
+
+def test_partials_along_absent_variables_are_skipped(monkeypatch):
+    from twistedops import jordan, verify, weyl
+
+    def closure_lookups():
+        calls = []
+        original = weyl._partial
+
+        def spy(cache, idx):
+            calls.append(idx)
+            return original(cache, idx)
+
+        monkeypatch.setattr(weyl, "_partial", spy)
         assert verify.check_closure(jordan.make_full(3)).ok
         monkeypatch.undo()
         return len(calls)
 
-    bounded = closure_derivatives()
-    monkeypatch.setattr(weyl, "_degree_bound", lambda c: math.inf)
-    unbounded = closure_derivatives()
-    assert bounded < unbounded
+    skipping = closure_lookups()
+    monkeypatch.setattr(weyl, "_support", lambda c: -1)  # every variable
+    every = closure_lookups()
+    assert skipping < every
+
+
+def _bits(n, monos):
+    return sum(1 << i for i in range(n) if any(mono[i] for mono in monos))
+
+
+@st.composite
+def sparse_operators(draw, J, polynomial):
+    """An operator on J of order at most 2 whose coefficients each omit a
+    random subset of the variables.  PolyOpPlus coefficients are ZPolys;
+    DiffOp coefficients are polynomial, odd (a multiple of w) or over a
+    power of F."""
+    n = J.n
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        beta = [0] * n
+        for _ in range(draw(st.integers(0, 2))):
+            beta[draw(st.integers(0, n - 1))] += 1
+        present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        num = ZPoly.zero(n)
+        for _ in range(draw(st.integers(1, 2))):
+            mono = tuple(draw(st.integers(0, 2)) if keep else 0 for keep in present)
+            lam = LambdaPoly([Scalar(draw(st.integers(-3, 3))) for _ in range(draw(st.integers(1, 2)))])
+            num = num + ZPoly.monomial(n, mono, lam)
+        if polynomial:
+            terms[tuple(beta)] = num
+            continue
+        kind = draw(st.sampled_from(["polynomial", "odd", "F power"]))
+        frac = LocFn(J.ring, num, 0 if kind == "polynomial" else draw(st.integers(0 if kind == "odd" else 1, 2)))
+        terms[tuple(beta)] = SuperFn.from_locfn(LocFn.zero(J.ring), frac) if kind == "odd" else SuperFn.from_locfn(frac)
+    return (PolyOpPlus if polynomial else DiffOp)(J, terms)
+
+
+@pytest.mark.parametrize("polynomial", [False, True], ids=["DiffOp", "PolyOpPlus"])
+@pytest.mark.parametrize("algebra", ["sym2", "full2", "spin4"])
+def test_support_skip_matches_leibniz_reference(request, algebra, polynomial):
+    from twistedops import weyl
+
+    J = request.getfixturevalue(algebra)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def check(data):
+        A = data.draw(sparse_operators(J, polynomial))
+        B = data.draw(sparse_operators(J, polynomial))
+        for c in list(A.terms.values()) + list(B.terms.values()):
+            if polynomial or (c.is_polynomial() and c.od.is_zero()):
+                num = c if polynomial else c.ev.num
+                assert weyl._support(c) == _bits(J.n, num.terms)
+            else:
+                assert weyl._support(c) == -1  # w and F involve every variable
+        AB, BA = leibniz_reference(A, B), leibniz_reference(B, A)
+        for got, want in ((A.compose(B), AB), (A.commutator(B), AB - BA), (B.compose(A), BA)):
+            assert got == want
+            assert str(got) == str(want)
+
+    check()
+
+
+def test_each_algebra_has_one_w_and_one_w_inverse_operator():
+    import dataclasses
+
+    from twistedops import jordan
+
+    J = jordan.make_full(2)
+    W, Winv = DiffOp.mult_w(J), DiffOp.mult_w_inv(J)
+    assert DiffOp.mult_w(J) is W and DiffOp.mult_w_inv(J) is Winv
+    assert W == DiffOp.mult(J, SuperFn.w(J.ring)) and Winv == DiffOp.mult(J, SuperFn.w_inv(J.ring))
+    rep.pi_minus(J, J.basis_element(0)).conjugate_by_w()
+    assert Winv._partials
+    skew = dataclasses.replace(J, m=J.m + 1)
+    assert DiffOp.mult_w(skew) is not W and DiffOp.mult_w_inv(skew) is not Winv
+    assert DiffOp.mult_w(skew)._partials is None and DiffOp.mult_w_inv(skew)._partials is None
+
+
+def test_w_conjugation_derives_the_partials_of_w_inverse_once(monkeypatch):
+    from twistedops import jordan, verify
+
+    J = jordan.from_selector("spin:6")
+    n = J.n
+    w_inv = SuperFn.w_inv(J.ring)
+    chain = [w_inv] + [w_inv.derivative(i) for i in range(n)]  # every partial of order 2 is taken of one of these
+    calls = []
+    original = SuperFn.derivative
+
+    def spy(self, i):
+        calls.append(any(self == f for f in chain))
+        return original(self, i)
+
+    monkeypatch.setattr(SuperFn, "derivative", spy)
+    assert verify.check_w_conjugation(J).ok
+    first = sum(calls)
+    calls.clear()
+    assert verify.check_w_conjugation(J).ok
+    verify._w_conjugation_witness(J)  # the minus side again, past its per-algebra verdict
+    again = sum(calls)
+    assert 0 < first <= n + n * (n + 1) // 2
+    assert again == 0
