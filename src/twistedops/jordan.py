@@ -63,6 +63,7 @@ from .ring import (
     _new,
     _overflow,
     _reduced,
+    _unit,
     _zpoly,
 )
 
@@ -240,9 +241,10 @@ class JordanAlgebra:
 
     # -- basis helpers ------------------------------------------------------
     def basis_element(self, i: int) -> JElem:
-        return JElem(tuple(ONE if j == i else ZERO for j in range(self.n)))
+        return JElem(tuple(ONE if e else ZERO for e in _unit(self.n, i)))
 
     def dual_basis_element(self, i: int) -> JElem:
+        _unit(self.n, i)  # the range check: a negative i would index gram_inv from the end
         return JElem(tuple(Scalar(self.gram_inv[i][j]) for j in range(self.n)))
 
     def unit_elem(self) -> JElem:

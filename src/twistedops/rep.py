@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .jordan import JElem, JordanAlgebra
 from .report import per_algebra
-from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO
+from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO, _unit
 from . import weyl
 from .weyl import DiffOp, PolyOpPlus
 
@@ -59,11 +59,6 @@ def generator_from_selector(J: JordanAlgebra, selector: str) -> GGenerator:
     if i >= J.n:
         raise ValueError(f"basis index out of range in {selector!r}")
     return GGenerator("plus" if side == "p+" else "minus", J.basis_element(i))
-
-
-def _unit(n: int, i: int) -> tuple:
-    """The multi-index of d_i (or of the coordinate u_i)."""
-    return tuple(int(k == i) for k in range(n))
 
 
 # ---------------------------------------------------------------------------

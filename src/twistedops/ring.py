@@ -337,6 +337,13 @@ def z_degree(n: int, key: int) -> int:
     return (key >> (FIELD * (n + 1))) - (key & FIELD_MASK)
 
 
+def _unit(n: int, i: int) -> tuple:
+    """The exponents of z_(i+1), u_(i+1) or d_(i+1) in n variables; IndexError unless 0 <= i < n."""
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range")
+    return (0,) * i + (1,) + (0,) * (n - 1 - i)
+
+
 class _ZPolySlots:
     """The slots of a ZPoly, open to plain stores; see :func:`_zpoly`."""
 
@@ -389,7 +396,7 @@ class ZPoly(_ZPolySlots, Frozen):
 
     @staticmethod
     def coord(n: int, i: int) -> "ZPoly":
-        return ZPoly.monomial(n, tuple(1 if j == i else 0 for j in range(n)))
+        return ZPoly.monomial(n, _unit(n, i))
 
     @staticmethod
     def monomial(n: int, mono: tuple, c: Scalar | LambdaPoly = ONE) -> "ZPoly":

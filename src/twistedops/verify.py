@@ -54,6 +54,7 @@ from .ring import (
     Scalar,
     SuperFn,
     ZPoly,
+    _unit,
 )
 from .weyl import DiffOp, diffop_str
 from .rep import GENERIC_TWIST
@@ -326,16 +327,12 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
                     raise VerifyError(f"[b{i+1}+, b{j+1}+] != 0")
                 if not minus_formal[i].commutator(minus_formal[j]).is_zero():
                     raise VerifyError(f"[b{i+1}-, b{j+1}-] != 0")
-        if u_side:
-            span = rep.SpanBasis(P.commutator(M) for P in plus for M in minus)
-            ops, dim = span.members, span.dimension
-        else:
-            ops, dim = rep.k_span(J, lam_value)
-        want = rep.expected_k_dimension(J)
+        span = rep.SpanBasis(P.commutator(M) for P in plus for M in minus)
+        dim, want = span.dimension, rep.expected_k_dimension(J)
         if dim != want:
             raise VerifyError(f"span dimension {dim}, expected {want}")
         plus_span, minus_span = rep.SpanBasis(plus), rep.SpanBasis(minus)
-        for K in ops:
+        for K in span.members:
             for i in range(J.n):
                 if not plus_span.contains(K.commutator(plus[i])):
                     raise VerifyError(f"[K, b{i+1}+] leaves the plus wing")
@@ -370,7 +367,7 @@ def check_h_module(J: JordanAlgebra, generic: Fraction = GENERIC_TWIST) -> Check
         w = SuperFn.w(ctx)
         for i in range(J.n):
             atg = rep.pi_minus(J, J.basis_element(i), generic)
-            for mono in ((0,) * J.n, tuple(1 if k == 0 else 0 for k in range(J.n))):
+            for mono in ((0,) * J.n, _unit(J.n, 0)):
                 h = w * SuperFn.from_zpoly(ctx, ZPoly.monomial(J.n, mono))
                 if not rep.act_on_H(atg, h)[1]:
                     return

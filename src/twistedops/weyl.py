@@ -43,6 +43,7 @@ from .ring import (
     SuperFn,
     ZPoly,
     _merged,
+    _unit,
     _zpoly,
     grade_components,
     parse_terms,
@@ -347,19 +348,13 @@ class DiffOp(_NormalOrdered):
 
     @staticmethod
     def partial(alg: JordanAlgebra, i: int) -> "DiffOp":
-        idx = tuple(1 if j == i else 0 for j in range(alg.n))
-        return DiffOp(alg, {idx: SuperFn.one(alg.ring)})
+        return DiffOp(alg, {_unit(alg.n, i): SuperFn.one(alg.ring)})
 
     @staticmethod
     def directional(alg: JordanAlgebra, y: JElem) -> "DiffOp":
         """The derivative along y: sum_i y_i d_i; a coordinate y_i may be a ZPoly."""
-        terms = {}
-        for i, c in enumerate(alg._coords(y)):
-            if c.is_zero():
-                continue
-            idx = tuple(1 if j == i else 0 for j in range(alg.n))
-            terms[idx] = (SuperFn.from_zpoly if isinstance(c, ZPoly) else SuperFn.const)(alg.ring, c)
-        return DiffOp(alg, terms)
+        lift = lambda c: (SuperFn.from_zpoly if isinstance(c, ZPoly) else SuperFn.const)(alg.ring, c)
+        return DiffOp(alg, {_unit(alg.n, i): lift(c) for i, c in enumerate(alg._coords(y))})
 
     def apply(self, f: SuperFn) -> SuperFn:
         """Apply the operator to a function of the cover ring."""
@@ -444,51 +439,47 @@ class PolyOpPlus(_NormalOrdered):
 
     @staticmethod
     def partial(alg: JordanAlgebra, i: int) -> "PolyOpPlus":
-        idx = tuple(1 if j == i else 0 for j in range(alg.n))
-        return PolyOpPlus(alg, {idx: ZPoly.one(alg.n)})
+        return PolyOpPlus(alg, {_unit(alg.n, i): ZPoly.one(alg.n)})
 
     def __str__(self) -> str:
         return polyop_str(self)
 
 
 @per_algebra
-def _basis_forms(alg: JordanAlgebra) -> tuple:
-    """The linear forms tr(b_i o q) of the basis, built once per algebra."""
-    return tuple(alg.linear_form(alg.basis_element(i)) for i in range(alg.n))
+def _fourier_images(alg: JordanAlgebra) -> tuple:
+    """The forms ell_i = tr(b_i o q) and the derivatives D_i along the dual
+    basis vectors b^i, as linear ZPolys in d_1..d_n, once per algebra."""
+    n = alg.n
+    ell = tuple(alg.linear_form(alg.basis_element(i)) for i in range(n))
+    dual = tuple(ZPoly(n, {_unit(n, j) + (0,): c for j, c in enumerate(alg._coords(alg.dual_basis_element(i)))})
+                 for i in range(n))
+    return ell, dual
 
 
 def fourier(A: PolyOpPlus) -> DiffOp:
     """Algebraic Fourier transform: the anti-isomorphism onto z-operators.
 
-    Multiplication by the coordinate u_i maps to the derivative along the
-    i-th dual basis vector, and d/du_i maps to multiplication by the
-    linear form tr(b_i o q).  The image of ``u^alpha d^beta`` is
-    (image of d^beta) . (image of u^alpha), which is already normal
-    ordered because the first factor is a multiplication operator.
+    A ring map on symbols: multiplication by u_i maps to the derivative D_i
+    along the i-th dual basis vector, and d/du_i to multiplication by the
+    linear form ell_i = tr(b_i o q).  D_i is a ZPoly whose variables stand
+    for d_1..d_n, so the image of ``c(u, L) d^beta`` is ell^beta times the
+    ZPoly c(D, L) = sum_gamma lam_gamma(L) d^gamma: the normal-ordered
+    sum_gamma (lam_gamma ell^beta) d^gamma.  No operator is composed.
     """
     alg = A.alg
     n = alg.n
-    out = DiffOp.zero(alg)
-    ell = _basis_forms(alg)
-    dual_d = cache(lambda i: DiffOp.directional(alg, alg.dual_basis_element(i)))
+    ell, dual = _fourier_images(alg)
+    one = ZPoly.one(n)
+    power = lambda forms, idx: prod((f for f, e in zip(forms, idx) for _ in range(e)), start=one)
+    d_power = cache(lambda alpha: power(dual, alpha))
+    out: dict = {}
     for beta, coeff in A.terms.items():
-        # multiplication part: product over i of ell_i^beta_i
-        mult_poly = ZPoly.one(n)
-        for i, e in enumerate(beta):
-            for _ in range(e):
-                mult_poly = mult_poly * ell[i]
-        for alpha, lam_coeff in coeff.sorted_terms():
-            # derivative part: product over i of (d along dual basis b^i)^alpha_i
-            dop = DiffOp.identity(alg)
-            for i, e in enumerate(alpha):
-                if not e:
-                    continue
-                for _ in range(e):
-                    dop = dop.compose(dual_d(i))
-            piece = dop.scale(lam_coeff)
-            piece = DiffOp.mult(alg, SuperFn.from_zpoly(alg.ring, mult_poly)).compose(piece)
-            out = out + piece
-    return out
+        mult = power(ell, beta)
+        symbol = sum((d_power(alpha).scale(lam) for alpha, lam in coeff.sorted_terms()), ZPoly.zero(n))
+        for gamma, lam in symbol.sorted_terms():
+            term = mult.scale(lam)
+            out[gamma] = out[gamma] + term if gamma in out else term
+    return DiffOp(alg, {gamma: SuperFn.from_zpoly(alg.ring, c) for gamma, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

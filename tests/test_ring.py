@@ -1040,6 +1040,38 @@ def test_zpoly_refuses_a_zero_divisor_mixed_counts_and_bad_indices():
         pack(2, (1, 0))
 
 
+def test_an_index_outside_the_variables_raises_and_one_inside_is_unchanged():
+    # a unit multi-index, a coordinate, a (dual) basis element or a partial
+    # at an index outside 0..n-1 raises; before, it came out all zeros (or
+    # read gram_inv from the end) and the calls returned wrong values
+    from twistedops import jordan
+    from twistedops.ring import _unit
+    from twistedops.weyl import DiffOp, PolyOpPlus
+    J = jordan.make_full(2)
+    n = J.n
+    calls = {
+        "unit": lambda i: _unit(n, i),
+        "coord": lambda i: ZPoly.coord(n, i),
+        "basis": J.basis_element,
+        "dual": J.dual_basis_element,
+        "partial": lambda i: DiffOp.partial(J, i),
+        "u-partial": lambda i: PolyOpPlus.partial(J, i),
+    }
+    for name, call in calls.items():
+        for i in (n, -1):
+            with pytest.raises(IndexError):
+                call(i)
+    one_fn = SuperFn.one(J.ring)
+    for i in range(n):
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        assert _unit(n, i) == unit
+        assert ZPoly.coord(n, i) == ZPoly(n, {unit + (0,): ONE})
+        assert J.basis_element(i).coords == tuple(ONE if e else ZERO for e in unit)
+        assert J.dual_basis_element(i).coords == tuple(Scalar(c) for c in J.gram_inv[i])
+        assert DiffOp.partial(J, i) == DiffOp(J, {unit: one_fn})
+        assert PolyOpPlus.partial(J, i) == PolyOpPlus(J, {unit: ZPoly.one(n)})
+
+
 def test_text_that_is_no_scalar_or_function_raises_parse_error(ctx2x2):
     from twistedops.ring import ParseError, parse_scalar
     with pytest.raises(ParseError, match="empty scalar"):

@@ -30,6 +30,7 @@ from twistedops.weyl import (
     fourier,
     grlex_key,
     parse_diffop,
+    polyop_str,
 )
 
 
@@ -348,6 +349,81 @@ def test_fourier_builds_the_basis_forms_once_per_algebra(monkeypatch):
     del J, ops, images
     gc.collect()
     assert gone() is None
+
+
+def fourier_by_composition(A):
+    """The transform as composed operators, term by term: multiplication by
+    ell^beta composed with a chain of compositions D^alpha of the
+    derivatives along the dual basis vectors, the terms summed as DiffOps."""
+    alg = A.alg
+    n = alg.n
+    out = DiffOp.zero(alg)
+    ell = [alg.linear_form(alg.basis_element(i)) for i in range(n)]
+    dual_d = [DiffOp.directional(alg, alg.dual_basis_element(i)) for i in range(n)]
+    for beta, coeff in A.terms.items():
+        mult_poly = ZPoly.one(n)
+        for i, e in enumerate(beta):
+            for _ in range(e):
+                mult_poly = mult_poly * ell[i]
+        for alpha, lam_coeff in coeff.sorted_terms():
+            dop = DiffOp.identity(alg)
+            for i, e in enumerate(alpha):
+                for _ in range(e):
+                    dop = dop.compose(dual_d[i])
+            mult = DiffOp.mult(alg, SuperFn.from_zpoly(alg.ring, mult_poly))
+            out = out + mult.compose(dop.scale(lam_coeff))
+    return out
+
+
+def random_polyop3(J, rng):
+    """A u-side operator of order at most 3 whose coefficients have u-degree
+    at most 3: Gaussian rational scalars, some times L, 1 + L or L^2."""
+    n = J.n
+    index = lambda top: tuple(map([rng.randrange(n) for _ in range(rng.randint(0, top))].count, range(n)))
+    twists = [LambdaPoly((ONE,)), LAMBDA, LambdaPoly((ONE, ONE)), LambdaPoly((Scalar(0), Scalar(0), ONE))]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        beta = index(3)
+        for _ in range(rng.randint(1, 3)):
+            c = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-2, 2)))
+            mono = ZPoly.monomial(n, index(3), rng.choice(twists).scale(c))
+            terms[beta] = terms.get(beta, ZPoly.zero(n)) + mono
+    return PolyOpPlus(J, terms)
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4", "sym:3", "full:3"])
+def test_fourier_on_symbols_matches_the_composition_route(selector):
+    # the ring map on symbols is the transform that composed operators:
+    # equal operators and equal text on the eta fields at formal L and
+    # at 3/7, on multiplication by F, and on random operators of order 3
+    from twistedops.jordan import from_selector
+
+    J = from_selector(selector)
+    basis = [J.basis_element(i) for i in range(J.n)]
+    ops = [rep.eta_plus(J, x) for x in basis]
+    ops += [rep.eta_minus(J, x, lam) for lam in (None, Fraction(3, 7)) for x in basis]
+    ops = [A.scale(Scalar(-1)) for A in ops] + [PolyOpPlus.mult(J, J.normF)]
+    rng = random.Random(sum(map(ord, selector)))
+    ops += [random_polyop3(J, rng) for _ in range(200)]
+    assert max(sum(beta) for A in ops[-200:] for beta in A.terms) == 3
+    for A in ops:
+        got, want = fourier(A), fourier_by_composition(A)
+        assert got == want and diffop_str(got) == diffop_str(want), polyop_str(A)
+
+
+def test_fourier_composes_no_operator(monkeypatch):
+    # the transform multiplies symbols, so no Leibniz sum runs inside it
+    from twistedops import weyl
+    from twistedops.jordan import from_selector
+
+    J = from_selector("full:3")
+    ops = [rep.eta_minus(J, J.basis_element(i)) for i in range(J.n)] + [PolyOpPlus.mult(J, J.normF)]
+    sums = []
+    original = weyl._NormalOrdered._leibniz_sum
+    monkeypatch.setattr(weyl._NormalOrdered, "_leibniz_sum",
+                        lambda self, other, first: sums.append(first) or original(self, other, first))
+    images = [fourier(A) for A in ops]
+    assert sums == [] and not any(B.is_zero() for B in images)
 
 
 # ---------------------------------------------------------------------------
