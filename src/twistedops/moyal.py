@@ -28,6 +28,8 @@ degrees (zeta and xi both carry 1/2).
 Composition, reordering and C_p run term by term on the packed keys,
 adding c * n / den into one dict with exact integers n, den: k! C(b1,k)
 C(a2,k) for composition, (+-1)^k k! C(a,k) C(b,k) / 2^k for reordering.
+C_p of two monomials is one monomial with an integer weight over 2^p p!,
+which :func:`component_table` writes directly, once per unordered pair.
 Only :func:`dequantize` takes a WOp; every other entry point takes PolyZX
 values and raises TypeError on anything else.
 """
@@ -119,17 +121,15 @@ class _ZX(ZPoly):
     __hash__ = ZPoly.__hash__
 
 
+def _term_str(c: Scalar, a: int, b: int, x: str, y: str, sep: str) -> str:
+    """The one term (c)*x^a<sep>y^b; a zero exponent drops its factor, and 1 its ^1."""
+    mono = sep.join([f"{v}^{e}" if e > 1 else v for v, e in ((x, a), (y, b)) if e])
+    return f"({scalar_str(c)})*{mono}" if mono else f"({scalar_str(c)})"
+
+
 def _terms_str(p: _ZX, x: str, y: str, sep: str) -> str:
-    """(c)*x^a<sep>y^b terms, highest total degree first; "" for zero."""
-    bits = []
-    for key, c in sorted(p.packed.items(), reverse=True):
-        a, b = _ab(key)
-        mono = sep.join(
-            ([f"{x}^{a}" if a > 1 else x] if a else [])
-            + ([f"{y}^{b}" if b > 1 else y] if b else [])
-        )
-        bits.append(f"({scalar_str(c)})" + (f"*{mono}" if mono else ""))
-    return " + ".join(bits)
+    """The terms of p, highest total degree first; "" for zero."""
+    return " + ".join(_term_str(c, *_ab(key), x, y, sep) for key, c in sorted(p.packed.items(), reverse=True))
 
 
 class WOp(_ZX):
@@ -371,16 +371,23 @@ def pairing_table(max_power: int = 6) -> list[dict]:
 
 
 def component_table(max_degree: int = 4) -> list[dict]:
-    """Graded components C_p for all monomial pairs up to a total degree; each monomial and its text built once."""
-    monos = [PolyZX.monomial(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
-    entries = [(m, m.poly_degree(), polyzx_str(m)) for m in monos]
-    rows = []
-    for phi, d1, phi_text in entries:
-        for psi, d2, psi_text in entries:
-            comps = {}
-            for p in range(min(d1, d2) + 1):
-                c = _bidifferential(phi, psi, p)  # 0 <= 2p <= the total degree
-                if not c.is_zero():
-                    comps[p] = polyzx_str(c)
-            rows.append({"phi": phi_text, "psi": psi_text, "components": comps})
-    return rows
+    """Graded components C_p for all monomial pairs up to a total degree.
+
+    C_p(zeta^a1 xi^b1, zeta^a2 xi^b2) is zeta^(a1+a2-p) xi^(b1+b2-p) times
+    _moyal_weight(a1, b1, a2, b2, p) / (2^p p!), and each unordered pair is weighed
+    once: t -> p - t in that sum gives C_p(psi, phi) = (-1)^p C_p(phi, psi).
+    """
+    monos = [(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
+    comps = {}
+    for i, (a1, b1) in enumerate(monos):
+        for j, (a2, b2) in enumerate(monos[i:], i):
+            comps[i, j], comps[j, i] = ij, ji = {}, {}
+            for p in range(min(a1 + b1, a2 + b2) + 1):  # 0 <= 2p <= the total degree
+                n = _moyal_weight(a1, b1, a2, b2, p)
+                if n:
+                    c = _reduced(n, 0, factorial(p) << p)
+                    ij[p] = _term_str(c, a1 + a2 - p, b1 + b2 - p, "zeta", "xi", "*")
+                    ji[p] = _term_str(-c, a1 + a2 - p, b1 + b2 - p, "zeta", "xi", "*") if p & 1 else ij[p]
+    texts = [_term_str(ONE, a, b, "zeta", "xi", "*") for a, b in monos]
+    return [{"phi": s, "psi": t, "components": comps[i, j]}
+            for i, s in enumerate(texts) for j, t in enumerate(texts)]

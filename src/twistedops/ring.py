@@ -445,8 +445,11 @@ class ZPoly(_ZPolySlots, Frozen):
         return self._with(out)
 
     def scale(self, c: Scalar | LambdaPoly) -> "ZPoly":
+        if isinstance(c, LambdaPoly):  # L^k in n variables packs to k << FIELD*(n+1) | k
+            step = _total_unit(self.n) + 1
+            return self * _zpoly(self.n, {(key & FIELD_MASK) * step: v for key, v in c.packed.items()})
         if not isinstance(c, Scalar):
-            return self * ZPoly.const(self.n, c)
+            return self * ZPoly.const(self.n, c)  # TypeError unless c is a ZPoly in L alone
         if c.is_zero():
             return self._with({})
         return self._with({m: v * c for m, v in self.packed.items()})

@@ -503,12 +503,41 @@ def ref_component_table(max_degree):
     return rows
 
 
-@pytest.mark.parametrize("max_degree", range(5))
+@pytest.mark.parametrize("max_degree", range(9))
 def test_component_table_matches_the_per_pair_table(max_degree):
     got, want = moyal.component_table(max_degree), ref_component_table(max_degree)
     assert len(got) == len(want)
     for row, ref in zip(got, want):
         assert row == ref
+
+
+def test_component_table_builds_no_polynomial(monkeypatch):
+    # the table writes each entry from its monomial weight: no bidifferential sum, no PolyZX result
+    want = ref_component_table(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("component_table built a polynomial")
+
+    monkeypatch.setattr(moyal, "_bidifferential", refuse)
+    monkeypatch.setattr(moyal, "_zpoly", refuse)
+    assert moyal.component_table(4) == want
+
+
+def test_moyal_weight_mirrors_with_the_parity_of_p():
+    # t -> p - t in the sum: the table weighs each unordered pair once on this
+    for a1, b1, a2, b2 in product(range(7), repeat=4):
+        for p in range(7):
+            assert moyal._moyal_weight(a2, b2, a1, b1, p) == (-1) ** p * moyal._moyal_weight(a1, b1, a2, b2, p)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_c_component_mirrors_with_the_parity_of_p(data):
+    d1, d2 = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    phi, psi = data.draw(zx_values(PolyZX, d1)), data.draw(zx_values(PolyZX, d2))
+    for p in range(-1, d1 + d2 + 2):
+        forward = c_component(phi, psi, p)
+        assert c_component(psi, phi, p) == (forward if p % 2 == 0 else -forward)
 
 
 def test_integer_kernel_cancels_into_one_key():

@@ -659,6 +659,30 @@ def twisted_zpolys(draw, n):
 
 
 @given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_scale_by_lambdapoly_matches_the_product_with_a_constant(data):
+    # scale packs the keys of c in n variables itself; near the top of the field
+    # both routes must raise DegreeError
+    from twistedops.ring import EXPONENT_LIMIT
+    n = data.draw(st.integers(0, 3))
+    f = data.draw(twisted_zpolys(n))
+    if n == 0 and data.draw(st.booleans()):
+        f = LambdaPoly([f.terms.get((k,), ZERO) for k in range(3)])
+    shift = data.draw(st.sampled_from([0, 1, EXPONENT_LIMIT - 12, EXPONENT_LIMIT - 6, EXPONENT_LIMIT - 3]))
+    coeffs = [Scalar(data.draw(coeff_strategy), data.draw(coeff_strategy)) for _ in range(data.draw(st.integers(0, 3)))]
+    c = LambdaPoly([ZERO] * shift + coeffs) if coeffs else LambdaPoly()
+
+    def outcome(run):
+        try:
+            value = run()
+        except DegreeError:
+            return DegreeError
+        return type(value), value.packed
+
+    assert outcome(lambda: f.scale(c)) == outcome(lambda: f * ZPoly.const(n, c))
+
+
+@given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_ring_laws_with_twist_in_coefficients(data):
     n = 2
