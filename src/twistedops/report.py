@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import wraps
 
 from .ring import RingError
@@ -44,15 +44,7 @@ class Report:
         return {
             "algebra": self.algebra,
             "suite": self.suite,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "witness": c.witness,
-                    "elapsed_ms": c.elapsed_ms,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "overall": self.overall,
         }
 
@@ -120,7 +112,7 @@ def per_algebra(build):
 
 
 REPORT_SCHEMA_KEYS = {"algebra", "suite", "checks", "overall"}
-CHECK_SCHEMA_KEYS = {"name", "status", "witness", "elapsed_ms"}
+CHECK_SCHEMA_KEYS = {f.name for f in fields(CheckResult)}
 
 
 def validate_report_dict(data) -> list[str]:

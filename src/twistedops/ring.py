@@ -227,34 +227,28 @@ def scalar_str(s: Scalar) -> str:
     return f"{frac(a)}{'+' if b > 0 else '-'}{frac(abs(b))}i"
 
 
+# a signed decimal integer or fraction: the only forms scalar_str prints
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+# The scalar grammar of README, one element a line; no whitespace inside.
+_SCALAR = re.compile(rf"""
+    (?P<re> {_RATIONAL.pattern} )?                       # real part: a signed decimal integer or fraction
+    (?: (?(re)(?=[+-]))                                  # a sign, when a real part came first
+        (?P<im> (?:{_RATIONAL.pattern}|[+-])? ) i )?     # imaginary part: a rational, a bare sign or nothing, then i
+""", re.VERBOSE)
+
+
 def parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
     if not text:
         raise ParseError("empty scalar")
-    # split an explicit imaginary tail off a "a+bi" / "a-bi" form
-    if text.endswith("i"):
-        body = text[:-1]
-        # find a +/- separating real and imaginary parts (not the leading sign,
-        # not the sign inside a fraction's numerator)
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/*^":
-                re_part = body[:pos]
-                im_part = body[pos:]
-                break
-        else:
-            re_part, im_part = "0", body
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
-        return Scalar(_parse_fraction(re_part), _parse_fraction(im_part))
-    return Scalar(_parse_fraction(text))
-
-
-# a signed decimal integer or fraction: the only forms scalar_str prints
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+    m = _SCALAR.fullmatch(text)
+    if m is None:
+        raise ParseError(f"bad scalar {text!r}")
+    im = {None: "0", "": "1", "+": "1", "-": "-1"}.get(m["im"], m["im"])
+    return Scalar(_parse_fraction(m["re"] or "0"), _parse_fraction(im))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -263,7 +257,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}")
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:  # ValueError: past int's digit limit
         raise ParseError(f"bad rational {text!r}") from exc
 
 
@@ -715,6 +709,14 @@ def _exponent(digits: str, where: str) -> int:
     return _bounded(int(digits) if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT, where)
 
 
+# One term of an L-polynomial, one element a line; whitespace may pad '*'.
+_LTERM = re.compile(rf"""
+    (?P<scalar> [^L]* )                                  # a scalar alone
+  | (?: (?P<coeff> [^*L]* ) \*\s* )?                     # or an optional coefficient and '*',
+    L (?: \^ (?P<k> {_POSINT} ) )?                       # then L or L^k
+""", re.VERBOSE)
+
+
 def parse_lambda(text: str) -> LambdaPoly:
     text = text.strip()
     if text == "0":
@@ -722,21 +724,16 @@ def parse_lambda(text: str) -> LambdaPoly:
     coeffs: dict[int, Scalar] = {}
     for chunk in text.split(" + "):
         chunk = chunk.strip()
-        if "L" in chunk:
-            if "*" in chunk:
-                cpart, lpart = chunk.rsplit("*", 1)
-                if not cpart.lstrip().startswith("(") and re.search(r"[0-9.][+-]", cpart):
-                    # 1+1i*L would read (1+1i)*L, but 1 + 1i*L reads 1 + i*L
-                    raise ParseError(f"complex coefficient needs parentheses in {chunk!r}")
-                c = parse_scalar(cpart)
-            else:
-                lpart, c = chunk, ONE
-            power = re.fullmatch(rf"L(?:\^({_POSINT}))?", lpart.strip())
-            if power is None:
-                raise ParseError(f"bad L-term {chunk!r}")
-            k = _exponent(power.group(1) or "1", chunk)
-        else:
-            c, k = parse_scalar(chunk), 0
+        m = _LTERM.fullmatch(chunk)
+        if m is None:
+            raise ParseError(f"bad L-term {chunk!r}")
+        cpart = m["coeff"] if m["scalar"] is None else m["scalar"]
+        c = ONE if cpart is None else parse_scalar(cpart)
+        s = m["coeff"] is not None and _SCALAR.fullmatch(m["coeff"].strip())
+        if s and s["re"] is not None and s["im"] is not None:
+            # 1+1i*L would read (1+1i)*L, but 1 + 1i*L reads 1 + i*L
+            raise ParseError(f"complex coefficient needs parentheses in {chunk!r}")
+        k = 0 if m["scalar"] is not None else _exponent(m["k"] or "1", chunk)
         coeffs[k] = coeffs.get(k, ZERO) + c
     size = max(coeffs) + 1
     return LambdaPoly(tuple(coeffs.get(k, ZERO) for k in range(size)))
@@ -1123,19 +1120,6 @@ def grade(f: SuperFn):
 # Textual form: sum of terms (scalar)(Lpoly) * z-monomial [* w] [/ F^k]
 # ---------------------------------------------------------------------------
 
-def _coeff_groups(c: LambdaPoly) -> str:
-    """Render a LambdaPoly coefficient as ``(scalar)`` or ``(scalar)(tail)``.
-
-    The scalar is the lowest nonzero coefficient, the tail the remaining
-    monic-from-below polynomial; the tail group is omitted when it is 1.
-    """
-    s = c.packed[min(c.packed)]
-    tail = c.scale(s.inv())
-    if tail == LP_ONE:
-        return f"({scalar_str(s)})"
-    return f"({scalar_str(s)})({lambda_str(tail)})"
-
-
 def _mono_str(letter: str, mono: tuple) -> str:
     """``z1^2*z3`` style text of an exponent vector; empty for the unit."""
     return "*".join(
@@ -1144,19 +1128,30 @@ def _mono_str(letter: str, mono: tuple) -> str:
     )
 
 
-def superfn_terms(f: SuperFn) -> list[str]:
+def _poly_terms(p: ZPoly, letter: str, tail: str = "") -> list[str]:
+    """The terms ``(scalar)(Lpoly)*x1^e1*...`` of ``p``, highest monomial
+    first, in the variables ``letter``, each followed by ``tail``.
+
+    The scalar is the lowest nonzero coefficient in L, the Lpoly the
+    coefficient over it, omitted when it is 1.
+    """
     out = []
-    for part, odd in ((f.ev, False), (f.od, True)):
-        for mono, c in part.num.sorted_terms():
-            term = _coeff_groups(c)
-            zs = _mono_str("z", mono)
-            if zs:
-                term += f"*{zs}"
-            if odd:
-                term += " * w"
-            if part.k:
-                term += " / F" + (f"^{part.k}" if part.k > 1 else "")
-            out.append(term)
+    for mono, c in p.sorted_terms():
+        s = c.packed[min(c.packed)]
+        rest = c.scale(s.inv())
+        xs = _mono_str(letter, mono)
+        out.append(f"({scalar_str(s)})" + ("" if rest == LP_ONE else f"({lambda_str(rest)})")
+                   + (f"*{xs}" if xs else "") + tail)
+    return out
+
+
+def superfn_terms(f: SuperFn, tail: str = "") -> list[str]:
+    """The terms of ``f``, even part first, each followed by ``tail``."""
+    out = []
+    for part, w in ((f.ev, ""), (f.od, " * w")):
+        k = part.k
+        F = "" if not k else " / F" if k == 1 else f" / F^{k}"
+        out += _poly_terms(part.num, "z", w + F + tail)
     return out
 
 
@@ -1165,8 +1160,8 @@ def superfn_str(f: SuperFn) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-# a group's content: balanced and nested at most once, the most that
-# parse_scalar and parse_lambda accept
+# a group's content: balanced and nested at most once, as an Lpoly
+# holds parenthesised scalars
 _GROUP = r"[^()]* (?: \( [^()]* \) [^()]* )*"
 # a z- or d-factor's index and optional exponent
 _INDEX_EXP = rf"{_POSINT} (?: \^{_POSINT} )?"

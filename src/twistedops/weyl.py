@@ -50,7 +50,7 @@ from .ring import (
     sum_terms,
     superfn_terms,
     z_degree,
-    _coeff_groups,
+    _poly_terms,
     _mono_str,
 )
 
@@ -486,27 +486,22 @@ def fourier(A: PolyOpPlus) -> DiffOp:
 # Text format: <SuperFn-term> * d1^e1*...*dn^en
 # ---------------------------------------------------------------------------
 
-def polyop_str(A: PolyOpPlus) -> str:
-    """Text form of a u-side operator, e.g. ``(1)*u1^2 * d1 + (2*L)*u1``."""
+def _op_str(A: DiffOp | PolyOpPlus, terms) -> str:
+    """``terms(c, tail)`` for each coefficient c of ``A``, its d-monomial the tail."""
     parts = []
     for beta, c in A.sorted_terms():
         ds = _mono_str("d", beta)
-        for mono, lp in c.sorted_terms():
-            us = _mono_str("u", mono)
-            term = _coeff_groups(lp) + (f"*{us}" if us else "")
-            if ds:
-                term += f" * {ds}"
-            parts.append(term)
+        parts += terms(c, f" * {ds}" if ds else "")
     return " + ".join(parts) if parts else "0"
+
+
+def polyop_str(A: PolyOpPlus) -> str:
+    """Text form of a u-side operator, e.g. ``(1)*u1^2 * d1 + (2)(L)*u1``."""
+    return _op_str(A, lambda c, tail: _poly_terms(c, "u", tail))
 
 
 def diffop_str(A: DiffOp) -> str:
-    parts = []
-    for beta, c in A.sorted_terms():
-        ds = _mono_str("d", beta)
-        for term in superfn_terms(c):
-            parts.append(term + (f" * {ds}" if ds else ""))
-    return " + ".join(parts) if parts else "0"
+    return _op_str(A, superfn_terms)
 
 
 def parse_diffop(text: str, alg: JordanAlgebra) -> DiffOp:

@@ -87,6 +87,8 @@ def test_selector_parsing():
     for bad in ("sym:0_2", "sym: 2", "sym:2 ", "sym:+2", "sym:-2", "sym:0", "sym:02", "full:", "spin:\u0663"):
         with pytest.raises(ValueError):
             from_selector(bad)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        jordan.make_full(0)
 
 
 @pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])

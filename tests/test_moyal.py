@@ -25,7 +25,7 @@ from twistedops.moyal import (
     supertrace,
     symmetrize,
 )
-from twistedops.ring import FIELD, NotHomogeneousError, Scalar, ONE, ZERO, ZPoly
+from twistedops.ring import EXPONENT_LIMIT, FIELD, DegreeError, NotHomogeneousError, Scalar, ONE, ZERO, ZPoly
 
 
 def sc(x):
@@ -120,6 +120,8 @@ def test_wop_product_matches_word_oracle():
     for u in words:
         for v in words:
             assert W(u) * W(v) == W(u + v), (u, v)
+    with pytest.raises(DegreeError):
+        WOp.w(EXPONENT_LIMIT - 1) * WOp.w(1)
 
 
 def test_circle_symmetrizes_twice_and_composes_once(monkeypatch):
@@ -237,6 +239,8 @@ def test_component_requires_homogeneous():
     mixed = PolyZX.one() + PolyZX.zeta()
     with pytest.raises(NotHomogeneousError):
         c_component(mixed, PolyZX.zeta(), 0)
+    with pytest.raises(DegreeError):
+        c_component(PolyZX.zeta(EXPONENT_LIMIT - 1), PolyZX.zeta(1), 0)
 
 
 def test_degree_one_brackets_are_exact():

@@ -347,6 +347,9 @@ def test_span_refuses_a_twist_dependent_coefficient_on_either_side(sym2):
             rep.SpanBasis([op])
     for op in (rep.eta_minus(sym2, y, 0), rep.pi_minus(sym2, y, 0)):
         assert rep.SpanBasis([op]).dimension == 1
+    # a power of F in a coefficient is refused as well
+    with pytest.raises(ValueError, match="polynomial coefficients"):
+        rep.SpanBasis([DiffOp.mult_w_inv(sym2)])
 
 
 @pytest.mark.parametrize("selector,expected", [
@@ -360,6 +363,11 @@ def test_k_span_dimensions(selector, expected):
     J = from_selector(selector)
     ops, dim = rep.k_span(J)
     assert dim == expected == rep.expected_k_dimension(J)
+
+
+def test_expected_k_dimension_refuses_an_unknown_kind(full2):
+    with pytest.raises(ValueError, match="unknown kind 'quat'"):
+        rep.expected_k_dimension(dataclasses.replace(full2, kind="quat"))
 
 
 def test_bracket_closure(spin3):

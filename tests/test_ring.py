@@ -24,6 +24,7 @@ from twistedops.ring import (
     ZERO,
     _merged,
     grade,
+    lambda_str,
     parse_superfn,
     superfn_str,
 )
@@ -195,6 +196,10 @@ def test_lambda_roots_errors():
     with pytest.raises(IrrationalRootError) as err:
         (lam * lam - lc(2)).quadratic_roots()
     assert err.value.discriminant == Scalar(8)
+    # a negative rational discriminant has no rational square root either
+    with pytest.raises(IrrationalRootError) as err:
+        LambdaPoly((ONE, ZERO, ONE)).quadratic_roots()
+    assert err.value.discriminant == Scalar(-4)
 
 
 def test_lambdapoly_is_a_zpoly_without_coordinates():
@@ -288,6 +293,7 @@ def test_locfn_canonical(ctx1):
     invF = LocFn(ctx1, ZPoly.one(1), 1)
     two_over_F = LocFn(ctx1, ZPoly.const(1, Scalar(2)), 1)
     assert invF + invF == two_over_F
+    assert repr(one) == "LocFn(ZPoly((1)))"
 
 
 def test_context_mismatch_rejected(ctx1, ctx2x2):
@@ -299,6 +305,8 @@ def test_context_mismatch_rejected(ctx1, ctx2x2):
         SuperFn.w(ctx1) * SuperFn.w(other)
     with pytest.raises(ContextMismatchError):
         SuperFn(ctx1, LocFn.one(other), LocFn.zero(ctx1))
+    # comparing across contexts does not raise: values over different F differ
+    assert (LocFn.one(ctx1) == LocFn.one(other)) is False
 
 
 def test_locfn_equality_is_cross_multiplication(ctx2x2):
@@ -1043,6 +1051,160 @@ def test_a_complex_coefficient_of_a_power_of_L_needs_parentheses():
     assert parse_superfn(superfn_str(want), ctx) == want
     with pytest.raises(ParseError, match="needs parentheses"):
         parse_superfn("(1)(1+1i*L)*z1", ctx)
+
+
+def test_whitespace_inside_a_scalar_is_refused_not_misread(full1):
+    from twistedops.ring import LP_ZERO, ParseError, parse_lambda, parse_scalar
+    from twistedops.weyl import parse_diffop
+    # "2 -i*L" once read (2-1i)*L and "2 i" once read 2i
+    for text in ("2 -i*L", "1 +1i*L", "1\t+1i*L"):
+        with pytest.raises(ParseError):
+            parse_lambda(text)
+    for text in ("2 i", "1 +1i"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+    with pytest.raises(ParseError):
+        parse_diffop("(1)(2 -i*L)*z1 * d1", full1)
+    with pytest.raises(ParseError):
+        parse_superfn("(1)(2 -i*L)*z1", full1.ring)
+    assert parse_lambda("1 + 1i*L") == LambdaPoly((ONE, IUNIT))
+    assert parse_scalar("( 1/2 )") == sc("1/2")
+    assert parse_scalar("-i") == -IUNIT
+    assert lambda_str(LambdaPoly()) == "0"
+    assert parse_lambda("0") == LP_ZERO and parse_lambda("0").is_zero()
+
+
+# The text parsers as they were before the scalar and L-term grammars were
+# declared as patterns, kept as the reference of the differential tests
+# below.  Only their names are changed, and the L-polynomial parser takes
+# its scalar parser as an argument.
+def _reference_parse_scalar(text: str) -> Scalar:
+    from twistedops.ring import ParseError, _parse_fraction
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1].strip()
+    if not text:
+        raise ParseError("empty scalar")
+    # split an explicit imaginary tail off a "a+bi" / "a-bi" form
+    if text.endswith("i"):
+        body = text[:-1]
+        # find a +/- separating real and imaginary parts (not the leading sign,
+        # not the sign inside a fraction's numerator)
+        for pos in range(len(body) - 1, 0, -1):
+            if body[pos] in "+-" and body[pos - 1] not in "+-/*^":
+                re_part = body[:pos]
+                im_part = body[pos:]
+                break
+        else:
+            re_part, im_part = "0", body
+        if im_part in ("", "+"):
+            im_part = "1"
+        elif im_part == "-":
+            im_part = "-1"
+        return Scalar(_parse_fraction(re_part), _parse_fraction(im_part))
+    return Scalar(_parse_fraction(text))
+
+
+def _reference_parse_lambda(text: str, parse_scalar) -> LambdaPoly:
+    import re
+    from twistedops.ring import LP_ZERO, ParseError, _POSINT, _exponent
+    text = text.strip()
+    if text == "0":
+        return LP_ZERO
+    coeffs: dict[int, Scalar] = {}
+    for chunk in text.split(" + "):
+        chunk = chunk.strip()
+        if "L" in chunk:
+            if "*" in chunk:
+                cpart, lpart = chunk.rsplit("*", 1)
+                if not cpart.lstrip().startswith("(") and re.search(r"[0-9.][+-]", cpart):
+                    # 1+1i*L would read (1+1i)*L, but 1 + 1i*L reads 1 + i*L
+                    raise ParseError(f"complex coefficient needs parentheses in {chunk!r}")
+                c = parse_scalar(cpart)
+            else:
+                lpart, c = chunk, ONE
+            power = re.fullmatch(rf"L(?:\^({_POSINT}))?", lpart.strip())
+            if power is None:
+                raise ParseError(f"bad L-term {chunk!r}")
+            k = _exponent(power.group(1) or "1", chunk)
+        else:
+            c, k = parse_scalar(chunk), 0
+        coeffs[k] = coeffs.get(k, ZERO) + c
+    size = max(coeffs) + 1
+    return LambdaPoly(tuple(coeffs.get(k, ZERO) for k in range(size)))
+
+
+_PARSE_TOKENS = st.sampled_from(list("0123456789") + ["/", "+", "-", "i", "L", "^", "*", "(", ")", " ", "\t", " + "])
+_PARSE_TEXT = st.lists(_PARSE_TOKENS, max_size=14).map("".join)
+# printed L-polynomials with padding or whitespace put into them, so that
+# many examples parse
+_PRINTED = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=4).map(
+    lambda cs: lambda_str(LambdaPoly(tuple(Scalar(Fraction(a, d), Fraction(b, d)) for a, b, d in cs))))
+_MUTATED = st.tuples(_PRINTED, st.integers(0, 40), st.sampled_from(["", " ", "\t", "  "])).map(
+    lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+
+
+def _differ(new, reference, text: str) -> None:
+    """Assert that ``new`` and ``reference(text, parse_scalar)`` read
+    ``text`` alike: the same value and text, or both ParseError; or the
+    reference read a scalar with whitespace inside it, which ``new``
+    refuses."""
+    from twistedops.ring import ParseError
+    spaced = []  # the scalars with inner whitespace the reference read
+
+    def scalar(t: str) -> Scalar:
+        value = _reference_parse_scalar(t)
+        body = t.strip()
+        if body.startswith("(") and body.endswith(")"):
+            body = body[1:-1].strip()
+        if any(ch.isspace() for ch in body):
+            spaced.append(t)
+        return value
+
+    try:
+        want = reference(text, scalar)
+    except ParseError:
+        want = ParseError
+    inner_space = bool(spaced)
+    try:
+        got = new(text)
+    except ParseError:
+        assert want is ParseError or inner_space, (text, want)
+        return
+    assert want is not ParseError and not inner_space, (text, got)
+    assert got == want and str(got) == str(want), text
+
+
+@given(st.one_of(_PARSE_TEXT, _MUTATED))
+@settings(max_examples=1500, deadline=None)
+def test_parse_lambda_agrees_with_the_reference_parser(text):
+    from twistedops.ring import parse_lambda
+    _differ(parse_lambda, _reference_parse_lambda, text)
+
+
+@given(st.one_of(_PARSE_TEXT, _MUTATED))
+@settings(max_examples=1500, deadline=None)
+def test_parse_scalar_agrees_with_the_reference_parser(text):
+    from twistedops.ring import parse_scalar
+    _differ(parse_scalar, lambda t, scalar: scalar(t), text)
+
+
+def test_long_scalars_and_l_polynomials_parse_in_linear_time():
+    # a backtracking pattern would take far longer on each of these
+    import time
+    from twistedops.ring import ParseError, parse_lambda, parse_scalar
+    long_lambda = " + ".join(f"{k}*L^{k}" for k in range(1, 20001))
+    cases = [(parse_scalar, "1" * 50000), (parse_scalar, "1" * 50000 + "x"),
+             (parse_scalar, "1/" + "2" * 50000 + "i"), (parse_lambda, "1" * 50000 + "x"),
+             (parse_lambda, "(" + "1" * 50000 + "+i)*L"), (parse_lambda, long_lambda)]
+    for parse, text in cases:
+        start = time.perf_counter()
+        try:
+            parse(text)
+        except ParseError:
+            pass
+        assert time.perf_counter() - start < 10, text[:40]
+    assert parse_lambda(long_lambda).degree == 20000
 
 
 # ---------------------------------------------------------------------------
