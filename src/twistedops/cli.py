@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from . import jordan, moyal, rep, verify
 from .ring import EXPONENT_LIMIT, ParseError, RingError, _parse_fraction
-from .weyl import diffop_str, polyop_str
 
 RANK_LIMITS = {"sym": 4, "full": 4, "spin": 8}
 
@@ -140,17 +139,13 @@ def cmd_show(args) -> int:
     if args.lam:
         lam = _parse_twist(args.lam)
     try:
-        if sel.startswith("eta:"):
-            gen = rep.generator_from_selector(J, sel[4:])
-            op = rep.eta_operator(J, gen, lam)
-            text = polyop_str(op)
-        else:
-            gen = rep.generator_from_selector(J, sel)
-            op = rep.pi_operator(J, gen, lam)
-            text = diffop_str(op)
+        gen = rep.generator_from_selector(J, sel.removeprefix("eta:"))
+        # looked up on rep at call time, so a traced family is the one called
+        plus_of, minus_of = (rep.eta_plus, rep.eta_minus) if sel.startswith("eta:") else (rep.pi_plus, rep.pi_minus)
+        op = plus_of(J, gen.element) if gen.side == "plus" else minus_of(J, gen.element, lam)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(text + "\n", args.output)
+    _emit(f"{op}\n", args.output)
     return 0
 
 

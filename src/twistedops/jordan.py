@@ -181,10 +181,6 @@ def _collect(den: int, re: list, im: list, poly: bool) -> tuple:
     return den, re, im, poly
 
 
-def _scaled(terms: list, s: int) -> list:
-    return terms if s == 1 else [[(m, v * s) for m, v in t] for t in terms]
-
-
 def _coordinate(den: int, re: list, im: list) -> dict:
     """The packed ``{monomial: Scalar}`` of one coordinate, each
     coefficient reduced once."""
@@ -301,12 +297,12 @@ class JordanAlgebra:
             _set_form(a, form)
         return form
 
-    def _bilinear(self, out: list, left: list, right: list, cells: tuple) -> None:
-        """Add every s x y, x a term of left_i, y of right_j and (k, s) in
-        ``cells[i][j]``, into ``out[k]``, one dict from packed monomial to int
-        per coordinate; ``left`` and ``right`` hold the (monomial, int) terms
-        of each coordinate.  The left factor always stands on the left, so a
-        non-commutative structure is not symmetrised."""
+    def _bilinear(self, out: list, left: list, right: list, cells: tuple, scale: int) -> None:
+        """Add every scale s x y, x a term of left_i, y of right_j and (k, s)
+        in ``cells[i][j]``, into ``out[k]``, one dict from packed monomial to
+        int per coordinate; ``left`` and ``right`` hold the (monomial, int)
+        terms of each coordinate.  The left factor always stands on the
+        left, so a non-commutative structure is not symmetrised."""
         guards = _guards(self.n)
         for i, left_i in enumerate(left):
             if not left_i:
@@ -317,6 +313,7 @@ class JordanAlgebra:
                 if not (cell and right_j):
                     continue
                 for ma, ca in left_i:
+                    ca *= scale
                     for k, s in cell:
                         acc = out[k]
                         get = acc.get
@@ -342,14 +339,13 @@ class JordanAlgebra:
             s = sign * (den // d)
             _, xre, xim, _ = x
             _, yre, yim, _ = y
-            xre = _scaled(xre, s)
-            self._bilinear(re, xre, yre, cells)
+            self._bilinear(re, xre, yre, cells, s)
             if yim is not None:
-                self._bilinear(im, xre, yim, cells)
+                self._bilinear(im, xre, yim, cells, s)
             if xim is not None:
-                self._bilinear(im, _scaled(xim, s), yre, cells)
+                self._bilinear(im, xim, yre, cells, s)
                 if yim is not None:
-                    self._bilinear(re, _scaled(xim, -s), yim, cells)
+                    self._bilinear(re, xim, yim, cells, -s)
         poly = any(x[3] or y[3] for x, y in pairs)
         return _collect(tden * den, re, im, poly)
 

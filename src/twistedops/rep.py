@@ -65,6 +65,17 @@ def generator_from_selector(J: JordanAlgebra, selector: str) -> GGenerator:
 # The operators on the z-side
 # ---------------------------------------------------------------------------
 
+def _add_rows(op: DiffOp | PolyOpPlus, rows: tuple, y: JElem, lift) -> DiffOp | PolyOpPlus:
+    """op + sum_k y_k row_k; ``lift`` turns a ZPoly y_k into the rows' coefficient type."""
+    for row, yk in zip(rows, y.coords):
+        if isinstance(yk, ZPoly):
+            fk = lift(yk)
+            op = op + type(op)(op.alg, {beta: c * fk for beta, c in row.terms.items()})
+        elif not yk.is_zero():
+            op = op + (row if yk == ONE else row.scale(yk))
+    return op
+
+
 def pi_plus(J: JordanAlgebra, x: JElem) -> DiffOp:
     """Multiplication by the linear form q -> tr(x o q); twist-free."""
     form = J.linear_form(x)
@@ -129,19 +140,7 @@ def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None =
     ZPoly, as in J.triple; it multiplies the row's coefficients.
     """
     op = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
-    for row, yk in zip(_second_order_rows(J), y.coords):
-        if isinstance(yk, ZPoly):
-            fk = SuperFn.from_zpoly(J.ring, yk)
-            op = op + DiffOp(J, {beta: c * fk for beta, c in row.terms.items()})
-        elif not yk.is_zero():
-            op = op + (row if yk == ONE else row.scale(yk))
-    return op
-
-
-def pi_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> DiffOp:
-    if gen.side == "plus":
-        return pi_plus(J, gen.element)
-    return pi_minus(J, gen.element, lam)
+    return _add_rows(op, _second_order_rows(J), y, lambda yk: SuperFn.from_zpoly(J.ring, yk))
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +174,7 @@ def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None 
     be a ZPoly, as in J.triple; it multiplies the row's coefficients.
     """
     op = PolyOpPlus.mult(J, J.linear_form(y).scale(_twist(lam).scale(Scalar(2 * J.m))))
-    for row, yk in zip(_quadratic_rows(J), y.coords):
-        if isinstance(yk, ZPoly):
-            op = op + PolyOpPlus(J, {beta: c * yk for beta, c in row.terms.items()})
-        elif not yk.is_zero():
-            op = op + (row if yk == ONE else row.scale(yk))
-    return op
-
-
-def eta_operator(J: JordanAlgebra, gen: GGenerator, lam=None) -> PolyOpPlus:
-    if gen.side == "plus":
-        return eta_plus(J, gen.element)
-    return eta_minus(J, gen.element, lam)
+    return _add_rows(op, _quadratic_rows(J), y, lambda yk: yk)
 
 
 # ---------------------------------------------------------------------------

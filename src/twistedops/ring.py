@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 from types import MappingProxyType
@@ -218,7 +219,10 @@ def scalar_str(s: Scalar) -> str:
 
     def frac(n: int) -> str:  # n/d in lowest terms
         g = gcd(n, d)
-        return str(n // g) if g == d else f"{n // g}/{d // g}"
+        try:
+            return str(n // g) if g == d else f"{n // g}/{d // g}"
+        except ValueError:  # past int's digit limit; Decimal prints any length exactly
+            return str(Decimal(n // g)) if g == d else f"{Decimal(n // g)}/{Decimal(d // g)}"
 
     if not b:
         return frac(a)
@@ -255,9 +259,10 @@ def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ParseError(f"bad rational {text!r}")
-    try:
-        return Fraction(text)
-    except (ZeroDivisionError, ValueError) as exc:  # ValueError: past int's digit limit
+    num, _, den = text.partition("/")
+    try:  # Decimal reads a numeral of any length exactly; int(text) stops at 4,300 digits
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
 

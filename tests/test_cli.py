@@ -318,6 +318,23 @@ def test_show_bad_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sel, family", [
+    ("p-:1", "pi_minus"), ("p+:1", "pi_plus"), ("eta:p-:1", "eta_minus"), ("eta:idem", "eta_minus"),
+    ("eta:p+:1", "eta_plus"),
+])
+def test_show_builds_through_the_family_functions(capsys, monkeypatch, sel, family):
+    # the layer trace replaces these module attributes; show must call them there
+    calls = []
+    for name in ("pi_plus", "pi_minus", "eta_plus", "eta_minus"):
+        def spy(*args, _name=name, _fn=getattr(cli.rep, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli.rep, name, spy)
+    code, out, _ = run(capsys, "show", "--algebra", "full:2", "--op", sel)
+    assert code == 0 and out.strip()
+    assert calls == [family]
+
+
 def test_show_with_force(capsys):
     code, out, _ = run(capsys, "show", "--algebra", "spin:9", "--op", "p+:1", "--force")
     assert code == 0

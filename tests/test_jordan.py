@@ -356,6 +356,18 @@ def test_corrupt_product_identities_fail_at_a_basis_element(sym2):
         assert "terms, value" in check.witness
 
 
+@pytest.mark.parametrize("selector, commutative, identity", [
+    ("sym:2", True, "norm-derivative"),
+    ("full:2", True, "inverse-derivative"),
+    ("full:2", False, "sqrt-second-derivative"),
+])
+def test_corrupt_structure_fails_the_points_cross_check(selector, commutative, identity):
+    bad = corrupt_structure(from_selector(selector), commutative=commutative)
+    [check] = derivative_identities(bad, mode="points", rng=random.Random(0), count=5)
+    assert check.status == "fail"
+    assert check.witness.startswith(f"{identity} at q=JElem("), check.witness
+
+
 @pytest.mark.parametrize("selector, rank, failing", [
     ("spin:3", 3, {"norm-normalized"}),                      # above the rank: F = 0
     ("sym:3", 2, {"norm-normalized", "adjugate-identity"}),  # below the rank

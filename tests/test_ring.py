@@ -1013,6 +1013,19 @@ def test_exponent_past_the_field_raises_instead_of_wrapping():
             pytest.fail(name)
 
 
+def test_scalars_past_the_int_digit_limit_print_and_parse_exactly():
+    # str(int) stops at 4,300 digits; a component of any size prints in full
+    # and reads back to the same Scalar
+    from twistedops.ring import parse_scalar
+    big = 10**5000
+    for s, text in ((Scalar(big + 7), "1" + "0" * 4999 + "7"),
+                    (Scalar(Fraction(1, big)), "1/1" + "0" * 5000),
+                    (Scalar(0, -big), "-1" + "0" * 5000 + "i")):
+        assert str(s) == text
+        assert parse_scalar(text) == s
+        assert parse_scalar(f"({text})") == s
+
+
 def test_largest_exponent_round_trips_through_text():
     from twistedops.ring import EXPONENT_LIMIT, ParseError, parse_lambda
     top = EXPONENT_LIMIT - 1

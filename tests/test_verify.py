@@ -893,6 +893,19 @@ def test_no_check_raises(selector, commutative):
     assert validate_report_dict(json.loads(report.to_json())) == []
 
 
+def test_a_witness_past_the_int_digit_limit_is_a_failed_result(sym2):
+    # the witness prints every digit; it does not escape timed_check as a
+    # ValueError from str(int)
+    op = DiffOp.mult(sym2, SuperFn.from_zpoly(sym2.ring, ZPoly.const(sym2.n, Scalar(10**5000))))
+
+    def body():
+        raise verify.VerifyError(f"residual {diffop_str(op)}")
+
+    result = verify.timed_check("huge-residual", body)
+    assert result.status == "fail"
+    assert result.witness == "residual (1" + "0" * 5000 + ")"
+
+
 def test_the_check_layer_has_no_try_statement():
     # a raised exact-ring error is the one way a check fails, and
     # report.timed_check alone catches it: no try, and no (ok, witness) return
