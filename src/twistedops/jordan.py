@@ -60,7 +60,6 @@ from .ring import (
     RingError,
     _POSINT,
     _guards,
-    _new,
     _overflow,
     _reduced,
     _unit,
@@ -88,13 +87,7 @@ class DimensionMismatchError(JordanError):
 # Elements
 # ---------------------------------------------------------------------------
 
-class _JElemSlots:
-    """The slots of a JElem, open to plain stores; see :func:`_jelem`."""
-
-    __slots__ = ("coords", "_num")
-
-
-class JElem(_JElemSlots, Frozen):
+class JElem(Frozen):
     """Coordinate vector of length n, over Scalar (points) or ZPoly.
 
     The private slot ``_num`` holds the integer form that products and
@@ -103,7 +96,7 @@ class JElem(_JElemSlots, Frozen):
     ``hash`` and ``repr`` read ``coords`` alone.
     """
 
-    __slots__ = ()
+    __slots__ = ("coords", "_num")
 
     def __init__(self, coords):
         _set_coords(self, tuple(coords))
@@ -136,12 +129,9 @@ _set_coords, _set_form = JElem.coords.__set__, JElem._num.__set__
 
 
 def _jelem(coords: tuple, form: tuple) -> JElem:
-    """The JElem with ``coords`` and the integer form they were built from,
-    filled with plain stores and then retyped."""
-    e = _new(_JElemSlots)
-    e.coords = coords
-    e._num = form
-    e.__class__ = JElem
+    """The JElem with ``coords`` and the integer form they were built from."""
+    e = JElem(coords)
+    _set_form(e, form)
     return e
 
 
@@ -675,7 +665,10 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
 
 
 def random_point(J: JordanAlgebra, rng: random.Random, invertible: bool = True) -> JElem:
-    """A random rational point, resampled until the norm is nonzero."""
+    """A random rational point, resampled until the norm is nonzero;
+    NotInvertibleError when the norm vanishes identically."""
+    if invertible and J.normF.is_zero():
+        raise NotInvertibleError("the norm vanishes identically: no invertible point")
     while True:
         q = JElem(tuple(Scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(J.n)))
         if not invertible or not J.norm_at(q).is_zero():
@@ -808,12 +801,15 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
 def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
     """The four identities in the localized ring.  Every trace is read off
     integer forms with the trace table, tr(b_j o {q^-1, b_i, q^-1}) off the
-    per-algebra sandwich table, so no product is formed per (i, j) pair."""
+    per-algebra sandwich table, so no product is formed per (i, j) pair.
+    Each tr(b_i o adj q), the numerator of tr(b_i o q^-1), and each d_i w
+    is formed once."""
     ctx = J.ring
     adj = J.adjugate_elem()
     basis = [J._form(J.basis_element(i)) for i in range(J.n)]
-    tr_qinv = [J.tr_v_qinv(J.basis_element(i)) for i in range(J.n)]
-    wfn = SuperFn.w(ctx)
+    tr_adj = [J.trace_form(J.basis_element(i), adj) for i in range(J.n)]
+    tr_qinv = [LocFn(ctx, t, 1) for t in tr_adj]
+    dw = list(map(SuperFn.w(ctx).derivative, range(J.n)))
 
     @cache
     def tr_triple(i: int, j: int) -> ZPoly:
@@ -823,14 +819,14 @@ def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
     def norm_derivative():
         # d_i F = tr(b_i o adj q), as polynomials
         for i in range(J.n):
-            if ctx.dF(i) != J.trace_form(J.basis_element(i), adj):
+            if ctx.dF(i) != tr_adj[i]:
                 raise JordanError(f"dF/dz{i+1} != tr(b{i+1} o adj q)")
 
     def sqrt_derivative():
         # d_i w = (1/2) tr(b_i o q^-1) w, as SuperFn
         for i in range(J.n):
             rhs = SuperFn.from_locfn(LocFn.zero(ctx), tr_qinv[i].scale(Scalar(Fraction(1, 2))))
-            if wfn.derivative(i) != rhs:
+            if dw[i] != rhs:
                 raise JordanError(f"d_{i+1} w != (1/2) tr(b{i+1} q^-1) w")
 
     def inverse_derivative():
@@ -844,7 +840,7 @@ def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
         # d_i d_j w = [ (1/4) tr(b_i q^-1) tr(b_j q^-1) - (1/2) tr(b_j {q^-1,b_i,q^-1}) ] w
         for i in range(J.n):
             for j in range(J.n):
-                lhs = wfn.derivative(j).derivative(i)
+                lhs = dw[j].derivative(i)
                 rhs_cof = (
                     (tr_qinv[i] * tr_qinv[j]).scale(Scalar(Fraction(1, 4)))
                     - LocFn(ctx, tr_triple(i, j), 2).scale(Scalar(Fraction(1, 2)))

@@ -98,8 +98,8 @@ class _ZX(ZPoly):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        ZPoly.__init__(self, 2, {(a, b, 0): c for (a, b), c in (terms or {}).items()})
+    def __new__(cls, terms: Mapping[tuple, Scalar] | None = None):
+        return ZPoly.__new__(cls, 2, {(a, b, 0): c for (a, b), c in (terms or {}).items()})
 
     @classmethod
     def zero(cls):

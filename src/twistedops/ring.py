@@ -101,16 +101,14 @@ class Scalar(_ScalarSlots, Frozen):
 
     __slots__ = ()
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
         for x in (re, im):
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
         # reduced parts over the lcm of their denominators have no common factor
         p, q, s, t = re.numerator, re.denominator, im.numerator, im.denominator
         d = q * t // gcd(q, t)
-        _set_a(self, p * (d // q))
-        _set_b(self, s * (d // t))
-        _set_d(self, d)
+        return _triple(p * (d // q), s * (d // t), d)
 
     re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a Fraction.")
     im = property(lambda self: Fraction(self.b, self.d), doc="The imaginary part, a Fraction.")
@@ -187,9 +185,9 @@ class Scalar(_ScalarSlots, Frozen):
 # A private factory fills the slots of a bare ``_...Slots`` object with
 # plain stores, then retypes it to the public class, which adds only the
 # Frozen guard to that layout: that skips one descriptor call per slot on
-# every value built.
+# every value built.  The public constructor checks its input and returns
+# the factory's value, so each value type is filled in one place.
 _new = object.__new__
-_set_a, _set_b, _set_d = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
 
 
 def _triple(a: int, b: int, d: int) -> Scalar:
@@ -367,9 +365,8 @@ class ZPoly(_ZPolySlots, Frozen):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping[tuple, Scalar] | None = None):
-        _set_n(self, n)
-        _set_packed(self, {pack(n, mono): c for mono, c in (terms or {}).items() if not c.is_zero()})
+    def __new__(cls, n: int, terms: Mapping[tuple, Scalar] | None = None):
+        return _zpoly(n, {pack(n, mono): c for mono, c in (terms or {}).items() if not c.is_zero()}, cls)
 
     @property
     def terms(self) -> Mapping[tuple, Scalar]:
@@ -566,7 +563,6 @@ class ZPoly(_ZPolySlots, Frozen):
         return "ZPoly(" + " + ".join(bits) + ")"
 
 
-_set_n, _set_packed = ZPoly.n.__set__, ZPoly.packed.__set__
 # the key of L^k in a LambdaPoly: k in the total and in the L field
 _LSTEP = _total_unit(0) + 1
 
@@ -612,12 +608,11 @@ class LambdaPoly(ZPoly):
 
     __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
         packed = {k * _LSTEP: c for k, c in enumerate(coeffs) if not c.is_zero()}
         if packed and max(packed) >= EXPONENT_LIMIT * _LSTEP:
             raise _overflow()
-        _set_n(self, 0)
-        _set_packed(self, packed)
+        return _zpoly(0, packed, cls)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -904,11 +899,9 @@ class LocFn(Frozen):
     def derivative(self, i: int) -> "LocFn":
         if not self._num.packed:
             return self
-        dnum = self._num.derivative(i)
         if self._k == 0:
-            return LocFn(self.ctx, dnum, 0)
-        combined = dnum * self.ctx.F - self._num.scale(Scalar(self._k)) * self.ctx.dF(i)
-        return LocFn(self.ctx, combined, self._k + 1)
+            return LocFn(self.ctx, self._num.derivative(i), 0)
+        return _quotient_rule(self.ctx, self._num, self._k, i, _triple(-self._k, 0, 1))
 
     def subst_lambda(self, value: LambdaPoly) -> "LocFn":
         return LocFn(self.ctx, self._num.subst_lambda(value), self._k)
@@ -939,6 +932,14 @@ _set_ctx, _set_num, _set_k, _set_reduced = (
     LocFn.ctx.__set__, LocFn._num.__set__, LocFn._k.__set__, LocFn._reduced.__set__)
 
 
+def _quotient_rule(ctx: RingContext, p: ZPoly, k: int, i: int, c: Scalar) -> LocFn:
+    """(p' F + c p F'_i) / F^(k+1), the derivative along z_(i+1) of
+    p w^(2s) / F^k divided by w^(2s), where c = s - k: s = 0 for an even
+    part, 1/2 for an odd one (w' = F'/(2F) w).  p is scaled before the
+    product, so the fraction takes two polynomial products."""
+    return LocFn(ctx, p.derivative(i) * ctx.F + p.scale(c) * ctx.dF(i), k + 1)
+
+
 # ---------------------------------------------------------------------------
 # SuperFn: even + odd * w with w^2 = F
 # ---------------------------------------------------------------------------
@@ -954,12 +955,10 @@ class SuperFn(_SuperFnSlots, Frozen):
 
     __slots__ = ()
 
-    def __init__(self, ctx: RingContext, ev: LocFn, od: LocFn):
+    def __new__(cls, ctx: RingContext, ev: LocFn, od: LocFn):
         _check_ctx(ctx, ev.ctx)
         _check_ctx(ctx, od.ctx)
-        _set_fctx(self, ctx)
-        _set_ev(self, ev)
-        _set_od(self, od)
+        return _superfn(ctx, ev, od)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -1039,15 +1038,12 @@ class SuperFn(_SuperFnSlots, Frozen):
         """Partial derivative using the chain rule for w: w' = F'/(2F) * w.
 
         For an odd part p/F^k the quotient rule and the chain rule give
-        (p/F^k w)' = (p' F + (1/2 - k) p F'_i) w / F^(k+1): one LocFn from
-        two polynomial products.
+        (p/F^k w)' = (p' F + (1/2 - k) p F'_i) w / F^(k+1), see
+        :func:`_quotient_rule`.
         """
         ctx, od = self.ctx, self.od
-        p, k = od._num, od._k
-        if p.packed:
-            # 1/2 - k = (1 - 2k)/2, already in lowest terms
-            num = p.derivative(i) * ctx.F + (p * ctx.dF(i)).scale(_triple(1 - 2 * k, 0, 2))
-            od = LocFn(ctx, num, k + 1)
+        if od._num.packed:  # 1/2 - k = (1 - 2k)/2, already in lowest terms
+            od = _quotient_rule(ctx, od._num, od._k, i, _triple(1 - 2 * od._k, 0, 2))
         return _superfn(ctx, self.ev.derivative(i), od)
 
     def subst_lambda(self, value: LambdaPoly) -> "SuperFn":
@@ -1070,9 +1066,6 @@ class SuperFn(_SuperFnSlots, Frozen):
 
     def __str__(self) -> str:
         return superfn_str(self)
-
-
-_set_fctx, _set_ev, _set_od = SuperFn.ctx.__set__, SuperFn.ev.__set__, SuperFn.od.__set__
 
 
 def _superfn(ctx: RingContext, ev: LocFn, od: LocFn) -> SuperFn:

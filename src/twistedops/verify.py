@@ -64,6 +64,13 @@ class VerifyError(RingError):
     """A structural equation of the identity suite does not hold."""
 
 
+def _require_equal(lhs: DiffOp, rhs: DiffOp, where: str) -> None:
+    """Raise VerifyError, ``where`` and the printed residual lhs - rhs,
+    unless the two operators are equal."""
+    if lhs != rhs:
+        raise VerifyError(f"{where}: {diffop_str(lhs - rhs)}")
+
+
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -87,9 +94,7 @@ def check_w_bracket(J: JordanAlgebra) -> CheckResult:
     """Exact first-bracket identity, for every basis direction."""
     def body():
         for i in range(J.n):
-            lhs, rhs = w_bracket_sides(J, i)
-            if lhs != rhs:
-                raise VerifyError(f"residual at y=b{i+1}: {diffop_str(lhs - rhs)}")
+            _require_equal(*w_bracket_sides(J, i), f"residual at y=b{i+1}")
     return timed_check("w-bracket", body)
 
 
@@ -100,10 +105,7 @@ def check_idempotent_bracket(J: JordanAlgebra, y=None) -> CheckResult:
     def body():
         J.check_primitive_idempotent(y)
         dy = DiffOp.directional(J, y)
-        lhs = rep.pi_minus(J, y).commutator(dy)
-        rhs = dy.compose(dy)
-        if lhs != rhs:
-            raise VerifyError(f"residual: {diffop_str(lhs - rhs)}")
+        _require_equal(rep.pi_minus(J, y).commutator(dy), dy.compose(dy), "residual")
     return timed_check("idempotent-bracket", body)
 
 
@@ -156,8 +158,7 @@ def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
             return -(g * e)
     D = p.commutator(p.commutator(W))
     quad, rhs = _odd_multiple(J, D, sq)
-    if D != rhs:
-        raise VerifyError(f"residual: {diffop_str(D - rhs)}")
+    _require_equal(D, rhs, "residual")
     return quad
 
 
@@ -210,10 +211,8 @@ def _w_conjugation_witness(J: JordanAlgebra) -> None:
     lam0, lam0p = rep.critical_pair(J)
     for i in range(J.n):
         y = J.basis_element(i)
-        got = rep.pi_minus(J, y, lam0p).conjugate_by_w()
-        lower = rep.pi_minus(J, y, lam0)
-        if got != lower:
-            raise VerifyError(f"residual at y=b{i+1}: {diffop_str(got - lower)}")
+        _require_equal(rep.pi_minus(J, y, lam0p).conjugate_by_w(), rep.pi_minus(J, y, lam0),
+                       f"residual at y=b{i+1}")
 
 
 @per_algebra
@@ -249,10 +248,7 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
         for i in range(J.n):
             x = J.basis_element(i)
             for op in (rep.pi_plus(J, x), rep.pi_minus(J, x)):
-                lhs = op.delta_map()
-                rhs = (-op).subst_lambda(one_minus)
-                if lhs != rhs:
-                    raise VerifyError(f"residual at b{i+1}: {diffop_str(lhs - rhs)}")
+                _require_equal(op.delta_map(), (-op).subst_lambda(one_minus), f"residual at b{i+1}")
         _conjugation_witness(J)
         W = DiffOp.mult_w(J)
         bw = W.delta_map().conjugate_by_w()
@@ -274,10 +270,8 @@ def _fourier_link(J: JordanAlgebra) -> None:
         lhs = weyl.fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
         if lhs != rep.pi_plus(J, x):
             raise VerifyError(f"plus side differs at b{i+1}")
-        lhs = weyl.fourier(rep.eta_minus(J, x).scale(Scalar(-1)))
-        rhs = rep.pi_minus(J, x)
-        if lhs != rhs:
-            raise VerifyError(f"minus side residual at b{i+1}: {diffop_str(lhs - rhs)}")
+        _require_equal(weyl.fourier(rep.eta_minus(J, x).scale(Scalar(-1))), rep.pi_minus(J, x),
+                       f"minus side residual at b{i+1}")
 
 
 def check_fourier(J: JordanAlgebra) -> CheckResult:

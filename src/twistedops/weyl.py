@@ -143,9 +143,21 @@ def _support(c) -> int:
 
 
 class _OperatorSlots:
-    """The slots of an operator, open to plain stores; see ``_with``."""
+    """The slots of an operator, open to plain stores; see :func:`_operator`."""
 
     __slots__ = ("alg", "terms", "_by_delta", "_partials")
+
+
+def _operator(cls: type, alg: JordanAlgebra, terms: dict):
+    """The ``cls`` operator over ``alg`` with already-pruned terms, filled
+    with plain stores and then retyped."""
+    op = object.__new__(_OperatorSlots)
+    op.alg = alg
+    op.terms = terms
+    op._by_delta = None
+    op._partials = None
+    op.__class__ = cls
+    return op
 
 
 class _NormalOrdered(_OperatorSlots, Frozen):
@@ -176,27 +188,12 @@ class _NormalOrdered(_OperatorSlots, Frozen):
 
     __slots__ = ()
 
-    def __init__(self, alg: JordanAlgebra, terms: Mapping | None = None):
-        clean = {}
-        if terms:
-            for idx, c in terms.items():
-                if not c.is_zero():
-                    clean[idx] = c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_by_delta", None)
-        object.__setattr__(self, "_partials", None)
+    def __new__(cls, alg: JordanAlgebra, terms: Mapping | None = None):
+        return _operator(cls, alg, {idx: c for idx, c in (terms or {}).items() if not c.is_zero()})
 
     def _with(self, terms: dict):
-        """An operator of the same type and algebra with already-pruned
-        terms, filled with plain stores and then retyped."""
-        op = object.__new__(_OperatorSlots)
-        op.alg = self.alg
-        op.terms = terms
-        op._by_delta = None
-        op._partials = None
-        op.__class__ = type(self)
-        return op
+        """An operator of the same type and algebra with already-pruned terms."""
+        return _operator(type(self), self.alg, terms)
 
     @classmethod
     def zero(cls, alg: JordanAlgebra):
@@ -234,7 +231,7 @@ class _NormalOrdered(_OperatorSlots, Frozen):
                     groups.setdefault(delta, []).append((a, coeff, rest))
             rows = tuple((delta, (sum(delta), sum(1 << i for i, e in enumerate(delta) if e), tuple(group)))
                          for delta, group in groups.items())
-            object.__setattr__(self, "_by_delta", rows)
+            _OperatorSlots._by_delta.__set__(self, rows)
         return rows
 
     def _leibniz_sum(self, other, first: int) -> dict:
@@ -254,7 +251,7 @@ class _NormalOrdered(_OperatorSlots, Frozen):
         cache = other._partials
         if cache is None:
             cache = {}
-            object.__setattr__(other, "_partials", cache)
+            _OperatorSlots._partials.__set__(other, cache)
         rows = self._delta_rows()[first:]
         out: dict = {}
         for gamma, b in other.terms.items():

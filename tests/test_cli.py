@@ -119,7 +119,7 @@ def test_verify_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--algebra", "full:1", "--suite", "critical",
                        "--format", "json", "--output", str(target))
     assert code == 0
-    data = json.loads(target.read_text())
+    data = json.loads(target.read_text(encoding="utf-8"))
     assert validate_report_dict(data) == []
 
 

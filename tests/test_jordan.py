@@ -3,8 +3,12 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -23,7 +27,7 @@ from twistedops.jordan import (
     validate_structure,
     verify_jordan_calculus,
 )
-from twistedops.ring import EXPONENT_LIMIT, DegreeError, LambdaPoly, LocFn, Scalar, ZPoly, ONE, ZERO, _zpoly, pack
+from twistedops.ring import EXPONENT_LIMIT, DegreeError, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE, ZERO, _zpoly, pack
 from twistedops.weyl import DiffOp
 
 
@@ -384,6 +388,49 @@ def test_wrong_rank_fails_the_norm_checks(selector, rank, failing):
         assert not results[name].ok, name
         assert results[name].witness, name
     assert all(c.ok for c in validate_structure(J))
+
+
+def test_points_cross_check_fails_when_the_norm_vanishes():
+    # spin:3 built at rank 3 has F = 0, so no point is invertible: the points
+    # check fails at once instead of resampling forever (run apart, with a timeout)
+    code = (
+        "import random\n"
+        "from twistedops import jordan\n"
+        "J = jordan.from_selector('spin:3')\n"
+        "bad = jordan._finish(J.kind, 3, J.n, J.labels, J.prod, J.unit, J.trace_vec, J.idempotent)\n"
+        "[c] = jordan.derivative_identities(bad, mode='points', rng=random.Random(0), count=5)\n"
+        "print(c.name, c.status, c.witness, sep='|')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    name, status, witness = proc.stdout.strip().split("|")
+    assert (name, status) == ("derivative-identities-at-points", "fail")
+    assert witness == "the norm vanishes identically: no invertible point"
+
+
+@pytest.mark.parametrize("selector", ["full:2", "sym:3"])
+def test_derivative_identities_form_each_trace_and_dw_once(selector, monkeypatch):
+    # tr(b_i o adj q) once per i, for tr(b_i o q^-1) and the norm derivative;
+    # d_i w once per i, for the first and the second derivatives of w
+    J = from_selector(selector)
+    n, calls = J.n, {"trace_form": 0, "derivative": 0}
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(jordan.JordanAlgebra, "trace_form")
+    spy(SuperFn, "derivative")
+    assert all(c.ok for c in derivative_identities(J))
+    assert calls == {"trace_form": n, "derivative": n + n * n}
 
 
 @pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])

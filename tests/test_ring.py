@@ -542,6 +542,38 @@ def test_odd_derivative_matches_three_product_route(ctx2x2, monkeypatch, k):
                     assert (got.od._num, got.od._k) == (want.od._num, want.od._k)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_even_derivative_is_one_quotient_rule(ctx2x2, monkeypatch, k):
+    # (p/F^k)' = (p' F - k p F') / F^(k+1), stored unreduced, from two products
+    from twistedops import jordan
+    mul_calls = []
+    original_mul = ZPoly.__mul__
+
+    def spy(self, other):
+        mul_calls.append(1)
+        return original_mul(self, other)
+
+    for ctx in (ctx2x2, jordan.make_spin(3).ring):
+        n = ctx.n
+        z = [ZPoly.coord(n, i) for i in range(n)]
+        nums = [
+            ZPoly.one(n),
+            z[0] * z[-1] * ZPoly.monomial(n, (0,) * n, LAMBDA) - z[1].scale(sc(3)),
+            ctx.F * z[0],  # F cancels once when observed
+        ]
+        for p in nums:
+            f = LocFn(ctx, p, k)
+            for i in range(n):
+                ctx.dF(i)  # cached, so the spy sees the derivative's own products
+                monkeypatch.setattr(ZPoly, "__mul__", spy)
+                got = f.derivative(i)
+                monkeypatch.setattr(ZPoly, "__mul__", original_mul)
+                assert len(mul_calls) == 2  # p' F and k p F'
+                mul_calls.clear()
+                want = LocFn(ctx, p.derivative(i) * ctx.F - p.scale(sc(k)) * ctx.dF(i), k + 1)
+                assert (got._num, got._k) == (want._num, want._k)  # k = 0 when the sum cancels
+
+
 # ---------------------------------------------------------------------------
 # Euler grading
 # ---------------------------------------------------------------------------

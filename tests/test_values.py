@@ -92,7 +92,7 @@ def test_one_guard_and_no_weak_store_in_the_package():
     # their algebra, so no module copies the guard or keeps a weak-key store
     setters, weak = [], []
     for path in sorted(Path(twistedops.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
                 names = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 names += [t.id for a in node.body if isinstance(a, ast.Assign) for t in a.targets
