@@ -56,7 +56,7 @@ def _parse_twist(text: str) -> Fraction:
 
 
 def _emit(text: str, output: str | None, mode: str = "w") -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, mode, encoding="utf-8") as fh:
                 fh.write(text)
@@ -72,7 +72,7 @@ def _emit(text: str, output: str | None, mode: str = "w") -> None:
 
 def cmd_verify(args) -> int:
     J = _load_algebra(args.algebra, args.force)
-    lam = _parse_twist(args.lam) if args.lam else rep.GENERIC_TWIST
+    lam = _parse_twist(args.lam) if args.lam is not None else rep.GENERIC_TWIST
     try:
         report = verify.run_suite(J, selection=args.suite, seed=args.seed,
                                   lam_value=lam)
@@ -136,7 +136,7 @@ def cmd_show(args) -> int:
     J = _load_algebra(args.algebra, args.force)
     sel = args.op
     lam = None
-    if args.lam:
+    if args.lam is not None:
         lam = _parse_twist(args.lam)
     try:
         gen = rep.generator_from_selector(J, sel.removeprefix("eta:"))

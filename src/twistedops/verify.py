@@ -10,18 +10,14 @@ The central computation takes the canonical primitive idempotent y and
 the double commutator [pi^y, [pi^y, w]] of the twisted operator of y with
 the multiplication operator w, which equals c(L) w t^2 with
 t = tr(y o q^{-1}).  It never forms that second-order commutator: with f
-the multiplication by d^y w = (1/2) w t, it confirms three first-order
-operator equalities,
+the multiplication by d^y w, it confirms two first-order equations,
 
     (a) [pi^y, w] + w d^y = g(L) f,
     (b) [pi^y, d^y] = (d^y)^2,
-    (c) f d^y - [pi^y, f] = e(L) w t^2,
 
-g and e read off the leading z-monomial of t and t^2.  The Leibniz rule
-for commutators gives [pi^y, w d^y] = g f d^y from (a) and (b), hence
-[pi^y, [pi^y, w]] = g [pi^y, f] - g f d^y = -g e w t^2 by (c).  Only when
-one of them fails is the double commutator formed, for its residual.
-c(L) = -g e is compared with
+and d^y d^y w = k w t^2.  By Jacobi they give [pi^y, [pi^y, w]] =
+g(1 + g) d^y d^y w, so c(L) = g(1 + g) k.  Only when one of them fails is
+the double commutator formed, for its residual.  c(L) is compared with
 
     - m^2 (L - l0) (L - l0')
 
@@ -45,8 +41,8 @@ from .jordan import JordanAlgebra
 from .report import CheckResult, Report, per_algebra, timed_check
 from .ring import (
     HALF,
-    IUNIT,
     LAMBDA,
+    LP_ONE,
     LambdaPoly,
     LocFn,
     ONE,
@@ -125,21 +121,22 @@ def _odd_multiple(J: JordanAlgebra, op: DiffOp, unit: LocFn) -> tuple[LambdaPoly
 def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
     """The c(L) of [pi^y, [pi^y, w]] = c(L) w t^2, with t = tr(y o q^{-1}).
 
-    The second commutator is not formed.  With f the multiplication by
-    d^y w = (1/2) w t, three first-order equations are checked exactly,
-    g(L) and e(L) read off the leading z-monomial of t and of t^2:
+    The second commutator is not formed.  With f = [d^y, w] the
+    multiplication by d^y w, two first-order equations are checked exactly,
 
         (a) [pi^y, w] + w d^y = g(L) f,
         (b) [pi^y, d^y] = (d^y)^2,
-        (c) f d^y - [pi^y, f] = e(L) w t^2.
 
-    By [A, BC] = [A, B] C + B [A, C], (a) and (b) give
-    [pi^y, w d^y] = (g f - w d^y) d^y + w (d^y)^2 = g f d^y, so
-    [pi^y, [pi^y, w]] = g [pi^y, f] - g f d^y = -g e w t^2 and c = -g e.
+    and d^y d^y w = k w t^2, g(L) and k read off the leading z-monomial of
+    (d^y w)/w and of t^2.  By [A, BC] = [A, B] C + B [A, C], (a) and (b)
+    give [pi^y, w d^y] = g f d^y; by Jacobi, [pi^y, f] = [(d^y)^2, w] +
+    [d^y, g f - w d^y] = f d^y + (1 + g) d^y d^y w.  So [pi^y, [pi^y, w]] =
+    g [pi^y, f] - g f d^y = g(1 + g) k w t^2 and c = g(1 + g) k; k = -1/4,
+    as d^y w = (1/2) w t and d^y t = -t^2 at a primitive idempotent.
 
-    When one of (a)-(c) fails, the double commutator D is formed and
-    confirmed as D = c(L) w t^2, c(L) read off the leading z-monomial of
-    t^2; VerifyError carries the residual when that fails too.
+    When (a), (b) or the identity fails, the double commutator D is formed
+    and confirmed as D = c(L) w t^2, c(L) read off the leading z-monomial
+    of t^2; VerifyError carries the residual when that fails too.
     """
     y = y if y is not None else J.idempotent_elem()
     J.check_primitive_idempotent(y)
@@ -147,15 +144,15 @@ def double_commutator_quadratic(J: JordanAlgebra, y=None) -> LambdaPoly:
     W = DiffOp.mult_w(J)
     dy = DiffOp.directional(J, y)
     t = J.tr_v_qinv(y)
-    half_t, sq = t.scale(HALF), t * t  # (d^y w)/w and t^2
+    sq = t * t
+    dyw = dy.apply(SuperFn.w(J.ring))
     bracket = p.commutator(W) + W.compose(dy)
-    g, gf = _odd_multiple(J, bracket, half_t)
+    g, gf = _odd_multiple(J, bracket, dyw.od)
     if bracket == gf and p.commutator(dy) == dy.compose(dy):
-        f = DiffOp.mult(J, SuperFn.from_locfn(LocFn.zero(J.ring), half_t))
-        lowered = f.compose(dy) - p.commutator(f)
-        e, ewt2 = _odd_multiple(J, lowered, sq)
-        if lowered == ewt2:
-            return -(g * e)
+        dydyw = DiffOp.mult(J, dy.apply(dyw))
+        k, kwt2 = _odd_multiple(J, dydyw, sq)
+        if dydyw == kwt2:
+            return g * (LP_ONE + g) * k
     D = p.commutator(p.commutator(W))
     quad, rhs = _odd_multiple(J, D, sq)
     _require_equal(D, rhs, "residual")
@@ -225,16 +222,11 @@ def _conjugation_witness(J: JordanAlgebra) -> None:
 def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
     """Conjugation by w carries the upper-twist family to the lower one.
 
-    The plus side is checked here; the minus side is checked once per
-    algebra and shared with the delta, module and lowest-weight checks.
+    The minus side is checked once per algebra and shared with the delta,
+    module and lowest-weight checks.  The plus side needs no check:
+    pi_plus(x) multiplies by tr(x o q), and multiplications commute with w.
     """
-    def body():
-        for i in range(J.n):
-            mult = rep.pi_plus(J, J.basis_element(i))
-            if mult.conjugate_by_w() != mult:
-                raise VerifyError(f"multiplication operator moved at x=b{i+1}")
-        _conjugation_witness(J)
-    return timed_check("w-conjugation", body)
+    return timed_check("w-conjugation", lambda: _conjugation_witness(J))
 
 
 def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
@@ -242,34 +234,27 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
     family at L to minus the family at 1 - L; composed with conjugation
     by w it fixes the critical family up to sign: delta leaves L alone,
     so beta(pi_{l0}) = -w pi_{1-l0} w^{-1} = -pi_{l0} by the w-conjugation
-    identity, whose failure fails this check too, and w fixes pi_plus."""
+    identity, whose failure fails this check too.  pi_plus(x) needs no
+    check: it multiplies by tr(x o q), linear in z and free of L, so
+    delta(pi_plus) = -pi_plus; beta(w) = i^r w is delta's definition on w,
+    as w fixes multiplications, and beta^2(w) = (-1)^r w by C-linearity."""
     def body():
         one_minus = LambdaPoly((ONE, -ONE))  # 1 - L
         for i in range(J.n):
-            x = J.basis_element(i)
-            for op in (rep.pi_plus(J, x), rep.pi_minus(J, x)):
-                _require_equal(op.delta_map(), (-op).subst_lambda(one_minus), f"residual at b{i+1}")
+            op = rep.pi_minus(J, J.basis_element(i))
+            _require_equal(op.delta_map(), (-op).subst_lambda(one_minus), f"residual at b{i+1}")
         _conjugation_witness(J)
-        W = DiffOp.mult_w(J)
-        bw = W.delta_map().conjugate_by_w()
-        iw = IUNIT ** J.r
-        if bw != W.scale(iw):
-            raise VerifyError("beta(w) != i^r w")
-        bbw = bw.delta_map().conjugate_by_w()
-        if bbw != W.scale(Scalar(-1) ** J.r):
-            raise VerifyError("beta^2(w) != (-1)^r w")
     return timed_check("delta-antimap", body)
 
 
 @per_algebra
 def _fourier_link(J: JordanAlgebra) -> None:
     """fourier(-eta^x) = pi^x for every basis generator, at formal twist,
-    checked once per algebra; VerifyError carries the first mismatch."""
+    checked once per algebra; VerifyError carries the first mismatch.  The
+    plus side holds by construction: fourier(-eta_plus(b_i)) multiplies by
+    ell_i = tr(b_i o q), as pi_plus(b_i) does."""
     for i in range(J.n):
         x = J.basis_element(i)
-        lhs = weyl.fourier(rep.eta_plus(J, x).scale(Scalar(-1)))
-        if lhs != rep.pi_plus(J, x):
-            raise VerifyError(f"plus side differs at b{i+1}")
         _require_equal(weyl.fourier(rep.eta_minus(J, x).scale(Scalar(-1))), rep.pi_minus(J, x),
                        f"minus side residual at b{i+1}")
 
@@ -289,11 +274,12 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
     """Bracket closure of the generated symmetry at a rational twist.
 
     With P_a = pi_plus(b_a) and M_b = pi_minus(b_b) at ``lam_value``,
-    checked: both wings are abelian, the K-span of the [P_a, M_b] has the
+    checked: the minus wing is abelian, the K-span of the [P_a, M_b] has the
     expected dimension, and [K, P_c] lies in span P, [K, M_d] in span M
     for every K in it.  [K, K'] needs no check: for K' = [P_c, M_d],
     Jacobi gives [K, K'] = [[K, P_c], M_d] + [P_c, [K, M_d]], and both
-    terms lie in span{[P_i, M_j]}, the K-span by construction.
+    terms lie in span{[P_i, M_j]}, the K-span by construction.  The plus
+    wing, multiplications or constant-coefficient fields, is abelian.
 
     Route: when the Fourier link of :func:`check_fourier` holds, every
     bracket is taken on the u-side, with eta_plus(b_a) and eta_minus(b_b)
@@ -314,11 +300,9 @@ def check_closure(J: JordanAlgebra, lam_value: Fraction = GENERIC_TWIST) -> Chec
         plus = [plus_of(J, b) for b in basis]
         minus = [minus_of(J, b, lam_value) for b in basis]
         minus_formal = [minus_of(J, b) for b in basis]
-        # the two wings are abelian (exact, formal twist)
+        # the minus wing is abelian (exact, formal twist)
         for i in range(J.n):
             for j in range(i + 1, J.n):
-                if not plus[i].commutator(plus[j]).is_zero():
-                    raise VerifyError(f"[b{i+1}+, b{j+1}+] != 0")
                 if not minus_formal[i].commutator(minus_formal[j]).is_zero():
                     raise VerifyError(f"[b{i+1}-, b{j+1}-] != 0")
         span = rep.SpanBasis(P.commutator(M) for P in plus for M in minus)

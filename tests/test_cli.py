@@ -255,7 +255,7 @@ def test_show_specialized(capsys):
 
 
 @pytest.mark.parametrize("command", ["show", "verify"])
-@pytest.mark.parametrize("lam", ["1_0", "1e-3", "1.5", "1/0"])
+@pytest.mark.parametrize("lam", ["1_0", "1e-3", "1.5", "1/0", ""])
 def test_twist_is_read_as_a_plain_rational(capsys, command, lam):
     # --lam takes the forms the printer writes, signed integers and
     # fractions, and nothing Fraction() alone would also accept
@@ -403,7 +403,7 @@ def test_usage_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("target", ["{tmp}/missing/x.json", "{tmp}"], ids=["missing-dir", "is-dir"])
+@pytest.mark.parametrize("target", ["{tmp}/missing/x.json", "{tmp}", ""], ids=["missing-dir", "is-dir", "empty"])
 def test_unwritable_output_fails_before_the_suite_runs(capsys, tmp_path, monkeypatch, target):
     calls = []
     monkeypatch.setattr(cli.verify, "run_suite", lambda *a, **k: calls.append(a))
