@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -228,7 +229,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
+        fresh = args.output is not None and not os.path.exists(args.output)
         _emit("", args.output, "a")  # an unwritable --output fails before any work
+        if fresh:  # the probe leaves no file of its own behind
+            os.remove(args.output)
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -44,7 +44,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
+from itertools import product
 from math import gcd, lcm
 
 from .report import CheckResult, per_algebra, timed_check
@@ -53,7 +54,6 @@ from .ring import (
     LocFn,
     RingContext,
     Scalar,
-    SuperFn,
     ZPoly,
     ZERO,
     ONE,
@@ -785,75 +785,61 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
                           rng: random.Random | None = None, count: int = 20) -> list[CheckResult]:
     """The four derivative identities tying F, w, traces and triples.
 
-    In ``symbolic`` mode each identity is established exactly in the
-    localized ring, for every pair of basis directions.  In ``points``
-    mode the same identities are evaluated at ``count`` random invertible
-    rational points; the suite runs the symbolic mode, and the points
-    mode is kept as an independent cross-check.
+    In ``symbolic`` mode each identity fails at the first index, i outer and
+    j inner, where its residual of :func:`_norm_calculus` is not zero.  In
+    ``points`` mode they are evaluated at ``count`` random invertible
+    rational points, an independent cross-check of the symbolic mode.
     """
-    if mode == "symbolic":
-        return _derivative_identities_symbolic(J)
     if mode == "points":
         return _derivative_identities_points(J, rng or random.Random(0), count)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "symbolic":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    def first_failure(residual, arity: int, claim) -> None:
+        for idx in product(range(J.n), repeat=arity):
+            if not residual(*idx).is_zero():
+                raise JordanError(claim(*(k + 1 for k in idx)))
+
+    return [timed_check(name, partial(first_failure, *row)) for name, *row in _norm_calculus(J)]
 
 
-def _derivative_identities_symbolic(J: JordanAlgebra) -> list[CheckResult]:
-    """The four identities in the localized ring.  Every trace is read off
-    integer forms with the trace table, tr(b_j o {q^-1, b_i, q^-1}) off the
-    per-algebra sandwich table, so no product is formed per (i, j) pair.
-    Each tr(b_i o adj q), the numerator of tr(b_i o q^-1), and each d_i w
-    is formed once."""
-    ctx = J.ring
-    adj = J.adjugate_elem()
+def _norm_calculus(J: JordanAlgebra) -> tuple:
+    """The derivative identities as rows (name, residual, arity, claim), the
+    residual a polynomial at i or (i, j) that is zero exactly where the
+    identity holds, the claim its failure message.  With F the ring's norm,
+    A_i = tr(b_i o adj q), T_ij = tr(b_j o {adj q, b_i, adj q}) off the
+    per-algebra sandwich table and e_i = d_i F - A_i, the residuals are
+
+    * e_i for d_i F = A_i and, by the chain rule d_i w = (d_i F / 2F) w,
+      for d_i w = (1/2) tr(b_i o q^-1) w;
+    * X_ij = F d_i A_j - A_j d_i F + T_ij, the quotient rule's numerator
+      over F^2, for d_i tr(b_j o q^-1) = -tr(b_j o {q^-1, b_i, q^-1});
+    * S_ij = 2X_ij + 2F d_i e_j - A_i e_j + A_j e_i - e_i e_j for d_i d_j w
+      = [(1/4) tr(b_i o q^-1) tr(b_j o q^-1) - (1/2) tr(b_j o {q^-1, b_i,
+      q^-1})] w, whose sides times 4F^2/w are 2F d_i d_j F - d_i F d_j F
+      and A_i A_j - 2T_ij.  S reads X's cache; once every e_i is zero,
+      each e-term of S is a product with the zero polynomial.
+    """
+    F, dF = J.ring.F, J.ring.dF
     basis = [J._form(J.basis_element(i)) for i in range(J.n)]
-    tr_adj = [J.trace_form(J.basis_element(i), adj) for i in range(J.n)]
-    tr_qinv = [LocFn(ctx, t, 1) for t in tr_adj]
-    dw = list(map(SuperFn.w(ctx).derivative, range(J.n)))
+    A = [J.trace_form(J.basis_element(i), J.adjugate_elem()) for i in range(J.n)]
+    e = [dF(i) - A[i] for i in range(J.n)]
 
     @cache
-    def tr_triple(i: int, j: int) -> ZPoly:
-        """tr(b_j o {adj q, b_i, adj q}) = F^2 tr(b_j o {q^-1, b_i, q^-1})."""
-        return J._trace_of(basis[j], _sandwiches(J)[i])
+    def X(i: int, j: int) -> ZPoly:
+        T = J._trace_of(basis[j], _sandwiches(J)[i])
+        return F * A[j].derivative(i) - A[j] * dF(i) + T
 
-    def norm_derivative():
-        # d_i F = tr(b_i o adj q), as polynomials
-        for i in range(J.n):
-            if ctx.dF(i) != tr_adj[i]:
-                raise JordanError(f"dF/dz{i+1} != tr(b{i+1} o adj q)")
+    def S(i: int, j: int) -> ZPoly:
+        twice = (X(i, j) + F * e[j].derivative(i)).scale(Scalar(2))
+        return twice - A[i] * e[j] + A[j] * e[i] - e[i] * e[j]
 
-    def sqrt_derivative():
-        # d_i w = (1/2) tr(b_i o q^-1) w, as SuperFn
-        for i in range(J.n):
-            rhs = SuperFn.from_locfn(LocFn.zero(ctx), tr_qinv[i].scale(Scalar(Fraction(1, 2))))
-            if dw[i] != rhs:
-                raise JordanError(f"d_{i+1} w != (1/2) tr(b{i+1} q^-1) w")
-
-    def inverse_derivative():
-        # d_i tr(b_j o q^-1) = -tr(b_j o {q^-1, b_i, q^-1})
-        for i in range(J.n):
-            for j in range(J.n):
-                if tr_qinv[j].derivative(i) != -LocFn(ctx, tr_triple(i, j), 2):
-                    raise JordanError(f"d_{i+1} tr(b{j+1} q^-1) mismatch")
-
-    def sqrt_second_derivative():
-        # d_i d_j w = [ (1/4) tr(b_i q^-1) tr(b_j q^-1) - (1/2) tr(b_j {q^-1,b_i,q^-1}) ] w
-        for i in range(J.n):
-            for j in range(J.n):
-                lhs = dw[j].derivative(i)
-                rhs_cof = (
-                    (tr_qinv[i] * tr_qinv[j]).scale(Scalar(Fraction(1, 4)))
-                    - LocFn(ctx, tr_triple(i, j), 2).scale(Scalar(Fraction(1, 2)))
-                )
-                if lhs != SuperFn.from_locfn(LocFn.zero(ctx), rhs_cof):
-                    raise JordanError(f"d_{i+1} d_{j+1} w mismatch")
-
-    return [timed_check(name, fn) for name, fn in (
-        ("norm-derivative", norm_derivative),
-        ("sqrt-derivative", sqrt_derivative),
-        ("inverse-derivative", inverse_derivative),
-        ("sqrt-second-derivative", sqrt_second_derivative),
-    )]
+    return (
+        ("norm-derivative", e.__getitem__, 1, "dF/dz{0} != tr(b{0} o adj q)".format),
+        ("sqrt-derivative", e.__getitem__, 1, "d_{0} w != (1/2) tr(b{0} q^-1) w".format),
+        ("inverse-derivative", X, 2, "d_{0} tr(b{1} q^-1) mismatch".format),
+        ("sqrt-second-derivative", S, 2, "d_{0} d_{1} w mismatch".format),
+    )
 
 
 def _derivative_identities_points(J: JordanAlgebra, rng: random.Random, count: int) -> list[CheckResult]:

@@ -412,3 +412,28 @@ def test_unwritable_output_fails_before_the_suite_runs(capsys, tmp_path, monkeyp
     assert code == 2
     assert err.startswith("error: cannot write --output")
     assert calls == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "full:1", "--lam=x"),
+    ("verify", "--algebra", "nope:1"),
+    ("show", "--algebra", "full:2", "--op", "p-:9"),
+    ("moyal", "--max-degree", "99999"),
+], ids=["verify-twist", "verify-selector", "show-index", "moyal-degree"])
+def test_a_usage_error_leaves_the_output_path_as_it_was(capsys, tmp_path, argv, existing):
+    # the --output probe creates no file a failed command leaves behind,
+    # and a file that was there keeps its contents
+    target = tmp_path / "out.txt"
+    if existing:
+        target.write_text("kept\n", encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert target.exists() == existing
+    if existing:
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_an_empty_suite_is_an_unknown_suite(capsys):
+    assert run(capsys, "verify", "--algebra", "full:1", "--suite=") == (2, "", "error: unknown suite ''\n")

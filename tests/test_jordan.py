@@ -1,5 +1,6 @@
 """Algebra families: structure data, products, norm calculus."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -413,9 +414,9 @@ def test_points_cross_check_fails_when_the_norm_vanishes():
 
 
 @pytest.mark.parametrize("selector", ["full:2", "sym:3"])
-def test_derivative_identities_form_each_trace_and_dw_once(selector, monkeypatch):
-    # tr(b_i o adj q) once per i, for tr(b_i o q^-1) and the norm derivative;
-    # d_i w once per i, for the first and the second derivatives of w
+def test_derivative_identities_form_each_trace_once_and_no_partial_of_w(selector, monkeypatch):
+    # tr(b_i o adj q) once per i, for the residuals e_i, X_ij and S_ij; the
+    # identities are polynomial, so no function of the cover is differentiated
     J = from_selector(selector)
     n, calls = J.n, {"trace_form": 0, "derivative": 0}
 
@@ -430,7 +431,70 @@ def test_derivative_identities_form_each_trace_and_dw_once(selector, monkeypatch
     spy(jordan.JordanAlgebra, "trace_form")
     spy(SuperFn, "derivative")
     assert all(c.ok for c in derivative_identities(J))
-    assert calls == {"trace_form": n, "derivative": n + n * n}
+    assert calls == {"trace_form": n, "derivative": 0}
+
+
+CLAIMS = {
+    "norm-derivative": "dF/dz{0} != tr(b{0} o adj q)",
+    "sqrt-derivative": "d_{0} w != (1/2) tr(b{0} q^-1) w",
+    "inverse-derivative": "d_{0} tr(b{1} q^-1) mismatch",
+    "sqrt-second-derivative": "d_{0} d_{1} w mismatch",
+}
+
+
+def localized_ring_verdicts(J) -> dict:
+    """Reference: the four derivative identities as equalities of LocFn and
+    SuperFn values in the localized ring, d_i w and d_i d_j w taken by the
+    ring's chain rule; {(name, index): holds} at every i and (i, j)."""
+    ctx = J.ring
+    adj = J.adjugate_elem()
+    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
+    tr_adj = [J.trace_form(J.basis_element(i), adj) for i in range(J.n)]
+    tr_qinv = [LocFn(ctx, t, 1) for t in tr_adj]
+    dw = [SuperFn.w(ctx).derivative(i) for i in range(J.n)]
+    odd = lambda f: SuperFn.from_locfn(LocFn.zero(ctx), f)
+    verdicts = {}
+    for i in range(J.n):
+        verdicts["norm-derivative", (i,)] = ctx.dF(i) == tr_adj[i]
+        verdicts["sqrt-derivative", (i,)] = dw[i] == odd(tr_qinv[i].scale(sc("1/2")))
+    for i, j in itertools.product(range(J.n), repeat=2):
+        triple = LocFn(ctx, J._trace_of(basis[j], jordan._sandwiches(J)[i]), 2)  # tr(b_j o {q^-1, b_i, q^-1})
+        verdicts["inverse-derivative", (i, j)] = tr_qinv[j].derivative(i) == -triple
+        cofactor = (tr_qinv[i] * tr_qinv[j]).scale(sc("1/4")) - triple.scale(sc("1/2"))
+        verdicts["sqrt-second-derivative", (i, j)] = dw[j].derivative(i) == odd(cofactor)
+    return verdicts
+
+
+NORM_CALCULUS_VARIANTS = {
+    "algebra": lambda J: J,
+    "m+1": lambda J: dataclasses.replace(J, m=J.m + 1),
+    "corrupt": corrupt_structure,
+    "corrupt-noncommutative": lambda J: corrupt_structure(J, commutative=False),
+    "rank+1": lambda J: jordan._finish(J.kind, J.r + 1, J.n, J.labels, J.prod, J.unit, J.trace_vec, J.idempotent),
+    "rank-1": lambda J: jordan._finish(J.kind, J.r - 1, J.n, J.labels, J.prod, J.unit, J.trace_vec, J.idempotent),
+}
+
+
+@pytest.mark.parametrize("variant", NORM_CALCULUS_VARIANTS)
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_norm_calculus_residuals_agree_with_the_localized_ring(selector, variant):
+    # every residual is zero exactly where the localized-ring equality holds,
+    # at every index, and each check fails at the first index where one fails
+    J = NORM_CALCULUS_VARIANTS[variant](from_selector(selector))
+    want = localized_ring_verdicts(J)
+    rows = jordan._norm_calculus(J)
+    got = {(name, idx): residual(*idx).is_zero()
+           for name, residual, arity, _ in rows for idx in itertools.product(range(J.n), repeat=arity)}
+    assert got == want
+    results = derivative_identities(J)
+    assert [c.name for c in results] == [name for name, *_ in rows] == list(CLAIMS)
+    for check in results:
+        failing = [idx for (name, idx), holds in want.items() if name == check.name and not holds]
+        witness = CLAIMS[check.name].format(*(k + 1 for k in failing[0])) if failing else None
+        assert (check.status, check.witness) == ("fail" if failing else "pass", witness)
+    if variant == "rank+1":
+        assert J.normF.is_zero()
+    assert all(want.values()) == (variant in ("algebra", "m+1", "rank+1"))
 
 
 @pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
