@@ -113,33 +113,21 @@ def _partial(cache: dict, idx: MultiIndex):
     return val
 
 
-def _polynomial(c) -> ZPoly | None:
-    """``c`` as a ZPoly when it is a polynomial: a ZPoly, or a SuperFn with
-    no w and no F in its denominator.  None for any other coefficient."""
+def _reach(c) -> tuple[float, int]:
+    """Which partials of ``c`` can be nonzero: its z-degree, as every
+    partial of higher order is zero, and the bit set of the z-variables it
+    involves, bit i for z_(i+1) (the fields of the OR of its packed keys),
+    as a partial along any other variable is zero.  Both are read when
+    ``c`` is a polynomial: a ZPoly, or a SuperFn with no w and no F in its
+    denominator.  For any other coefficient, infinity and every bit (-1),
+    since w and F involve every variable."""
     if isinstance(c, SuperFn):
-        return None if c.od._num.packed or c.ev._k else c.ev._num
-    return c
-
-
-def _degree_bound(c) -> float:
-    """The z-degree of ``c`` when it is a polynomial; every partial of
-    higher order is zero.  Infinity for any other coefficient."""
-    p = _polynomial(c)
-    if p is None:
-        return inf
-    return max((z_degree(p.n, key) for key in p.packed), default=0)
-
-
-def _support(c) -> int:
-    """The bit set of the z-variables that ``c`` involves, bit i for z_(i+1),
-    when it is a polynomial: the fields of the OR of its packed keys.  A
-    partial along any other variable is zero.  Every bit (-1) for any
-    other coefficient, since w and F involve them all."""
-    p = _polynomial(c)
-    if p is None:
-        return -1
-    n, keys = p.n, reduce(or_, p.packed, 0)
-    return sum(1 << i for i in range(n) if keys >> (FIELD * (n - i)) & FIELD_MASK)
+        if c.od._num.packed or c.ev._k:
+            return inf, -1
+        c = c.ev._num
+    n, keys = c.n, reduce(or_, c.packed, 0)
+    return (max((z_degree(n, key) for key in c.packed), default=0),
+            sum(1 << i for i in range(n) if keys >> (FIELD * (n - i)) & FIELD_MASK))
 
 
 class _OperatorSlots:
@@ -176,10 +164,10 @@ class _NormalOrdered(_OperatorSlots, Frozen):
       ``bits`` the bit set of the variables delta differentiates.
     * ``_partials``, once the operator is composed on the right of
       another: per index gamma, the degree bound and the support of
-      c_gamma (see :func:`_degree_bound` and :func:`_support`) and the
-      partials d^delta c_gamma of its own coefficients that Leibniz rows
-      have asked for (``{gamma: (bound, support, {delta: partial or
-      None})}``, None for a zero partial).
+      c_gamma (see :func:`_reach`) and the partials d^delta c_gamma of
+      its own coefficients that Leibniz rows have asked for (``{gamma:
+      (bound, support, {delta: partial or None})}``, None for a zero
+      partial).
 
     Both depend on the terms alone, the operator is immutable, and the
     slots live and die with their operator, so a fresh operator, even
@@ -243,8 +231,8 @@ class _NormalOrdered(_OperatorSlots, Frozen):
         d^delta b_gamma, kept on ``other``, is looked up once per
         (gamma, delta), and a zero one skips all of its rows at once.  A
         delta of order above the degree bound of b_gamma, or along a
-        variable outside its support (see :func:`_degree_bound` and
-        :func:`_support`), is skipped without a lookup.
+        variable outside its support (both read once, by :func:`_reach`),
+        is skipped without a lookup.
         Entry 0 of the index is delta = 0, since every table of
         ``_leibniz`` starts there.
         """
@@ -257,7 +245,7 @@ class _NormalOrdered(_OperatorSlots, Frozen):
         for gamma, b in other.terms.items():
             entry = cache.get(gamma)
             if entry is None:
-                entry = cache[gamma] = (_degree_bound(b), _support(b), {(0,) * len(gamma): b})
+                entry = cache[gamma] = (*_reach(b), {(0,) * len(gamma): b})
             bound, support, partials = entry
             absent = ~support
             for delta, (order, bits, group) in rows:

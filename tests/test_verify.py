@@ -281,9 +281,28 @@ def test_a_passing_quadratic_brackets_pi_only_with_d_y_and_functions(monkeypatch
 
     monkeypatch.setattr(DiffOp, "commutator", spy)
     assert verify.double_commutator_quadratic(J) == want
-    assert len(brackets) == 2
+    with_p = [right for left, right in brackets if left == p]
+    assert len(with_p) == 2 and with_p[0] == DiffOp.mult_w(J) and with_p[1] == dy
     for left, right in brackets:
-        assert left == p and (right == dy or right.order() == 0)
+        assert left == p or (left == dy and right.order() == 0)
+
+
+def test_brackets_and_critical_take_each_partial_of_w_once(monkeypatch):
+    # d^y w and d^y d^y w are read off w's per-algebra table as [d^y, w]
+    # and [d^y, [d^y, w]], so no first partial of w is formed twice
+    J = from_selector("full:3")
+    w = SuperFn.w(J.ring)
+    taken = []
+    original = SuperFn.derivative
+
+    def spy(self, i):
+        if self == w:
+            taken.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(SuperFn, "derivative", spy)
+    assert verify.run_suite(J, "brackets,critical").overall == "pass"
+    assert taken and len(taken) == len(set(taken))
 
 
 def test_perturbed_ratio_shifts_roots(sym2):
@@ -334,7 +353,8 @@ def test_beta_square_odd_rank(full1):
 def test_the_facts_the_suite_takes_by_construction_hold_on_any_structure(selector, variant):
     # the plus side of the w-conjugation, delta, Fourier and closure checks,
     # beta on w and the d^y d^y w of the double commutator are not formed by
-    # the suite; they hold on clean, m+1 and corrupted structure data alike
+    # the suite, nor the coefficients of pi^y at the critical twists checked;
+    # they hold on clean, m+1 and corrupted structure data alike
     J = VARIANTS[variant](from_selector(selector))
     basis = [J.basis_element(i) for i in range(J.n)]
     plus = [rep.pi_plus(J, b) for b in basis]
@@ -356,6 +376,13 @@ def test_the_facts_the_suite_takes_by_construction_hold_on_any_structure(selecto
         t = J.tr_v_qinv(y)
         want = SuperFn.from_locfn(LocFn.zero(J.ring), (t * t).scale(sc("-1/4")))
         assert dy.apply(dy.apply(SuperFn.w(J.ring))) == want
+    # module-stability: pi^y at either critical twist has polynomial,
+    # L-free coefficients
+    for b in basis:
+        for lam in rep.critical_pair(J):
+            op = rep.pi_minus(J, b, lam)
+            assert all(c.is_polynomial() for c in op.terms.values())
+            assert op.subst_lambda(LambdaPoly()) == op
     # [K, P_c] lies in span P on both routes of the closure check
     for plus_of, minus_of in ((rep.pi_plus, rep.pi_minus), (rep.eta_plus, rep.eta_minus)):
         P = [plus_of(J, b) for b in basis]
@@ -726,24 +753,6 @@ def test_every_check_takes_only_the_algebra_and_a_plain_value():
     for name, fn in vars(verify).items():
         if inspect.isfunction(fn) and fn.__module__ == verify.__name__:
             assert not {"conjugation", "quad"} & set(inspect.signature(fn).parameters), name
-
-
-@pytest.mark.parametrize("defect", ["formal twist", "denominator"])
-def test_module_certificate_needs_polynomial_twist_free_coefficients(sym2, monkeypatch, defect):
-    # step 2 on its own: with step 1 taken as given, a family whose
-    # coefficients keep L or a power of F in a denominator is refused
-    original = rep.pi_minus
-
-    def altered(J, y, lam=None):
-        if defect == "formal twist":
-            return original(J, y)
-        return original(J, y, lam) + DiffOp.mult_w_inv(J)
-
-    monkeypatch.setattr(rep, "pi_minus", altered)
-    monkeypatch.setattr(verify, "_conjugation_witness", lambda J: None)
-    res = verify.check_h_module(sym2)
-    assert not res.ok
-    assert res.witness.startswith("pi^y at 1/3 has a denominator or L at y=b1")
 
 
 def count_calls(monkeypatch, name, module=verify):

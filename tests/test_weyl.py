@@ -803,7 +803,8 @@ def test_partials_past_the_degree_of_a_polynomial_coefficient_are_skipped(monkey
         return len(calls)
 
     bounded = span_derivatives()
-    monkeypatch.setattr(weyl, "_degree_bound", lambda c: math.inf)
+    reach = weyl._reach
+    monkeypatch.setattr(weyl, "_reach", lambda c: (math.inf, reach(c)[1]))
     unbounded = span_derivatives()
     assert bounded < unbounded
 
@@ -825,7 +826,8 @@ def test_partials_along_absent_variables_are_skipped(monkeypatch):
         return len(calls)
 
     skipping = closure_lookups()
-    monkeypatch.setattr(weyl, "_support", lambda c: -1)  # every variable
+    reach = weyl._reach
+    monkeypatch.setattr(weyl, "_reach", lambda c: (reach(c)[0], -1))  # every variable
     every = closure_lookups()
     assert skipping < every
 
@@ -876,9 +878,9 @@ def test_support_skip_matches_leibniz_reference(request, algebra, polynomial):
         for c in list(A.terms.values()) + list(B.terms.values()):
             if polynomial or (c.is_polynomial() and c.od.is_zero()):
                 num = c if polynomial else c.ev.num
-                assert weyl._support(c) == _bits(J.n, num.terms)
+                assert weyl._reach(c)[1] == _bits(J.n, num.terms)
             else:
-                assert weyl._support(c) == -1  # w and F involve every variable
+                assert weyl._reach(c)[1] == -1  # w and F involve every variable
         AB, BA = leibniz_reference(A, B), leibniz_reference(B, A)
         for got, want in ((A.compose(B), AB), (A.commutator(B), AB - BA), (B.compose(A), BA)):
             assert got == want
