@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import NamedTuple
 
-from .jordan import JElem, JordanAlgebra
+from .jordan import JElem, JordanAlgebra, _collect
 from .report import per_algebra
 from .ring import _POSINT, FIELD_MASK, LAMBDA, DegreeError, LambdaPoly, RationalLike, Scalar, SuperFn, ZPoly, ONE, ZERO, _unit
 from . import weyl
@@ -65,14 +67,18 @@ def generator_from_selector(J: JordanAlgebra, selector: str) -> GGenerator:
 # The operators on the z-side
 # ---------------------------------------------------------------------------
 
-def _add_rows(op: DiffOp | PolyOpPlus, rows: tuple, y: JElem, lift) -> DiffOp | PolyOpPlus:
-    """op + sum_k y_k row_k; ``lift`` turns a ZPoly y_k into the rows' coefficient type."""
-    for row, yk in zip(rows, y.coords):
+def _add_rows(op: DiffOp | PolyOpPlus, row, y: JElem, lift) -> DiffOp | PolyOpPlus:
+    """op + sum_k y_k row(k), ``row(k)`` asked for a nonzero y_k only;
+    ``lift`` turns a ZPoly y_k into the rows' coefficient type."""
+    for k, yk in enumerate(y.coords):
+        if yk.is_zero():
+            continue
+        rk = row(k)
         if isinstance(yk, ZPoly):
             fk = lift(yk)
-            op = op + type(op)(op.alg, {beta: c * fk for beta, c in row.terms.items()})
-        elif not yk.is_zero():
-            op = op + (row if yk == ONE else row.scale(yk))
+            op = op + type(op)(op.alg, {beta: c * fk for beta, c in rk.terms.items()})
+        else:
+            op = op + (rk if yk == ONE else rk.scale(yk))
     return op
 
 
@@ -98,34 +104,73 @@ def _twist(lam: LambdaPoly | RationalLike | None) -> LambdaPoly:
 
 
 @per_algebra
-def _second_order_rows(J: JordanAlgebra) -> tuple:
-    """- sum_ij {b_k, b^j, q}_i d_i d_j as one ``DiffOp`` row per k.
+def _row_tables(J: JordanAlgebra) -> tuple:
+    """What every second-order row reads, and the rows built so far.
 
-    n^2 triples, built once per algebra as integer forms (see
-    :meth:`JordanAlgebra._combine`); b_k o q and b^j o q are formed once.
-    A row is one sum of the pairs (e_j, {b_k, b^j, q}) over a table that
-    sends cell (j, i) to the slot of beta = e_i + e_j, slots in first-seen
-    order, so each coefficient becomes a ZPoly once, and a nonzero one a
-    SuperFn once.
+    With the integer structure table ``J._table`` over D and the dual basis
+    b^j = sum_a G^{-1}_ja b_a as ints over the lcm g of its denominators:
+    the products b_c o b^j and b^j o b_l over D g, as their nonzero
+    (coordinate, int) pairs; the slot of beta = e_i + e_j per cell (j, i),
+    in first-seen order; and the packed monomial of each z_l (read off
+    the form of q).
     """
-    fq = J._form(J.generic_elem())
-    n = J.n
+    den, cells, n = J._table
+    g = lcm(*(x.denominator for row in J.gram_inv for x in row))
+    duals = [[(a, x.numerator * (g // x.denominator)) for a, x in enumerate(row) if x] for row in J.gram_inv]
+
+    def vector(pairs) -> tuple:
+        out: dict = {}
+        for cell, x in pairs:
+            for i, s in cell:
+                out[i] = out.get(i, 0) + x * s
+        return tuple((i, v) for i, v in out.items() if v)
+
+    left = [[vector((cells[c][a], x) for a, x in duals[j]) for j in range(n)] for c in range(n)]
+    right = [[vector((cells[a][l], x) for a, x in duals[j]) for l in range(n)] for j in range(n)]
     slots: dict[tuple, int] = {}
     beta = lambda i, j: tuple(int(t == i) + int(t == j) for t in range(n))
-    cells = tuple(tuple(((slots.setdefault(beta(i, j), len(slots)), 1),) for i in range(n)) for j in range(n))
-    table = (1, cells, len(slots))
-    units = [J._form(J.basis_element(j)) for j in range(n)]
-    duals = [J._form(J.dual_basis_element(j)) for j in range(n)]
-    duals_q = [J._product_form(d, fq) for d in duals]
-    rows = []
-    for b in units:
-        b_q = J._product_form(b, fq)
-        pairs = tuple((e, J._triple_form(b, d, fq, fac=b_q, fbc=d_q))
-                      for e, d, d_q in zip(units, duals, duals_q))
-        coeffs = J._result(J._combine(pairs, (-1,) * n, table)).coords
-        rows.append(DiffOp(J, {beta: SuperFn.from_zpoly(J.ring, c)
-                               for beta, c in zip(slots, coeffs) if not c.is_zero()}))
-    return tuple(rows)
+    cell_slots = [[slots.setdefault(beta(i, j), len(slots)) for i in range(n)] for j in range(n)]
+    keys = [terms[0][0] for terms in J._form(J.generic_elem())[1]]
+    return den * den * g, left, right, tuple(slots), cell_slots, keys, {}
+
+
+def _second_order_row(J: JordanAlgebra, k: int) -> DiffOp:
+    """- sum_ij {b_k, b^j, q}_i d_i d_j, built on first use and kept per algebra.
+
+    {b_k, b^j, q} = sum_l z_l {b_k, b^j, b_l}, the trilinear form
+    ((b_k o b^j) o b_l + b_k o (b^j o b_l) - (b_k o b_l) o b^j)_i read off
+    the integer tables with each product's left operand on the left, so a
+    non-commutative structure is not symmetrised.  The terms are ints over
+    one denominator, summed per slot and z_l; each coefficient becomes a
+    ZPoly once, and a nonzero one a SuperFn once.
+    """
+    den, left, right, slots, cell_slots, keys, rows = _row_tables(J)
+    if k in rows:
+        return rows[k]
+    cells, n = J._table[1], J.n
+    acc = [[0] * n for _ in slots]
+    for j, to_slot in enumerate(cell_slots):
+        for c, x in left[k][j]:  # (b_k o b^j) o b_l
+            for l, cell in enumerate(cells[c]):
+                for i, s in cell:
+                    acc[to_slot[i]][l] += x * s
+        for l, bjl in enumerate(right[j]):  # b_k o (b^j o b_l)
+            for c, x in bjl:
+                for i, s in cells[k][c]:
+                    acc[to_slot[i]][l] += x * s
+        for l, cell in enumerate(cells[k]):  # (b_k o b_l) o b^j
+            for c, s in cell:
+                for i, x in left[c][j]:
+                    acc[to_slot[i]][l] -= s * x
+    re = [{key: -v for key, v in zip(keys, vals) if v} for vals in acc]
+    coeffs = J._result(_collect(den, re, [{} for _ in slots], True)).coords
+    rows[k] = DiffOp(J, {beta: SuperFn.from_zpoly(J.ring, c) for beta, c in zip(slots, coeffs) if not c.is_zero()})
+    return rows[k]
+
+
+def _second_order_rows(J: JordanAlgebra) -> tuple:
+    """Every row of :func:`_second_order_row`, in basis order."""
+    return tuple(_second_order_row(J, k) for k in range(J.n))
 
 
 def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> DiffOp:
@@ -134,13 +179,15 @@ def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None =
     {y, b^j, q}_i = tr({b^i, y, b^j} o q) by tr({a, b, c} o d) =
     tr(a o {b, c, d}); summing over every pair (i, j) gives the off-diagonal
     factor 2.  The second-order part is linear in y, so it is
-    sum_k y_k row_k with the rows of the basis elements b_k, built once
-    per algebra.  ``lam`` defaults to the formal parameter; pass an int,
-    a Fraction or a LambdaPoly to specialize.  A coordinate y_k may be a
-    ZPoly, as in J.triple; it multiplies the row's coefficients.
+    sum_k y_k row_k over the nonzero y_k only; row k, the operator of b_k,
+    is built off the integer structure table and dual basis the first time
+    a pi^y with y_k != 0 is formed.  ``lam`` defaults to the formal
+    parameter; pass an int, a Fraction or a LambdaPoly to specialize.  A
+    coordinate y_k may be a ZPoly, as in J.triple; it multiplies the
+    row's coefficients.
     """
     op = DiffOp.directional(J, y).scale(_twist(lam).scale(Scalar(-2 * J.m)))
-    return _add_rows(op, _second_order_rows(J), y, lambda yk: SuperFn.from_zpoly(J.ring, yk))
+    return _add_rows(op, partial(_second_order_row, J), y, lambda yk: SuperFn.from_zpoly(J.ring, yk))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +221,7 @@ def eta_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None 
     be a ZPoly, as in J.triple; it multiplies the row's coefficients.
     """
     op = PolyOpPlus.mult(J, J.linear_form(y).scale(_twist(lam).scale(Scalar(2 * J.m))))
-    return _add_rows(op, _quadratic_rows(J), y, lambda yk: yk)
+    return _add_rows(op, _quadratic_rows(J).__getitem__, y, lambda yk: yk)
 
 
 # ---------------------------------------------------------------------------

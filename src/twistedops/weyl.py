@@ -332,9 +332,10 @@ class DiffOp(_NormalOrdered):
 
     @staticmethod
     def directional(alg: JordanAlgebra, y: JElem) -> "DiffOp":
-        """The derivative along y: sum_i y_i d_i; a coordinate y_i may be a ZPoly."""
+        """The derivative along y: sum_i y_i d_i over the nonzero y_i, each
+        lifted to a coefficient once; a coordinate y_i may be a ZPoly."""
         lift = lambda c: (SuperFn.from_zpoly if isinstance(c, ZPoly) else SuperFn.const)(alg.ring, c)
-        return DiffOp(alg, {_unit(alg.n, i): lift(c) for i, c in enumerate(alg._coords(y))})
+        return DiffOp(alg, {_unit(alg.n, i): lift(c) for i, c in enumerate(alg._coords(y)) if not c.is_zero()})
 
     def apply(self, f: SuperFn) -> SuperFn:
         """Apply the operator to a function of the cover ring."""
@@ -357,17 +358,24 @@ class DiffOp(_NormalOrdered):
 
         Extended anti-multiplicatively; the twist parameter is left as is,
         so pair with a substitution when comparing twisted families.
+        delta(c d^beta) = d^beta . delta(c) is re-normal-ordered in one
+        Leibniz pass into one dict, skipping what :func:`_reach` rules out.
         """
-        alg = self.alg
-        r = alg.r
-        iw = IUNIT ** r
-        out = DiffOp.zero(alg)
+        iw = IUNIT ** self.alg.r
+        out: dict = {}
         for beta, c in self.terms.items():
-            flipped = _flip_superfn(c, iw)
-            # delta(c d^beta) = d^beta . delta(c): re-normal-order
-            dop = DiffOp(alg, {beta: SuperFn.one(alg.ring)})
-            out = out + dop.compose(DiffOp.mult(alg, flipped))
-        return out
+            f = _flip_superfn(c, iw)
+            bound, support = _reach(f)
+            partials = {(0,) * len(beta): f}
+            for delta, coeff, rest in _leibniz(beta):
+                if sum(delta) > bound or any(e and not support >> i & 1 for i, e in enumerate(delta)):
+                    continue
+                df = _partial(partials, delta)
+                if df is None:
+                    continue
+                term = df if coeff is None else df.scale(coeff)
+                out[rest] = out[rest] + term if rest in out else term
+        return DiffOp(self.alg, out)
 
     def conjugate_by_w(self) -> "DiffOp":
         """w . self . w^{-1} (multiplication operators are fixed)."""

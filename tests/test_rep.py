@@ -510,3 +510,54 @@ def test_second_order_rows_build_a_superfn_for_each_nonzero_entry_only(monkeypat
     assert len(built) == sum(len(row.terms) for row in rows) == 81
     assert not any(p.is_zero() for p in built)
     assert rows == tuple(DiffOp(J, row) for row in zpoly_accumulated_rows(J))
+
+
+@pytest.mark.parametrize("corruption", [None, "commutative", "non-commutative"])
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "full:3", "spin:4"])
+def test_a_row_built_alone_on_a_cold_algebra_is_that_row_of_the_full_tuple(selector, corruption):
+    def build():
+        J = from_selector(selector)
+        return corrupt_structure(J, commutative=corruption == "commutative") if corruption else J
+
+    rows = rep._second_order_rows(build())
+    for k in range(len(rows)):
+        cold = build()
+        assert rep._second_order_row(cold, k) == rows[k]
+        assert list(rep._row_tables(cold)[-1]) == [k]
+
+
+def test_the_m_plus_one_control_builds_only_the_idempotents_rows():
+    from twistedops import verify
+    J = dataclasses.replace(from_selector("full:3"), m=Fraction(4))
+    assert not verify.check_critical(J).ok
+    assert list(rep._row_tables(J)[-1]) == [k for k, c in enumerate(J.idempotent) if c] == [0]
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4"])
+def test_directional_lifts_only_the_nonzero_coordinates(selector, monkeypatch):
+    J = from_selector(selector)
+    q = J.generic_elem()
+    ys = [J.basis_element(J.n - 1), J.idempotent_elem(),
+          JElem((ZPoly.zero(J.n), q.coords[0], ZPoly.zero(J.n), *q.coords[3:]))]
+    want = [DiffOp(J, {tuple(int(t == i) for t in range(J.n)):
+                       SuperFn.from_zpoly(J.ring, c) if isinstance(c, ZPoly) else SuperFn.const(J.ring, c)
+                       for i, c in enumerate(y.coords)}) for y in ys]
+    lifted, depth = [], [0]
+
+    def spy(original):
+        def lift(ctx, c):  # records the outer lift only: const calls from_zpoly
+            if not depth[0]:
+                lifted.append(c)
+            depth[0] += 1
+            try:
+                return original(ctx, c)
+            finally:
+                depth[0] -= 1
+        return staticmethod(lift)
+
+    for name in ("const", "from_zpoly"):
+        monkeypatch.setattr(SuperFn, name, spy(getattr(SuperFn, name)))
+    for y, op in zip(ys, want):
+        lifted.clear()
+        assert DiffOp.directional(J, y) == op
+        assert lifted == [c for c in y.coords if not c.is_zero()]

@@ -799,6 +799,43 @@ def test_run_suite_checks_the_conjugation_once(monkeypatch, selection):
     assert calls == [(J,), (skew,)]
 
 
+@pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4"])
+def test_the_w_bracket_and_the_conjugation_share_each_bracket_with_w(selector, monkeypatch):
+    # [pi^{b_i}, w] is formed once per index for both checks; the one more
+    # bracket of a second-order operator with w is the double commutator's
+    # [pi^y, w] at the idempotent
+    J, brackets = from_selector(selector), []
+    original = DiffOp.commutator
+    monkeypatch.setattr(DiffOp, "commutator", lambda self, other: brackets.append(
+        self.order() == 2 and other is DiffOp.mult_w(other.alg)) or original(self, other))
+    assert verify.run_suite(J, "brackets,innw").overall == "pass"
+    assert sum(brackets) == J.n + 1
+    brackets.clear()
+    assert verify._w_conjugation_witness(J) is None and not any(brackets)
+    # a conjugation check that runs first forms each bracket itself, once
+    cold = from_selector(selector)
+    assert verify.run_suite(cold, "innw,hmodule,lowest").overall == "pass"
+    assert verify._w_conjugation_witness(cold) is None
+    assert sum(brackets) == cold.n
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_shared_residuals_give_the_witnesses_of_separate_brackets(variant):
+    # each check alone on a cold algebra, from its own bracket, against the
+    # two checks sharing one bracket per index
+    build = lambda: VARIANTS[variant](from_selector("full:2"))
+    shared = build()
+    together = [(c.status, c.witness) for c in verify.run_suite(shared, "brackets,innw").checks]
+    alone = [(c.status, c.witness) for c in (verify.check_w_bracket(build()), verify.check_w_conjugation(build()))]
+    assert [together[0], together[-1]] == alone
+    # the formal bracket at l0' is the bracket formed at l0'
+    W, lam0p = DiffOp.mult_w(shared), rep.critical_pair(shared)[1]
+    for i in range(shared.n):
+        y = shared.basis_element(i)
+        R = rep.pi_minus(shared, y, lam0p).commutator(W) + DiffOp.directional(shared, y).compose(W)
+        assert verify._conjugation_residual(shared, i) == R
+
+
 def test_the_shared_values_do_not_keep_their_algebra_alive():
     # the memoised quadratic and witness are freed with the algebra,
     # whether the checks pass or fail on it

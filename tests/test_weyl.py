@@ -928,3 +928,36 @@ def test_a_passing_w_conjugation_forms_no_partial_of_w_inverse(monkeypatch):
     again = sum(calls)
     assert first == 0
     assert again == 0
+
+
+def per_term_delta_map(A):
+    """Reference: delta(c d^beta) = d^beta . delta(c), one composition per
+    term, summed with ``+``."""
+    from twistedops.weyl import _flip_superfn
+    alg = A.alg
+    out = DiffOp.zero(alg)
+    for beta, c in A.terms.items():
+        flipped = DiffOp.mult(alg, _flip_superfn(c, IUNIT ** alg.r))
+        out = out + DiffOp(alg, {beta: SuperFn.one(alg.ring)}).compose(flipped)
+    return out
+
+
+@pytest.mark.parametrize("variant", ["algebra", "m+1", "corrupt", "corrupt-noncommutative"])
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_delta_map_in_one_pass_is_the_per_term_composition(selector, variant, monkeypatch):
+    from twistedops.jordan import from_selector
+    from test_verify import VARIANTS
+
+    J = VARIANTS[variant](from_selector(selector))
+    W = DiffOp.mult_w(J)
+    pis = [rep.pi_minus(J, J.basis_element(i)) for i in range(J.n)]
+    ops = [*pis, W.compose(pis[0]), DiffOp.mult_w_inv(J), pis[-1].commutator(W).scale(LAMBDA)]
+    calls = _derivative_calls(monkeypatch)
+    for A in ops:
+        calls.clear()
+        got = A.delta_map()
+        taken = len(calls)
+        calls.clear()
+        want = per_term_delta_map(A)
+        assert got == want and diffop_str(got) == diffop_str(want)
+        assert taken == len(calls)  # the same degree and support skips
