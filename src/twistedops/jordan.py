@@ -602,10 +602,10 @@ def from_selector(selector: str) -> JordanAlgebra:
 def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
     """Exact checks of the defining structure data."""
     def commutative():
-        for i in range(J.n):
-            for j in range(i + 1, J.n):
-                if J.prod[i][j] != J.prod[j][i]:
-                    raise JordanError(f"b{i+1} o b{j+1} != b{j+1} o b{i+1}")
+        pair = _noncommuting_pair(J)
+        if pair:
+            i, j = pair
+            raise JordanError(f"b{i+1} o b{j+1} != b{j+1} o b{i+1}")
 
     def unit_law():
         e = J.unit_elem()
@@ -664,6 +664,12 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
     )]
 
 
+def _noncommuting_pair(J: JordanAlgebra) -> tuple | None:
+    """The first basis pair (i, j), i < j, whose structure constants give
+    b_i o b_j != b_j o b_i; None when ``prod`` is commutative."""
+    return next(((i, j) for i in range(J.n) for j in range(i + 1, J.n) if J.prod[i][j] != J.prod[j][i]), None)
+
+
 def random_point(J: JordanAlgebra, rng: random.Random, invertible: bool = True) -> JElem:
     """A random rational point, resampled until the norm is nonzero;
     NotInvertibleError when the norm vanishes identically."""
@@ -702,16 +708,27 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
     {b, q, adj q} = F b (the inverse triple times F); {{adj q, v, adj q}, q,
     v} = F adj q o (v o v) (the triple shift times F^2), the sandwich
     {adj q, v, adj q} read off the per-algebra table; the fundamental
-    identity {q, {b, q, c}, q} = {{q, b, q}, c, q}, with U_q b_k = {q, b_k, q}
-    formed once and extended linearly.  Both sides of every identity stay
-    integer forms and are compared as such; a side is turned into
-    coordinates only when the forms differ, to show the residual.  q o q,
-    q o adj q, U_q b_k o q, b_k o q and q o b_k are formed once; no product
-    is reordered, so a non-commutative structure still fails.  The shift
-    is quadratic in v: the polarised set b_i + b_j would cover every v,
-    but takes 15 s on sym:4, so only the basis v is checked.  ``rng`` only
-    picks the rational point at which a failing identity's residual is
-    shown.
+    identity {q, {b, q, c}, q} = {{q, b, q}, c, q}.  With this triple, half
+    the standard one, the last reads V_{q,c} U_q b = U_q V_{c,q} b, the
+    Commuting Formula of every linear Jordan algebra over a field with 1/2
+    (McCrimmon, A Taste of Jordan Algebras, Springer 2004).  It rests on two
+    axioms: ``prod`` is commutative, read off the structure constants, and
+    (x o y) o x^2 = x o (y o x^2), which given commutativity is the
+    power-associativity check, an identity in z at x = q and linear in
+    y = b, so it holds for all x, y over any extension of Q(i).  When both
+    hold the fundamental identity is derived and nothing is formed;
+    otherwise it is formed with U_q b_k = {q, b_k, q} formed once and
+    extended linearly.  The inverse triple and the shift involve adj q and
+    F, which the axioms do not constrain, so they are always formed.
+
+    Both sides of every formed identity stay integer forms and are compared
+    as such; a side is turned into coordinates only when the forms differ,
+    to show the residual.  q o q, q o adj q, U_q b_k o q, b_k o q and q o b_k
+    are formed once; no product is reordered, so a non-commutative structure
+    still fails.  The shift is quadratic in v: the polarised set b_i + b_j
+    would cover every v, but takes 15 s on sym:4, so only the basis v is
+    checked.  ``rng`` only picks the rational point at which a failing
+    identity's residual is shown.
     """
     fq = J._form(J.generic_elem())
     fadj = J._form(J.adjugate_elem())
@@ -772,13 +789,14 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
                               trip(U[i], c, fq, fac=Uq[i], fbc=bq[j]),
                               f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}")
 
-    return [timed_check(name, fn) for name, fn in (
+    checks = [timed_check(name, fn) for name, fn in (
         ("power-associativity", power_associativity),
         ("idempotent-projection", projection_at_idempotent),
         ("inverse-triple", inverse_triple),
         ("triple-shift", shift_identity),
-        ("triple-fundamental", fundamental_identity),
     )]
+    derived = checks[0].ok and _noncommuting_pair(J) is None
+    return checks + [timed_check("triple-fundamental", (lambda: None) if derived else fundamental_identity)]
 
 
 def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
@@ -803,12 +821,23 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
     return [timed_check(name, partial(first_failure, *row)) for name, *row in _norm_calculus(J)]
 
 
+@per_algebra
+def _sqrt_residuals(J: JordanAlgebra) -> tuple:
+    """e_i = d_i F - tr(b_i o adj q), i = 1..n, F the ring's norm: zero
+    exactly where the norm and sqrt derivatives hold at b_i.  One tuple per
+    algebra, read by :func:`_norm_calculus` and by the w-conjugation
+    residual, which is (e_i / 2F) w once the w-bracket holds."""
+    adj = J.adjugate_elem()
+    return tuple(J.ring.dF(i) - J.trace_form(J.basis_element(i), adj) for i in range(J.n))
+
+
 def _norm_calculus(J: JordanAlgebra) -> tuple:
     """The derivative identities as rows (name, residual, arity, claim), the
     residual a polynomial at i or (i, j) that is zero exactly where the
     identity holds, the claim its failure message.  With F the ring's norm,
     A_i = tr(b_i o adj q), T_ij = tr(b_j o {adj q, b_i, adj q}) off the
-    per-algebra sandwich table and e_i = d_i F - A_i, the residuals are
+    per-algebra sandwich table and e_i = d_i F - A_i (of
+    :func:`_sqrt_residuals`), the residuals are
 
     * e_i for d_i F = A_i and, by the chain rule d_i w = (d_i F / 2F) w,
       for d_i w = (1/2) tr(b_i o q^-1) w;
@@ -822,8 +851,8 @@ def _norm_calculus(J: JordanAlgebra) -> tuple:
     """
     F, dF = J.ring.F, J.ring.dF
     basis = [J._form(J.basis_element(i)) for i in range(J.n)]
-    A = [J.trace_form(J.basis_element(i), J.adjugate_elem()) for i in range(J.n)]
-    e = [dF(i) - A[i] for i in range(J.n)]
+    e = _sqrt_residuals(J)
+    A = [dF(i) - e[i] for i in range(J.n)]
 
     @cache
     def X(i: int, j: int) -> ZPoly:

@@ -466,13 +466,21 @@ class ZPoly(_ZPolySlots, Frozen):
         return self._with(out)
 
     def subst_lambda(self, value: "LambdaPoly") -> "ZPoly":
-        """Replace L by ``value`` (itself a LambdaPoly), expanded exactly."""
+        """Replace L by ``value`` (itself a LambdaPoly), expanded exactly; a
+        polynomial free of L comes back as it is, and a term free of L goes
+        to the output unmultiplied."""
+        if not any(mono & FIELD_MASK for mono in self.packed):
+            return self
         step = _total_unit(self.n) + 1  # one more power of L
         guards = _guards(self.n)
         powers = [LP_ONE]
         out: dict[int, Scalar] = {}
         for mono, c in self.packed.items():
             k = mono & FIELD_MASK
+            if not k:
+                acc = out.get(mono)
+                out[mono] = c if acc is None else acc + c
+                continue
             base = mono - k * step
             while len(powers) <= k:
                 powers.append(powers[-1] * value)

@@ -98,11 +98,16 @@ def _conjugation_residual(J: JordanAlgebra, i: int, rhs: DiffOp | None = None) -
     """R = [pi_{l0'}^y, w] + d^y . w at y = b_i, kept once per algebra and
     index; it is empty when the w-conjugation identity holds there.
 
-    Its bracket is the formal [pi^y, w] at L = l0', as the substitution
-    commutes with a bracket by the L-free w.  Given ``rhs``, the right
-    side of the w-bracket identity, the formal bracket is first compared
-    with it (VerifyError carries a mismatch), so both identities read one
-    bracket.  The formal bracket is dropped before R is summed.
+    Given ``rhs``, the right side of the w-bracket identity, the formal
+    bracket [pi^y, w] is first compared with it (VerifyError carries a
+    mismatch).  Once they agree, R = (e_i / 2F) w, e_i = d_i F - tr(b_i o
+    adj q) the sqrt-derivative residual of the norm calculus: at L = l0'
+    the bracket is -w d^y - 2m(l0' - l0) (1/2) tr(y o q^{-1}) w, where
+    2m(l0' - l0) = 1, and d^y . w = w d^y + (d_i F / 2F) w.  So R is empty
+    when e_i = 0 and nothing more is formed.  Otherwise, and when the
+    conjugation runs without the w-bracket, R is summed from the formal
+    bracket at L = l0', as the substitution commutes with a bracket by the
+    L-free w; the formal bracket is dropped before that sum.
     """
     memo = _conjugation_residuals(J)
     if rhs is None and i in memo:
@@ -111,6 +116,8 @@ def _conjugation_residual(J: JordanAlgebra, i: int, rhs: DiffOp | None = None) -
     bracket = rep.pi_minus(J, y).commutator(W)
     if rhs is not None:
         _require_equal(bracket, rhs, f"residual at y=b{i+1}")
+        if _jordan._sqrt_residuals(J)[i].is_zero():
+            memo.setdefault(i, DiffOp.zero(J))
     if i not in memo:
         upper = bracket.subst_lambda(Scalar(rep.critical_pair(J)[1]))
         del bracket  # the largest value here: free it before the sum
@@ -259,7 +266,10 @@ def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
 
     The minus side, [pi_{l0'}^y, w] = -d^y . w, is checked once per algebra
     and shared with the delta, module and lowest-weight checks.  Its
-    bracket is the formal [pi^y, w] of :func:`check_w_bracket` at L = l0',
+    residual at y = b_i is R_i = (e_i / 2F) w once :func:`check_w_bracket`
+    has passed there, e_i = d_i F - tr(b_i o adj q) the sqrt-derivative
+    residual, so a passing w-bracket and norm calculus leave nothing to
+    form; otherwise R_i is summed from the formal [pi^y, w] at L = l0',
     formed once for both checks.  The plus side needs no check: pi_plus(x)
     multiplies by tr(x o q), commuting with w.
     """

@@ -859,6 +859,96 @@ def test_identities_on_forms_agree_with_the_scalar_route(monkeypatch, selector, 
     assert (want["triple-fundamental"][0] == "pass") == (corruption is None)
 
 
+def direct_fundamental(J) -> tuple:
+    """(status, witness) of the fundamental identity formed pair by pair on
+    integer forms: the loop point_identities runs when a Jordan axiom fails,
+    kept here as the reference, its residual shown at the point that
+    ``jordan.random_point`` gives."""
+    fq = J._form(J.generic_elem())
+    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
+    prod, trip = J._product_form, J._triple_form
+
+    def body():
+        q2 = prod(fq, fq)
+        U = [trip(fq, b, fq, fac=q2) for b in basis]
+        Uq = [prod(u, fq) for u in U]
+        bq = [prod(b, fq) for b in basis]
+        qb = [prod(fq, b) for b in basis]
+        for i, b in enumerate(basis):
+            for j, c in enumerate(basis):
+                lhs = J._weighted(trip(b, fq, c, fbc=qb[j], fab=bq[i]), U)
+                rhs = trip(U[i], c, fq, fac=Uq[i], fbc=bq[j])
+                if jordan._same(lhs, rhs):
+                    continue
+                for k, (x, y) in enumerate(zip(J._result(lhs).coords, J._result(rhs).coords)):
+                    if x != y:
+                        d = x - y
+                        z = jordan.random_point(J, random.Random(0), invertible=False)
+                        raise jordan.JordanError(
+                            f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}: "
+                            f"residual coordinate {k+1} has {len(d.packed)} terms, "
+                            f"value {d.evaluate(list(z.coords))} at z={z}")
+
+    result = jordan.timed_check("triple-fundamental", body)
+    return result.status, result.witness
+
+
+def point_identities_with_combines(monkeypatch, J, calls: list) -> tuple[dict, dict]:
+    """The checks of point_identities on J by name, and how many entries
+    each added to ``calls``, a spy's record of ``JordanAlgebra._combine``."""
+    counts, timed = {}, jordan.timed_check
+
+    def counted(name, fn):
+        before = len(calls)
+        result = timed(name, fn)
+        counts[name] = len(calls) - before
+        return result
+    monkeypatch.setattr(jordan, "timed_check", counted)
+    checks = {c.name: c for c in point_identities(J, random.Random(1))}
+    monkeypatch.setattr(jordan, "timed_check", timed)
+    return checks, counts
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4"])
+def test_the_fundamental_identity_is_formed_only_off_a_jordan_algebra(monkeypatch, selector):
+    # on a Jordan algebra the identity follows from the two axioms and no
+    # product is formed; on a corrupted copy, commutative or not, the check
+    # forms as many as the direct loop
+    calls = spy(monkeypatch, jordan.JordanAlgebra, "_combine")
+    checks, counts = point_identities_with_combines(monkeypatch, from_selector(selector), calls)
+    assert all(c.ok for c in checks.values())
+    assert counts["triple-fundamental"] == 0
+    for commutative in (True, False):
+        J = corrupt_structure(from_selector(selector), commutative=commutative)
+        calls.clear()
+        assert direct_fundamental(J)[0] == "fail"
+        direct = len(calls)
+        checks, counts = point_identities_with_combines(monkeypatch, J, calls)
+        assert counts["triple-fundamental"] == direct > 0
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6"])
+@pytest.mark.parametrize("variant", ["algebra", "m+1", "commutative", "non-commutative"])
+def test_the_derived_fundamental_identity_agrees_with_the_direct_loop(monkeypatch, selector, variant):
+    # derived exactly when the structure is commutative and power-associativity
+    # passes, and with the direct loop's verdict and witness either way
+    original = jordan.random_point
+    monkeypatch.setattr(jordan, "random_point", lambda J, rng, invertible=True:
+                        original(J, random.Random(0), invertible))
+    J = from_selector(selector)
+    if variant == "m+1":
+        J = dataclasses.replace(J, m=J.m + 1)
+    elif variant != "algebra":
+        J = corrupt_structure(J, commutative=variant == "commutative")
+    want = direct_fundamental(J)
+    calls = spy(monkeypatch, jordan.JordanAlgebra, "_combine")
+    checks, counts = point_identities_with_combines(monkeypatch, J, calls)
+    fundamental = checks["triple-fundamental"]
+    assert (fundamental.status, fundamental.witness) == want
+    axioms = validate_structure(J)[0].ok and checks["power-associativity"].ok
+    assert (counts["triple-fundamental"] == 0) == axioms == (variant in ("algebra", "m+1"))
+
+
 def test_forms_are_the_same_only_with_equal_coordinates_of_equal_type(full2):
     same = lambda x, y: jordan._same(jordan._read(x.coords), jordan._read(y.coords))
     n = full2.n

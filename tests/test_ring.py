@@ -722,6 +722,49 @@ def test_scale_by_lambdapoly_matches_the_product_with_a_constant(data):
     assert outcome(lambda: f.scale(c)) == outcome(lambda: f * ZPoly.const(n, c))
 
 
+def reference_subst_lambda(p: ZPoly, value: LambdaPoly) -> dict:
+    """The packed terms of p with L replaced by value, every term times its
+    power of value, the Scalar 1 at L^0 included: the loop subst_lambda
+    ran before it copied the terms free of L."""
+    from twistedops.ring import FIELD_MASK, LP_ONE, _guards, _total_unit
+    step, guards = _total_unit(p.n) + 1, _guards(p.n)
+    powers, out = [LP_ONE], {}
+    for mono, c in p.packed.items():
+        k = mono & FIELD_MASK
+        base = mono - k * step
+        while len(powers) <= k:
+            powers.append(powers[-1] * value)
+        for lmono, v in powers[k].packed.items():
+            target = base + (lmono & FIELD_MASK) * step
+            assert not target & guards
+            acc = out.get(target)
+            out[target] = c * v if acc is None else acc + c * v
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_subst_lambda_matches_the_loop_that_multiplied_every_term(data):
+    # the same terms in the same key order, and a polynomial without L as it is
+    n = data.draw(st.integers(0, 2))
+    terms = data.draw(tuple_terms(n, 6))
+    shape = data.draw(st.sampled_from(["mixed", "free of L", "shared keys"]))
+    if shape == "free of L":
+        terms = {mono[:-1] + (0,): c for mono, c in terms.items()}
+    elif shape == "shared keys":  # each L-term's z-monomial also carries an L-free term
+        terms |= {mono[:-1] + (0,): Scalar(data.draw(coeff_strategy), 1) for mono in list(terms) if mono[-1]}
+    p = ZPoly(n, terms)
+    if n == 0 and data.draw(st.booleans()):
+        p = LambdaPoly([p.terms.get((k,), ZERO) for k in range(4)])
+    value = LambdaPoly([Scalar(data.draw(coeff_strategy), data.draw(coeff_strategy))
+                        for _ in range(data.draw(st.integers(0, 3)))])
+    got = p.subst_lambda(value)
+    assert type(got) is type(p)
+    assert list(got.packed.items()) == list(reference_subst_lambda(p, value).items())
+    if not any(mono[-1] for mono in p.terms):
+        assert got is p
+
+
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_ring_laws_with_twist_in_coefficients(data):

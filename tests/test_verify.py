@@ -819,6 +819,36 @@ def test_the_w_bracket_and_the_conjugation_share_each_bracket_with_w(selector, m
     assert sum(brackets) == cold.n
 
 
+def test_a_passing_w_bracket_leaves_no_substitution(monkeypatch):
+    # once the formal bracket matches and the sqrt derivative holds, each
+    # residual is (e_i / 2F) w = 0 and nothing is substituted or summed
+    J = from_selector("full:3")
+    calls = []
+    original = DiffOp.subst_lambda
+    monkeypatch.setattr(DiffOp, "subst_lambda", lambda self, value: calls.append(value) or original(self, value))
+    assert verify.run_suite(J, "brackets,innw").overall == "pass"
+    assert calls == []
+    assert all(verify._conjugation_residual(J, i).is_zero() for i in range(J.n))
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_kept_conjugation_residual_is_the_summed_one(selector, variant):
+    # the residual the w-bracket derives equals [pi^y, w] at l0' plus
+    # d^y . w summed through subst_lambda, on clean and broken data alike
+    J = VARIANTS[variant](from_selector(selector))
+    assert verify.check_w_bracket(J).ok == verify.check_w_conjugation(J).ok == (variant == "algebra")
+    memo = verify._conjugation_residuals(J)
+    assert memo
+    if variant == "algebra":
+        assert sorted(memo) == list(range(J.n))
+    W, lam0p = DiffOp.mult_w(J), Scalar(rep.critical_pair(J)[1])
+    for i, R in memo.items():
+        y = J.basis_element(i)
+        bracket = rep.pi_minus(J, y).commutator(W)
+        assert R == bracket.subst_lambda(lam0p) + DiffOp.directional(J, y).compose(W), i
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_the_shared_residuals_give_the_witnesses_of_separate_brackets(variant):
     # each check alone on a cold algebra, from its own bracket, against the
