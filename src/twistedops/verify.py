@@ -72,20 +72,16 @@ def _require_equal(lhs: DiffOp, rhs: DiffOp, where: str) -> None:
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _w_bracket_rhs(J: JordanAlgebra, i: int) -> DiffOp:
-    """-w d^y - 2m(L - l0) (d^y w) for y = b_i, d^y w by the trace formula."""
+def w_bracket_sides(J: JordanAlgebra, i: int) -> tuple[DiffOp, DiffOp]:
+    """Both sides of [pi^y, w] = -w d^y - 2m(L - l0) (d^y w) for y = b_i,
+    d^y w by the trace formula."""
     lam0, _ = rep.critical_pair(J)
-    y = J.basis_element(i)
-    first = DiffOp.mult_w(J).compose(DiffOp.directional(J, y)).scale(Scalar(-1))
+    y, W = J.basis_element(i), DiffOp.mult_w(J)
+    first = W.compose(DiffOp.directional(J, y)).scale(Scalar(-1))
     cof = J.tr_v_qinv(y).scale(HALF)  # (d^y w)/w
     dyw = DiffOp.mult(J, SuperFn.from_locfn(LocFn.zero(J.ring), cof))
     shift = LAMBDA - LambdaPoly.from_rational(lam0)
-    return first + dyw.scale(shift.scale(Scalar(-2 * J.m)))
-
-
-def w_bracket_sides(J: JordanAlgebra, i: int) -> tuple[DiffOp, DiffOp]:
-    """Both sides of [pi^y, w] = -w d^y - 2m(L - l0) (d^y w) for y = b_i."""
-    return rep.pi_minus(J, J.basis_element(i)).commutator(DiffOp.mult_w(J)), _w_bracket_rhs(J, i)
+    return rep.pi_minus(J, y).commutator(W), first + dyw.scale(shift.scale(Scalar(-2 * J.m)))
 
 
 @per_algebra
@@ -94,44 +90,34 @@ def _conjugation_residuals(J: JordanAlgebra) -> dict:
     return {}
 
 
-def _conjugation_residual(J: JordanAlgebra, i: int, rhs: DiffOp | None = None) -> DiffOp:
+def _conjugation_residual(J: JordanAlgebra, i: int) -> DiffOp:
     """R = [pi_{l0'}^y, w] + d^y . w at y = b_i, kept once per algebra and
-    index; it is empty when the w-conjugation identity holds there.
-
-    Given ``rhs``, the right side of the w-bracket identity, the formal
-    bracket [pi^y, w] is first compared with it (VerifyError carries a
-    mismatch).  Once they agree, R = (e_i / 2F) w, e_i = d_i F - tr(b_i o
-    adj q) the sqrt-derivative residual of the norm calculus: at L = l0'
-    the bracket is -w d^y - 2m(l0' - l0) (1/2) tr(y o q^{-1}) w, where
-    2m(l0' - l0) = 1, and d^y . w = w d^y + (d_i F / 2F) w.  So R is empty
-    when e_i = 0 and nothing more is formed.  Otherwise, and when the
-    conjugation runs without the w-bracket, R is summed from the formal
-    bracket at L = l0', as the substitution commutes with a bracket by the
-    L-free w; the formal bracket is dropped before that sum.
-    """
+    index; it is empty when the w-conjugation identity holds there.  An
+    index :func:`check_w_bracket` has not filled is formed here, with the
+    family at L = l0'."""
     memo = _conjugation_residuals(J)
-    if rhs is None and i in memo:
-        return memo[i]
-    y, W = J.basis_element(i), DiffOp.mult_w(J)
-    bracket = rep.pi_minus(J, y).commutator(W)
-    if rhs is not None:
-        _require_equal(bracket, rhs, f"residual at y=b{i+1}")
-        if _jordan._sqrt_residuals(J)[i].is_zero():
-            memo.setdefault(i, DiffOp.zero(J))
     if i not in memo:
-        upper = bracket.subst_lambda(Scalar(rep.critical_pair(J)[1]))
-        del bracket  # the largest value here: free it before the sum
-        memo[i] = upper + DiffOp.directional(J, y).compose(W)
+        y, W = J.basis_element(i), DiffOp.mult_w(J)
+        memo[i] = (rep.pi_minus(J, y, rep.critical_pair(J)[1]).commutator(W)
+                   + DiffOp.directional(J, y).compose(W))
     return memo[i]
 
 
 def check_w_bracket(J: JordanAlgebra) -> CheckResult:
-    """Exact first-bracket identity, for every basis direction; each formal
-    bracket [pi^{b_i}, w] is formed by :func:`_conjugation_residual`,
-    which the w-conjugation check then reads without a bracket of its own."""
+    """Exact first-bracket identity, for every basis direction.
+
+    Where it holds at y = b_i, it fills the conjugation residual R_i of
+    :func:`_conjugation_residual` with 0 when e_i = d_i F - tr(b_i o adj q),
+    the sqrt-derivative residual of the norm calculus, is zero: at L = l0'
+    the bracket is -w d^y - 2m(l0' - l0) (1/2) tr(y o q^{-1}) w, where
+    2m(l0' - l0) = 1, and d^y . w = w d^y + (d_i F / 2F) w, so
+    R_i = (e_i / 2F) w.
+    """
     def body():
         for i in range(J.n):
-            _conjugation_residual(J, i, _w_bracket_rhs(J, i))
+            _require_equal(*w_bracket_sides(J, i), f"residual at y=b{i+1}")
+            if _jordan._sqrt_residuals(J)[i].is_zero():
+                _conjugation_residuals(J).setdefault(i, DiffOp.zero(J))
     return timed_check("w-bracket", body)
 
 
@@ -265,13 +251,11 @@ def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
     """Conjugation by w carries the upper-twist family to the lower one.
 
     The minus side, [pi_{l0'}^y, w] = -d^y . w, is checked once per algebra
-    and shared with the delta, module and lowest-weight checks.  Its
-    residual at y = b_i is R_i = (e_i / 2F) w once :func:`check_w_bracket`
-    has passed there, e_i = d_i F - tr(b_i o adj q) the sqrt-derivative
-    residual, so a passing w-bracket and norm calculus leave nothing to
-    form; otherwise R_i is summed from the formal [pi^y, w] at L = l0',
-    formed once for both checks.  The plus side needs no check: pi_plus(x)
-    multiplies by tr(x o q), commuting with w.
+    and shared with the delta, module and lowest-weight checks.  A passing
+    :func:`check_w_bracket` and sqrt derivative at y = b_i leave R_i = 0
+    with nothing to form; otherwise :func:`_conjugation_residual` forms
+    R_i at L = l0'.  The plus side needs no check: pi_plus(x) multiplies
+    by tr(x o q), commuting with w.
     """
     return timed_check("w-conjugation", lambda: _conjugation_witness(J))
 
@@ -288,8 +272,8 @@ def check_delta_antimap(J: JordanAlgebra) -> CheckResult:
     def body():
         one_minus = LambdaPoly((ONE, -ONE))  # 1 - L
         for i in range(J.n):
-            op = rep.pi_minus(J, J.basis_element(i))
-            _require_equal(op.delta_map(), (-op).subst_lambda(one_minus), f"residual at b{i+1}")
+            y = J.basis_element(i)
+            _require_equal(rep.pi_minus(J, y).delta_map(), -rep.pi_minus(J, y, one_minus), f"residual at b{i+1}")
         _conjugation_witness(J)
     return timed_check("delta-antimap", body)
 

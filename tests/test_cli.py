@@ -292,6 +292,20 @@ def test_negative_twist_as_a_separate_argument(capsys, argv):
     assert drop_times(split) == drop_times(joined)
 
 
+@pytest.mark.parametrize("selector,lam0,lam0p", [("full:1", "1/4", "3/4"), ("full:2", "3/8", "5/8"),
+                                                ("spin:4", "3/8", "5/8")])
+def test_verify_rejects_the_lower_critical_twist(capsys, selector, lam0, lam0p):
+    # the module is stable at l0, so module-stability's criticality witness
+    # needs a generic twist; l0' and show --lam l0 are accepted
+    code, out, err = run(capsys, "verify", "--algebra", selector, "--suite", "hmodule", "--lam", lam0)
+    assert (code, out) == (2, "")
+    assert err == f"error: --lam {lam0} is the lower critical twist l0 of {selector}; pass a generic twist\n"
+    code, out, _ = run(capsys, "verify", "--algebra", selector, "--suite", "hmodule", "--lam", lam0p)
+    assert code == 0 and "overall: pass" in out
+    code, out, _ = run(capsys, "show", "--algebra", selector, "--op", "p-:1", "--lam", lam0)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", ["show", "verify"])
 @pytest.mark.parametrize("after", ["-x", "--force"])
 def test_an_option_after_lam_is_no_twist(capsys, command, after):
