@@ -74,10 +74,11 @@ def _emit(text: str, output: str | None, mode: str = "w") -> None:
 def cmd_verify(args) -> int:
     J = _load_algebra(args.algebra, args.force)
     lam = _parse_twist(args.lam) if args.lam is not None else rep.GENERIC_TWIST
-    if lam == rep.critical_pair(J)[0]:  # the module is stable there: no criticality witness
-        raise UsageError(f"--lam {lam} is the lower critical twist l0 of {J.selector}; "
-                         "pass a generic twist")
     try:
+        # the module is stable at l0, so module-stability has no criticality witness there
+        if "hmodule" in verify._suite_selection(args.suite) and lam == rep.critical_pair(J)[0]:
+            raise UsageError(f"--lam {lam} is the lower critical twist l0 of {J.selector}; "
+                             "pass a generic twist")
         report = verify.run_suite(J, selection=args.suite, seed=args.seed,
                                   lam_value=lam)
     except ValueError as exc:
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0, help="picks the rational point at which a failing identity's residual is shown")
     pv.add_argument("--suite", default="all",
                     help=f"comma list of: {', '.join(verify.SUITE_ORDER)} (or 'all')")
-    twist(pv, "generic rational twist for span/witness computations, not l0 (default 5/7)")
+    twist(pv, "generic rational twist for span/witness computations, not l0 with hmodule (default 5/7)")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("critical", help="print the two critical twist values")

@@ -825,8 +825,8 @@ def derivative_identities(J: JordanAlgebra, mode: str = "symbolic",
 def _sqrt_residuals(J: JordanAlgebra) -> tuple:
     """e_i = d_i F - tr(b_i o adj q), i = 1..n, F the ring's norm: zero
     exactly where the norm and sqrt derivatives hold at b_i.  One tuple per
-    algebra, read by :func:`_norm_calculus` and by the w-conjugation
-    residual, which is (e_i / 2F) w once the w-bracket holds."""
+    algebra, read by :func:`_norm_calculus` and by the w-bracket check,
+    whose two routes to d_i w differ by a multiple of e_i."""
     adj = J.adjugate_elem()
     return tuple(J.ring.dF(i) - J.trace_form(J.basis_element(i), adj) for i in range(J.n))
 

@@ -168,11 +168,6 @@ def _second_order_row(J: JordanAlgebra, k: int) -> DiffOp:
     return rows[k]
 
 
-def _second_order_rows(J: JordanAlgebra) -> tuple:
-    """Every row of :func:`_second_order_row`, in basis order."""
-    return tuple(_second_order_row(J, k) for k in range(J.n))
-
-
 def pi_minus(J: JordanAlgebra, y: JElem, lam: LambdaPoly | RationalLike | None = None) -> DiffOp:
     """- sum_ij {y, b^j, q}_i d_i d_j - 2 m L d^y at the generic element q.
 

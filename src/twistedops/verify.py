@@ -24,8 +24,8 @@ the double commutator formed, for its residual.  c(L) is compared with
 where l0, l0' are the two critical twists 1/2 -+ 1/(4m).
 
 Every check is ``check(J[, twist or y]) -> CheckResult``; what several checks
-share, the quadratic, the w-conjugation identity and its residual per basis
-index, is found once per algebra.
+share, the quadratic, the w-conjugation identity and the first index at
+which the bracket with w fails, is found once per algebra.
 A check body raises a ``RingError`` (``VerifyError`` here) at the first
 equation that fails, and ``report.timed_check`` turns it into the failed
 result, its message the witness; no public check raises.
@@ -85,39 +85,40 @@ def w_bracket_sides(J: JordanAlgebra, i: int) -> tuple[DiffOp, DiffOp]:
 
 
 @per_algebra
-def _conjugation_residuals(J: JordanAlgebra) -> dict:
-    """i -> the residual of :func:`_conjugation_residual` at b_i."""
-    return {}
+def _chain_failure(J: JordanAlgebra) -> int:
+    """The first i with G_i = [row_i, F] + 2F d_i + (1 - m) d_i F != 0, row_i
+    the second-order part a_alpha d^alpha of pi^{b_i}; J.n if none, 0 if F = 0.
 
-
-def _conjugation_residual(J: JordanAlgebra, i: int) -> DiffOp:
-    """R = [pi_{l0'}^y, w] + d^y . w at y = b_i, kept once per algebra and
-    index; it is empty when the w-conjugation identity holds there.  An
-    index :func:`check_w_bracket` has not filled is formed here, with the
-    family at L = l0'."""
-    memo = _conjugation_residuals(J)
-    if i not in memo:
-        y, W = J.basis_element(i), DiffOp.mult_w(J)
-        memo[i] = (rep.pi_minus(J, y, rep.critical_pair(J)[1]).commutator(W)
-                   + DiffOp.directional(J, y).compose(W))
-    return memo[i]
+    By d_k w = (d_k F / 2F) w, 2F/w times the residual of [pi^{b_i}, w] =
+    -w d_i - 2m(L - l0)(d_i F / 2F) w is G_i - d_i F/2 - Q/2F, Q = sum
+    a_alpha d_a F d_b F (d^alpha = d_a d_b); its d_k coefficients are G_i's,
+    and where they vanish, summed against d_k F they give Q = -F d_i F.  So
+    the bracket holds at b_i iff the w- and L-free G_i is zero, when F != 0.
+    """
+    ctx = J.ring
+    if ctx.F.is_zero():
+        return 0
+    lift = lambda p: SuperFn.from_zpoly(ctx, p)
+    mult_F, twice_F = DiffOp.mult(J, lift(ctx.F)), lift(ctx.F.scale(Scalar(2)))
+    rest = lambda i: DiffOp(J, {_unit(J.n, i): twice_F, (0,) * J.n: lift(ctx.dF(i).scale(Scalar(1 - J.m)))})
+    G = lambda i: rep._second_order_row(J, i).commutator(mult_F) + rest(i)
+    return next((i for i in range(J.n) if not G(i).is_zero()), J.n)
 
 
 def check_w_bracket(J: JordanAlgebra) -> CheckResult:
     """Exact first-bracket identity, for every basis direction.
 
-    Where it holds at y = b_i, it fills the conjugation residual R_i of
-    :func:`_conjugation_residual` with 0 when e_i = d_i F - tr(b_i o adj q),
-    the sqrt-derivative residual of the norm calculus, is zero: at L = l0'
-    the bracket is -w d^y - 2m(l0' - l0) (1/2) tr(y o q^{-1}) w, where
-    2m(l0' - l0) = 1, and d^y . w = w d^y + (d_i F / 2F) w, so
-    R_i = (e_i / 2F) w.
+    Its right side, d^y w by the trace formula, differs from the chain
+    rule's by m(L - l0)(e_i / F) w at y = b_i, e_i the sqrt-derivative
+    residual of the norm calculus; so it holds at b_i iff e_i = 0 and G_i of
+    :func:`_chain_failure` is 0, and both sides are formed only where that
+    is not known: where e_i != 0 and from the first nonzero G_i on.
     """
     def body():
+        first, e = _chain_failure(J), _jordan._sqrt_residuals(J)
         for i in range(J.n):
-            _require_equal(*w_bracket_sides(J, i), f"residual at y=b{i+1}")
-            if _jordan._sqrt_residuals(J)[i].is_zero():
-                _conjugation_residuals(J).setdefault(i, DiffOp.zero(J))
+            if i >= first or not e[i].is_zero():
+                _require_equal(*w_bracket_sides(J, i), f"residual at y=b{i+1}")
     return timed_check("w-bracket", body)
 
 
@@ -232,10 +233,13 @@ def check_critical(J: JordanAlgebra) -> CheckResult:
 def _w_conjugation_witness(J: JordanAlgebra) -> None:
     """w pi_{l0'}^y w^{-1} = pi_{l0}^y for every basis y: as pi_{l0}^y =
     pi_{l0'}^y + d^y, the residual is -R w^{-1}, R = [pi_{l0'}^y, w] +
-    d^y . w, and VerifyError carries it at the first y where R != 0; see
-    :func:`_conjugation_residual`."""
-    for i in range(J.n):
-        R = _conjugation_residual(J, i)
+    d^y . w, and VerifyError carries it at the first y where R != 0.  At
+    y = b_i, 2m(l0' - l0) = 1 makes R the residual (w/2F) G_i of
+    :func:`_chain_failure`, so R is formed only from the first nonzero G_i on."""
+    W, lam0p = DiffOp.mult_w(J), rep.critical_pair(J)[1]
+    for i in range(_chain_failure(J), J.n):
+        y = J.basis_element(i)
+        R = rep.pi_minus(J, y, lam0p).commutator(W) + DiffOp.directional(J, y).compose(W)
         if not R.is_zero():
             raise VerifyError(f"residual at y=b{i+1}: {diffop_str(-R.compose(DiffOp.mult_w_inv(J)))}")
 
@@ -251,11 +255,10 @@ def check_w_conjugation(J: JordanAlgebra) -> CheckResult:
     """Conjugation by w carries the upper-twist family to the lower one.
 
     The minus side, [pi_{l0'}^y, w] = -d^y . w, is checked once per algebra
-    and shared with the delta, module and lowest-weight checks.  A passing
-    :func:`check_w_bracket` and sqrt derivative at y = b_i leave R_i = 0
-    with nothing to form; otherwise :func:`_conjugation_residual` forms
-    R_i at L = l0'.  The plus side needs no check: pi_plus(x) multiplies
-    by tr(x o q), commuting with w.
+    and shared with the delta, module and lowest-weight checks.  Like
+    :func:`check_w_bracket` it reads G_i of :func:`_chain_failure`, not that
+    check.  The plus side needs no check: pi_plus(x) multiplies by
+    tr(x o q), commuting with w.
     """
     return timed_check("w-conjugation", lambda: _conjugation_witness(J))
 

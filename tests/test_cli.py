@@ -296,10 +296,17 @@ def test_negative_twist_as_a_separate_argument(capsys, argv):
                                                 ("spin:4", "3/8", "5/8")])
 def test_verify_rejects_the_lower_critical_twist(capsys, selector, lam0, lam0p):
     # the module is stable at l0, so module-stability's criticality witness
-    # needs a generic twist; l0' and show --lam l0 are accepted
-    code, out, err = run(capsys, "verify", "--algebra", selector, "--suite", "hmodule", "--lam", lam0)
-    assert (code, out) == (2, "")
-    assert err == f"error: --lam {lam0} is the lower critical twist l0 of {selector}; pass a generic twist\n"
+    # needs a generic twist; l0', show --lam l0 and the blocks without
+    # module-stability at l0 are accepted
+    for suite in ("hmodule", "closure,h", "all"):
+        code, out, err = run(capsys, "verify", "--algebra", selector, "--suite", suite, "--lam", lam0)
+        assert (code, out) == (2, "")
+        assert err == f"error: --lam {lam0} is the lower critical twist l0 of {selector}; pass a generic twist\n"
+    for suite in ("closure", "jordan"):
+        code, out, err = run(capsys, "verify", "--algebra", selector, "--suite", suite, "--lam", lam0)
+        assert (code, err) == (0, "") and "overall: pass" in out
+    code, out, err = run(capsys, "verify", "--algebra", selector, "--suite", "closure,bogus", "--lam", lam0)
+    assert (code, out, err) == (2, "", "error: unknown suite 'bogus'\n")
     code, out, _ = run(capsys, "verify", "--algebra", selector, "--suite", "hmodule", "--lam", lam0p)
     assert code == 0 and "overall: pass" in out
     code, out, _ = run(capsys, "show", "--algebra", selector, "--op", "p-:1", "--lam", lam0)

@@ -467,7 +467,7 @@ def test_idempotent_guard_used(full2):
 
 
 def zpoly_accumulated_rows(J) -> tuple:
-    """The rows of ``rep._second_order_rows`` summed as ZPolys: each
+    """The rows of ``rep._second_order_row`` summed as ZPolys: each
     coordinate of each triple {b_k, b^j, q} subtracted from its entry."""
     q, n = J.generic_elem(), J.n
     duals = [J.dual_basis_element(j) for j in range(n)]
@@ -484,13 +484,18 @@ def zpoly_accumulated_rows(J) -> tuple:
     return tuple(rows)
 
 
+def second_order_rows(J) -> tuple:
+    """Every row of ``rep._second_order_row``, in basis order."""
+    return tuple(rep._second_order_row(J, k) for k in range(J.n))
+
+
 @pytest.mark.parametrize("corruption", [None, "commutative", "non-commutative"])
 @pytest.mark.parametrize("selector", ["sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6"])
 def test_second_order_rows_match_the_zpoly_accumulation(selector, corruption):
     J = from_selector(selector)
     if corruption:
         J = corrupt_structure(J, commutative=corruption == "commutative")
-    rows, want = rep._second_order_rows(J), zpoly_accumulated_rows(J)
+    rows, want = second_order_rows(J), zpoly_accumulated_rows(J)
     assert rows == tuple(DiffOp(J, row) for row in want)
     assert [list(row.terms) for row in rows] == [[beta for beta, c in row.items() if not c.is_zero()] for row in want]
 
@@ -505,7 +510,7 @@ def test_second_order_rows_build_a_superfn_for_each_nonzero_entry_only(monkeypat
         return original(ctx, p)
 
     monkeypatch.setattr(SuperFn, "from_zpoly", staticmethod(spy))
-    rows = rep._second_order_rows(J)
+    rows = second_order_rows(J)
     monkeypatch.undo()
     assert len(built) == sum(len(row.terms) for row in rows) == 81
     assert not any(p.is_zero() for p in built)
@@ -519,7 +524,7 @@ def test_a_row_built_alone_on_a_cold_algebra_is_that_row_of_the_full_tuple(selec
         J = from_selector(selector)
         return corrupt_structure(J, commutative=corruption == "commutative") if corruption else J
 
-    rows = rep._second_order_rows(build())
+    rows = second_order_rows(build())
     for k in range(len(rows)):
         cold = build()
         assert rep._second_order_row(cold, k) == rows[k]

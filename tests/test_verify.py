@@ -11,13 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from twistedops import rep, verify, weyl
+from twistedops import jordan, rep, verify, weyl
 from twistedops.jordan import PrimitiveIdempotentError, from_selector
 from twistedops.report import per_algebra, validate_report_dict
-from twistedops.ring import IUNIT, IrrationalRootError, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE
+from twistedops.ring import IUNIT, LAMBDA, IrrationalRootError, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE
 from twistedops.weyl import DiffOp, diffop_str
 
-from test_jordan import corrupt_structure
+from test_jordan import NORM_CALCULUS_VARIANTS, corrupt_structure
 
 ALGEBRAS = ["full:1", "full:2", "sym:2", "spin:3", "spin:4", "spin:5"]
 
@@ -526,6 +526,23 @@ def test_the_u_side_route_reports_the_z_side_dimension_failure(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("u_side", [True, False])
+@pytest.mark.parametrize("selector", ["sym:2", "full:2", "spin:4"])
+def test_a_bracket_outside_the_minus_span_fails_closure_on_either_route(monkeypatch, selector, u_side):
+    # with the minus-span membership failing, the first K and b1 are the
+    # witness, on the eta fields when the link holds and on the pi
+    # operators when it is made to fail
+    J = from_selector(selector)
+    if not u_side:
+        def no_link(J):
+            raise verify.VerifyError("minus side residual at b1: stub")
+        monkeypatch.setattr(verify, "_fourier_link", no_link)
+    monkeypatch.setattr(rep.SpanBasis, "contains", lambda self, op: False)
+    etas = count_calls(monkeypatch, "eta_minus", rep)
+    assert untimed(verify.check_closure(J)) == ("closure", "fail", "[K, b1-] leaves the minus wing")
+    assert bool(etas) == u_side
+
+
 @pytest.mark.parametrize("selector,commutative", [("sym:2", True), ("sym:2", False), ("spin:2", True),
                                                   ("full:2", True)])
 def test_closure_on_a_corrupted_copy_takes_the_z_side(monkeypatch, selector, commutative):
@@ -799,31 +816,97 @@ def test_run_suite_checks_the_conjugation_once(monkeypatch, selection):
     assert calls == [(J,), (skew,)]
 
 
-@pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4"])
+def bump_cell(J):
+    """J with the coordinate b_2 of b_2 o b_2 raised by 1/3: on sym:r the
+    first G_i that is not zero is at i = 1."""
+    prod = [[list(cell) for cell in row] for row in J.prod]
+    prod[1][1][1] += Fraction(1, 3)
+    return dataclasses.replace(J, prod=tuple(tuple(tuple(cell) for cell in row) for row in prod))
+
+
+# the controls of the norm calculus, with two more: a bumped product cell,
+# and a bumped trace vector, on which every G_i is zero but e_1 is not
+ROUTE_VARIANTS = NORM_CALCULUS_VARIANTS | {
+    "bumped-cell": bump_cell,
+    "bumped-trace": lambda J: dataclasses.replace(J, trace_vec=(J.trace_vec[0] + Fraction(1, 3), *J.trace_vec[1:])),
+}
+ROUTE_ALGEBRAS = ["sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6"]
+
+
+def chain_rule_bracket_holds(J, i):
+    """[pi^{b_i}, w] = -w d_i - 2m(L - l0)(d_i w), formed with w and with
+    d_i w the ring's chain rule."""
+    y, W = J.basis_element(i), DiffOp.mult_w(J)
+    dy = DiffOp.directional(J, y)
+    shift = LAMBDA - LambdaPoly.from_rational(rep.critical_pair(J)[0])
+    dyw = DiffOp.mult(J, dy.apply(SuperFn.w(J.ring)))
+    return rep.pi_minus(J, y).commutator(W) == W.compose(dy).scale(sc(-1)) + dyw.scale(shift.scale(sc(-2 * J.m)))
+
+
+def direct_w_bracket_failure(J):
+    """Reference: both sides of the w-bracket formed at every index; the
+    first failing index and its witness, or None."""
+    for i in range(J.n):
+        lhs, rhs = verify.w_bracket_sides(J, i)
+        if lhs != rhs:
+            return i, f"residual at y=b{i+1}: {diffop_str(lhs - rhs)}"
+    return None
+
+
+def summed_conjugation_failure(J):
+    """Reference: R = [pi^y, w] at formal twist, substituted at l0' by
+    subst_lambda, plus d^y . w at every index; the first index with R != 0
+    and the witness -R w^{-1}, or None."""
+    W, lam0p = DiffOp.mult_w(J), Scalar(rep.critical_pair(J)[1])
+    for i in range(J.n):
+        y = J.basis_element(i)
+        R = rep.pi_minus(J, y).commutator(W).subst_lambda(lam0p) + DiffOp.directional(J, y).compose(W)
+        if not R.is_zero():
+            return i, f"residual at y=b{i+1}: {diffop_str(-R.compose(DiffOp.mult_w_inv(J)))}"
+    return None
+
+
+def outcome(failure):
+    return ("pass", None) if failure is None else ("fail", failure[1])
+
+
+@pytest.mark.parametrize("selector", ROUTE_ALGEBRAS)
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
+def test_the_chain_failure_is_where_the_bracket_with_w_first_fails(selector, variant):
+    # the chain-rule bracket holds at every index below _chain_failure and
+    # fails at it, unless that is J.n or F = 0
+    J = ROUTE_VARIANTS[variant](from_selector(selector))
+    first = verify._chain_failure(J)
+    assert all(chain_rule_bracket_holds(J, i) for i in range(first))
+    if first < J.n and not J.ring.F.is_zero():
+        assert not chain_rule_bracket_holds(J, first)
+    assert J.ring.F.is_zero() == (variant == "rank+1")
+    assert (first == J.n) == (variant in ("algebra", "bumped-trace"))
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4", "spin:6"])
 def test_the_w_bracket_and_the_conjugation_share_each_bracket_with_w(selector, monkeypatch):
-    # [pi^{b_i}, w] is formed once per index for both checks; the one more
-    # bracket of a second-order operator with w is the double commutator's
-    # [pi^y, w] at the idempotent
+    # both checks read the w-free G_i, so on clean data neither forms a
+    # bracket of a second-order operator with w: a run of brackets,innw
+    # forms one, the double commutator's [pi^y, w] at the idempotent, and
+    # the module path none, with or without the w-bracket before it
     J, brackets = from_selector(selector), []
     original = DiffOp.commutator
     monkeypatch.setattr(DiffOp, "commutator", lambda self, other: brackets.append(
         self.order() == 2 and other is DiffOp.mult_w(other.alg)) or original(self, other))
     assert verify.run_suite(J, "brackets,innw").overall == "pass"
-    assert sum(brackets) == J.n + 1
+    assert sum(brackets) == 1
     brackets.clear()
     assert verify._w_conjugation_witness(J) is None and not any(brackets)
-    # a conjugation check that runs first forms each bracket itself, once
     cold = from_selector(selector)
     assert verify.run_suite(cold, "innw,hmodule,lowest").overall == "pass"
     assert verify._w_conjugation_witness(cold) is None
-    assert sum(brackets) == cold.n
+    assert not any(brackets)
 
 
 def test_a_passing_w_bracket_leaves_no_substitution(monkeypatch):
-    # once the formal bracket matches and the sqrt derivative holds, each
-    # residual is (e_i / 2F) w = 0 and nothing is substituted or summed;
-    # the module path, without the w-bracket, forms each residual with the
-    # family at l0' and substitutes no twist either
+    # on clean data every G_i is zero, so neither the w-bracket nor the
+    # module path forms a residual, and no twist is substituted
     calls = []
     original = DiffOp.subst_lambda
     monkeypatch.setattr(DiffOp, "subst_lambda", lambda self, value: calls.append(value) or original(self, value))
@@ -831,45 +914,50 @@ def test_a_passing_w_bracket_leaves_no_substitution(monkeypatch):
                                 ("spin:6", "hmodule,lowest")):
         J = from_selector(selector)
         assert verify.run_suite(J, selection).overall == "pass"
-        assert all(verify._conjugation_residual(J, i).is_zero() for i in range(J.n))
+        assert verify._chain_failure(J) == J.n
         assert calls == [], (selector, selection)
 
 
-@pytest.mark.parametrize("selector", ["sym:2", "sym:3", "full:2", "full:3", "spin:3", "spin:4", "spin:6"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("selector", ROUTE_ALGEBRAS)
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
 def test_each_kept_conjugation_residual_is_the_summed_one(selector, variant):
-    # the residual the w-bracket derives, or the conjugation alone forms at
-    # l0' on a cold algebra, equals the formal [pi^y, w] plus d^y . w summed
-    # through subst_lambda at l0', on clean and broken data alike
-    for checks in ((verify.check_w_bracket, verify.check_w_conjugation), (verify.check_w_conjugation,)):
-        J = VARIANTS[variant](from_selector(selector))
-        assert [check(J).ok for check in checks] == [variant == "algebra"] * len(checks)
-        memo = verify._conjugation_residuals(J)
-        assert memo
-        if variant == "algebra":
-            assert sorted(memo) == list(range(J.n))
-        W, lam0p = DiffOp.mult_w(J), Scalar(rep.critical_pair(J)[1])
-        for i, R in memo.items():
-            y = J.basis_element(i)
-            bracket = rep.pi_minus(J, y).commutator(W)
-            assert R == bracket.subst_lambda(lam0p) + DiffOp.directional(J, y).compose(W), (checks, i)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_the_shared_residuals_give_the_witnesses_of_separate_brackets(variant):
-    # each check alone on a cold algebra, from its own bracket, against the
-    # two checks sharing one bracket per index
-    build = lambda: VARIANTS[variant](from_selector("full:2"))
-    shared = build()
-    together = [(c.status, c.witness) for c in verify.run_suite(shared, "brackets,innw").checks]
+    # each check alone on a cold algebra, and both in one run, give the
+    # verdicts and witnesses of the direct loops: both sides of every
+    # w-bracket formed, and every R summed through subst_lambda at l0'
+    build = lambda: ROUTE_VARIANTS[variant](from_selector(selector))
+    want = [outcome(direct_w_bracket_failure(build())), outcome(summed_conjugation_failure(build()))]
     alone = [(c.status, c.witness) for c in (verify.check_w_bracket(build()), verify.check_w_conjugation(build()))]
-    assert [together[0], together[-1]] == alone
-    # each kept residual is the bracket formed at l0' plus d^y . w
-    W, lam0p = DiffOp.mult_w(shared), rep.critical_pair(shared)[1]
-    for i in range(shared.n):
-        y = shared.basis_element(i)
-        R = rep.pi_minus(shared, y, lam0p).commutator(W) + DiffOp.directional(shared, y).compose(W)
-        assert verify._conjugation_residual(shared, i) == R
+    checks = verify.run_suite(build(), "brackets,innw").checks
+    together = [(c.status, c.witness) for c in checks if c.name in ("w-bracket", "w-conjugation")]
+    assert alone == together == want
+    assert (want[1] == ("pass", None)) == (variant in ("algebra", "bumped-trace"))
+
+
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
+def test_the_shared_residuals_give_the_witnesses_of_separate_brackets(variant, monkeypatch):
+    # the w-bracket forms its sides at i only from the first nonzero G_i on
+    # or where e_i != 0, and the conjugation forms R_i only from that G_i
+    # on, each up to its first failure; the witnesses are the direct ones
+    build = lambda: ROUTE_VARIANTS[variant](from_selector("sym:2"))
+    J = build()
+    n, first = J.n, verify._chain_failure(J)
+    e = jordan._sqrt_residuals(J)
+    lam0p = rep.critical_pair(J)[1]
+    formal = [rep.pi_minus(J, J.basis_element(i)) for i in range(n)]
+    upper = [rep.pi_minus(J, J.basis_element(i), lam0p) for i in range(n)]
+    bracket_fail, conjugation_fail = direct_w_bracket_failure(build()), summed_conjugation_failure(build())
+    formed = []
+    original = DiffOp.commutator
+    monkeypatch.setattr(DiffOp, "commutator", lambda self, other: formed.append(self) or original(self, other))
+    bracket = verify.check_w_bracket(J)
+    assert (bracket.status, bracket.witness) == outcome(bracket_fail)
+    last = n - 1 if bracket_fail is None else bracket_fail[0]
+    assert [i for i in range(n) if formal[i] in formed] == [i for i in range(last + 1) if i >= first or not e[i].is_zero()]
+    formed.clear()
+    conjugation = verify.check_w_conjugation(J)
+    assert (conjugation.status, conjugation.witness) == outcome(conjugation_fail)
+    last = n - 1 if conjugation_fail is None else conjugation_fail[0]
+    assert [i for i in range(n) if upper[i] in formed] == list(range(first, last + 1))
 
 
 def test_the_shared_values_do_not_keep_their_algebra_alive():
@@ -987,7 +1075,7 @@ def test_jordan_block_draws_no_random_point_when_it_passes(selector, monkeypatch
 
 
 def test_jordan_verdicts_do_not_depend_on_the_seed(sym2):
-    from test_jordan import corrupt_structure
+    from test_jordan import NORM_CALCULUS_VARIANTS, corrupt_structure
     bad = corrupt_structure(sym2)
     verdicts = [[(c.name, c.status) for c in verify.run_suite(bad, "jordan", seed=s).checks]
                 for s in (0, 1)]
@@ -996,7 +1084,7 @@ def test_jordan_verdicts_do_not_depend_on_the_seed(sym2):
 
 
 def test_corrupt_algebra_flagged_with_witness(sym2):
-    from test_jordan import corrupt_structure
+    from test_jordan import NORM_CALCULUS_VARIANTS, corrupt_structure
     bad = corrupt_structure(sym2)
     report = verify.run_suite(bad, "jordan")
     assert report.overall == "fail"
@@ -1008,7 +1096,7 @@ def test_corrupt_algebra_flagged_with_witness(sym2):
 
 @pytest.mark.parametrize("selection", ["brackets", "brackets,critical"])
 def test_failed_idempotent_guard_fails_the_bracket_checks(selection):
-    from test_jordan import corrupt_structure
+    from test_jordan import NORM_CALCULUS_VARIANTS, corrupt_structure
     bad = corrupt_structure(from_selector("spin:2"))
     with pytest.raises(PrimitiveIdempotentError):
         bad.check_primitive_idempotent(bad.idempotent_elem())
@@ -1026,7 +1114,7 @@ def test_no_check_raises(selector, commutative):
     # on a corrupted algebra (the spin:2 copy fails its idempotent guard)
     # every check, alone or in the suite, returns a result and every
     # failure carries a witness
-    from test_jordan import corrupt_structure
+    from test_jordan import NORM_CALCULUS_VARIANTS, corrupt_structure
     bad = corrupt_structure(from_selector(selector), commutative=commutative)
     alone = [fn(bad) for name, fn in vars(verify).items()
              if name.startswith("check_") and inspect.isfunction(fn)]
