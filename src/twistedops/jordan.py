@@ -608,11 +608,9 @@ def validate_structure(J: JordanAlgebra) -> list[CheckResult]:
             raise JordanError(f"b{i+1} o b{j+1} != b{j+1} o b{i+1}")
 
     def unit_law():
-        e = J.unit_elem()
-        for i in range(J.n):
-            b = J.basis_element(i)
-            if J.product(e, b) != b:
-                raise JordanError(f"e o {J.labels[i]} != {J.labels[i]}")
+        i = _unit_failure(J)
+        if i is not None:
+            raise JordanError(f"e o {J.labels[i]} != {J.labels[i]}")
 
     def unit_trace():
         t = J.trace(J.unit_elem())
@@ -670,6 +668,13 @@ def _noncommuting_pair(J: JordanAlgebra) -> tuple | None:
     return next(((i, j) for i in range(J.n) for j in range(i + 1, J.n) if J.prod[i][j] != J.prod[j][i]), None)
 
 
+def _unit_failure(J: JordanAlgebra) -> int | None:
+    """The first basis index i with e o b_i != b_i; None when the unit data
+    is a unit on the basis."""
+    fe = J._form(J.unit_elem())
+    return next((i for i, b in enumerate(_basis_forms(J)) if not _same(J._product_form(fe, b), b)), None)
+
+
 def random_point(J: JordanAlgebra, rng: random.Random, invertible: bool = True) -> JElem:
     """A random rational point, resampled until the norm is nonzero;
     NotInvertibleError when the norm vanishes identically."""
@@ -694,11 +699,57 @@ def _same(f: tuple, g: tuple) -> bool:
 @per_algebra
 def _sandwiches(J: JordanAlgebra) -> tuple:
     """The integer forms of {adj q, b_i, adj q}, i = 1..n, with adj q o adj q
-    formed once: one table per algebra, read by the triple shift and the
-    derivative identities."""
+    formed once: one table per algebra, read only where
+    :func:`_has_jordan_inverse` is false, by the triple shift and by the
+    inverse derivative X of :func:`_norm_calculus`, each formed there."""
     adj = J._form(J.adjugate_elem())
     adj2 = J._product_form(adj, adj)
-    return tuple(J._triple_form(adj, J._form(J.basis_element(i)), adj, fac=adj2) for i in range(J.n))
+    return tuple(J._triple_form(adj, b, adj, fac=adj2) for b in _basis_forms(J))
+
+
+def _basis_forms(J: JordanAlgebra) -> list:
+    return [J._form(J.basis_element(i)) for i in range(J.n)]
+
+
+def _first_difference(sides) -> tuple | None:
+    """``(i, lhs, rhs)`` at the first i whose two integer forms differ, the
+    pairs formed one by one up to it; None when every pair agrees."""
+    return next(((i, lhs, rhs) for i, (lhs, rhs) in enumerate(sides) if not _same(lhs, rhs)), None)
+
+
+@per_algebra
+def _power_failure(J: JordanAlgebra) -> tuple | None:
+    """The first difference of q^2 o (q o b) = q o (q^2 o b) over the basis b,
+    the power-associativity check: formed once per algebra, read by it and
+    by :func:`_has_jordan_inverse`."""
+    fq, prod = J._form(J.generic_elem()), J._product_form
+    q2 = prod(fq, fq)
+    return _first_difference((prod(q2, prod(fq, b)), prod(fq, prod(q2, b))) for b in _basis_forms(J))
+
+
+@per_algebra
+def _inverse_failure(J: JordanAlgebra) -> tuple | None:
+    """The first difference of {b, q, adj q} = F b over the basis b, the
+    inverse-triple check: formed once per algebra, read by it and by
+    :func:`_has_jordan_inverse`."""
+    fq, fadj, fF = J._form(J.generic_elem()), J._form(J.adjugate_elem()), _read((J.normF,))
+    q_adj = J._product_form(fq, fadj)
+    return _first_difference((J._triple_form(b, fq, fadj, fbc=q_adj), J._weighted(fF, (b,)))
+                             for b in _basis_forms(J))
+
+
+def _has_jordan_inverse(J: JordanAlgebra) -> bool:
+    """Whether adj q / F is the Jordan inverse q^-1 of q over Q(i)(z), by five
+    premises: ``prod`` is commutative, e o b = b on the basis, the Jordan
+    identity holds (power-associativity, linear in b and an identity in z at
+    q, so J is a Jordan algebra), {b, q, adj q} = F b on the basis (the
+    inverse triple, linear in b, so q o adj q = F e and q^2 o adj q = F q)
+    and F is not the zero polynomial.  By McCrimmon's linear definition (A
+    Taste of Jordan Algebras, Springer 2004, Part II) adj q / F is then q^-1.
+    The cheap premises are read first, so a structure that fails one forms
+    neither memoised identity here."""
+    return (_noncommuting_pair(J) is None and not J.normF.is_zero() and _unit_failure(J) is None
+            and _power_failure(J) is None and _inverse_failure(J) is None)
 
 
 def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
@@ -706,20 +757,30 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
 
     q fills one slot and the basis the others: q^2 o (q o b) = q o (q^2 o b);
     {b, q, adj q} = F b (the inverse triple times F); {{adj q, v, adj q}, q,
-    v} = F adj q o (v o v) (the triple shift times F^2), the sandwich
-    {adj q, v, adj q} read off the per-algebra table; the fundamental
-    identity {q, {b, q, c}, q} = {{q, b, q}, c, q}.  With this triple, half
-    the standard one, the last reads V_{q,c} U_q b = U_q V_{c,q} b, the
-    Commuting Formula of every linear Jordan algebra over a field with 1/2
-    (McCrimmon, A Taste of Jordan Algebras, Springer 2004).  It rests on two
-    axioms: ``prod`` is commutative, read off the structure constants, and
-    (x o y) o x^2 = x o (y o x^2), which given commutativity is the
-    power-associativity check, an identity in z at x = q and linear in
-    y = b, so it holds for all x, y over any extension of Q(i).  When both
-    hold the fundamental identity is derived and nothing is formed;
-    otherwise it is formed with U_q b_k = {q, b_k, q} formed once and
-    extended linearly.  The inverse triple and the shift involve adj q and
-    F, which the axioms do not constrain, so they are always formed.
+    v} = F adj q o (v o v) (the triple shift times F^2); the fundamental
+    identity {q, {b, q, c}, q} = {{q, b, q}, c, q}.  The first two are formed
+    once per algebra (:func:`_power_failure`, :func:`_inverse_failure`) and
+    read by the derivative identities too.  The other two are derived where
+    their premises hold, and otherwise formed:
+
+    * the fundamental identity.  With this triple, half the standard one, it
+      reads V_{q,c} U_q b = U_q V_{c,q} b, the Commuting Formula of every
+      linear Jordan algebra over a field with 1/2 (McCrimmon, A Taste of
+      Jordan Algebras, Springer 2004).  It rests on two axioms: ``prod`` is
+      commutative, read off the structure constants, and (x o y) o x^2 =
+      x o (y o x^2), which given commutativity is the power-associativity
+      check, an identity in z at x = q and linear in y = b, so it holds for
+      all x, y over any extension of Q(i).  Otherwise it is formed with
+      U_q b_k = {q, b_k, q} formed once and extended linearly.
+    * the triple shift.  Where :func:`_has_jordan_inverse` holds (the two
+      axioms, the unit law on the basis, the inverse triple and F != 0),
+      adj q / F is the Jordan inverse q^-1, and the shift is F^2 times
+      {U_{q^-1} v, q, v} = q^-1 o v^2.  q^-1 is a polynomial in q, so 1, q
+      and v generate a Jordan algebra on two generators, which is special by
+      the Shirshov-Cohn theorem (characteristic not 2); there both sides are
+      (q^-1 v^2 + v^2 q^-1)/2.  Otherwise it is formed with the sandwich
+      {adj q, v, adj q} read off the per-algebra table of
+      :func:`_sandwiches`.
 
     Both sides of every formed identity stay integer forms and are compared
     as such; a side is turned into coordinates only when the forms differ,
@@ -733,7 +794,7 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
     fq = J._form(J.generic_elem())
     fadj = J._form(J.adjugate_elem())
     fF = _read((J.normF,))
-    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
+    basis = _basis_forms(J)
     prod, trip = J._product_form, J._triple_form
 
     def require_equal(lhs: tuple, rhs: tuple, claim: str) -> None:
@@ -748,14 +809,10 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
                 raise JordanError(f"{claim}: residual coordinate {k+1} has {len(d.packed)} terms, "
                                   f"value {d.evaluate(list(z.coords))} at z={z}")
 
-    def times_F(f: tuple) -> tuple:
-        return J._weighted(fF, (f,))
-
-    def power_associativity():
-        q2 = prod(fq, fq)
-        for i, b in enumerate(basis):
-            require_equal(prod(q2, prod(fq, b)), prod(fq, prod(q2, b)),
-                          f"q^2 o (q o b) != q o (q^2 o b) at b={J.labels[i]}")
+    def show_failure(failure, claim: str) -> None:
+        if failure:
+            i, lhs, rhs = failure
+            require_equal(lhs, rhs, claim.format(J.labels[i]))
 
     def projection_at_idempotent():
         y = J.idempotent_elem()
@@ -767,14 +824,9 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
             if lhs != rhs:
                 raise JordanError(f"{{y,{J.labels[i]},y}} != tr(x o y) y")
 
-    def inverse_triple():
-        q_adj = prod(fq, fadj)
-        for i, b in enumerate(basis):
-            require_equal(trip(b, fq, fadj, fbc=q_adj), times_F(b), f"{{b,q,adj q}} != F b at b={J.labels[i]}")
-
     def shift_identity():
         for i, (v, sandwich) in enumerate(zip(basis, _sandwiches(J))):
-            require_equal(trip(sandwich, fq, v), times_F(prod(fadj, prod(v, v))),
+            require_equal(trip(sandwich, fq, v), J._weighted(fF, (prod(fadj, prod(v, v)),)),
                           f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}")
 
     def fundamental_identity():
@@ -790,11 +842,11 @@ def point_identities(J: JordanAlgebra, rng: random.Random) -> list[CheckResult]:
                               f"{{q,{{b,q,c}},q}} != {{{{q,b,q}},c,q}} at b={J.labels[i]}, c={J.labels[j]}")
 
     checks = [timed_check(name, fn) for name, fn in (
-        ("power-associativity", power_associativity),
+        ("power-associativity", lambda: show_failure(_power_failure(J), "q^2 o (q o b) != q o (q^2 o b) at b={}")),
         ("idempotent-projection", projection_at_idempotent),
-        ("inverse-triple", inverse_triple),
-        ("triple-shift", shift_identity),
+        ("inverse-triple", lambda: show_failure(_inverse_failure(J), "{{b,q,adj q}} != F b at b={}")),
     )]
+    checks.append(timed_check("triple-shift", (lambda: None) if _has_jordan_inverse(J) else shift_identity))
     derived = checks[0].ok and _noncommuting_pair(J) is None
     return checks + [timed_check("triple-fundamental", (lambda: None) if derived else fundamental_identity)]
 
@@ -846,11 +898,19 @@ def _norm_calculus(J: JordanAlgebra) -> tuple:
     * S_ij = 2X_ij + 2F d_i e_j - A_i e_j + A_j e_i - e_i e_j for d_i d_j w
       = [(1/4) tr(b_i o q^-1) tr(b_j o q^-1) - (1/2) tr(b_j o {q^-1, b_i,
       q^-1})] w, whose sides times 4F^2/w are 2F d_i d_j F - d_i F d_j F
-      and A_i A_j - 2T_ij.  S reads X's cache; once every e_i is zero,
-      each e-term of S is a product with the zero polynomial.
+      and A_i A_j - 2T_ij.
+
+    X is zero, and not formed, where :func:`_has_jordan_inverse` holds:
+    adj q / F is then the Jordan inverse q^-1, whose differential in every
+    Jordan algebra is d(x^-1) = -U_{x^-1} dx (Faraut and Koranyi, Analysis
+    on Symmetric Cones, Oxford 1994, ch. II), so d_i q^-1 = -{q^-1, b_i,
+    q^-1}, and the trace form is bilinear with a constant table.  S is then
+    zero too once every e_i is zero (the sqrt derivative), and otherwise
+    formed with X = 0.  Elsewhere X is formed off the sandwich table, once
+    per (i, j), and S reads X's cache.
     """
     F, dF = J.ring.F, J.ring.dF
-    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
+    basis = _basis_forms(J)
     e = _sqrt_residuals(J)
     A = [dF(i) - e[i] for i in range(J.n)]
 
@@ -862,6 +922,12 @@ def _norm_calculus(J: JordanAlgebra) -> tuple:
     def S(i: int, j: int) -> ZPoly:
         twice = (X(i, j) + F * e[j].derivative(i)).scale(Scalar(2))
         return twice - A[i] * e[j] + A[j] * e[i] - e[i] * e[j]
+
+    if _has_jordan_inverse(J):
+        zero = ZPoly.zero(J.n)
+        X = lambda i, j: zero
+        if all(x.is_zero() for x in e):
+            S = X
 
     return (
         ("norm-derivative", e.__getitem__, 1, "dF/dz{0} != tr(b{0} o adj q)".format),

@@ -781,14 +781,58 @@ def test_derivative_identities_form_no_product_per_pair(monkeypatch):
     assert len(products) < J.n and len(triples) < J.n
 
 
-def test_a_jordan_suite_builds_each_sandwich_once(monkeypatch):
+@pytest.mark.parametrize("variant", ["algebra", "rank+1", "corrupt-noncommutative"])
+def test_a_jordan_suite_builds_the_sandwiches_only_on_the_fallback_and_once(monkeypatch, variant):
+    # on a clean algebra adj q / F is the Jordan inverse, so neither the shift
+    # nor the derivative identities form a sandwich {adj q, b, adj q}; where a
+    # premise fails (F = 0, or a non-commutative product) the table is built
+    # once and read by both
     from twistedops import verify
-    J = from_selector("full:3")
+    J = NORM_CALCULUS_VARIANTS[variant](from_selector("full:3"))
     adj = J._form(J.adjugate_elem())
     triples = spy(monkeypatch, jordan.JordanAlgebra, "_triple_form")
-    assert verify.run_suite(J, "jordan").overall == "pass"
+    overall = verify.run_suite(J, "jordan").overall
     middles = [J._result(args[1]) for args in triples if args[0] is adj and args[2] is adj]
-    assert middles == [J.basis_element(i) for i in range(J.n)]
+    if variant == "algebra":
+        assert overall == "pass" and middles == []
+    else:
+        assert middles == [J.basis_element(i) for i in range(J.n)]
+
+
+def checks_with_counts(monkeypatch, run, calls: dict) -> tuple[dict, dict]:
+    """The checks ``run()`` returns by name, and per check how many entries it
+    added to each list in ``calls``, spies' records."""
+    counts, timed = {}, jordan.timed_check
+
+    def counted(name, fn):
+        before = {key: len(record) for key, record in calls.items()}
+        result = timed(name, fn)
+        counts[name] = {key: len(record) - before[key] for key, record in calls.items()}
+        return result
+    monkeypatch.setattr(jordan, "timed_check", counted)
+    checks = {c.name: c for c in run()}
+    monkeypatch.setattr(jordan, "timed_check", timed)
+    return checks, counts
+
+
+@pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4"])
+def test_a_clean_jordan_suite_forms_no_shift_and_no_inverse_derivative(monkeypatch, selector):
+    # the shift makes no triple, the two derivative identities read off the
+    # Jordan inverse form no X (no trace, no product of polynomials), and the
+    # inverse triple is formed once, with the idempotent projection's triples
+    # the only others of the run
+    from twistedops import verify
+    J = from_selector(selector)
+    calls = {"triple": spy(monkeypatch, jordan.JordanAlgebra, "_triple_form"),
+             "trace": spy(monkeypatch, jordan.JordanAlgebra, "_trace_of"),
+             "mul": spy(monkeypatch, ZPoly, "__mul__")}
+    checks, counts = checks_with_counts(monkeypatch, lambda: verify.run_suite(J, "jordan").checks, calls)
+    assert all(c.ok for c in checks.values())
+    assert counts["triple-shift"]["triple"] == 0
+    for name in ("inverse-derivative", "sqrt-second-derivative"):
+        assert counts[name] == {"triple": 0, "trace": 0, "mul": 0}, name
+    assert counts["inverse-triple"]["triple"] == counts["idempotent-projection"]["triple"] == J.n
+    assert len(calls["triple"]) == 2 * J.n
 
 
 def scalar_route_point_identities(J) -> dict:
@@ -896,17 +940,8 @@ def direct_fundamental(J) -> tuple:
 def point_identities_with_combines(monkeypatch, J, calls: list) -> tuple[dict, dict]:
     """The checks of point_identities on J by name, and how many entries
     each added to ``calls``, a spy's record of ``JordanAlgebra._combine``."""
-    counts, timed = {}, jordan.timed_check
-
-    def counted(name, fn):
-        before = len(calls)
-        result = timed(name, fn)
-        counts[name] = len(calls) - before
-        return result
-    monkeypatch.setattr(jordan, "timed_check", counted)
-    checks = {c.name: c for c in point_identities(J, random.Random(1))}
-    monkeypatch.setattr(jordan, "timed_check", timed)
-    return checks, counts
+    checks, counts = checks_with_counts(monkeypatch, lambda: point_identities(J, random.Random(1)), {"combine": calls})
+    return checks, {name: count["combine"] for name, count in counts.items()}
 
 
 @pytest.mark.parametrize("selector", ["sym:2", "full:3", "spin:4"])

@@ -6,6 +6,7 @@ import gc
 import inspect
 import itertools
 import json
+import random
 import weakref
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from twistedops.report import per_algebra, validate_report_dict
 from twistedops.ring import IUNIT, LAMBDA, IrrationalRootError, LambdaPoly, LocFn, Scalar, SuperFn, ZPoly, ONE
 from twistedops.weyl import DiffOp, diffop_str
 
-from test_jordan import NORM_CALCULUS_VARIANTS, corrupt_structure
+from test_jordan import NORM_CALCULUS_VARIANTS, checks_with_counts, corrupt_structure, spy
 
 ALGEBRAS = ["full:1", "full:2", "sym:2", "spin:3", "spin:4", "spin:5"]
 
@@ -920,7 +921,7 @@ def test_a_passing_w_bracket_leaves_no_substitution(monkeypatch):
 
 @pytest.mark.parametrize("selector", ROUTE_ALGEBRAS)
 @pytest.mark.parametrize("variant", ROUTE_VARIANTS)
-def test_each_kept_conjugation_residual_is_the_summed_one(selector, variant):
+def test_the_g_route_gives_the_verdicts_of_the_direct_w_bracket_and_conjugation(selector, variant):
     # each check alone on a cold algebra, and both in one run, give the
     # verdicts and witnesses of the direct loops: both sides of every
     # w-bracket formed, and every R summed through subst_lambda at l0'
@@ -934,7 +935,7 @@ def test_each_kept_conjugation_residual_is_the_summed_one(selector, variant):
 
 
 @pytest.mark.parametrize("variant", ROUTE_VARIANTS)
-def test_the_shared_residuals_give_the_witnesses_of_separate_brackets(variant, monkeypatch):
+def test_each_bracket_with_w_is_formed_only_from_the_first_nonzero_g_on(variant, monkeypatch):
     # the w-bracket forms its sides at i only from the first nonzero G_i on
     # or where e_i != 0, and the conjugation forms R_i only from that G_i
     # on, each up to its first failure; the witnesses are the direct ones
@@ -958,6 +959,97 @@ def test_the_shared_residuals_give_the_witnesses_of_separate_brackets(variant, m
     assert (conjugation.status, conjugation.witness) == outcome(conjugation_fail)
     last = n - 1 if conjugation_fail is None else conjugation_fail[0]
     assert [i for i in range(n) if upper[i] in formed] == list(range(first, last + 1))
+
+
+def residual_witness(J, lhs: tuple, rhs: tuple, claim: str):
+    """The witness of point_identities for two integer forms that differ:
+    the first residual coordinate, shown at the point random_point gives."""
+    for k, (x, y) in enumerate(zip(J._result(lhs).coords, J._result(rhs).coords)):
+        if x != y:
+            d = x - y
+            z = jordan.random_point(J, random.Random(0), invertible=False)
+            return f"{claim}: residual coordinate {k+1} has {len(d.packed)} terms, value {d.evaluate(list(z.coords))} at z={z}"
+
+
+def direct_inverse_identities(J) -> dict:
+    """Reference: (status, witness) of the triple shift, the inverse
+    derivative and the second sqrt derivative, each formed at every index off
+    a sandwich table built here, the loops point_identities and
+    derivative_identities run when a premise of the Jordan inverse fails."""
+    fq, fadj, fF = J._form(J.generic_elem()), J._form(J.adjugate_elem()), jordan._read((J.normF,))
+    basis = [J._form(J.basis_element(i)) for i in range(J.n)]
+    sandwiches = [J._triple_form(fadj, b, fadj) for b in basis]
+    F, dF, n = J.ring.F, J.ring.dF, J.n
+    e = [dF(i) - J.trace_form(J.basis_element(i), J.adjugate_elem()) for i in range(n)]
+    A = [dF(i) - e[i] for i in range(n)]
+    X = {(i, j): F * A[j].derivative(i) - A[j] * dF(i) + J._trace_of(basis[j], sandwiches[i])
+         for i, j in itertools.product(range(n), repeat=2)}
+    S = {(i, j): (X[i, j] + F * e[j].derivative(i)).scale(sc(2)) - A[i] * e[j] + A[j] * e[i] - e[i] * e[j]
+         for i, j in itertools.product(range(n), repeat=2)}
+    shift = (residual_witness(J, J._triple_form(s, fq, v),
+                              J._weighted(fF, (J._product_form(fadj, J._product_form(v, v)),)),
+                              f"{{{{adj q,v,adj q}},q,v}} != F adj q o v^2 at v={J.labels[i]}")
+             for i, (v, s) in enumerate(zip(basis, sandwiches)))
+    first = lambda residuals, claim: next((claim.format(i + 1, j + 1) for (i, j), r in residuals.items()
+                                           if not r.is_zero()), None)
+    witnesses = {"triple-shift": next(filter(None, shift), None),
+                 "inverse-derivative": first(X, "d_{0} tr(b{1} q^-1) mismatch"),
+                 "sqrt-second-derivative": first(S, "d_{0} d_{1} w mismatch")}
+    return {name: ("fail" if w else "pass", w) for name, w in witnesses.items()}
+
+
+def inverse_routes_agree(monkeypatch, J) -> tuple[bool, dict]:
+    """Assert that the shift and the two derivative identities read off the
+    Jordan inverse give the direct loops' verdicts and witnesses, each residual
+    shown at the same point, and that each is derived (forms no product)
+    exactly when its premises hold; return whether those of the inverse do,
+    and the checks of point_identities and derivative_identities by name."""
+    original = jordan.random_point
+    monkeypatch.setattr(jordan, "random_point", lambda J, rng, invertible=True:
+                        original(J, random.Random(0), invertible))
+    want = direct_inverse_identities(J)
+    calls = {"combine": spy(monkeypatch, jordan.JordanAlgebra, "_combine"),
+             "mul": spy(monkeypatch, ZPoly, "__mul__")}
+    checks, counts = checks_with_counts(monkeypatch, lambda: jordan.point_identities(J, random.Random(1))
+                                        + jordan.derivative_identities(J), calls)
+    assert {name: (checks[name].status, checks[name].witness) for name in want} == want
+    structure = {c.name: c.ok for c in jordan.validate_structure(J)}
+    inverse = (structure["product-commutative"] and structure["unit-law"] and not J.normF.is_zero()
+               and checks["power-associativity"].ok and checks["inverse-triple"].ok)
+    assert (counts["triple-shift"]["combine"] == 0) == inverse
+    assert (counts["inverse-derivative"]["mul"] == 0) == inverse
+    assert (counts["sqrt-second-derivative"]["mul"] == 0) == (inverse and checks["sqrt-derivative"].ok)
+    return inverse, checks
+
+
+# the route variants, and a copy whose unit data is 2e: only the unit law
+# fails, so every other premise of the Jordan inverse holds
+INVERSE_VARIANTS = ROUTE_VARIANTS | {"doubled-unit": lambda J: dataclasses.replace(J, unit=tuple(2 * c for c in J.unit))}
+
+
+@pytest.mark.parametrize("selector", ROUTE_ALGEBRAS)
+@pytest.mark.parametrize("variant", INVERSE_VARIANTS)
+def test_the_checks_read_off_the_jordan_inverse_agree_with_the_direct_loops(monkeypatch, selector, variant):
+    # derived exactly when the structure is commutative with a unit,
+    # power-associativity and the inverse triple pass and F != 0 (the second
+    # sqrt derivative when also the sqrt derivative passes), and with the
+    # direct loops' verdicts and witnesses either way
+    J = INVERSE_VARIANTS[variant](from_selector(selector))
+    assert inverse_routes_agree(monkeypatch, J)[0] == (variant in ("algebra", "m+1", "bumped-trace"))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_an_associative_matrix_product_forms_the_checks_of_the_inverse(monkeypatch, r):
+    # full:r under AB itself is unital and associative, so power-associativity
+    # and the inverse triple pass, with F the determinant; only commutativity
+    # fails, and without it the shift and the inverse derivative fail
+    pairs = [(i, j) for i in range(r) for j in range(r)]
+    prod = [[[Fraction(int(a[1] == b[0] and (a[0], b[1]) == p)) for p in pairs] for b in pairs] for a in pairs]
+    J = from_selector(f"full:{r}")
+    J = jordan._finish(J.kind, r, J.n, J.labels, prod, J.unit, J.trace_vec, J.idempotent)
+    inverse, checks = inverse_routes_agree(monkeypatch, J)
+    assert not inverse and checks["power-associativity"].ok and checks["inverse-triple"].ok
+    assert not checks["triple-shift"].ok and not checks["inverse-derivative"].ok
 
 
 def test_the_shared_values_do_not_keep_their_algebra_alive():
